@@ -15,7 +15,14 @@ import numpy as np
 from .blockops import Block2x2
 from .errors import FeasibilityError, PreconditionError
 from .numkernel import adjoint, as_matrix, eye, rank_of, svd, zeros
-from .relations import DEFAULT_TOL, MCWitness, SCWitness, _checked, verify_mc
+from .relations import (
+    DEFAULT_TOL,
+    MCWitness,
+    SCWitness,
+    VerifierReport,
+    _checked,
+    verify_mc,
+)
 
 
 @dataclass(frozen=True)
@@ -95,6 +102,11 @@ def synth_mc(U, V, tol: float = DEFAULT_TOL) -> MCWitness:
     in index order and fixes everything else.  All factor inverses are
     available in closed form, so ``UhatInv`` is exact up to rounding.
     """
+    return _synth_mc(U, V, tol)[0]
+
+
+def _synth_mc(U, V, tol: float) -> tuple[MCWitness, VerifierReport]:
+    """The witness of :func:`synth_mc` with its verifier report."""
     U = as_matrix(U)
     V = as_matrix(V)
     n, m = U.shape[0], V.shape[0]
@@ -139,8 +151,7 @@ def synth_mc(U, V, tol: float = DEFAULT_TOL) -> MCWitness:
     uhat_inv = right_inv @ pi @ left_inv        # Pi is self-inverse
 
     mc = MCWitness(Uhat=uhat, UhatInv=uhat_inv, n=n, m=m, U=U, V=V)
-    _checked(verify_mc(mc, tol), "synth_mc")
-    return mc
+    return mc, _checked(verify_mc(mc, tol), "synth_mc")
 
 
 def random_instance(spec: InstanceSpec):

@@ -65,13 +65,44 @@ def spectral_norm(a) -> float:
     return float(np.linalg.norm(a, 2))
 
 
+def _at_most_unit_norm(a: np.ndarray) -> bool:
+    """Whether ``spectral_norm(a) <= 1`` is certain without an SVD.
+
+    ``min(||a||_F, sqrt(||a||_1 ||a||_inf))`` bounds the spectral norm from
+    above.  A bound below ``1 - slack`` leaves room for the rounding of the
+    bound and of the SVD, so the SVD could not have returned more than 1.
+    The identity, whose SVD returns exactly 1.0, is the one case on the
+    boundary that is also taken as settled.
+    """
+    if a.size == 0:
+        return True
+    rows, cols = a.shape
+    if rows == cols and np.count_nonzero(a) == rows and np.all(np.diagonal(a) == 1):
+        return True
+    mag = np.abs(a)
+    bound = min(float(np.sqrt(np.sum(mag * mag))),
+                float(np.sqrt(mag.sum(axis=0).max() * mag.sum(axis=1).max())))
+    return bound <= 1.0 - 16 * max(rows, cols) * EPS
+
+
 def rel_residual(lhs, rhs) -> float:
-    """Relative residual ``||lhs - rhs|| / max(1, ||rhs||)`` in spectral norm."""
+    """Relative residual ``||lhs - rhs|| / max(1, ||rhs||)`` in spectral norm.
+
+    The value is the float the formula gives with both norms taken by SVD.
+    An SVD is skipped only where its outcome is already known: an exactly
+    zero difference gives 0.0, and the denominator is exactly 1 whenever
+    :func:`_at_most_unit_norm` settles it.  The numerator, when nonzero, is
+    always an exact spectral norm.
+    """
     lhs = np.asarray(lhs, dtype=np.complex128)
     rhs = np.asarray(rhs, dtype=np.complex128)
     if lhs.shape != rhs.shape:
         raise ShapeError(f"residual of mismatched shapes {lhs.shape} vs {rhs.shape}")
-    return spectral_norm(lhs - rhs) / max(1.0, spectral_norm(rhs))
+    diff = lhs - rhs
+    if not diff.any():
+        return 0.0
+    scale = 1.0 if _at_most_unit_norm(rhs) else max(1.0, spectral_norm(rhs))
+    return spectral_norm(diff) / scale
 
 
 def eye(n: int) -> np.ndarray:
@@ -197,13 +228,10 @@ def subspaces(a, tol: float | None = None):
     return kernel, kernel_complement, range_, range_complement
 
 
-def inverse(a, tol: float | None = None):
-    """Inverse of a square matrix together with its condition number.
+def condition_number(a, tol: float | None = None) -> float:
+    """Condition number ``sigma_max / sigma_min`` of a square matrix.
 
-    Returns
-    -------
-    (inv, condition) : (ndarray, float)
-        ``condition = sigma_max / sigma_min``; a 0x0 matrix has condition 1.
+    Takes one values-only SVD; a 0x0 matrix has condition 1.
 
     Raises
     ------
@@ -213,9 +241,9 @@ def inverse(a, tol: float | None = None):
     a = as_matrix(a)
     rows, cols = a.shape
     if rows != cols:
-        raise ShapeError(f"inverse of non-square matrix {a.shape}")
+        raise ShapeError(f"expected a square matrix, got shape {a.shape}")
     if rows == 0:
-        return zeros(0, 0), 1.0
+        return 1.0
     s = _svd_vals(a)
     cut = default_rank_tol(a, s) if tol is None else tol
     sigma_min = float(s[-1])
@@ -225,4 +253,23 @@ def inverse(a, tol: float | None = None):
             f"(sigma_min={sigma_min:.3e}, cutoff={cut:.3e})",
             sigma_min=sigma_min,
         )
-    return np.linalg.inv(a), float(s[0]) / sigma_min
+    return float(s[0]) / sigma_min
+
+
+def inverse(a, tol: float | None = None):
+    """Inverse of a square matrix together with its condition number.
+
+    Returns
+    -------
+    (inv, condition) : (ndarray, float)
+        ``condition`` is :func:`condition_number`; a 0x0 matrix has
+        condition 1.
+
+    Raises
+    ------
+    SingularMatrixError
+        If the smallest singular value falls below the rank cutoff.
+    """
+    a = as_matrix(a)
+    condition = condition_number(a, tol)
+    return np.linalg.inv(a), condition

@@ -43,6 +43,7 @@ from .numkernel import (
     SubspaceBasis,
     adjoint,
     as_matrix,
+    condition_number,
     eye,
     inverse,
     pinv,
@@ -58,14 +59,13 @@ from .relations import (
     EAOEWitness,
     MCWitness,
     SCWitness,
+    VerifierReport,
     _direct_sum,
-    mc_to_eae_special,
-    sc_from_eaoe,
+    _mc_to_eae_special,
+    _sc_from_eaoe,
     verify_eae,
     verify_eae_special,
     verify_eaoe,
-    verify_mc,
-    verify_sc,
 )
 from . import instances
 
@@ -260,8 +260,8 @@ def decompose_corners(w: EAESpecialWitness, tol: float = DEFAULT_TOL) -> CornerD
 
     f22_prime = _coords(im_f22.basis, w.F22, k2.basis)
     e11_prime = _coords(im_e11.basis, w.E11, f1.basis)
-    _, cond_f = inverse(f22_prime)
-    _, cond_e = inverse(e11_prime)
+    cond_f = condition_number(f22_prime)
+    cond_e = condition_number(e11_prime)
 
     for name, block, dom, ker, ran, comp, prime in (
         ("f22", w.F22, k2, ker_f22, im_f22, h2, f22_prime),
@@ -455,6 +455,12 @@ def build_small_eae(w: EAESpecialWitness, d: CornerDecomposition,
     ``x0 = dim Ker E11`` and ``y0 = dim h2``.  Requires invertible corner
     blocks, i.e. :func:`check_two_sided` must have passed.
     """
+    return _build_small_eae(w, d, rb, tol)[0]
+
+
+def _build_small_eae(w: EAESpecialWitness, d: CornerDecomposition, rb: ReducedBlocks,
+                     tol: float) -> tuple[EAEWitness, VerifierReport]:
+    """The witness of :func:`build_small_eae` with its verifier report."""
     r = _require_square_corners(d)
     n, m = w.n, w.m
     x0, y0 = m - r, n - r
@@ -483,7 +489,7 @@ def build_small_eae(w: EAESpecialWitness, d: CornerDecomposition,
             f"small EAE witness fails verification "
             f"(residual {report.max_residual:.3e} > {tol:g})"
         )
-    return witness
+    return witness, report
 
 
 def build_eaoe(w: EAESpecialWitness, d: CornerDecomposition, rb: ReducedBlocks,
@@ -498,6 +504,12 @@ def build_eaoe(w: EAESpecialWitness, d: CornerDecomposition, rb: ReducedBlocks,
     lands on ``U`` when ``dim Ker E11 >= dim h2``, i.e. exactly when
     ``index(F22) >= 0``.
     """
+    return _build_eaoe(w, d, rb, tol)[0]
+
+
+def _build_eaoe(w: EAESpecialWitness, d: CornerDecomposition, rb: ReducedBlocks,
+                tol: float) -> tuple[EAOEWitness, VerifierReport]:
+    """The witness of :func:`build_eaoe` with its verifier report."""
     r = _require_square_corners(d)
     n, m = w.n, w.m
     x0, y0 = m - r, n - r
@@ -541,7 +553,7 @@ def build_eaoe(w: EAESpecialWitness, d: CornerDecomposition, rb: ReducedBlocks,
             f"one-sided extension witness fails verification "
             f"(residual {report.max_residual:.3e} > {tol:g})"
         )
-    return witness
+    return witness, report
 
 
 # ---------------------------------------------------------------------------
@@ -564,6 +576,8 @@ def run_pipeline(U, V, w: EAESpecialWitness | None = None,
     :class:`~opcoupling.errors.FeasibilityError` quoting the rank oracle.
     Every stage's residuals must stay below ``tol``, otherwise a
     :class:`~opcoupling.errors.PipelineStageError` names the failing stage.
+    A stage that builds a witness records the report its builder verified
+    the witness with; no artifact is verified twice.
     """
     U = as_matrix(U)
     V = as_matrix(V)
@@ -581,11 +595,10 @@ def run_pipeline(U, V, w: EAESpecialWitness | None = None,
                 f"{null_v}; square matrices admit the extension chain exactly "
                 "when their nullities agree"
             )
-        mc = _stage("synthesize_mc", lambda: instances.synth_mc(U, V, tol))
-        mc_report = verify_mc(mc, tol)
+        mc, mc_report = _stage("synthesize_mc", lambda: instances._synth_mc(U, V, tol))
         stages.append(StageResult("synthesize_mc", dict(mc_report.residuals),
                                   {"nullity": null_u}))
-        w = _stage("mc_to_special", lambda: mc_to_eae_special(mc, tol))
+        w, report = _stage("mc_to_special", lambda: _mc_to_eae_special(mc, tol))
         stages.append(StageResult("mc_to_special", {}))
     else:
         consistency = {
@@ -598,8 +611,8 @@ def run_pipeline(U, V, w: EAESpecialWitness | None = None,
                 "supplied witness does not couple the given U, V",
             )
         stages.append(StageResult("witness_consistency", consistency))
+        report = verify_eae_special(w, tol)
 
-    report = verify_eae_special(w, tol)
     stages.append(StageResult("verify_special", dict(report.residuals)))
     if not report.passed:
         raise PipelineStageError("verify_special",
@@ -640,14 +653,12 @@ def run_pipeline(U, V, w: EAESpecialWitness | None = None,
     two_sided = _stage("two_sided", lambda: check_two_sided(wn, rb2, tol))
     stages.append(StageResult("two_sided", two_sided))
 
-    small = _stage("small_eae", lambda: build_small_eae(wn, d, rb2, tol))
-    small_report = verify_eae(small, tol)
+    small, small_report = _stage("small_eae", lambda: _build_small_eae(wn, d, rb2, tol))
     stages.append(StageResult("small_eae", dict(small_report.residuals), {
         "x0_dim": small.x0_dim, "y0_dim": small.y0_dim,
     }))
 
-    eaoe = _stage("build_eaoe", lambda: build_eaoe(wn, d, rb2, tol))
-    eaoe_report = verify_eaoe(eaoe, tol)
+    eaoe, eaoe_report = _stage("build_eaoe", lambda: _build_eaoe(wn, d, rb2, tol))
     stages.append(StageResult("build_eaoe", dict(eaoe_report.residuals), {
         "extended_side": eaoe.extended_side, "ext_dim": eaoe.ext_dim,
     }))
@@ -658,8 +669,7 @@ def run_pipeline(U, V, w: EAESpecialWitness | None = None,
             f"{fred.f22.index} demands {fred.extension_side}",
         )
 
-    sc = _stage("schur_coupling", lambda: sc_from_eaoe(eaoe, tol))
-    sc_report = verify_sc(sc, tol)
+    sc, sc_report = _stage("schur_coupling", lambda: _sc_from_eaoe(eaoe, tol))
     stages.append(StageResult("schur_coupling", dict(sc_report.residuals)))
 
     return PipelineReport(

@@ -32,8 +32,17 @@ all, labelled ``identity_i`` .. ``identity_xi``:
     (xi)   Ehat21 E11 = -F22 E21
 
 Every verifier reports relative residuals ``||lhs - rhs|| / max(1, ||rhs||)``
-in the spectral norm.  Special-form witnesses carry their inverses so that
-verification cost and accuracy do not depend on re-inverting ``E`` and ``F``.
+in the spectral norm.  Numerators are always exact spectral norms; a
+denominator is computed by SVD only when it can exceed 1, since a cheap upper
+bound settles ``max(1, ||rhs||) = 1`` otherwise (see
+:func:`~opcoupling.numkernel.rel_residual`).  Special-form witnesses carry
+their inverses so that verification cost and accuracy do not depend on
+re-inverting ``E`` and ``F``.
+
+Each converter verifies its output once.  A private builder returns the
+witness together with that report, so the pipeline records the same report
+instead of verifying the witness again; the public converter returns the
+witness alone.
 """
 
 from __future__ import annotations
@@ -47,6 +56,7 @@ from .errors import ConversionError, ShapeError
 from .numkernel import (
     adjoint,
     as_matrix,
+    condition_number,
     eye,
     inverse,
     rel_residual,
@@ -329,8 +339,8 @@ def verify_mc(w: MCWitness, tol: float = DEFAULT_TOL) -> VerifierReport:
 
 def verify_eae(w: EAEWitness, tol: float = DEFAULT_TOL) -> VerifierReport:
     """Check the extension equation and invertibility of a general EAE witness."""
-    _, cond_e = inverse(w.E)
-    _, cond_f = inverse(w.F)
+    cond_e = condition_number(w.E)
+    cond_f = condition_number(w.F)
     lhs = _direct_sum(w.U, w.x0_dim)
     rhs = w.E @ _direct_sum(w.V, w.y0_dim) @ w.F
     residuals = {"extension_equation": rel_residual(lhs, rhs)}
@@ -393,14 +403,15 @@ def verify_eae_special(w: EAESpecialWitness, tol: float = DEFAULT_TOL) -> Verifi
     residuals.update(_special_identities(w))
     sig_e = np.linalg.svd(w.E, compute_uv=False)
     sig_f = np.linalg.svd(w.F, compute_uv=False)
-    extras = {"sigma_min_e": float(sig_e[-1]), "sigma_min_f": float(sig_f[-1])}
+    extras = {"sigma_min_e": float(sig_e[-1]) if d else 1.0,
+              "sigma_min_f": float(sig_f[-1]) if d else 1.0}
     return VerifierReport("eae_special", residuals, tol, extras)
 
 
 def verify_eaoe(w: EAOEWitness, tol: float = DEFAULT_TOL) -> VerifierReport:
     """Check the one-sided extension equation and invertibility of E, F."""
-    _, cond_e = inverse(w.E)
-    _, cond_f = inverse(w.F)
+    cond_e = condition_number(w.E)
+    cond_f = condition_number(w.F)
     if w.extended_side == "U":
         lhs = _direct_sum(w.U, w.ext_dim)
         rhs = w.E @ w.V @ w.F
@@ -419,7 +430,8 @@ def verify_eaoe(w: EAOEWitness, tol: float = DEFAULT_TOL) -> VerifierReport:
 # converters
 
 
-def _checked(report: VerifierReport, what: str) -> None:
+def _checked(report: VerifierReport, what: str) -> VerifierReport:
+    """Return ``report``, or raise :class:`ConversionError` if it failed."""
     if not report.passed:
         label, value = report.worst()
         raise ConversionError(
@@ -427,6 +439,7 @@ def _checked(report: VerifierReport, what: str) -> None:
             f"exceeds {report.tol:g}",
             report=report,
         )
+    return report
 
 
 def sc_to_mc(w: SCWitness, tol: float = DEFAULT_TOL) -> MCWitness:
@@ -472,6 +485,11 @@ def mc_to_eae_special(w: MCWitness, tol: float = DEFAULT_TOL) -> EAESpecialWitne
     blocks, so no numerical inversion is involved; the output is validated by
     :func:`verify_eae_special`.
     """
+    return _mc_to_eae_special(w, tol)[0]
+
+
+def _mc_to_eae_special(w: MCWitness, tol: float) -> tuple[EAESpecialWitness, VerifierReport]:
+    """The witness of :func:`mc_to_eae_special` with its verifier report."""
     n, m = w.n, w.m
     r = w.Uhat[:n, n:]
     q = w.Uhat[n:, :n]
@@ -486,8 +504,7 @@ def mc_to_eae_special(w: MCWitness, tol: float = DEFAULT_TOL) -> EAESpecialWitne
     finv = Block2x2(-b, eye(n), eye(m) - q @ b, q).assemble()
 
     witness = EAESpecialWitness(U=w.U, V=w.V, E=e, F=f, Einv=einv, Finv=finv)
-    _checked(verify_eae_special(witness, tol), "mc_to_eae_special")
-    return witness
+    return witness, _checked(verify_eae_special(witness, tol), "mc_to_eae_special")
 
 
 def sc_from_eaoe(w: EAOEWitness, tol: float = DEFAULT_TOL) -> SCWitness:
@@ -503,6 +520,11 @@ def sc_from_eaoe(w: EAOEWitness, tol: float = DEFAULT_TOL) -> SCWitness:
     S-summand of the extended space.  When the orientation was flipped the
     block rows/columns of M0 are swapped so the result couples ``(U, V)``.
     """
+    return _sc_from_eaoe(w, tol)[0]
+
+
+def _sc_from_eaoe(w: EAOEWitness, tol: float) -> tuple[SCWitness, VerifierReport]:
+    """The witness of :func:`sc_from_eaoe` with its verifier report."""
     if w.extended_side == "V":
         e_p, f_p = w.E, w.F
         s_op, swap = w.V, False
@@ -526,5 +548,4 @@ def sc_from_eaoe(w: EAOEWitness, tol: float = DEFAULT_TOL) -> SCWitness:
     else:
         m = Block2x2(a, b, c, d)
     sc = SCWitness(M=m, U=w.U, V=w.V)
-    _checked(verify_sc(sc, tol), "sc_from_eaoe")
-    return sc
+    return sc, _checked(verify_sc(sc, tol), "sc_from_eaoe")

@@ -5,6 +5,7 @@ from opcoupling.errors import PreconditionError, ShapeError, SingularMatrixError
 from opcoupling.numkernel import (
     adjoint,
     as_matrix,
+    condition_number,
     inverse,
     pinv,
     rank_of,
@@ -24,6 +25,48 @@ def test_as_matrix_rejects_nan():
 
 def test_spectral_norm_empty():
     assert spectral_norm(np.zeros((0, 3))) == 0.0
+
+
+def _residual_cases():
+    rng = np.random.default_rng(7)
+
+    def noise(*shape):
+        return 1e-9 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+    def cplx(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    q, _ = np.linalg.qr(cplx(10, 10))
+    a = cplx(6, 6)
+    perm = np.eye(5)[[2, 0, 4, 1, 3]]
+    phases = np.diag([1.0, -1.0, 1j, -1j])
+    cases = {"equal": (a, a.copy())}
+    for n in (1, 5, 40):
+        cases[f"identity_{n}"] = (np.eye(n) + noise(n, n), np.eye(n))
+    cases.update({
+        "unitary": (q + noise(10, 10), q),
+        "permutation": (perm + noise(5, 5), perm),
+        "unit_phases": (phases + noise(4, 4), phases),
+        "norm2_below_one_below_frobenius": (0.6 * q + noise(10, 10), 0.6 * q),
+        "frobenius_below_one": (0.05 * a + noise(6, 6), 0.05 * a),
+        "norm2_above_one": (3.0 * a + noise(6, 6), 3.0 * a),
+        "rectangular": (cplx(4, 7), 0.1 * cplx(4, 7)),
+        "empty_0x3": (np.zeros((0, 3)), np.zeros((0, 3))),
+        "empty_3x0": (np.zeros((3, 0)), np.zeros((3, 0))),
+    })
+    return cases
+
+
+RESIDUAL_CASES = _residual_cases()
+
+
+@pytest.mark.parametrize("case", sorted(RESIDUAL_CASES))
+def test_rel_residual_matches_spectral_formula(case):
+    lhs, rhs = RESIDUAL_CASES[case]
+    lhs = np.asarray(lhs, dtype=complex)
+    rhs = np.asarray(rhs, dtype=complex)
+    expected = spectral_norm(lhs - rhs) / max(1.0, spectral_norm(rhs))
+    assert rel_residual(lhs, rhs) == expected
 
 
 class TestSvd:
@@ -169,6 +212,17 @@ class TestInverse:
     def test_empty(self):
         inv, cond = inverse(np.zeros((0, 0)))
         assert inv.shape == (0, 0) and cond == 1.0
+
+    def test_condition_number_matches_inverse(self):
+        rng = np.random.default_rng(11)
+        a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+        assert condition_number(a) == inverse(a)[1]
+        assert condition_number(np.zeros((0, 0))) == 1.0
+        with pytest.raises(SingularMatrixError) as info:
+            condition_number(np.diag([1.0, 0.0]))
+        assert info.value.sigma_min == 0.0
+        with pytest.raises(ShapeError):
+            condition_number(np.zeros((2, 3)))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_pinv_scaled_by_condition(self, seed):

@@ -1,6 +1,11 @@
+import inspect
+import sys
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from opcoupling import relations
 from opcoupling.errors import FeasibilityError, PipelineStageError
 from opcoupling.instances import InstanceSpec, random_instance, synth_mc
 from opcoupling.numkernel import pinv, rel_residual, spectral_norm
@@ -235,6 +240,11 @@ class TestRunPipeline:
         report = run_pipeline(np.zeros((2, 2)), np.zeros((2, 2)), tol=1e-10)
         assert report.success
 
+    def test_empty_pair(self):
+        report = run_pipeline(np.zeros((0, 0)), np.zeros((0, 0)))
+        assert report.success
+        assert report.max_residual == 0
+
     def test_feasibility_error_cites_oracle(self):
         with pytest.raises(FeasibilityError, match="nullities"):
             run_pipeline(np.diag([1.0, 0.0]), np.diag([5.0, 0.0, 0.0]))
@@ -270,3 +280,37 @@ class TestRunPipeline:
             "rederive_blocks", "two_sided", "small_eae", "build_eaoe",
             "schur_coupling",
         ]
+
+
+def test_pipeline_verifies_each_artifact_once(monkeypatch):
+    """Deterministic work counts of one pipeline run at 12x14, nullity 2."""
+    counts = Counter()
+    real_svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        counts["svd"] += 1
+        return real_svd(*args, **kwargs)
+
+    # np.linalg.norm(., 2) reaches the SVD through its own module's globals
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setitem(inspect.unwrap(np.linalg.norm).__globals__, "svd", counting_svd)
+
+    namespaces = [mod for name, mod in sys.modules.items()
+                  if name == "opcoupling" or name.startswith("opcoupling.")]
+    for kind in ("sc", "mc", "eae", "eae_special", "eaoe"):
+        real = getattr(relations, f"verify_{kind}")
+
+        def counting(*args, _real=real, _kind=kind, **kwargs):
+            counts[_kind] += 1
+            return _real(*args, **kwargs)
+
+        for ns in namespaces:
+            for attr, value in list(vars(ns).items()):
+                if value is real:
+                    monkeypatch.setattr(ns, attr, counting)
+
+    u, v = random_instance(InstanceSpec(12, 14, 2, seed=1))
+    assert run_pipeline(u, v, tol=1e-8).success
+    assert sum(counts[k] for k in ("sc", "mc", "eae", "eae_special", "eaoe")) == 6
+    assert counts["eae_special"] == 2
+    assert counts["svd"] <= 111
