@@ -48,6 +48,7 @@ from .serialization import (
     decode_witness,
     dumps_canonical,
     encode_instance,
+    encode_symbol,
     encode_witness,
     pipeline_report_to_dict,
     verifier_report_to_dict,
@@ -65,9 +66,12 @@ _VERIFIERS = {
 def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            obj = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise click.UsageError(f"cannot read {path}: {exc}")
+    if not isinstance(obj, dict):
+        raise click.UsageError(f"cannot read {path}: not a JSON object")
+    return obj
 
 
 def emit_report(payload: dict, path: str) -> None:
@@ -132,7 +136,10 @@ def synth(n, m, nullity, seed, cond_bound, out_path):
 
 
 def _run_one_pipeline(in_path: str, tol: float, out_path, report_path):
-    u, v = decode_instance(_load_json(in_path))
+    try:
+        u, v = decode_instance(_load_json(in_path))
+    except ToolkitError as exc:
+        raise click.UsageError(f"malformed instance file {in_path}: {exc}")
     report = run_pipeline(u, v, tol=tol)
     if out_path:
         _write_witness(report.final_sc, out_path)
@@ -176,7 +183,7 @@ def pipeline(ctx, in_paths, tol, out_path, report_path, out_dir, jobs):
                 try:
                     rep = fut.result()
                     click.echo(f"{path}: ok (max residual {rep.max_residual:.3e})")
-                except (FeasibilityError, PipelineStageError, ToolkitError) as exc:
+                except (ToolkitError, click.UsageError) as exc:
                     failures += 1
                     click.echo(f"{path}: FAIL {exc}", err=True)
         ctx.exit(1 if failures else 0)
@@ -211,7 +218,7 @@ def verify(ctx, witness_path, kind, tol, report_path):
     try:
         w = decode_witness(obj)
     except (KeyError, ToolkitError) as exc:
-        raise click.UsageError(f"malformed witness file: {exc}")
+        raise click.UsageError(f"malformed witness file {witness_path}: {exc}")
     try:
         rep = _VERIFIERS[kind](w, tol)
     except ToolkitError as exc:
@@ -292,8 +299,7 @@ def hankel(ctx, symbol_text, symbol_offset, section_size, schatten_p, kmax,
             "kind": "hankel_report",
             "tool": "opcoupling",
             "version": __version__,
-            "symbol": {"offset": f.offset,
-                       "coeffs": [[z.real, z.imag] for z in f.coeffs]},
+            "symbol": encode_symbol(f),
             "N": section_size,
             "coupling": {
                 "grid": coupling.grid,

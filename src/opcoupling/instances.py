@@ -102,11 +102,6 @@ def synth_mc(U, V, tol: float = DEFAULT_TOL) -> MCWitness:
     in index order and fixes everything else.  All factor inverses are
     available in closed form, so ``UhatInv`` is exact up to rounding.
     """
-    return _synth_mc(U, V, tol)[0]
-
-
-def _synth_mc(U, V, tol: float) -> tuple[MCWitness, VerifierReport]:
-    """The witness of :func:`synth_mc` with its verifier report."""
     U = as_matrix(U)
     V = as_matrix(V)
     n, m = U.shape[0], V.shape[0]
@@ -118,8 +113,14 @@ def _synth_mc(U, V, tol: float) -> tuple[MCWitness, VerifierReport]:
         raise FeasibilityError(
             f"cannot couple: nullity(U)={ku} differs from nullity(V)={kv}"
         )
-    k = ku
+    return _synth_mc(U, V, ku, tol)[0]
 
+
+def _synth_mc(U: np.ndarray, V: np.ndarray, k: int,
+              tol: float) -> tuple[MCWitness, VerifierReport]:
+    """The witness of :func:`synth_mc` with its verifier report, for square
+    complex ``U``, ``V`` whose common nullity ``k`` the caller has checked."""
+    n, m = U.shape[0], V.shape[0]
     res_u, res_v = svd(U), svd(V)
     r_u, r_v = n - k, m - k
     su = np.ones(n)

@@ -238,12 +238,18 @@ def condition_number(a, tol: float | None = None) -> float:
     SingularMatrixError
         If the smallest singular value falls below the rank cutoff.
     """
+    return _norm_and_condition(a, tol)[1]
+
+
+def _norm_and_condition(a, tol: float | None = None) -> tuple[float, float]:
+    """``(spectral_norm(a), condition_number(a))`` from the one values-only
+    SVD that both take; a 0x0 matrix gives ``(0.0, 1.0)``."""
     a = as_matrix(a)
     rows, cols = a.shape
     if rows != cols:
         raise ShapeError(f"expected a square matrix, got shape {a.shape}")
     if rows == 0:
-        return 1.0
+        return 0.0, 1.0
     s = _svd_vals(a)
     cut = default_rank_tol(a, s) if tol is None else tol
     sigma_min = float(s[-1])
@@ -253,7 +259,7 @@ def condition_number(a, tol: float | None = None) -> float:
             f"(sigma_min={sigma_min:.3e}, cutoff={cut:.3e})",
             sigma_min=sigma_min,
         )
-    return float(s[0]) / sigma_min
+    return float(s[0]), float(s[0]) / sigma_min
 
 
 def inverse(a, tol: float | None = None):

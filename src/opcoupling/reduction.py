@@ -114,7 +114,8 @@ class ReducedBlocks:
     ``V`` on (k2 (+) ker_f22) -> (f1 (+) ker_e11) lower block triangular.
     ``left_inv_v22 @ v22`` and ``u22 @ right_inv_u22`` are identities; the
     residuals of the suppressed blocks and of ``e11' v11 = -u11 f22'`` are
-    kept for reporting.
+    kept for reporting.  ``scales`` holds ``max(1, ||U||)`` and
+    ``max(1, ||V||)``, the denominators of the suppressed-block residuals.
     """
 
     u11: np.ndarray
@@ -126,6 +127,7 @@ class ReducedBlocks:
     left_inv_v22: np.ndarray
     right_inv_u22: np.ndarray
     residuals: dict[str, float] = field(default_factory=dict)
+    scales: tuple[float, float] = (1.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -287,7 +289,8 @@ def decompose_corners(w: EAESpecialWitness, tol: float = DEFAULT_TOL) -> CornerD
 
 
 def derive_uv_blocks(w: EAESpecialWitness, d: CornerDecomposition,
-                     tol: float = DEFAULT_TOL) -> ReducedBlocks:
+                     tol: float = DEFAULT_TOL,
+                     scales: tuple[float, float] | None = None) -> ReducedBlocks:
     """Express U and V in the decomposition bases and extract their blocks.
 
     The compressions are
@@ -299,6 +302,8 @@ def derive_uv_blocks(w: EAESpecialWitness, d: CornerDecomposition,
     ``left_inv_v22 = Pi_ker_f22 @ E21 @ J_ker_e11`` (a left inverse of v22)
     and ``right_inv_u22 = Pi_h2 @ Ehat21 @ J_g1`` (a right inverse of u22)
     are computed from the witness blocks, not by inverting anything.
+    ``scales`` may pass on the :attr:`ReducedBlocks.scales` of an earlier
+    call for a witness with the same ``U`` and ``V``, sparing their SVDs.
 
     Raises
     ------
@@ -319,8 +324,10 @@ def derive_uv_blocks(w: EAESpecialWitness, d: CornerDecomposition,
     left_inv_v22 = _coords(d.ker_f22.basis, w.E21, d.ker_e11.basis)
     right_inv_u22 = _coords(d.h2.basis, w.Ehat21, d.g1.basis)
 
-    scale_u = max(1.0, np.linalg.norm(w.U, 2) if w.U.size else 0.0)
-    scale_v = max(1.0, np.linalg.norm(w.V, 2) if w.V.size else 0.0)
+    if scales is None:
+        scales = (max(1.0, np.linalg.norm(w.U, 2) if w.U.size else 0.0),
+                  max(1.0, np.linalg.norm(w.V, 2) if w.V.size else 0.0))
+    scale_u, scale_v = scales
     residuals = {
         "zero_block_u21": (np.linalg.norm(u21, 2) / scale_u) if u21.size else 0.0,
         "zero_block_v12": (np.linalg.norm(v12, 2) / scale_v) if v12.size else 0.0,
@@ -336,7 +343,7 @@ def derive_uv_blocks(w: EAESpecialWitness, d: CornerDecomposition,
         )
     return ReducedBlocks(u11=u11, u12=u12, u22=u22, v11=v11, v21=v21, v22=v22,
                          left_inv_v22=left_inv_v22, right_inv_u22=right_inv_u22,
-                         residuals=residuals)
+                         residuals=residuals, scales=scales)
 
 
 def normalize_adjoint(w: EAESpecialWitness, tol: float = DEFAULT_TOL) -> EAESpecialWitness:
@@ -595,7 +602,8 @@ def run_pipeline(U, V, w: EAESpecialWitness | None = None,
                 f"{null_v}; square matrices admit the extension chain exactly "
                 "when their nullities agree"
             )
-        mc, mc_report = _stage("synthesize_mc", lambda: instances._synth_mc(U, V, tol))
+        mc, mc_report = _stage("synthesize_mc",
+                               lambda: instances._synth_mc(U, V, null_u, tol))
         stages.append(StageResult("synthesize_mc", dict(mc_report.residuals),
                                   {"nullity": null_u}))
         w, report = _stage("mc_to_special", lambda: _mc_to_eae_special(mc, tol))
@@ -647,7 +655,8 @@ def run_pipeline(U, V, w: EAESpecialWitness | None = None,
     wn = _stage("normalize_adjoint", lambda: normalize_adjoint(w, tol))
     stages.append(StageResult("normalize_adjoint", {}))
 
-    rb2 = _stage("rederive_blocks", lambda: derive_uv_blocks(wn, d, tol))
+    # normalize_adjoint keeps U and V, so their norms carry over
+    rb2 = _stage("rederive_blocks", lambda: derive_uv_blocks(wn, d, tol, rb.scales))
     stages.append(StageResult("rederive_blocks", dict(rb2.residuals)))
 
     two_sided = _stage("two_sided", lambda: check_two_sided(wn, rb2, tol))

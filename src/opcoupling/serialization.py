@@ -11,6 +11,9 @@ dimension metadata and the tool version.
 from __future__ import annotations
 
 import json
+from itertools import chain
+from json.encoder import encode_basestring_ascii as _quote
+from math import isfinite
 from typing import Any
 
 import numpy as np
@@ -30,32 +33,53 @@ from .relations import (
 WITNESS_KINDS = ("sc", "mc", "eae", "eae_special", "eaoe")
 
 
+def _pairs(z) -> list:
+    """``[[re, im], ...]`` of the entries of ``z`` in row-major order."""
+    z = np.ascontiguousarray(z, dtype=np.complex128).reshape(-1)
+    return z.view(np.float64).reshape(-1, 2).tolist()
+
+
 def encode_matrix(a: np.ndarray) -> dict:
     a = np.asarray(a, dtype=np.complex128)
-    data = [[float(z.real), float(z.imag)] for z in a.ravel(order="C")]
-    return {"rows": int(a.shape[0]), "cols": int(a.shape[1]), "data": data}
+    return {"rows": int(a.shape[0]), "cols": int(a.shape[1]), "data": _pairs(a)}
 
 
 def decode_matrix(obj: dict) -> np.ndarray:
-    rows, cols = int(obj["rows"]), int(obj["cols"])
-    data = obj["data"]
+    """Inverse of :func:`encode_matrix`.
+
+    Raises
+    ------
+    ShapeError
+        Unless ``obj`` holds non-negative integer ``rows`` and ``cols`` and
+        exactly ``rows * cols`` pairs of finite numbers.
+    """
+    if not isinstance(obj, dict) or not {"rows", "cols", "data"} <= obj.keys():
+        raise ShapeError("a matrix needs the keys 'rows', 'cols' and 'data'")
+    rows, cols, data = obj["rows"], obj["cols"], obj["data"]
+    if not all(type(n) is int and n >= 0 for n in (rows, cols)):
+        raise ShapeError(f"matrix size {rows!r}x{cols!r} is not two counts")
+    if not isinstance(data, (list, tuple)):
+        raise ShapeError("matrix data is not a list")
     if len(data) != rows * cols:
         raise ShapeError(f"matrix data length {len(data)} != rows*cols {rows * cols}")
-    flat = np.array([complex(re, im) for re, im in data], dtype=np.complex128)
-    return flat.reshape(rows, cols)
+    if data and not (all(issubclass(t, (list, tuple)) for t in set(map(type, data)))
+                     and set(map(len, data)) == {2}):
+        raise ShapeError("matrix data entries must be [re, im] pairs")
+    flat = list(chain.from_iterable(data))
+    if not all(issubclass(t, (int, float)) and not issubclass(t, bool)
+               for t in set(map(type, flat))):
+        raise ShapeError("matrix data holds a value that is not a number")
+    try:
+        parts = np.array(flat, dtype=np.float64)
+    except OverflowError as exc:
+        raise ShapeError(f"matrix data holds a number out of range: {exc}") from None
+    if not np.all(np.isfinite(parts)):
+        raise ShapeError("matrix data holds a non-finite number")
+    return parts.view(np.complex128).reshape(rows, cols)
 
 
 def encode_symbol(f: SymbolFC) -> dict:
-    return {
-        "offset": int(f.offset),
-        "coeffs": [[float(z.real), float(z.imag)] for z in f.coeffs],
-    }
-
-
-def decode_symbol(obj: dict) -> SymbolFC:
-    coeffs = np.array([complex(re, im) for re, im in obj["coeffs"]],
-                      dtype=np.complex128)
-    return SymbolFC(offset=int(obj["offset"]), coeffs=coeffs)
+    return {"offset": int(f.offset), "coeffs": _pairs(f.coeffs)}
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +178,13 @@ def encode_instance(U: np.ndarray, V: np.ndarray, meta: dict | None = None) -> d
 def decode_instance(obj: dict) -> tuple[np.ndarray, np.ndarray]:
     if obj.get("kind") != "instance":
         raise ShapeError(f"expected an instance file, got kind {obj.get('kind')!r}")
-    return decode_matrix(obj["matrices"]["U"]), decode_matrix(obj["matrices"]["V"])
+    mats = obj.get("matrices")
+    if not isinstance(mats, dict) or not {"U", "V"} <= mats.keys():
+        raise ShapeError("an instance file needs the matrices 'U' and 'V'")
+    u, v = decode_matrix(mats["U"]), decode_matrix(mats["V"])
+    if u.shape[0] != u.shape[1] or v.shape[0] != v.shape[1]:
+        raise ShapeError(f"U and V must be square, got {u.shape} and {v.shape}")
+    return u, v
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +245,86 @@ def verifier_report_to_dict(report) -> dict:
     return out
 
 
+_scalar = json.JSONEncoder().encode
+
+
 def dumps_canonical(obj: dict) -> str:
-    """Deterministic JSON text: sorted keys, fixed separators, newline at end."""
-    return json.dumps(obj, sort_keys=True, indent=1, separators=(",", ": ")) + "\n"
+    """Deterministic JSON text: sorted keys, fixed separators, newline at end.
+
+    The text is exactly ``json.dumps(obj, sort_keys=True, indent=1,
+    separators=(",", ": ")) + "\n"``.  ``json`` encodes any ``indent`` in
+    pure Python, one generator step per value; this writer keeps the layout
+    but renders a list of ``[re, im]`` pairs of finite floats (matrix data)
+    by joining ``repr`` over all its floats at once.  Every other scalar
+    goes through the C encoder of ``json``, so escaping and the
+    ``NaN``/``Infinity`` spellings are its own.
+    """
+    out: list[str] = []
+    _write(obj, 0, out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(value, level: int, out: list) -> None:
+    if isinstance(value, dict):
+        _write_dict(value, level, out)
+    elif isinstance(value, (list, tuple)):
+        _write_list(value, level, out)
+    else:
+        out.append(_scalar(value))
+
+
+def _key(key) -> str:
+    if isinstance(key, str):
+        return key
+    if key is None or isinstance(key, (int, float)):
+        return _scalar(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, "
+                    f"not {key.__class__.__name__}")
+
+
+def _write_dict(dct: dict, level: int, out: list) -> None:
+    if not dct:
+        out.append("{}")
+        return
+    indent = "\n" + " " * (level + 1)
+    sep = "{" + indent
+    for key, value in sorted(dct.items()):
+        out.append(sep + _quote(_key(key)) + ": ")
+        _write(value, level + 1, out)
+        sep = "," + indent
+    out.append("\n" + " " * level + "}")
+
+
+def _write_list(lst, level: int, out: list) -> None:
+    if not lst:
+        out.append("[]")
+        return
+    text = _float_pairs(lst, level)
+    if text is not None:
+        out.append(text)
+        return
+    indent = "\n" + " " * (level + 1)
+    sep = "[" + indent
+    for value in lst:
+        out.append(sep)
+        _write(value, level + 1, out)
+        sep = "," + indent
+    out.append("\n" + " " * level + "]")
+
+
+def _float_pairs(lst, level: int) -> str | None:
+    """Text of a list of ``[re, im]`` pairs of finite floats, laid out as
+    ``json`` lays it out; None for any other list."""
+    if not set(map(type, lst)) <= {list, tuple} or set(map(len, lst)) != {2}:
+        return None
+    flat = list(chain.from_iterable(lst))
+    if set(map(type, flat)) != {float} or not all(map(isfinite, flat)):
+        return None
+    outer = "\n" + " " * level
+    inner = outer + " "
+    leaf = inner + " "
+    reprs = map(float.__repr__, flat)
+    pairs = map(("," + leaf).join, zip(reprs, reprs))
+    pair_sep = inner + "]," + inner + "[" + leaf
+    return "[" + inner + "[" + leaf + pair_sep.join(pairs) + inner + "]" + outer + "]"

@@ -11,8 +11,8 @@ from opcoupling.instances import InstanceSpec, random_instance, random_sc_witnes
 from opcoupling.relations import EAOEWitness, mc_to_eae_special, sc_to_mc
 from opcoupling.serialization import (
     decode_matrix,
-    decode_symbol,
     decode_witness,
+    dumps_canonical,
     encode_matrix,
     encode_symbol,
     encode_witness,
@@ -30,9 +30,9 @@ class TestMatrixCodec:
 
     def test_symbol_roundtrip(self):
         f = SymbolFC(-3, np.array([0.1, 0.2 + 0.7j, -1.0 / 3.0]))
-        g = decode_symbol(encode_symbol(f))
-        assert g.offset == f.offset
-        assert np.array_equal(g.coeffs, f.coeffs)
+        g = json.loads(dumps_canonical(encode_symbol(f)))
+        assert g["offset"] == f.offset
+        assert np.array_equal([complex(re, im) for re, im in g["coeffs"]], f.coeffs)
 
     def test_json_roundtrip_preserves_doubles(self):
         a = np.array([[1.0 / 3.0 + (2.0 / 7.0) * 1j]])
@@ -134,6 +134,52 @@ class TestCliPipeline:
         for i in range(3):
             wit = tmp_path / "batch" / f"inst{i}.witness.json"
             assert dispatch(["verify", "--witness", str(wit), "--kind", "sc"]) == 0
+
+
+def _truncate_to_negative_size(m):
+    m.update(rows=-1, cols=-1, data=m["data"][:1])
+
+
+# Each edit breaks an encoded matrix in one way; all of them once escaped
+# the CLI as a bare ValueError, TypeError or KeyError.
+MALFORMED_MATRIX = {
+    "triple": lambda m: m["data"][0].append(0.5),
+    "string_entry": lambda m: m["data"][0].__setitem__(0, "1.0"),
+    "bare_float": lambda m: m["data"].__setitem__(0, 1.0),
+    "negative_size": _truncate_to_negative_size,
+    "missing_rows": lambda m: m.pop("rows"),
+    "nan_entry": lambda m: m["data"][0].__setitem__(0, float("nan")),
+}
+
+
+class TestCliMalformedMatrix:
+    def _broken_copy(self, src, dst, case):
+        obj = json.loads(src.read_text())
+        MALFORMED_MATRIX[case](obj["matrices"]["U"])
+        dst.write_text(json.dumps(obj))
+        return dst
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_MATRIX))
+    def test_pipeline_exits_cleanly(self, tmp_path, instance_file, case, capsys):
+        bad = self._broken_copy(instance_file, tmp_path / "bad.json", case)
+        assert dispatch(["pipeline", "--in", str(bad)]) == 2
+        assert str(bad) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_MATRIX))
+    def test_verify_exits_cleanly(self, tmp_path, instance_file, case):
+        wit = tmp_path / "wit.json"
+        assert dispatch(["pipeline", "--in", str(instance_file), "--out", str(wit)]) == 0
+        bad = self._broken_copy(wit, tmp_path / "bad.json", case)
+        assert dispatch(["verify", "--witness", str(bad), "--kind", "sc"]) in (1, 2)
+
+    def test_batch_reports_bad_file_as_fail(self, tmp_path, instance_file, capsys):
+        bad = self._broken_copy(instance_file, tmp_path / "bad.json", "string_entry")
+        assert dispatch(["pipeline", "--in", str(instance_file), "--in", str(bad),
+                         "--out-dir", str(tmp_path / "out"), "--jobs", "2"]) == 1
+        err = capsys.readouterr().err
+        assert f"{bad}: FAIL" in err
+        assert f"{instance_file}: FAIL" not in err
+        assert (tmp_path / "out" / "inst.witness.json").exists()
 
 
 class TestCliDeterminism:
