@@ -27,7 +27,6 @@ from .errors import (
 from .hankel import (
     SymbolFC,
     build_sections,
-    invert_symbol,
     mc_residual_hankel,
     shift_comparability,
     singular_values,
@@ -263,13 +262,13 @@ def hankel(ctx, symbol_text, symbol_offset, section_size, schatten_p, kmax,
     f = _parse_symbol(symbol_text, symbol_offset)
     try:
         coupling = mc_residual_hankel(f, section_size, tol=tol, grid=grid)
-        inv = invert_symbol(f, max(grid, 8 * (section_size + 1)), tol)
     except SymbolInversionError as exc:
         click.echo(f"symbol inversion failed: {exc}", err=True)
         ctx.exit(1)
     except ToolkitError as exc:
         raise click.UsageError(str(exc))
 
+    inv = coupling.inverse
     sigma_f = singular_values(build_sections(f, section_size).H)
     sigma_inv = singular_values(build_sections(inv, section_size).H)
     shift = shift_comparability(sigma_f, sigma_inv, kmax)

@@ -248,6 +248,7 @@ class HankelCouplingReport:
     inversion_l1: float
     min_abs_on_grid: float
     winding: int
+    inverse: SymbolFC  # 1/f as inverted on the grid, before the section window
 
 
 def mc_residual_hankel(f: SymbolFC, N: int, tol: float = 1e-8,
@@ -298,6 +299,7 @@ def mc_residual_hankel(f: SymbolFC, N: int, tol: float = 1e-8,
         inversion_l1=convolution_residual(f, inv),
         min_abs_on_grid=float(np.min(np.abs(values))),
         winding=winding_number(values),
+        inverse=inv_full,
     )
 
 

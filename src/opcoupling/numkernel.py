@@ -18,6 +18,7 @@ import numpy as np
 from .errors import NumericalError, PreconditionError, ShapeError, SingularMatrixError
 
 EPS = float(np.finfo(np.float64).eps)
+_TINY = float(np.finfo(np.float64).tiny)
 
 
 def _svd_full(a: np.ndarray):
@@ -103,6 +104,30 @@ def rel_residual(lhs, rhs) -> float:
         return 0.0
     scale = 1.0 if _at_most_unit_norm(rhs) else max(1.0, spectral_norm(rhs))
     return spectral_norm(diff) / scale
+
+
+def _certainly_within(pairs, tol: float) -> bool:
+    """Whether ``rel_residual(lhs, rhs) <= tol`` is certain for every
+    ``(lhs, rhs)`` pair without an SVD.
+
+    ``||lhs - rhs||_F`` bounds the spectral-norm numerator from above and the
+    denominator ``max(1, ||rhs||)`` is at least 1.  The slack covers the
+    rounding of the Frobenius sum and of the SVD :func:`rel_residual` would
+    take, and the ``sqrt(size * tiny)`` term the squares that underflow, so
+    True is never the wrong answer.  False means only that the bound could
+    not settle a pair; the caller then computes the exact residuals.
+    """
+    for lhs, rhs in pairs:
+        lhs = np.asarray(lhs, dtype=np.complex128)
+        rhs = np.asarray(rhs, dtype=np.complex128)
+        if lhs.shape != rhs.shape:
+            return False
+        diff = lhs - rhs
+        slack = (diff.size + 16 * max(diff.shape, default=0)) * EPS
+        bound = float(np.linalg.norm(diff)) + float(np.sqrt(diff.size * _TINY))
+        if not bound <= tol * (1.0 - slack):
+            return False
+    return True
 
 
 def eye(n: int) -> np.ndarray:

@@ -142,6 +142,21 @@ def encode_witness(w) -> dict:
     raise ShapeError(f"cannot encode object of type {type(w).__name__}")
 
 
+def _dim(obj: dict, key: str) -> int:
+    """The ``dims`` entry ``key`` of a witness file, a non-negative integer.
+
+    Raises
+    ------
+    ShapeError
+        If ``dims`` or the entry is missing or the entry is not a count.
+    """
+    dims = obj.get("dims")
+    value = dims.get(key) if isinstance(dims, dict) else None
+    if type(value) is not int or value < 0:
+        raise ShapeError(f"witness dims entry {key!r} is {value!r}, not a count")
+    return value
+
+
 def decode_witness(obj: dict):
     kind = obj.get("kind")
     mats = {name: decode_matrix(enc) for name, enc in obj.get("matrices", {}).items()}
@@ -150,18 +165,18 @@ def decode_witness(obj: dict):
                          U=mats["U"], V=mats["V"])
     if kind == "mc":
         return MCWitness(Uhat=mats["Uhat"], UhatInv=mats["UhatInv"],
-                         n=int(obj["dims"]["n"]), m=int(obj["dims"]["m"]),
+                         n=_dim(obj, "n"), m=_dim(obj, "m"),
                          U=mats["U"], V=mats["V"])
     if kind == "eae_special":
         return EAESpecialWitness(U=mats["U"], V=mats["V"], E=mats["E"], F=mats["F"],
                                  Einv=mats["Einv"], Finv=mats["Finv"])
     if kind == "eae":
         return EAEWitness(U=mats["U"], V=mats["V"], E=mats["E"], F=mats["F"],
-                          x0_dim=int(obj["dims"]["x0_dim"]),
-                          y0_dim=int(obj["dims"]["y0_dim"]))
+                          x0_dim=_dim(obj, "x0_dim"),
+                          y0_dim=_dim(obj, "y0_dim"))
     if kind == "eaoe":
         return EAOEWitness(extended_side=obj["extended_side"],
-                           ext_dim=int(obj["dims"]["ext_dim"]),
+                           ext_dim=_dim(obj, "ext_dim"),
                            E=mats["E"], F=mats["F"], U=mats["U"], V=mats["V"],
                            Einv=mats.get("Einv"), Finv=mats.get("Finv"))
     raise ShapeError(f"unknown witness kind {kind!r}")

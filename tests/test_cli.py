@@ -8,6 +8,7 @@ import pytest
 from opcoupling.cli import dispatch
 from opcoupling.hankel import SymbolFC
 from opcoupling.instances import InstanceSpec, random_instance, random_sc_witness
+from opcoupling.reduction import run_pipeline
 from opcoupling.relations import EAOEWitness, mc_to_eae_special, sc_to_mc
 from opcoupling.serialization import (
     decode_matrix,
@@ -180,6 +181,54 @@ class TestCliMalformedMatrix:
         assert f"{bad}: FAIL" in err
         assert f"{instance_file}: FAIL" not in err
         assert (tmp_path / "out" / "inst.witness.json").exists()
+
+
+def _pipeline_witnesses():
+    """One witness of each kind, by kind, from a 4x6 pipeline run."""
+    rep = run_pipeline(*random_instance(InstanceSpec(4, 6, 2, seed=7)))
+    return {"sc": rep.final_sc, "mc": rep.mc, "eae": rep.small_eae,
+            "eae_special": rep.witness, "eaoe": rep.eaoe}
+
+
+# kind -> the dims entries its decoder reads; sc and eae_special take their
+# sizes from the matrices
+DIMS_READ = {"sc": (), "mc": ("n", "m"), "eae": ("x0_dim", "y0_dim"),
+             "eae_special": (), "eaoe": ("ext_dim",)}
+BAD_DIMS = {"string": "four", "null": None, "negative": -1, "bool": True,
+            "float": 2.0, "missing": ...}
+
+
+class TestCliMalformedDims:
+    @pytest.fixture(scope="class")
+    def witnesses(self):
+        return _pipeline_witnesses()
+
+    def _write(self, path, w, case):
+        obj = encode_witness(w)
+        for key in DIMS_READ[obj["kind"]] or list(obj["dims"]):
+            if BAD_DIMS[case] is ...:
+                del obj["dims"][key]
+            else:
+                obj["dims"][key] = BAD_DIMS[case]
+        path.write_text(json.dumps(obj))
+        return path
+
+    @pytest.mark.parametrize("case", sorted(BAD_DIMS))
+    @pytest.mark.parametrize("kind", sorted(DIMS_READ))
+    def test_verify_exits_cleanly(self, tmp_path, witnesses, kind, case, capsys):
+        bad = self._write(tmp_path / "bad.json", witnesses[kind], case)
+        code = dispatch(["verify", "--witness", str(bad), "--kind", kind])
+        if DIMS_READ[kind]:
+            assert code == 2
+            assert str(bad) in capsys.readouterr().err
+        else:
+            assert code == 0
+
+    @pytest.mark.parametrize("kind", sorted(DIMS_READ))
+    def test_intact_witness_verifies(self, tmp_path, witnesses, kind):
+        path = tmp_path / "w.json"
+        path.write_text(dumps_canonical(encode_witness(witnesses[kind])))
+        assert dispatch(["verify", "--witness", str(path), "--kind", kind]) == 0
 
 
 class TestCliDeterminism:

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opcoupling.errors import PreconditionError, ShapeError, SingularMatrixError
 from opcoupling.numkernel import (
+    _certainly_within,
     adjoint,
     as_matrix,
     condition_number,
@@ -67,6 +70,66 @@ def test_rel_residual_matches_spectral_formula(case):
     rhs = np.asarray(rhs, dtype=complex)
     expected = spectral_norm(lhs - rhs) / max(1.0, spectral_norm(rhs))
     assert rel_residual(lhs, rhs) == expected
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(rows=st.integers(0, 7), cols=st.integers(0, 7), rank_one=st.booleans(),
+       rhs_norm=st.sampled_from([0.0, 0.3, 1.0, 1.7, 250.0]),
+       ratio=st.one_of(st.sampled_from([1 - 1e-9, 1.0, 1 + 1e-9]),
+                       st.floats(1 - 1e-14, 1 + 1e-14), st.floats(0.5, 2.0)),
+       tol=st.sampled_from([1e-14, 1e-10, 1e-8, 1e-3]),
+       seed=st.integers(0, 2**32 - 1))
+def test_certainly_within_never_certifies_a_failing_pair(rows, cols, rank_one, rhs_norm,
+                                                         ratio, tol, seed):
+    # differences scaled so the exact residual lands at ratio * tol; a rank-one
+    # difference has equal Frobenius and spectral norms, the tightest case
+    rng = np.random.default_rng(seed)
+
+    def cplx(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    rhs = cplx(rows, cols)
+    if rhs.size:
+        rhs *= rhs_norm / spectral_norm(rhs) if rhs_norm else 0.0
+    diff = np.outer(cplx(rows), cplx(cols)) if rank_one else cplx(rows, cols)
+    if diff.size:
+        diff *= ratio * tol * max(1.0, spectral_norm(rhs)) / spectral_norm(diff)
+    lhs = rhs + diff
+    if _certainly_within([(lhs, rhs)], tol):
+        assert rel_residual(lhs, rhs) <= tol
+
+
+def test_certainly_within_leaves_room_for_rounding():
+    # For a rank-one difference the Frobenius and spectral norms agree, but
+    # their computed values differ in the last bits, either way round; at a
+    # tol equal to the computed Frobenius norm the bound must not decide.
+    rng = np.random.default_rng(0)
+    svd_above = 0
+    for _ in range(100):
+        rows, cols = rng.integers(1, 8, 2)
+        diff = np.outer(rng.standard_normal(rows) + 1j * rng.standard_normal(rows),
+                        rng.standard_normal(cols) + 1j * rng.standard_normal(cols))
+        tol = float(np.linalg.norm(diff))
+        zero = np.zeros_like(diff)
+        svd_above += rel_residual(diff, zero) > tol
+        assert not _certainly_within([(diff, zero)], tol)
+    assert svd_above  # the case the slack is for does occur
+
+
+def test_certainly_within_settles_only_clear_cases():
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+    small = 1e-10 * a / np.linalg.norm(a)       # Frobenius norm 1e-10
+    assert _certainly_within([(a + small, a), (np.eye(5), np.eye(5))], 1e-8)
+    assert _certainly_within([(np.zeros((0, 3)), np.zeros((0, 3)))], 0.0)
+    # one pair beyond the bound decides the whole list
+    assert not _certainly_within([(a + small, a), (a + 1e4 * small, a)], 1e-8)
+    # the Frobenius norm is not a spectral norm: sqrt(5) > 1
+    assert not _certainly_within([(np.eye(5) * (1 + 1e-8), np.eye(5))], 2e-8)
+    assert rel_residual(np.eye(5) * (1 + 1e-8), np.eye(5)) <= 2e-8
+    # left to the exact check: mismatched shapes, non-finite values
+    assert not _certainly_within([(np.zeros((2, 3)), np.zeros((3, 2)))], 1.0)
+    assert not _certainly_within([(np.full((2, 2), np.nan), np.zeros((2, 2)))], 1.0)
 
 
 class TestSvd:

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from opcoupling import relations
-from opcoupling.errors import FeasibilityError, PipelineStageError
+from opcoupling.errors import FeasibilityError, NumericalError, PipelineStageError
 from opcoupling.instances import InstanceSpec, random_instance, synth_mc
-from opcoupling.numkernel import pinv, rel_residual, spectral_norm
+from opcoupling.numkernel import pinv, rel_residual, spectral_norm, subspaces
 from opcoupling.reduction import (
     build_eaoe,
     build_small_eae,
@@ -87,6 +87,72 @@ class TestDecomposeCorners:
         d = decompose_corners(synthesized(2, 2, 1))
         assert d.ker_e11.dim == d.ker_f22.dim
         assert d.h2.dim == d.g1.dim
+
+
+def _block_form_residuals(w, d):
+    """Exact residuals of the block forms decompose_corners checks."""
+    out = {}
+    for name, block, dom, ker, ran, comp, prime in (
+        ("f22", w.F22, d.k2, d.ker_f22, d.im_f22, d.h2, d.f22_prime),
+        ("e11", w.E11, d.f1, d.ker_e11, d.im_e11, d.g1, d.e11_prime),
+    ):
+        cod_w = np.hstack([ran.basis, comp.basis])
+        in_coords = cod_w.conj().T @ block @ np.hstack([dom.basis, ker.basis])
+        target = np.zeros_like(in_coords)
+        target[: prime.shape[0], : prime.shape[1]] = prime
+        out[name] = rel_residual(in_coords, target)
+    return out
+
+
+class TestDecomposeCornersExactFallback:
+    """A tol below what the Frobenius bound can settle runs the exact check."""
+
+    def test_too_tight_tol_names_the_exact_residual(self):
+        w = synthesized(12, 14, 2, seed=1)
+        res = _block_form_residuals(w, decompose_corners(w))
+        tol = 1e-16
+        assert res["f22"] > tol
+        with pytest.raises(NumericalError) as info:
+            decompose_corners(w, tol)
+        assert str(info.value) == (f"corner f22 does not reduce to block-diagonal "
+                                   f"form (residual {res['f22']:.3e})")
+
+    def test_tol_at_the_exact_residual_passes(self):
+        w = synthesized(12, 14, 2, seed=1)
+        d = decompose_corners(w, max(_block_form_residuals(w, decompose_corners(w)).values()))
+        assert d.rank_f22 == d.rank_e11
+
+
+def _normalization_residuals(wn):
+    """The residual table normalize_adjoint checks, computed exactly."""
+    ker, _, _, h2 = subspaces(wn.F22)
+    p_ker = ker.basis @ ker.basis.conj().T
+    scale = max(1.0, np.linalg.norm(wn.E21, 2))
+    residuals = {
+        "e21_into_ker_f22": np.linalg.norm(p_ker @ wn.E21 - wn.E21, 2) / scale,
+        "f21_is_p_h2": rel_residual(wn.F21, h2.basis @ h2.basis.conj().T),
+    }
+    residuals.update(verify_eae_special(wn).residuals)
+    return residuals
+
+
+class TestNormalizeAdjointExactFallback:
+    def test_too_tight_tol_names_the_worst_exact_residual(self):
+        w = synthesized(12, 14, 2, seed=1)
+        residuals = _normalization_residuals(normalize_adjoint(w))
+        worst = max(residuals, key=residuals.get)
+        tol = 1e-15
+        assert residuals[worst] > tol
+        with pytest.raises(NumericalError) as info:
+            normalize_adjoint(w, tol)
+        assert str(info.value) == (f"normalization residual {worst}="
+                                   f"{residuals[worst]:.3e} exceeds {tol:g}")
+
+    def test_tol_at_the_worst_exact_residual_passes(self):
+        w = synthesized(12, 14, 2, seed=1)
+        wn = normalize_adjoint(w)
+        tol = max(_normalization_residuals(wn).values())
+        np.testing.assert_array_equal(normalize_adjoint(w, tol).E, wn.E)
 
 
 class TestDeriveUvBlocks:
@@ -311,6 +377,6 @@ def test_pipeline_verifies_each_artifact_once(monkeypatch):
 
     u, v = random_instance(InstanceSpec(12, 14, 2, seed=1))
     assert run_pipeline(u, v, tol=1e-8).success
-    assert sum(counts[k] for k in ("sc", "mc", "eae", "eae_special", "eaoe")) == 6
-    assert counts["eae_special"] == 2
-    assert counts["svd"] <= 105
+    assert sum(counts[k] for k in ("sc", "mc", "eae", "eae_special", "eaoe")) == 4
+    assert counts["eae_special"] == 0
+    assert counts["svd"] == 69
