@@ -1,4 +1,4 @@
-"""2x2 block-operator assembly, Schur complements and subspace maps.
+"""2x2 block-operator assembly, pivoted block inversion and subspace maps.
 
 A :class:`Block2x2` holds the four blocks of an operator between two split
 spaces.  Larger block displays (the 3x3 factor matrices used by the
@@ -102,17 +102,6 @@ def _invert_named(block: np.ndarray, name: str):
     except ShapeError:
         raise PreconditionError(f"block {name} is not square, cannot invert")
     return inv
-
-
-def schur_pair(m: Block2x2) -> tuple[np.ndarray, np.ndarray]:
-    """Both Schur complements of ``[[A, B], [C, D]]`` with A, D invertible.
-
-    Returns ``(A - B D^-1 C, D - C A^-1 B)``.
-    """
-    a, b, c, d = m.a11, m.a12, m.a21, m.a22
-    d_inv = _invert_named(d, "D")
-    a_inv = _invert_named(a, "A")
-    return a - b @ d_inv @ c, d - c @ a_inv @ b
 
 
 _PIVOTS = ("a11", "a12", "a21", "a22")

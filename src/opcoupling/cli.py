@@ -8,9 +8,12 @@ Exit codes: 0 on success / verification pass, 1 on verification failure,
 from __future__ import annotations
 
 import csv
+import ctypes
+import functools
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -81,6 +84,62 @@ def emit_report(payload: dict, path: str) -> None:
         Path(path).write_text(dumps_canonical(payload), encoding="utf-8")
     except OSError as exc:
         raise click.UsageError(f"cannot write {path}: {exc}")
+
+
+# (setter, getter) of the OpenBLAS thread count: numpy 2 wheels, ILP64 builds
+# such as numpy 1.x wheels, plain builds
+_OPENBLAS_THREAD_FUNCS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+)
+
+
+@functools.cache
+def _openblas_threads():
+    """The ``(set, get)`` thread-count functions of the OpenBLAS that numpy
+    loaded, found among the mapped libraries, or None (another BLAS or OS)."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = sorted({fields[-1] for fields in map(str.split, fh)
+                            if len(fields) == 6 and "openblas" in fields[-1].lower()})
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for setter, getter in _OPENBLAS_THREAD_FUNCS:
+            if hasattr(lib, setter) and hasattr(lib, getter):
+                set_threads, get_threads = getattr(lib, setter), getattr(lib, getter)
+                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+                get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+                return set_threads, get_threads
+    return None
+
+
+@contextmanager
+def _shared_blas_threads(workers: int):
+    """Split numpy's BLAS threads among ``workers`` concurrent callers for the
+    length of the block, and restore the count afterwards.
+
+    Without this every batch worker's BLAS call starts a pool of one thread
+    per core, and the workers oversubscribe the cores.  The count is
+    process-wide, so batches must not overlap.  A no-op for a single worker or
+    when no OpenBLAS is found.
+    """
+    funcs = _openblas_threads() if workers > 1 else None
+    if funcs is None:
+        yield
+        return
+    set_threads, get_threads = funcs
+    before = get_threads()
+    set_threads(max(1, before // workers))
+    try:
+        yield
+    finally:
+        set_threads(before)
 
 
 def _write_witness(w, path: str) -> None:
@@ -177,7 +236,10 @@ def pipeline(ctx, in_paths, tol, out_path, report_path, out_dir, jobs):
             return _run_one_pipeline(path, tol, wit, rep)
 
         failures = 0
-        with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
+        workers = max(1, min(jobs, len(in_paths)))
+        # the pool joins inside the block, before the thread count is restored
+        with _shared_blas_threads(workers), \
+                ThreadPoolExecutor(max_workers=workers) as pool:
             for path, fut in [(p, pool.submit(job, p)) for p in in_paths]:
                 try:
                     rep = fut.result()

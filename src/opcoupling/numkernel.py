@@ -162,10 +162,6 @@ class SvdResult:
         cut = self.rank_tol if tol is None else tol
         return int(np.count_nonzero(self.singulars > cut))
 
-    def reconstruct(self) -> np.ndarray:
-        k = self.singulars.size
-        return (self.left[:, :k] * self.singulars) @ adjoint(self.right[:, :k])
-
 
 @dataclass(frozen=True)
 class SubspaceBasis:

@@ -65,8 +65,8 @@ from .relations import (
     _mc_to_eae_special,
     _sc_from_eaoe,
     _special_pairs,
+    _special_residuals,
     verify_eae,
-    verify_eae_special,
     verify_eaoe,
 )
 from . import instances
@@ -621,7 +621,8 @@ def run_pipeline(U, V, w: EAESpecialWitness | None = None,
                 "supplied witness does not couple the given U, V",
             )
         stages.append(StageResult("witness_consistency", consistency))
-        report = verify_eae_special(w, tol)
+        # residuals only: the stage records no sigma_min extras
+        report = VerifierReport("eae_special", _special_residuals(w), tol)
 
     stages.append(StageResult("verify_special", dict(report.residuals)))
     if not report.passed:

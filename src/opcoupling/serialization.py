@@ -159,7 +159,11 @@ def _dim(obj: dict, key: str) -> int:
 
 def decode_witness(obj: dict):
     kind = obj.get("kind")
-    mats = {name: decode_matrix(enc) for name, enc in obj.get("matrices", {}).items()}
+    encoded = obj.get("matrices")
+    if not isinstance(encoded, dict):
+        raise ShapeError(f"witness matrices is {type(encoded).__name__}, "
+                         "not a JSON object")
+    mats = {name: decode_matrix(enc) for name, enc in encoded.items()}
     if kind == "sc":
         return SCWitness(M=Block2x2(mats["A"], mats["B"], mats["C"], mats["D"]),
                          U=mats["U"], V=mats["V"])

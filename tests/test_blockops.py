@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from opcoupling.blockops import Block2x2, block_inverse, schur_pair, subspace_maps
+from opcoupling.blockops import Block2x2, block_inverse, subspace_maps
 from opcoupling.errors import PreconditionError, ShapeError
 from opcoupling.numkernel import SubspaceBasis, rel_residual, spectral_norm
 from opcoupling.instances import random_unitary
@@ -26,34 +26,6 @@ class TestBlock2x2:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             Block2x2(np.eye(2), np.eye(3), np.eye(2), np.eye(2))
-
-
-class TestSchurPair:
-    def test_scalar_example(self):
-        u, v = schur_pair(scalar_block(2, 1, 1, 1))
-        np.testing.assert_allclose(u, [[1.0]])
-        np.testing.assert_allclose(v, [[0.5]])
-
-    def test_identity(self):
-        m = Block2x2.from_matrix(np.eye(5), 2, 2)
-        u, v = schur_pair(m)
-        np.testing.assert_allclose(u, np.eye(2))
-        np.testing.assert_allclose(v, np.eye(3))
-
-    def test_block_diagonal(self):
-        rng = np.random.default_rng(1)
-        a = rng.standard_normal((2, 2)) + np.eye(2) * 3
-        d = rng.standard_normal((3, 3)) + np.eye(3) * 3
-        m = Block2x2(a, np.zeros((2, 3)), np.zeros((3, 2)), d)
-        u, v = schur_pair(m)
-        np.testing.assert_allclose(u, a)
-        np.testing.assert_allclose(v, d)
-
-    def test_singular_block_named(self):
-        with pytest.raises(PreconditionError, match="D"):
-            schur_pair(scalar_block(1, 1, 1, 0))
-        with pytest.raises(PreconditionError, match="A"):
-            schur_pair(scalar_block(0, 1, 1, 1))
 
 
 class TestBlockInverse:

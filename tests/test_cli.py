@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from opcoupling import cli
 from opcoupling.cli import dispatch
 from opcoupling.hankel import SymbolFC
 from opcoupling.instances import InstanceSpec, random_instance, random_sc_witness
@@ -137,6 +138,144 @@ class TestCliPipeline:
             assert dispatch(["verify", "--witness", str(wit), "--kind", "sc"]) == 0
 
 
+def _mask_timestamp(text: str) -> str:
+    return re.sub(r'"timestamp": "[^"]*"', '"timestamp": "X"', text)
+
+
+class _FakeBlas:
+    """Thread-count setter and getter that record every set."""
+
+    def __init__(self, threads):
+        self.threads = threads
+        self.calls = []
+
+    def set(self, threads):
+        self.calls.append(threads)
+        self.threads = threads
+
+    def get(self):
+        return self.threads
+
+
+@pytest.fixture
+def fake_blas(monkeypatch):
+    """A fake OpenBLAS with 8 threads in place of the real one."""
+    blas = _FakeBlas(8)
+    monkeypatch.setattr(cli, "_openblas_threads", lambda: (blas.set, blas.get))
+    return blas
+
+
+class TestSharedBlasThreads:
+    @pytest.mark.parametrize("before, workers, during",
+                             [(8, 2, 4), (8, 3, 2), (2, 2, 1), (1, 2, 1), (2, 8, 1)])
+    def test_splits_and_restores(self, fake_blas, before, workers, during):
+        fake_blas.threads = before
+        with cli._shared_blas_threads(workers):
+            assert fake_blas.threads == during
+        assert fake_blas.threads == before
+        assert fake_blas.calls == [during, before]
+
+    def test_restores_after_exception(self, fake_blas):
+        with pytest.raises(RuntimeError):
+            with cli._shared_blas_threads(2):
+                raise RuntimeError("worker failed")
+        assert fake_blas.calls == [4, 8] and fake_blas.threads == 8
+
+    def test_one_worker_never_sets(self, fake_blas):
+        with cli._shared_blas_threads(1):
+            pass
+        assert fake_blas.calls == []
+
+    def test_without_openblas_is_a_no_op(self, monkeypatch):
+        monkeypatch.setattr(cli, "_openblas_threads", lambda: None)
+        with cli._shared_blas_threads(2):
+            pass
+
+
+needs_openblas = pytest.mark.skipif(
+    cli._openblas_threads() is None,
+    reason="numpy's BLAS is not an OpenBLAS with thread-count controls")
+
+
+@pytest.fixture(scope="module")
+def batch_inputs(tmp_path_factory):
+    """Three instance files of different sizes."""
+    root = tmp_path_factory.mktemp("batch_in")
+    paths = []
+    for i, (n, m, k) in enumerate([(4, 6, 2), (12, 14, 2), (20, 22, 3)]):
+        path = root / f"inst{i}.json"
+        assert dispatch(["synth", "--n", str(n), "--m", str(m), "--nullity", str(k),
+                         "--seed", str(30 + i), "--out", str(path)]) == 0
+        paths.append(path)
+    return paths
+
+
+def _batch(paths, out_dir, jobs):
+    args = ["pipeline", "--out-dir", str(out_dir), "--jobs", str(jobs)]
+    for path in paths:
+        args += ["--in", str(path)]
+    return dispatch(args)
+
+
+def _masked_outputs(out_dir):
+    return {p.name: _mask_timestamp(p.read_text()) for p in sorted(out_dir.iterdir())}
+
+
+class TestBatchBlasThreads:
+    @needs_openblas
+    @pytest.mark.parametrize("with_fail", [False, True], ids=["ok", "fail"])
+    def test_thread_count_restored_after_batch(self, tmp_path, batch_inputs,
+                                               monkeypatch, with_fail):
+        _set, get = cli._openblas_threads()
+        before = get()
+        seen = []
+        real = cli._run_one_pipeline
+
+        def recording(*args):
+            seen.append(get())
+            return real(*args)
+
+        monkeypatch.setattr(cli, "_run_one_pipeline", recording)
+        paths = list(batch_inputs[:2])
+        if with_fail:
+            bad = tmp_path / "bad.json"
+            bad.write_text("{}")
+            paths.append(bad)
+        assert _batch(paths, tmp_path / "out", 2) == (1 if with_fail else 0)
+        assert seen == [max(1, before // 2)] * len(paths)
+        assert get() == before
+
+    def test_jobs2_batches_are_reproducible(self, tmp_path, batch_inputs):
+        outs = []
+        for tag in ("a", "b"):
+            assert _batch(batch_inputs, tmp_path / tag, 2) == 0
+            outs.append(_masked_outputs(tmp_path / tag))
+        assert outs[0] == outs[1] and len(outs[0]) == 2 * len(batch_inputs)
+        for path in batch_inputs:
+            wit = tmp_path / "a" / f"{path.stem}.witness.json"
+            assert dispatch(["verify", "--witness", str(wit), "--kind", "sc"]) == 0
+
+    def test_jobs1_batch_matches_single_runs(self, tmp_path, batch_inputs):
+        assert _batch(batch_inputs, tmp_path / "batch", 1) == 0
+        single = tmp_path / "single"
+        single.mkdir()
+        for path in batch_inputs:
+            assert dispatch([
+                "pipeline", "--in", str(path),
+                "--out", str(single / f"{path.stem}.witness.json"),
+                "--report", str(single / f"{path.stem}.report.json")]) == 0
+        assert _masked_outputs(tmp_path / "batch") == _masked_outputs(single)
+
+    @pytest.mark.parametrize("jobs, calls", [(8, [4, 8]), (2, [4, 8]), (1, [])])
+    def test_workers_are_capped_by_inputs(self, tmp_path, batch_inputs, fake_blas,
+                                          jobs, calls):
+        assert _batch(batch_inputs[:2], tmp_path / "out", jobs) == 0
+        assert fake_blas.calls == calls
+        for path in batch_inputs[:2]:
+            wit = tmp_path / "out" / f"{path.stem}.witness.json"
+            assert dispatch(["verify", "--witness", str(wit), "--kind", "sc"]) == 0
+
+
 def _truncate_to_negative_size(m):
     m.update(rows=-1, cols=-1, data=m["data"][:1])
 
@@ -231,10 +370,24 @@ class TestCliMalformedDims:
         assert dispatch(["verify", "--witness", str(path), "--kind", kind]) == 0
 
 
-class TestCliDeterminism:
-    def _strip_timestamp(self, text: str) -> str:
-        return re.sub(r'"timestamp": "[^"]*"', '"timestamp": "X"', text)
+class TestCliMalformedMatrices:
+    @pytest.fixture(scope="class")
+    def witnesses(self):
+        return _pipeline_witnesses()
 
+    @pytest.mark.parametrize("bad", [[], "U", None], ids=["list", "string", "null"])
+    @pytest.mark.parametrize("kind", sorted(DIMS_READ))
+    def test_verify_exits_cleanly(self, tmp_path, witnesses, kind, bad, capsys):
+        obj = encode_witness(witnesses[kind])
+        obj["matrices"] = bad
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(obj))
+        assert dispatch(["verify", "--witness", str(path), "--kind", kind]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "matrices" in err
+
+
+class TestCliDeterminism:
     def test_reports_byte_identical_modulo_timestamp(self, tmp_path):
         outs = []
         for tag in ("a", "b"):
@@ -244,7 +397,7 @@ class TestCliDeterminism:
                              "--seed", "42", "--out", str(inst)]) == 0
             assert dispatch(["pipeline", "--in", str(inst),
                              "--report", str(rep)]) == 0
-            outs.append(self._strip_timestamp(rep.read_text()))
+            outs.append(_mask_timestamp(rep.read_text()))
         assert outs[0] == outs[1]
 
     def test_instances_byte_identical(self, tmp_path):

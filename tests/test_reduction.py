@@ -348,8 +348,12 @@ class TestRunPipeline:
         ]
 
 
-def test_pipeline_verifies_each_artifact_once(monkeypatch):
-    """Deterministic work counts of one pipeline run at 12x14, nullity 2."""
+_VERIFIER_KINDS = ("sc", "mc", "eae", "eae_special", "eaoe")
+
+
+@pytest.fixture
+def work_counts(monkeypatch):
+    """Counter of dense SVDs and of calls to each public verifier."""
     counts = Counter()
     real_svd = np.linalg.svd
 
@@ -363,7 +367,7 @@ def test_pipeline_verifies_each_artifact_once(monkeypatch):
 
     namespaces = [mod for name, mod in sys.modules.items()
                   if name == "opcoupling" or name.startswith("opcoupling.")]
-    for kind in ("sc", "mc", "eae", "eae_special", "eaoe"):
+    for kind in _VERIFIER_KINDS:
         real = getattr(relations, f"verify_{kind}")
 
         def counting(*args, _real=real, _kind=kind, **kwargs):
@@ -374,9 +378,25 @@ def test_pipeline_verifies_each_artifact_once(monkeypatch):
             for attr, value in list(vars(ns).items()):
                 if value is real:
                     monkeypatch.setattr(ns, attr, counting)
+    return counts
 
+
+def test_pipeline_verifies_each_artifact_once(work_counts):
+    """Deterministic work counts of one pipeline run at 12x14, nullity 2."""
     u, v = random_instance(InstanceSpec(12, 14, 2, seed=1))
     assert run_pipeline(u, v, tol=1e-8).success
-    assert sum(counts[k] for k in ("sc", "mc", "eae", "eae_special", "eaoe")) == 4
-    assert counts["eae_special"] == 0
-    assert counts["svd"] == 69
+    assert sum(work_counts[k] for k in _VERIFIER_KINDS) == 4
+    assert work_counts["eae_special"] == 0
+    assert work_counts["svd"] == 69
+
+
+def test_supplied_witness_pipeline_counts(work_counts):
+    """The supplied-witness path records residuals only, so it takes no
+    sigma_min SVDs of E and F and calls no public verifier for them."""
+    u, v = random_instance(InstanceSpec(12, 14, 2, seed=1))
+    w = mc_to_eae_special(synth_mc(u, v, 1e-8), 1e-8)
+    work_counts.clear()
+    assert run_pipeline(u, v, w=w, tol=1e-8).success
+    assert sum(work_counts[k] for k in _VERIFIER_KINDS) == 3
+    assert work_counts["eae_special"] == 0
+    assert work_counts["svd"] == 60

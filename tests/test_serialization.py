@@ -18,6 +18,7 @@ from opcoupling.relations import (
 )
 from opcoupling.serialization import (
     decode_matrix,
+    decode_witness,
     dumps_canonical,
     encode_matrix,
     encode_witness,
@@ -133,6 +134,17 @@ def test_matrix_text_roundtrip_bit_exact(value):
 def test_decode_matrix_rejects_malformed(obj):
     with pytest.raises(ShapeError):
         decode_matrix(obj)
+
+
+@pytest.mark.parametrize("kind", ["sc", "mc", "eae", "eae_special", "eaoe"])
+@pytest.mark.parametrize("matrices", [[], "U", None, ...],
+                         ids=["list", "string", "null", "missing"])
+def test_decode_witness_rejects_non_object_matrices(kind, matrices):
+    obj = {"kind": kind}
+    if matrices is not ...:
+        obj["matrices"] = matrices
+    with pytest.raises(ShapeError, match="matrices"):
+        decode_witness(obj)
 
 
 def test_decode_matrix_accepts_integers():
