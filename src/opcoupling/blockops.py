@@ -1,4 +1,4 @@
-"""2x2 block-operator assembly, pivoted block inversion and subspace maps.
+"""2x2 block-operator assembly and pivoted block inversion.
 
 A :class:`Block2x2` holds the four blocks of an operator between two split
 spaces.  Larger block displays (the 3x3 factor matrices used by the
@@ -13,16 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, PreconditionError, ShapeError, SingularMatrixError
-from .numkernel import (
-    SubspaceBasis,
-    adjoint,
-    as_matrix,
-    eye,
-    inverse,
-    rel_residual,
-    spectral_norm,
-    zeros,
-)
+from .numkernel import as_matrix, eye, inverse, spectral_norm, zeros
 
 
 @dataclass(frozen=True)
@@ -83,15 +74,6 @@ class Block2x2:
         )
 
 
-@dataclass(frozen=True)
-class SubspaceMaps:
-    """Embedding J, projection Pi and idempotent P = J @ Pi of a subspace."""
-
-    J: np.ndarray   # ambient x dim
-    Pi: np.ndarray  # dim x ambient
-    P: np.ndarray   # ambient x ambient
-
-
 def _invert_named(block: np.ndarray, name: str):
     try:
         inv, _cond = inverse(block)
@@ -150,13 +132,3 @@ def block_inverse(m: Block2x2, pivot: str = "a11") -> Block2x2:
         )
     return inv
 
-
-def subspace_maps(basis: SubspaceBasis, tol: float = 1e-10) -> SubspaceMaps:
-    """Embedding, projection and idempotent projector of an orthonormal basis."""
-    b = as_matrix(basis.basis)
-    gram = rel_residual(adjoint(b) @ b, eye(basis.dim))
-    if gram > tol:
-        raise PreconditionError(f"basis is not orthonormal (Gram residual {gram:.3e})")
-    j = b
-    pi = adjoint(b)
-    return SubspaceMaps(J=j, Pi=pi, P=j @ pi)

@@ -142,6 +142,13 @@ def _shared_blas_threads(workers: int):
         set_threads(before)
 
 
+def _check_tol(ctx, param, value: float) -> float:
+    """Reject a ``--tol`` that no residual could be meaningfully held to."""
+    if not 0 < value < np.inf:
+        raise click.BadParameter(f"{value} is not a finite number > 0")
+    return value
+
+
 def _write_witness(w, path: str) -> None:
     try:
         Path(path).write_text(dumps_canonical(encode_witness(w)), encoding="utf-8")
@@ -210,7 +217,7 @@ def _run_one_pipeline(in_path: str, tol: float, out_path, report_path):
 @click.option("--in", "in_paths", multiple=True, required=True,
               type=click.Path(exists=True, dir_okay=False),
               help="Instance file(s); repeat for batch mode.")
-@click.option("--tol", type=float, default=1e-8, show_default=True)
+@click.option("--tol", type=float, default=1e-8, show_default=True, callback=_check_tol)
 @click.option("--out", "out_path", type=click.Path(dir_okay=False),
               help="Witness file for the final Schur coupling (single input).")
 @click.option("--report", "report_path", type=click.Path(dir_okay=False),
@@ -265,7 +272,7 @@ def pipeline(ctx, in_paths, tol, out_path, report_path, out_dir, jobs):
 @click.option("--witness", "witness_path", required=True,
               type=click.Path(exists=True, dir_okay=False))
 @click.option("--kind", type=click.Choice(WITNESS_KINDS), required=True)
-@click.option("--tol", type=float, default=1e-8, show_default=True)
+@click.option("--tol", type=float, default=1e-8, show_default=True, callback=_check_tol)
 @click.option("--report", "report_path", type=click.Path(dir_okay=False),
               help="Optional JSON report of the residual table.")
 @click.pass_context
@@ -313,7 +320,7 @@ def _parse_symbol(text: str, offset: int) -> SymbolFC:
               help="Largest shift tried in the comparability search.")
 @click.option("--grid", type=int, default=0,
               help="FFT grid size override for symbol inversion.")
-@click.option("--tol", type=float, default=1e-8, show_default=True,
+@click.option("--tol", type=float, default=1e-8, show_default=True, callback=_check_tol,
               help="Zero-threshold for |f| on the inversion grid.")
 @click.option("--report", "report_path", type=click.Path(dir_okay=False),
               help="JSON report path; CSV side-files are derived from it.")

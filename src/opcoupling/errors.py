@@ -25,8 +25,9 @@ class NumericalError(ToolkitError):
     """A numerically computed result violates its own accuracy contract."""
 
 
-class VerificationError(ToolkitError):
-    """A residual check failed; carries the offending report."""
+class VerificationError(NumericalError):
+    """A residual table exceeds its tolerance, a numerical result violating
+    its accuracy contract; carries the offending report."""
 
     def __init__(self, message, report=None):
         super().__init__(message)
@@ -34,7 +35,7 @@ class VerificationError(ToolkitError):
 
 
 class ConversionError(VerificationError):
-    """A witness conversion produced output that fails its verifier."""
+    """A built or transformed witness fails its residual table."""
 
 
 class FeasibilityError(ToolkitError):

@@ -36,14 +36,19 @@ in the spectral norm, and every *reported* residual is that exact value.
 Numerators are always exact spectral norms; a denominator is computed by SVD
 only when it can exceed 1, since a cheap upper bound settles
 ``max(1, ||rhs||) = 1`` otherwise (see
-:func:`~opcoupling.numkernel.rel_residual`).  A pass/fail check whose values
-nobody records, such as the re-check of a normalized witness in
-:mod:`~opcoupling.reduction`, is settled instead by the certified bound
-``||lhs - rhs||_F <= tol`` (:func:`~opcoupling.numkernel._certainly_within`);
-only when that bound cannot decide are the exact residuals computed, so the
-decision and any error message are those of the exact check.  Special-form
-witnesses carry their inverses so that verification cost and accuracy do not
-depend on re-inverting ``E`` and ``F``.
+:func:`~opcoupling.numkernel.rel_residual`).  Special-form witnesses carry
+their inverses so that verification cost and accuracy do not depend on
+re-inverting ``E`` and ``F``.
+
+Every residual table, here and in :mod:`~opcoupling.reduction`, is checked
+by :func:`_checked`, which raises :class:`ConversionError` naming the worst
+entry, with the table attached.  The two checks whose values nobody
+records, the block forms of the corners and the re-check of a normalized
+witness in :mod:`~opcoupling.reduction`, go through :func:`_checked_pairs`:
+the certified bound ``||lhs - rhs||_F <= tol``
+(:func:`~opcoupling.numkernel._certainly_within`) settles them without an
+SVD, and only when it cannot decide is the exact table computed, so the
+decision and any error message are those of the exact check.
 
 Each converter verifies its output once.  A private builder returns the
 witness together with that report, so the pipeline records the same report
@@ -60,6 +65,7 @@ import numpy as np
 from .blockops import Block2x2
 from .errors import ConversionError, ShapeError
 from .numkernel import (
+    _certainly_within,
     _norm_and_condition,
     adjoint,
     as_matrix,
@@ -450,6 +456,15 @@ def _checked(report: VerifierReport, what: str) -> VerifierReport:
             report=report,
         )
     return report
+
+
+def _checked_pairs(kind: str, pairs, tol: float, what: str) -> None:
+    """:func:`_checked` on the residual table of the labelled ``(lhs, rhs)``
+    pairs that the callable ``pairs`` yields, settled by the certified bound
+    when it can be; the pairs are generated again for the exact table."""
+    if not _certainly_within((pair for _, pair in pairs()), tol):
+        residuals = {label: rel_residual(*pair) for label, pair in pairs()}
+        _checked(VerifierReport(kind, residuals, tol), what)
 
 
 def sc_to_mc(w: SCWitness, tol: float = DEFAULT_TOL) -> MCWitness:

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from opcoupling.blockops import Block2x2, block_inverse, subspace_maps
+from opcoupling.blockops import Block2x2, block_inverse
 from opcoupling.errors import PreconditionError, ShapeError
-from opcoupling.numkernel import SubspaceBasis, rel_residual, spectral_norm
-from opcoupling.instances import random_unitary
+from opcoupling.numkernel import spectral_norm
 
 
 def scalar_block(a, b, c, d):
@@ -73,35 +72,3 @@ class TestBlockInverse:
         inv = block_inverse(m, pivot=pivot)
         assert spectral_norm(full @ inv.assemble() - np.eye(2 * n)) <= 1e-10
 
-
-class TestSubspaceMaps:
-    def test_first_axis(self):
-        basis = SubspaceBasis(2, np.array([[1.0], [0.0]], dtype=complex), 1)
-        maps = subspace_maps(basis)
-        np.testing.assert_allclose(maps.J, [[1.0], [0.0]])
-        np.testing.assert_allclose(maps.P, np.diag([1.0, 0.0]))
-
-    def test_full_space(self):
-        basis = SubspaceBasis(3, np.eye(3, dtype=complex), 3)
-        maps = subspace_maps(basis)
-        np.testing.assert_allclose(maps.J, np.eye(3))
-        np.testing.assert_allclose(maps.P, np.eye(3))
-
-    def test_diagonal_line(self):
-        basis = SubspaceBasis(2, np.array([[1.0], [1.0]]) / np.sqrt(2), 1)
-        maps = subspace_maps(basis)
-        np.testing.assert_allclose(maps.P, [[0.5, 0.5], [0.5, 0.5]], atol=1e-15)
-
-    def test_rejects_non_orthonormal(self):
-        basis = SubspaceBasis(2, np.array([[1.0], [1.0]]), 1)
-        with pytest.raises(PreconditionError, match="Gram"):
-            subspace_maps(basis)
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_projector_properties(self, seed):
-        rng = np.random.default_rng(seed)
-        dim = int(rng.integers(1, 5))
-        q = random_unitary(6, rng)[:, :dim]
-        maps = subspace_maps(SubspaceBasis(6, q, dim))
-        assert rel_residual(maps.Pi @ maps.J, np.eye(dim)) <= 1e-13
-        assert rel_residual(maps.P @ maps.P, maps.P) <= 1e-13

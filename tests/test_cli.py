@@ -15,6 +15,7 @@ from opcoupling.serialization import (
     decode_matrix,
     decode_witness,
     dumps_canonical,
+    encode_instance,
     encode_matrix,
     encode_symbol,
     encode_witness,
@@ -385,6 +386,26 @@ class TestCliMalformedMatrices:
         assert dispatch(["verify", "--witness", str(path), "--kind", kind]) == 2
         err = capsys.readouterr().err
         assert str(path) in err and "matrices" in err
+
+
+@pytest.fixture(scope="module")
+def tol_commands(tmp_path_factory):
+    """The argument vectors of the three commands that take --tol."""
+    tmp = tmp_path_factory.mktemp("tol")
+    inst, wit = tmp / "inst.json", tmp / "wit.json"
+    u, v = random_instance(InstanceSpec(3, 3, 1, seed=1))
+    inst.write_text(dumps_canonical(encode_instance(u, v)))
+    wit.write_text(dumps_canonical(encode_witness(random_sc_witness(2, 3, 100, 0))))
+    return {"pipeline": ["pipeline", "--in", str(inst)],
+            "verify": ["verify", "--witness", str(wit), "--kind", "sc"],
+            "hankel": ["hankel", "--symbol", "2,1", "--N", "10"]}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
+@pytest.mark.parametrize("command", ["pipeline", "verify", "hankel"])
+def test_meaningless_tol_is_invalid_input(tol_commands, command, value, capsys):
+    assert dispatch([*tol_commands[command], f"--tol={value}"]) == 2
+    assert "--tol" in capsys.readouterr().err
 
 
 class TestCliDeterminism:

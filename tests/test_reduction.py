@@ -1,12 +1,18 @@
 import inspect
 import sys
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from opcoupling import relations
-from opcoupling.errors import FeasibilityError, NumericalError, PipelineStageError
+from opcoupling.errors import (
+    ConversionError,
+    FeasibilityError,
+    NumericalError,
+    PipelineStageError,
+)
 from opcoupling.instances import InstanceSpec, random_instance, synth_mc
 from opcoupling.numkernel import pinv, rel_residual, spectral_norm, subspaces
 from opcoupling.reduction import (
@@ -110,12 +116,13 @@ class TestDecomposeCornersExactFallback:
     def test_too_tight_tol_names_the_exact_residual(self):
         w = synthesized(12, 14, 2, seed=1)
         res = _block_form_residuals(w, decompose_corners(w))
+        worst = max(res, key=res.get)
         tol = 1e-16
-        assert res["f22"] > tol
+        assert res[worst] > tol
         with pytest.raises(NumericalError) as info:
             decompose_corners(w, tol)
-        assert str(info.value) == (f"corner f22 does not reduce to block-diagonal "
-                                   f"form (residual {res['f22']:.3e})")
+        assert str(info.value) == (f"decompose_corners failed verification: {worst} "
+                                   f"residual {res[worst]:.3e} exceeds {tol:g}")
 
     def test_tol_at_the_exact_residual_passes(self):
         w = synthesized(12, 14, 2, seed=1)
@@ -145,14 +152,80 @@ class TestNormalizeAdjointExactFallback:
         assert residuals[worst] > tol
         with pytest.raises(NumericalError) as info:
             normalize_adjoint(w, tol)
-        assert str(info.value) == (f"normalization residual {worst}="
-                                   f"{residuals[worst]:.3e} exceeds {tol:g}")
+        assert str(info.value) == (f"normalize_adjoint failed verification: {worst} "
+                                   f"residual {residuals[worst]:.3e} exceeds {tol:g}")
 
     def test_tol_at_the_worst_exact_residual_passes(self):
         w = synthesized(12, 14, 2, seed=1)
         wn = normalize_adjoint(w)
         tol = max(_normalization_residuals(wn).values())
         np.testing.assert_array_equal(normalize_adjoint(w, tol).E, wn.E)
+
+
+@pytest.fixture(scope="module")
+def chain():
+    """The stage inputs of a 12x14, nullity-2 pipeline, built at the default tol."""
+    u, v = random_instance(InstanceSpec(12, 14, 2, seed=1))
+    w = mc_to_eae_special(synth_mc(u, v))
+    d = decompose_corners(w)
+    rb = derive_uv_blocks(w, d)
+    wn = normalize_adjoint(w)
+    return SimpleNamespace(u=u, v=v, w=w, d=d, rb=rb, wn=wn,
+                           rb2=derive_uv_blocks(wn, d, scales=rb.scales))
+
+
+def _residual_checks(c):
+    """Each residual check by name: ``(what the message names, its exact
+    residual table, a call that runs it at a given tol)``."""
+    u_off = c.u + 1e-6
+    small = build_small_eae(c.wn, c.d, c.rb2)
+    eaoe = build_eaoe(c.wn, c.d, c.rb2)
+    return {
+        "decompose_corners": ("decompose_corners", _block_form_residuals(c.w, c.d),
+                              lambda tol: decompose_corners(c.w, tol)),
+        "derive_uv_blocks": ("derive_uv_blocks", c.rb.residuals,
+                             lambda tol: derive_uv_blocks(c.w, c.d, tol)),
+        "normalize_adjoint": ("normalize_adjoint", _normalization_residuals(c.wn),
+                              lambda tol: normalize_adjoint(c.w, tol)),
+        "check_two_sided": ("check_two_sided", check_two_sided(c.wn, c.rb2),
+                            lambda tol: check_two_sided(c.wn, c.rb2, tol)),
+        "build_small_eae": ("build_small_eae", verify_eae(small).residuals,
+                            lambda tol: build_small_eae(c.wn, c.d, c.rb2, tol)),
+        "build_eaoe": ("build_eaoe", verify_eaoe(eaoe).residuals,
+                       lambda tol: build_eaoe(c.wn, c.d, c.rb2, tol)),
+        "witness_consistency": ("supplied witness",
+                                {"witness_u": rel_residual(c.w.U, u_off), "witness_v": 0.0},
+                                lambda tol: run_pipeline(u_off, c.v, w=c.w, tol=tol)),
+        "verify_special": ("anchored witness", verify_eae_special(c.w).residuals,
+                           lambda tol: run_pipeline(c.u, c.v, w=c.w, tol=tol)),
+    }
+
+
+_PIPELINE_CHECKS = ("witness_consistency", "verify_special")
+
+
+@pytest.mark.parametrize("name", ["decompose_corners", "derive_uv_blocks",
+                                  "normalize_adjoint", "check_two_sided",
+                                  "build_small_eae", "build_eaoe", *_PIPELINE_CHECKS])
+def test_failed_check_raises_one_way(chain, name):
+    """Every residual check fails alike: a ConversionError (a NumericalError)
+    carrying the exact table and naming its worst entry; a pipeline stage
+    wraps it in a PipelineStageError that carries the same table."""
+    what, exact, run = _residual_checks(chain)[name]
+    label = max(exact, key=exact.get)
+    tol = exact[label] / 2
+    assert tol > 0
+    raised = ConversionError if name not in _PIPELINE_CHECKS else PipelineStageError
+    with pytest.raises(raised) as info:
+        run(tol)
+    err = info.value
+    if name in _PIPELINE_CHECKS:
+        assert err.stage == name and err.report is err.__cause__.report
+        err = err.__cause__
+    assert isinstance(err, ConversionError) and isinstance(err, NumericalError)
+    assert err.report.residuals == exact
+    assert str(err) == (f"{what} failed verification: {label} residual "
+                        f"{exact[label]:.3e} exceeds {tol:g}")
 
 
 class TestDeriveUvBlocks:
@@ -319,6 +392,14 @@ class TestRunPipeline:
         with pytest.raises(PipelineStageError, match="witness"):
             run_pipeline([[2.0]], [[0.5]], w=worked_special())
 
+    def test_failed_stage_carries_its_report(self):
+        u, v = random_instance(InstanceSpec(12, 14, 2, seed=1))
+        with pytest.raises(PipelineStageError) as info:
+            run_pipeline(u, v, tol=1e-13)
+        assert info.value.stage == "schur_coupling"
+        label, value = info.value.report.worst()
+        assert label == "schur_u" and value > 1e-13
+
     def test_final_coupling_couples_the_inputs(self):
         u, v = random_instance(InstanceSpec(5, 3, 2, seed=77, cond_bound=100))
         report = run_pipeline(u, v, tol=1e-8)
@@ -387,7 +468,7 @@ def test_pipeline_verifies_each_artifact_once(work_counts):
     assert run_pipeline(u, v, tol=1e-8).success
     assert sum(work_counts[k] for k in _VERIFIER_KINDS) == 4
     assert work_counts["eae_special"] == 0
-    assert work_counts["svd"] == 69
+    assert work_counts["svd"] == 66
 
 
 def test_supplied_witness_pipeline_counts(work_counts):
@@ -399,4 +480,4 @@ def test_supplied_witness_pipeline_counts(work_counts):
     assert run_pipeline(u, v, w=w, tol=1e-8).success
     assert sum(work_counts[k] for k in _VERIFIER_KINDS) == 3
     assert work_counts["eae_special"] == 0
-    assert work_counts["svd"] == 60
+    assert work_counts["svd"] == 57
