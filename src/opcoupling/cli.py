@@ -149,6 +149,13 @@ def _check_tol(ctx, param, value: float) -> float:
     return value
 
 
+def _check_p(ctx, param, value: float) -> float:
+    """Reject a Schatten exponent ``--p`` outside ``[1, inf)``."""
+    if not 1 <= value < np.inf:
+        raise click.BadParameter(f"{value} is not a finite number >= 1")
+    return value
+
+
 def _write_witness(w, path: str) -> None:
     try:
         Path(path).write_text(dumps_canonical(encode_witness(w)), encoding="utf-8")
@@ -315,8 +322,9 @@ def _parse_symbol(text: str, offset: int) -> SymbolFC:
               help="Index of the first listed coefficient.")
 @click.option("--N", "section_size", type=int, required=True,
               help="Section half-size.")
-@click.option("--p", "schatten_p", type=float, default=2.0, show_default=True)
-@click.option("--kmax", type=int, default=5, show_default=True,
+@click.option("--p", "schatten_p", type=float, default=2.0, show_default=True,
+              callback=_check_p)
+@click.option("--kmax", type=click.IntRange(min=0), default=5, show_default=True,
               help="Largest shift tried in the comparability search.")
 @click.option("--grid", type=int, default=0,
               help="FFT grid size override for symbol inversion.")

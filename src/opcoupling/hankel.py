@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError, SymbolInversionError
-from .numkernel import spectral_norm, svd, zeros
+from .numkernel import spectral_norm, svd
 
 SIGMA_ZERO_REL = 1e-12  # singular values below this (relative) count as zero
 
@@ -72,10 +72,6 @@ class SymbolFC:
         if nz.size == 0:
             return (0, 0)
         return (self.offset + int(nz[0]), self.offset + int(nz[-1]))
-
-    @property
-    def wiener_norm(self) -> float:
-        return float(np.sum(np.abs(self.coeffs)))
 
     def coeff(self, j) -> np.ndarray:
         """Coefficient(s) at integer index/array ``j`` (zero off-window)."""
@@ -185,12 +181,6 @@ class SectionBlocks:
     H: np.ndarray
     T: np.ndarray
 
-    def assemble(self) -> np.ndarray:
-        """Full section ``[[Ttilde, Htilde], [H, T]]`` on (K-part) (+) (H-part)."""
-        top = np.hstack([self.Ttilde, self.Htilde])
-        bottom = np.hstack([self.H, self.T])
-        return np.vstack([top, bottom])
-
     def reordered(self) -> np.ndarray:
         """Block rows/columns swapped: ``[[Htilde, Ttilde], [T, H]]``."""
         top = np.hstack([self.Htilde, self.Ttilde])
@@ -207,9 +197,10 @@ class SectionBlocks:
 def build_sections(f: SymbolFC, N: int) -> SectionBlocks:
     """Toeplitz/Hankel blocks of the size-N section of multiplication by f.
 
-    See the module docstring for the entry conventions; the assembled 2x2
-    block matrix is the (2N+1) x (2N+1) section of the multiplication
-    operator with the negative modes enumerated as -1, -2, ..., -N.
+    See the module docstring for the entry conventions; the 2x2 block
+    matrix ``[[Ttilde, Htilde], [H, T]]`` is the (2N+1) x (2N+1) section of
+    the multiplication operator with the negative modes enumerated as
+    -1, -2, ..., -N.
     """
     if N < 1:
         raise PreconditionError("section size N must be >= 1")
@@ -220,17 +211,6 @@ def build_sections(f: SymbolFC, N: int) -> SectionBlocks:
     ttilde = f.coeff(neg[None, :] - neg[:, None])
     htilde = f.coeff(-(neg[:, None] + pos[None, :] + 1))
     return SectionBlocks(N=N, Ttilde=ttilde, Htilde=htilde, H=h, T=t)
-
-
-def toeplitz_section(f: SymbolFC, N: int) -> np.ndarray:
-    """Plain (2N+1) x (2N+1) section on modes -N..N: entry (p, q) = fc(p - q)."""
-    modes = np.arange(-N, N + 1)
-    return f.coeff(modes[:, None] - modes[None, :])
-
-
-def section_mode_order(N: int) -> np.ndarray:
-    """Mode enumeration (-1, ..., -N, 0, ..., N) used by the section blocks."""
-    return np.concatenate([-np.arange(1, N + 1), np.arange(0, N + 1)])
 
 
 @dataclass(frozen=True)
@@ -340,12 +320,6 @@ class ShiftComparabilityReport:
     @property
     def comparable(self) -> bool:
         return self.verdict_c is not None
-
-    def constant(self, orientation: str, k: int) -> float | None:
-        for rec in self.records:
-            if rec.orientation == orientation and rec.k == k:
-                return rec.c
-        raise KeyError((orientation, k))
 
 
 def _check_sv_sequence(name: str, s: np.ndarray) -> np.ndarray:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .blockops import Block2x2
 from .errors import FeasibilityError, PreconditionError
-from .numkernel import adjoint, as_matrix, eye, rank_of, svd, zeros
+from .numkernel import adjoint, as_matrix, rank_of, svd, zeros
 from .relations import (
     DEFAULT_TOL,
     MCWitness,
@@ -36,10 +36,15 @@ class InstanceSpec:
     cond_bound: float = 100.0
 
     def __post_init__(self):
+        for label, value in (("size n", self.n), ("size m", self.m), ("nullity k", self.k)):
+            if value < 0:
+                raise PreconditionError(f"{label} must be >= 0, got {value}")
         if self.k > min(self.n, self.m):
             raise PreconditionError("nullity k must not exceed min(n, m)")
-        if self.cond_bound < 1.0:
-            raise PreconditionError("cond_bound must be >= 1")
+        # the negated test also rejects nan
+        if not 1.0 <= self.cond_bound < np.inf:
+            raise PreconditionError(
+                f"cond_bound must be a finite number >= 1, got {self.cond_bound}")
 
 
 def _as_rng(seed_or_rng) -> np.random.Generator:
@@ -56,26 +61,6 @@ def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     q, r = np.linalg.qr(g)
     # fix the phase ambiguity of QR so the draw is well defined
     return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
-def canonical_rank_factorization(a, tol: float | None = None):
-    """Factor ``a = P1 @ core @ P2`` with invertible P1, P2 and core = I_r (+) 0.
-
-    P1 absorbs the singular values (padded by ones on the co-rank part), P2
-    is the adjoint factor of the SVD, and ``core`` is the rows x cols matrix
-    with r leading ones on the diagonal, r the numerical rank.
-    """
-    a = as_matrix(a)
-    rows, cols = a.shape
-    res = svd(a)
-    r = res.rank(tol)
-    scale = np.ones(rows)
-    scale[:r] = res.singulars[:r]
-    p1 = res.left * scale
-    core = zeros(rows, cols)
-    core[:r, :r] = np.eye(r)
-    p2 = adjoint(res.right)
-    return p1, core, p2
 
 
 def _null_pairing_permutation(n: int, m: int, k: int) -> np.ndarray:

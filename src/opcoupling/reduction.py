@@ -23,7 +23,8 @@ Starting from an :class:`~opcoupling.relations.EAESpecialWitness` for
 Every stage checks its residual table against ``tol`` through
 :func:`~opcoupling.relations._checked`, so a failed stage raises
 :class:`~opcoupling.errors.ConversionError` naming the worst entry, with the
-table attached.
+table attached.  The three builders of step 4 return their witness together
+with that table, which :func:`run_pipeline` records as the stage's report.
 In this finite-dimensional setting two square matrices admit such a chain
 exactly when their nullities agree, which is the feasibility oracle used
 when no witness is supplied.
@@ -67,9 +68,9 @@ from .relations import (
     _checked_pairs,
     _direct_sum,
     _mc_to_eae_special,
-    _sc_from_eaoe,
     _special_pairs,
     _special_residuals,
+    sc_from_eaoe,
     verify_eae,
     verify_eaoe,
 )
@@ -441,9 +442,10 @@ def _psi_v_inv(rb: ReducedBlocks, r: int) -> np.ndarray:
     return Block2x2(eye(r), zeros(r, x0), -v22_inv @ rb.v21, v22_inv).assemble()
 
 
-def build_small_eae(w: EAESpecialWitness, d: CornerDecomposition,
-                    rb: ReducedBlocks, tol: float = DEFAULT_TOL) -> EAEWitness:
-    """EAE witness with extensions Ker E11 (on the U side) and h2 (on V's).
+def build_small_eae(w: EAESpecialWitness, d: CornerDecomposition, rb: ReducedBlocks,
+                    tol: float = DEFAULT_TOL) -> tuple[EAEWitness, VerifierReport]:
+    """EAE witness with extensions Ker E11 (on the U side) and h2 (on V's),
+    with the report it was verified by.
 
     Factor ``U = Phi_U @ (u11 (+) I)`` and ``V = (v11 (+) I) @ Psi_V`` with
     the invertible triangular factors from :func:`derive_uv_blocks`; the
@@ -456,12 +458,6 @@ def build_small_eae(w: EAESpecialWitness, d: CornerDecomposition,
     ``x0 = dim Ker E11`` and ``y0 = dim h2``.  Requires invertible corner
     blocks, i.e. :func:`check_two_sided` must have passed.
     """
-    return _build_small_eae(w, d, rb, tol)[0]
-
-
-def _build_small_eae(w: EAESpecialWitness, d: CornerDecomposition, rb: ReducedBlocks,
-                     tol: float) -> tuple[EAEWitness, VerifierReport]:
-    """The witness of :func:`build_small_eae` with its verifier report."""
     r = _require_square_corners(d)
     x0, y0 = w.m - r, w.n - r
     w_dom_u, w_cod_u, w_dom_v, w_cod_v = _stacked_bases(d)
@@ -481,8 +477,9 @@ def _build_small_eae(w: EAESpecialWitness, d: CornerDecomposition, rb: ReducedBl
 
 
 def build_eaoe(w: EAESpecialWitness, d: CornerDecomposition, rb: ReducedBlocks,
-               tol: float = DEFAULT_TOL) -> EAOEWitness:
-    """Collapse the two small extensions into one one-sided extension.
+               tol: float = DEFAULT_TOL) -> tuple[EAOEWitness, VerifierReport]:
+    """Collapse the two small extensions into one one-sided extension, and
+    return it with the report it was verified by.
 
     The smaller extension space is embedded into the larger one by the
     first-coordinates isometry (in the decomposition bases the embedding,
@@ -492,12 +489,6 @@ def build_eaoe(w: EAESpecialWitness, d: CornerDecomposition, rb: ReducedBlocks,
     lands on ``U`` when ``dim Ker E11 >= dim h2``, i.e. exactly when
     ``index(F22) >= 0``.
     """
-    return _build_eaoe(w, d, rb, tol)[0]
-
-
-def _build_eaoe(w: EAESpecialWitness, d: CornerDecomposition, rb: ReducedBlocks,
-                tol: float) -> tuple[EAOEWitness, VerifierReport]:
-    """The witness of :func:`build_eaoe` with its verifier report."""
     r = _require_square_corners(d)
     x0, y0 = w.m - r, w.n - r
     w_dom_u, w_cod_u, w_dom_v, w_cod_v = _stacked_bases(d)
@@ -624,12 +615,12 @@ def run_pipeline(U, V, w: EAESpecialWitness | None = None,
     two_sided = _stage("two_sided", lambda: check_two_sided(wn, rb2, tol))
     stages.append(StageResult("two_sided", two_sided))
 
-    small, small_report = _stage("small_eae", lambda: _build_small_eae(wn, d, rb2, tol))
+    small, small_report = _stage("small_eae", lambda: build_small_eae(wn, d, rb2, tol))
     stages.append(StageResult("small_eae", dict(small_report.residuals), {
         "x0_dim": small.x0_dim, "y0_dim": small.y0_dim,
     }))
 
-    eaoe, eaoe_report = _stage("build_eaoe", lambda: _build_eaoe(wn, d, rb2, tol))
+    eaoe, eaoe_report = _stage("build_eaoe", lambda: build_eaoe(wn, d, rb2, tol))
     stages.append(StageResult("build_eaoe", dict(eaoe_report.residuals), {
         "extended_side": eaoe.extended_side, "ext_dim": eaoe.ext_dim,
     }))
@@ -640,7 +631,7 @@ def run_pipeline(U, V, w: EAESpecialWitness | None = None,
             f"{fred.f22.index} demands {fred.extension_side}",
         )
 
-    sc, sc_report = _stage("schur_coupling", lambda: _sc_from_eaoe(eaoe, tol))
+    sc, sc_report = _stage("schur_coupling", lambda: sc_from_eaoe(eaoe, tol))
     stages.append(StageResult("schur_coupling", dict(sc_report.residuals)))
 
     return PipelineReport(

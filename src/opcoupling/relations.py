@@ -50,10 +50,10 @@ the certified bound ``||lhs - rhs||_F <= tol``
 SVD, and only when it cannot decide is the exact table computed, so the
 decision and any error message are those of the exact check.
 
-Each converter verifies its output once.  A private builder returns the
-witness together with that report, so the pipeline records the same report
-instead of verifying the witness again; the public converter returns the
-witness alone.
+Each converter verifies its output once.  A builder the pipeline calls
+returns the witness with that report, so the pipeline records the report
+instead of verifying the witness again.  :func:`mc_to_eae_special` returns
+the witness alone, so the pipeline calls its private form.
 """
 
 from __future__ import annotations
@@ -268,15 +268,6 @@ class EAESpecialWitness:
     @property
     def Ehat21(self) -> np.ndarray:
         return self.Einv[self.m:, : self.n]
-
-    @classmethod
-    def from_ef(cls, U, V, E, F) -> "EAESpecialWitness":
-        """Build a witness from E, F alone, inverting them numerically."""
-        E = as_matrix(E)
-        F = as_matrix(F)
-        einv, _ = inverse(E)
-        finv, _ = inverse(F)
-        return cls(U=U, V=V, E=E, F=F, Einv=einv, Finv=finv)
 
 
 @dataclass(frozen=True)
@@ -534,8 +525,10 @@ def _mc_to_eae_special(w: MCWitness, tol: float) -> tuple[EAESpecialWitness, Ver
     return witness, _checked(report, "mc_to_eae_special")
 
 
-def sc_from_eaoe(w: EAOEWitness, tol: float = DEFAULT_TOL) -> SCWitness:
-    """Schur coupling from a one-sided extension equivalence.
+def sc_from_eaoe(w: EAOEWitness,
+                 tol: float = DEFAULT_TOL) -> tuple[SCWitness, VerifierReport]:
+    """Schur coupling from a one-sided extension equivalence, with the report
+    it was verified by.
 
     Orient the relation as ``T = E' (S (+) I_Z) F'`` (for a V-extended
     witness ``T = U, S = V`` directly; for a U-extended one pass to the
@@ -547,11 +540,6 @@ def sc_from_eaoe(w: EAOEWitness, tol: float = DEFAULT_TOL) -> SCWitness:
     S-summand of the extended space.  When the orientation was flipped the
     block rows/columns of M0 are swapped so the result couples ``(U, V)``.
     """
-    return _sc_from_eaoe(w, tol)[0]
-
-
-def _sc_from_eaoe(w: EAOEWitness, tol: float) -> tuple[SCWitness, VerifierReport]:
-    """The witness of :func:`sc_from_eaoe` with its verifier report."""
     if w.extended_side == "V":
         e_p, f_p = w.E, w.F
         s_op, swap = w.V, False

@@ -454,3 +454,33 @@ class TestCliHankel:
 
     def test_bad_symbol_exits_2(self):
         assert dispatch(["hankel", "--symbol", "abc", "--N", "5"]) == 2
+
+    @pytest.mark.parametrize("option,value", [
+        ("--p", "0.5"), ("--p", "0"), ("--p", "nan"), ("--p", "inf"), ("--p", "-inf"),
+        ("--kmax", "-3"), ("--kmax", "-1"),
+    ])
+    def test_invalid_option_exits_2(self, tmp_path, capsys, option, value):
+        rep = tmp_path / "h.json"
+        assert dispatch(["hankel", "--symbol", "2,1", "--N", "10", f"{option}={value}",
+                         "--report", str(rep)]) == 2
+        assert f"'{option}'" in capsys.readouterr().err
+        assert not rep.exists()
+
+    @pytest.mark.parametrize("option,value", [("--p", "1"), ("--kmax", "0")])
+    def test_boundary_option_accepted(self, tmp_path, option, value):
+        rep = tmp_path / "h.json"
+        assert dispatch(["hankel", "--symbol", "2,1", "--N", "10", f"{option}={value}",
+                         "--report", str(rep)]) == 0
+        assert "NaN" not in rep.read_text()
+
+
+@pytest.mark.parametrize("args,field", [
+    (["--n", "-1"], "size n"), (["--m", "-1"], "size m"), (["--nullity", "-1"], "nullity k"),
+    (["--cond-bound", "nan"], "cond_bound"), (["--cond-bound", "inf"], "cond_bound"),
+    (["--cond-bound", "0.5"], "cond_bound"),
+])
+def test_synth_invalid_spec_exits_2(tmp_path, capsys, args, field):
+    out = tmp_path / "inst.json"
+    assert dispatch(["synth", "--n", "2", "--m", "2", *args, "--out", str(out)]) == 2
+    assert f"Error: {field} must be" in capsys.readouterr().err
+    assert not out.exists()

@@ -4,7 +4,6 @@ import pytest
 from opcoupling.errors import PreconditionError
 from opcoupling.instances import (
     InstanceSpec,
-    canonical_rank_factorization,
     random_instance,
     random_sc_witness,
     random_unitary,
@@ -12,37 +11,6 @@ from opcoupling.instances import (
 )
 from opcoupling.numkernel import rank_of, rel_residual, spectral_norm
 from opcoupling.relations import verify_mc, verify_sc
-
-
-class TestCanonicalRankFactorization:
-    def test_identity(self):
-        p1, core, p2 = canonical_rank_factorization(np.eye(3))
-        np.testing.assert_allclose(core, np.eye(3))
-        np.testing.assert_allclose(p1 @ core @ p2, np.eye(3), atol=1e-14)
-
-    def test_zero(self):
-        p1, core, p2 = canonical_rank_factorization(np.zeros((2, 2)))
-        assert spectral_norm(core) == 0.0
-        np.testing.assert_allclose(p1 @ core @ p2, np.zeros((2, 2)))
-
-    def test_diagonal(self):
-        p1, core, p2 = canonical_rank_factorization(np.diag([2.0, 0.0]))
-        np.testing.assert_allclose(p1, np.diag([2.0, 1.0]))
-        np.testing.assert_allclose(core, np.diag([1.0, 0.0]))
-        np.testing.assert_allclose(p2, np.eye(2))
-
-    @pytest.mark.parametrize("seed", range(8))
-    def test_reconstruction_and_rank(self, seed):
-        rng = np.random.default_rng(seed)
-        rows, cols = rng.integers(1, 9, size=2)
-        r = int(rng.integers(0, min(rows, cols) + 1))
-        a = (rng.standard_normal((rows, r)) + 1j * rng.standard_normal((rows, r))) @ \
-            (rng.standard_normal((r, cols)) + 1j * rng.standard_normal((r, cols)))
-        p1, core, p2 = canonical_rank_factorization(a)
-        assert spectral_norm(p1 @ core @ p2 - a) <= 1e-12 * max(1, spectral_norm(a))
-        assert int(np.count_nonzero(core)) == rank_of(a)
-        # brute-force rank via row reduction surrogate: compare to product rank
-        assert rank_of(a) == r
 
 
 class TestSynthMc:
@@ -102,6 +70,23 @@ class TestRandomInstance:
             InstanceSpec(2, 2, 3, seed=0)
         with pytest.raises(PreconditionError):
             InstanceSpec(2, 2, 0, seed=0, cond_bound=0.5)
+
+    @pytest.mark.parametrize("sizes,field", [
+        ((-1, 2, 0), "size n"), ((2, -1, 0), "size m"), ((2, 2, -1), "nullity k"),
+        ((-1, -1, -1), "size n"),
+    ])
+    def test_negative_sizes_name_the_field(self, sizes, field):
+        with pytest.raises(PreconditionError, match=f"^{field} must be >= 0"):
+            InstanceSpec(*sizes, seed=0)
+
+    @pytest.mark.parametrize("cond_bound", [np.nan, np.inf, -np.inf, 0.5, 0.0])
+    def test_cond_bound_must_be_finite_and_at_least_one(self, cond_bound):
+        with pytest.raises(PreconditionError, match="^cond_bound must be a finite"):
+            InstanceSpec(2, 2, 0, seed=0, cond_bound=cond_bound)
+
+    def test_empty_instance_is_valid(self):
+        u, v = random_instance(InstanceSpec(0, 0, 0, seed=0, cond_bound=1.0))
+        assert u.shape == (0, 0) and v.shape == (0, 0)
 
 
 class TestRandomScWitness:

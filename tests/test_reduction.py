@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from opcoupling import relations
+from opcoupling import reduction, relations
 from opcoupling.errors import (
     ConversionError,
     FeasibilityError,
@@ -33,17 +33,25 @@ from opcoupling.relations import (
     verify_eaoe,
     verify_sc,
 )
+from opcoupling.serialization import dumps_canonical, pipeline_report_to_dict
+
+
+def special_from_ef(U, V, E, F):
+    """Anchored witness from E and F alone, inverted numerically."""
+    E, F = np.asarray(E, dtype=np.complex128), np.asarray(F, dtype=np.complex128)
+    return EAESpecialWitness(U=U, V=V, E=E, F=F,
+                             Einv=np.linalg.inv(E), Finv=np.linalg.inv(F))
 
 
 def worked_special():
     e = np.array([[1.0, 1.0], [1.0, -1.0]])
     f = np.array([[1.0, 1.0], [0.5, -0.5]])
-    return EAESpecialWitness.from_ef(U=[[1.0]], V=[[0.5]], E=e, F=f)
+    return special_from_ef(U=[[1.0]], V=[[0.5]], E=e, F=f)
 
 
 def swap_special(n=1):
     swap = np.block([[np.zeros((n, n)), np.eye(n)], [np.eye(n), np.zeros((n, n))]])
-    return EAESpecialWitness.from_ef(U=np.eye(n), V=np.eye(n), E=swap, F=swap)
+    return special_from_ef(U=np.eye(n), V=np.eye(n), E=swap, F=swap)
 
 
 def synthesized(n, m, k, seed=5, cond=100.0):
@@ -178,8 +186,8 @@ def _residual_checks(c):
     """Each residual check by name: ``(what the message names, its exact
     residual table, a call that runs it at a given tol)``."""
     u_off = c.u + 1e-6
-    small = build_small_eae(c.wn, c.d, c.rb2)
-    eaoe = build_eaoe(c.wn, c.d, c.rb2)
+    small, _ = build_small_eae(c.wn, c.d, c.rb2)
+    eaoe, _ = build_eaoe(c.wn, c.d, c.rb2)
     return {
         "decompose_corners": ("decompose_corners", _block_form_residuals(c.w, c.d),
                               lambda tol: decompose_corners(c.w, tol)),
@@ -316,7 +324,7 @@ class TestBuildSmallEae:
         w = worked_special()
         d = decompose_corners(w)
         rb = derive_uv_blocks(w, d)
-        small = build_small_eae(w, d, rb)
+        small, _ = build_small_eae(w, d, rb)
         assert small.x0_dim == 0 and small.y0_dim == 0
         assert verify_eae(small, 1e-12).passed
 
@@ -325,7 +333,7 @@ class TestBuildSmallEae:
         w = swap_special(n)
         d = decompose_corners(w)
         rb = derive_uv_blocks(w, d)
-        small = build_small_eae(w, d, rb)
+        small, _ = build_small_eae(w, d, rb)
         assert small.x0_dim == n and small.y0_dim == n
         assert verify_eae(small, 1e-12).passed
 
@@ -333,7 +341,7 @@ class TestBuildSmallEae:
         w = normalize_adjoint(synthesized(4, 6, 2, seed=17))
         d = decompose_corners(w)
         rb = derive_uv_blocks(w, d)
-        small = build_small_eae(w, d, rb)
+        small, _ = build_small_eae(w, d, rb)
         from opcoupling.numkernel import rank_of
         assert small.x0_dim == 6 - rank_of(w.E11)
         assert small.y0_dim == 4 - rank_of(w.F22)
@@ -345,7 +353,7 @@ class TestBuildEaoe:
         w = worked_special()
         d = decompose_corners(w)
         rb = derive_uv_blocks(w, d)
-        eaoe = build_eaoe(w, d, rb)
+        eaoe, _ = build_eaoe(w, d, rb)
         assert eaoe.ext_dim == 0
         lhs = eaoe.E @ np.array([[0.5]]) @ eaoe.F
         np.testing.assert_allclose(lhs, [[1.0]], atol=1e-12)
@@ -354,7 +362,7 @@ class TestBuildEaoe:
         w = normalize_adjoint(synthesized(1, 2, 1))
         d = decompose_corners(w)
         rb = derive_uv_blocks(w, d)
-        eaoe = build_eaoe(w, d, rb)
+        eaoe, _ = build_eaoe(w, d, rb)
         assert eaoe.extended_side == "U" and eaoe.ext_dim == 1
         assert fredholm_report(w).f22.index == 1
         assert verify_eaoe(eaoe, 1e-10).passed
@@ -363,7 +371,7 @@ class TestBuildEaoe:
         w = normalize_adjoint(synthesized(4, 2, 1, seed=3))
         d = decompose_corners(w)
         rb = derive_uv_blocks(w, d)
-        eaoe = build_eaoe(w, d, rb)
+        eaoe, _ = build_eaoe(w, d, rb)
         assert eaoe.extended_side == "V" and eaoe.ext_dim == 2
         assert verify_eaoe(eaoe, 1e-9).passed
 
@@ -432,6 +440,23 @@ class TestRunPipeline:
 _VERIFIER_KINDS = ("sc", "mc", "eae", "eae_special", "eaoe")
 
 
+def _count_calls(monkeypatch, counts, functions):
+    """Rebind each of ``functions`` (label -> function), in every opcoupling
+    namespace that holds it, to a wrapper that counts its calls."""
+    namespaces = [mod for name, mod in sys.modules.items()
+                  if name == "opcoupling" or name.startswith("opcoupling.")]
+    for label, real in functions.items():
+
+        def counting(*args, _real=real, _label=label, **kwargs):
+            counts[_label] += 1
+            return _real(*args, **kwargs)
+
+        for ns in namespaces:
+            for attr, value in list(vars(ns).items()):
+                if value is real:
+                    monkeypatch.setattr(ns, attr, counting)
+
+
 @pytest.fixture
 def work_counts(monkeypatch):
     """Counter of dense SVDs and of calls to each public verifier."""
@@ -445,20 +470,8 @@ def work_counts(monkeypatch):
     # np.linalg.norm(., 2) reaches the SVD through its own module's globals
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
     monkeypatch.setitem(inspect.unwrap(np.linalg.norm).__globals__, "svd", counting_svd)
-
-    namespaces = [mod for name, mod in sys.modules.items()
-                  if name == "opcoupling" or name.startswith("opcoupling.")]
-    for kind in _VERIFIER_KINDS:
-        real = getattr(relations, f"verify_{kind}")
-
-        def counting(*args, _real=real, _kind=kind, **kwargs):
-            counts[_kind] += 1
-            return _real(*args, **kwargs)
-
-        for ns in namespaces:
-            for attr, value in list(vars(ns).items()):
-                if value is real:
-                    monkeypatch.setattr(ns, attr, counting)
+    _count_calls(monkeypatch, counts,
+                 {kind: getattr(relations, f"verify_{kind}") for kind in _VERIFIER_KINDS})
     return counts
 
 
@@ -481,3 +494,19 @@ def test_supplied_witness_pipeline_counts(work_counts):
     assert sum(work_counts[k] for k in _VERIFIER_KINDS) == 3
     assert work_counts["eae_special"] == 0
     assert work_counts["svd"] == 57
+
+
+def test_pipeline_calls_the_public_builders(monkeypatch):
+    """run_pipeline reaches the builders of its last three stages by their
+    public names, once each, so a wrapper on those names sees every call."""
+    u, v = random_instance(InstanceSpec(12, 14, 2, seed=1))
+    expected = dumps_canonical(pipeline_report_to_dict(run_pipeline(u, v, tol=1e-8)))
+    counts = Counter()
+    _count_calls(monkeypatch, counts, {
+        "build_small_eae": reduction.build_small_eae,
+        "build_eaoe": reduction.build_eaoe,
+        "sc_from_eaoe": reduction.sc_from_eaoe,
+    })
+    report = run_pipeline(u, v, tol=1e-8)
+    assert counts == {"build_small_eae": 1, "build_eaoe": 1, "sc_from_eaoe": 1}
+    assert dumps_canonical(pipeline_report_to_dict(report)) == expected

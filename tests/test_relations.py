@@ -26,22 +26,29 @@ def worked_sc():
     return SCWitness(M=m, U=[[1.0]], V=[[0.5]])
 
 
+def special_from_ef(U, V, E, F):
+    """Anchored witness from E and F alone, inverted numerically."""
+    E, F = np.asarray(E, dtype=np.complex128), np.asarray(F, dtype=np.complex128)
+    return EAESpecialWitness(U=U, V=V, E=E, F=F,
+                             Einv=np.linalg.inv(E), Finv=np.linalg.inv(F))
+
+
 def worked_special():
     """E = [[1, 1], [1, -1]], F = [[1, 1], [0.5, -0.5]] coupling [1] and [0.5]."""
     e = np.array([[1.0, 1.0], [1.0, -1.0]])
     f = np.array([[1.0, 1.0], [0.5, -0.5]])
-    return EAESpecialWitness.from_ef(U=[[1.0]], V=[[0.5]], E=e, F=f)
+    return special_from_ef(U=[[1.0]], V=[[0.5]], E=e, F=f)
 
 
 def swap_special(n=1):
     """U = V = I_n coupled by the plain block swap."""
     swap = np.block([[np.zeros((n, n)), np.eye(n)], [np.eye(n), np.zeros((n, n))]])
-    return EAESpecialWitness.from_ef(U=np.eye(n), V=np.eye(n), E=swap, F=swap)
+    return special_from_ef(U=np.eye(n), V=np.eye(n), E=swap, F=swap)
 
 
 class TestVerifySC:
     def test_identity_coupling(self):
-        w = SCWitness(M=Block2x2.from_matrix(np.eye(2), 1, 1), U=[[1.0]], V=[[1.0]])
+        w = SCWitness(M=Block2x2([[1.0]], [[0.0]], [[0.0]], [[1.0]]), U=[[1.0]], V=[[1.0]])
         assert verify_sc(w).max_residual == 0.0
 
     def test_worked_instance(self):
@@ -90,8 +97,8 @@ class TestVerifyEAESpecial:
 
     def test_perturbed_f21_breaks_identity_i(self):
         f_bad = np.array([[1.0, 1.0], [0.6, -0.5]])
-        w = EAESpecialWitness.from_ef(U=[[1.0]], V=[[0.5]],
-                                      E=[[1.0, 1.0], [1.0, -1.0]], F=f_bad)
+        w = special_from_ef(U=[[1.0]], V=[[0.5]],
+                            E=[[1.0, 1.0], [1.0, -1.0]], F=f_bad)
         rep = verify_eae_special(w)
         assert not rep.passed
         assert rep.residuals["identity_i"] == pytest.approx(0.1)
@@ -114,7 +121,8 @@ class TestScToMc:
         np.testing.assert_allclose(mc.UhatInv, [[0.5, -0.5], [0.5, 0.5]], atol=1e-15)
 
     def test_identity(self):
-        w = SCWitness(M=Block2x2.from_matrix(np.eye(4), 2, 2),
+        zero = np.zeros((2, 2))
+        w = SCWitness(M=Block2x2(np.eye(2), zero, zero, np.eye(2)),
                       U=np.eye(2), V=np.eye(2))
         mc = sc_to_mc(w)
         np.testing.assert_allclose(mc.Uhat, np.eye(4), atol=1e-15)
@@ -168,7 +176,7 @@ class TestScFromEaoe:
     def test_zero_extension_scalars(self):
         w = EAOEWitness(extended_side="V", ext_dim=0, E=[[1.0]], F=[[1.0]],
                         U=[[1.0]], V=[[1.0]])
-        sc = sc_from_eaoe(w)
+        sc, _ = sc_from_eaoe(w)
         np.testing.assert_allclose(sc.M.assemble(), [[1.0, 1.0], [0.0, 1.0]])
         u, v = sc.U, sc.V
         np.testing.assert_allclose(u, [[1.0]])
@@ -178,7 +186,7 @@ class TestScFromEaoe:
         # U = I_2 = (V = 1) (+) I_1 with E = F = I_2
         w = EAOEWitness(extended_side="V", ext_dim=1, E=np.eye(2), F=np.eye(2),
                         U=np.eye(2), V=[[1.0]])
-        sc = sc_from_eaoe(w)
+        sc, _ = sc_from_eaoe(w)
         np.testing.assert_allclose(sc.M.a11, np.eye(2))
         np.testing.assert_allclose(sc.M.a12, [[1.0], [0.0]])
         assert spectral_norm(sc.M.a21) == 0.0
@@ -192,7 +200,7 @@ class TestScFromEaoe:
         w = EAOEWitness(extended_side="U", ext_dim=1, E=e, F=f,
                         U=[[2.0]], V=np.diag([2.0, 1.0]))
         assert verify_eaoe(w, 1e-12).passed
-        sc = sc_from_eaoe(w)
+        sc, _ = sc_from_eaoe(w)
         assert verify_sc(sc, 1e-10).passed
         np.testing.assert_allclose(sc.U, [[2.0]])
         np.testing.assert_allclose(sc.V, np.diag([2.0, 1.0]))
