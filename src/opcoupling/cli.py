@@ -21,12 +21,7 @@ import click
 import numpy as np
 
 from . import __version__
-from .errors import (
-    FeasibilityError,
-    PipelineStageError,
-    SymbolInversionError,
-    ToolkitError,
-)
+from .errors import SymbolInversionError, ToolkitError
 from .hankel import (
     SymbolFC,
     build_sections,
@@ -265,7 +260,7 @@ def pipeline(ctx, in_paths, tol, out_path, report_path, out_dir, jobs):
 
     try:
         report = _run_one_pipeline(in_paths[0], tol, out_path, report_path)
-    except (FeasibilityError, PipelineStageError) as exc:
+    except ToolkitError as exc:
         click.echo(f"pipeline failed: {exc}", err=True)
         ctx.exit(1)
     click.echo(

@@ -25,17 +25,13 @@ class NumericalError(ToolkitError):
     """A numerically computed result violates its own accuracy contract."""
 
 
-class VerificationError(NumericalError):
-    """A residual table exceeds its tolerance, a numerical result violating
-    its accuracy contract; carries the offending report."""
+class ConversionError(NumericalError):
+    """A built or transformed witness fails its residual table; carries the
+    offending report."""
 
     def __init__(self, message, report=None):
         super().__init__(message)
         self.report = report
-
-
-class ConversionError(VerificationError):
-    """A built or transformed witness fails its residual table."""
 
 
 class FeasibilityError(ToolkitError):

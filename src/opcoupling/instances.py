@@ -36,7 +36,8 @@ class InstanceSpec:
     cond_bound: float = 100.0
 
     def __post_init__(self):
-        for label, value in (("size n", self.n), ("size m", self.m), ("nullity k", self.k)):
+        for label, value in (("size n", self.n), ("size m", self.m), ("nullity k", self.k),
+                             ("seed", self.seed)):
             if value < 0:
                 raise PreconditionError(f"{label} must be >= 0, got {value}")
         if self.k > min(self.n, self.m):
@@ -45,12 +46,6 @@ class InstanceSpec:
         if not 1.0 <= self.cond_bound < np.inf:
             raise PreconditionError(
                 f"cond_bound must be a finite number >= 1, got {self.cond_bound}")
-
-
-def _as_rng(seed_or_rng) -> np.random.Generator:
-    if isinstance(seed_or_rng, np.random.Generator):
-        return seed_or_rng
-    return np.random.default_rng(seed_or_rng)
 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -172,7 +167,7 @@ def random_sc_witness(n: int, m: int, cond_bound: float, seed_or_rng) -> SCWitne
     of A and D, so every matrix associated with the witness (including the
     derived coupling matrix and its inverse) stays within ``cond_bound``.
     """
-    rng = _as_rng(seed_or_rng)
+    rng = np.random.default_rng(seed_or_rng)
     cb = max(1.0, float(cond_bound)) ** 0.5
     a = _random_with_nullity(n, 0, cb, rng)
     d = _random_with_nullity(m, 0, cb, rng)

@@ -63,7 +63,7 @@ def spectral_norm(a) -> float:
     a = np.asarray(a)
     if a.size == 0:
         return 0.0
-    return float(np.linalg.norm(a, 2))
+    return float(_svd_vals(a)[0])
 
 
 def _at_most_unit_norm(a: np.ndarray) -> bool:

@@ -19,12 +19,17 @@ Starting from an :class:`~opcoupling.relations.EAESpecialWitness` for
    (:func:`build_eaoe`), and closes the loop with a Schur coupling
    (:func:`~opcoupling.relations.sc_from_eaoe`).
 
-:func:`run_pipeline` chains all stages with per-stage residual reporting.
-Every stage checks its residual table against ``tol`` through
-:func:`~opcoupling.relations._checked`, so a failed stage raises
+:func:`run_pipeline` chains all steps as named stages of one runner.  The
+runner calls a stage, records its residual table and data as a
+:class:`StageResult`, and turns any
+:class:`~opcoupling.errors.ToolkitError` the stage raises into a
+:class:`~opcoupling.errors.PipelineStageError` naming it.  Every step checks
+its residual table against ``tol`` through
+:func:`~opcoupling.relations._checked`, so a failed step raises
 :class:`~opcoupling.errors.ConversionError` naming the worst entry, with the
-table attached.  The three builders of step 4 return their witness together
-with that table, which :func:`run_pipeline` records as the stage's report.
+table attached; the runner passes that table on as the stage error's
+``report``.  The three builders of step 4 return their witness together
+with that table, which the runner records as the stage's residuals.
 In this finite-dimensional setting two square matrices admit such a chain
 exactly when their nullities agree, which is the feasibility oracle used
 when no witness is supplied.
@@ -53,6 +58,7 @@ from .numkernel import (
     pinv,
     rank_of,
     rel_residual,
+    spectral_norm,
     subspaces,
     zeros,
 )
@@ -336,12 +342,11 @@ def derive_uv_blocks(w: EAESpecialWitness, d: CornerDecomposition,
     right_inv_u22 = _coords(d.h2.basis, w.Ehat21, d.g1.basis)
 
     if scales is None:
-        scales = (max(1.0, np.linalg.norm(w.U, 2) if w.U.size else 0.0),
-                  max(1.0, np.linalg.norm(w.V, 2) if w.V.size else 0.0))
+        scales = (max(1.0, spectral_norm(w.U)), max(1.0, spectral_norm(w.V)))
     scale_u, scale_v = scales
     residuals = {
-        "zero_block_u21": (np.linalg.norm(u21, 2) / scale_u) if u21.size else 0.0,
-        "zero_block_v12": (np.linalg.norm(v12, 2) / scale_v) if v12.size else 0.0,
+        "zero_block_u21": spectral_norm(u21) / scale_u,
+        "zero_block_v12": spectral_norm(v12) / scale_v,
         "equivalence_u11_v11": rel_residual(d.e11_prime @ v11, -u11 @ d.f22_prime),
         "left_inverse_v22": rel_residual(left_inv_v22 @ v22, eye(d.ker_f22.dim)),
         "right_inverse_u22": rel_residual(u22 @ right_inv_u22, eye(d.g1.dim)),
@@ -525,13 +530,6 @@ def build_eaoe(w: EAESpecialWitness, d: CornerDecomposition, rb: ReducedBlocks,
 # pipeline
 
 
-def _stage(name: str, fn):
-    try:
-        return fn()
-    except ToolkitError as exc:
-        raise PipelineStageError(name, str(exc), getattr(exc, "report", None)) from exc
-
-
 def run_pipeline(U, V, w: EAESpecialWitness | None = None,
                  tol: float = DEFAULT_TOL) -> PipelineReport:
     """Full reduction from (U, V) to small EAE, EAOE and Schur coupling.
@@ -539,9 +537,11 @@ def run_pipeline(U, V, w: EAESpecialWitness | None = None,
     When no witness is supplied one is synthesized, which requires
     ``nullity(U) == nullity(V)``; a mismatch raises
     :class:`~opcoupling.errors.FeasibilityError` quoting the rank oracle.
-    Every stage's residuals must stay below ``tol``, otherwise a
-    :class:`~opcoupling.errors.PipelineStageError` names the failing stage
-    and carries its residual table as ``report``.
+    Everything after that check runs through one stage runner: a stage that
+    raises a :class:`~opcoupling.errors.ToolkitError` becomes a
+    :class:`~opcoupling.errors.PipelineStageError` that names it and carries
+    the cause's residual table as ``report``; one that passes is recorded as
+    a :class:`StageResult` of its residuals and data.
     A stage that builds a witness records the report its builder verified
     the witness with; no artifact is verified twice.
     """
@@ -552,7 +552,37 @@ def run_pipeline(U, V, w: EAESpecialWitness | None = None,
         raise ShapeError("U and V must be square")
 
     stages: list[StageResult] = []
-    mc = None
+
+    def stage(name, fn, residuals=lambda out: {}, data=lambda out: {}):
+        try:
+            out = fn()
+        except ToolkitError as exc:
+            raise PipelineStageError(name, str(exc), getattr(exc, "report", None)) from exc
+        stages.append(StageResult(name, residuals(out), data(out)))
+        return out
+
+    def table(out):
+        return dict(out.residuals)
+
+    def built_table(out):
+        return dict(out[1].residuals)
+
+    def genuine(f):
+        if not f.dims_match:
+            raise NumericalError(
+                f"kernel/cokernel dimensions disagree (h2={f.dim_h2}, "
+                f"g1={f.dim_g1}, ker F22={f.dim_ker_f22}, "
+                f"ker E11={f.dim_ker_e11}); witness is not genuine")
+        return f
+
+    def on_index_side(built):
+        side = built[0].extended_side
+        if fred.extension_side not in ("none", side):
+            raise NumericalError(f"extension landed on {side} but index(F22)="
+                                 f"{fred.f22.index} demands {fred.extension_side}")
+        return built
+
+    mc = special = None
     if w is None:
         null_u, null_v = n - rank_of(U), m - rank_of(V)
         if null_u != null_v:
@@ -561,78 +591,43 @@ def run_pipeline(U, V, w: EAESpecialWitness | None = None,
                 f"{null_v}; square matrices admit the extension chain exactly "
                 "when their nullities agree"
             )
-        mc, mc_report = _stage("synthesize_mc",
-                               lambda: instances._synth_mc(U, V, null_u, tol))
-        stages.append(StageResult("synthesize_mc", dict(mc_report.residuals),
-                                  {"nullity": null_u}))
-        w, report = _stage("mc_to_special", lambda: _mc_to_eae_special(mc, tol))
-        stages.append(StageResult("mc_to_special", {}))
+        mc, _ = stage("synthesize_mc", lambda: instances._synth_mc(U, V, null_u, tol),
+                      built_table, lambda out: {"nullity": null_u})
+        w, special = stage("mc_to_special", lambda: _mc_to_eae_special(mc, tol))
     else:
-        consistency = VerifierReport("witness_consistency", {
-            "witness_u": rel_residual(w.U, U),
-            "witness_v": rel_residual(w.V, V),
-        }, tol)
-        _stage("witness_consistency", lambda: _checked(consistency, "supplied witness"))
-        stages.append(StageResult("witness_consistency", consistency.residuals))
-        # residuals only: the stage records no sigma_min extras
-        report = VerifierReport("eae_special", _special_residuals(w), tol)
+        stage("witness_consistency", lambda: _checked(VerifierReport(
+            "witness_consistency",
+            {"witness_u": rel_residual(w.U, U), "witness_v": rel_residual(w.V, V)},
+            tol), "supplied witness"), table)
 
-    _stage("verify_special", lambda: _checked(report, "anchored witness"))
-    stages.append(StageResult("verify_special", dict(report.residuals)))
+    # a supplied witness is checked by its residuals alone, without the
+    # sigma_min extras of verify_eae_special
+    stage("verify_special", lambda: _checked(
+        special or VerifierReport("eae_special", _special_residuals(w), tol),
+        "anchored witness"), table)
 
-    fred = _stage("fredholm", lambda: fredholm_report(w))
-    stages.append(StageResult("fredholm", {}, {
-        "index_f22": fred.f22.index, "index_f11": fred.f11.index,
-        "index_e11": fred.e11.index, "index_ehat11": fred.ehat11.index,
-        "dim_h2": fred.dim_h2, "dim_g1": fred.dim_g1,
-        "dim_ker_f22": fred.dim_ker_f22, "dim_ker_e11": fred.dim_ker_e11,
-        "extension_side": fred.extension_side,
-    }))
-    if not fred.dims_match:
-        raise PipelineStageError(
-            "fredholm",
-            f"kernel/cokernel dimensions disagree (h2={fred.dim_h2}, "
-            f"g1={fred.dim_g1}, ker F22={fred.dim_ker_f22}, "
-            f"ker E11={fred.dim_ker_e11}); witness is not genuine",
-        )
-
-    d = _stage("decompose_corners", lambda: decompose_corners(w, tol))
-    stages.append(StageResult("decompose_corners", {}, {
-        "cond_f22_prime": d.cond_f22_prime, "cond_e11_prime": d.cond_e11_prime,
-        "rank": d.rank_f22,
-    }))
-
-    rb = _stage("derive_blocks", lambda: derive_uv_blocks(w, d, tol))
-    stages.append(StageResult("derive_blocks", dict(rb.residuals)))
-
-    wn = _stage("normalize_adjoint", lambda: normalize_adjoint(w, tol))
-    stages.append(StageResult("normalize_adjoint", {}))
-
+    fred = stage("fredholm", lambda: genuine(fredholm_report(w)), data=lambda f: {
+        "index_f22": f.f22.index, "index_f11": f.f11.index,
+        "index_e11": f.e11.index, "index_ehat11": f.ehat11.index,
+        "dim_h2": f.dim_h2, "dim_g1": f.dim_g1,
+        "dim_ker_f22": f.dim_ker_f22, "dim_ker_e11": f.dim_ker_e11,
+        "extension_side": f.extension_side,
+    })
+    d = stage("decompose_corners", lambda: decompose_corners(w, tol), data=lambda c: {
+        "cond_f22_prime": c.cond_f22_prime, "cond_e11_prime": c.cond_e11_prime,
+        "rank": c.rank_f22,
+    })
+    rb = stage("derive_blocks", lambda: derive_uv_blocks(w, d, tol), table)
+    wn = stage("normalize_adjoint", lambda: normalize_adjoint(w, tol))
     # normalize_adjoint keeps U and V, so their norms carry over
-    rb2 = _stage("rederive_blocks", lambda: derive_uv_blocks(wn, d, tol, rb.scales))
-    stages.append(StageResult("rederive_blocks", dict(rb2.residuals)))
-
-    two_sided = _stage("two_sided", lambda: check_two_sided(wn, rb2, tol))
-    stages.append(StageResult("two_sided", two_sided))
-
-    small, small_report = _stage("small_eae", lambda: build_small_eae(wn, d, rb2, tol))
-    stages.append(StageResult("small_eae", dict(small_report.residuals), {
-        "x0_dim": small.x0_dim, "y0_dim": small.y0_dim,
-    }))
-
-    eaoe, eaoe_report = _stage("build_eaoe", lambda: build_eaoe(wn, d, rb2, tol))
-    stages.append(StageResult("build_eaoe", dict(eaoe_report.residuals), {
-        "extended_side": eaoe.extended_side, "ext_dim": eaoe.ext_dim,
-    }))
-    if fred.extension_side != "none" and eaoe.extended_side != fred.extension_side:
-        raise PipelineStageError(
-            "build_eaoe",
-            f"extension landed on {eaoe.extended_side} but index(F22)="
-            f"{fred.f22.index} demands {fred.extension_side}",
-        )
-
-    sc, sc_report = _stage("schur_coupling", lambda: sc_from_eaoe(eaoe, tol))
-    stages.append(StageResult("schur_coupling", dict(sc_report.residuals)))
+    rb2 = stage("rederive_blocks", lambda: derive_uv_blocks(wn, d, tol, rb.scales), table)
+    stage("two_sided", lambda: check_two_sided(wn, rb2, tol), dict)
+    small, _ = stage("small_eae", lambda: build_small_eae(wn, d, rb2, tol), built_table,
+                     lambda out: {"x0_dim": out[0].x0_dim, "y0_dim": out[0].y0_dim})
+    eaoe, _ = stage("build_eaoe", lambda: on_index_side(build_eaoe(wn, d, rb2, tol)),
+                    built_table, lambda out: {"extended_side": out[0].extended_side,
+                                              "ext_dim": out[0].ext_dim})
+    sc, _ = stage("schur_coupling", lambda: sc_from_eaoe(eaoe, tol), built_table)
 
     return PipelineReport(
         U=U, V=V, tol=tol, stages=tuple(stages),

@@ -7,6 +7,7 @@ import pytest
 
 from opcoupling import cli
 from opcoupling.cli import dispatch
+from opcoupling.errors import NumericalError
 from opcoupling.hankel import SymbolFC
 from opcoupling.instances import InstanceSpec, random_instance, random_sc_witness
 from opcoupling.reduction import run_pipeline
@@ -121,6 +122,15 @@ class TestCliPipeline:
         path = tmp_path / "bad_inst.json"
         path.write_text(dumps_canonical(encode_instance(u, v)))
         assert dispatch(["pipeline", "--in", str(path)]) == 1
+
+    def test_numerical_error_exits_1(self, instance_file, monkeypatch, capsys):
+        def failing(*args, **kwargs):
+            raise NumericalError("SVD of shape (4, 4) failed: no convergence")
+
+        monkeypatch.setattr("opcoupling.reduction.rank_of", failing)
+        assert dispatch(["pipeline", "--in", str(instance_file)]) == 1
+        assert ("pipeline failed: SVD of shape (4, 4) failed: no convergence"
+                in capsys.readouterr().err)
 
     def test_batch_mode_with_jobs(self, tmp_path):
         paths = []
@@ -477,7 +487,7 @@ class TestCliHankel:
 @pytest.mark.parametrize("args,field", [
     (["--n", "-1"], "size n"), (["--m", "-1"], "size m"), (["--nullity", "-1"], "nullity k"),
     (["--cond-bound", "nan"], "cond_bound"), (["--cond-bound", "inf"], "cond_bound"),
-    (["--cond-bound", "0.5"], "cond_bound"),
+    (["--cond-bound", "0.5"], "cond_bound"), (["--seed", "-1"], "seed"),
 ])
 def test_synth_invalid_spec_exits_2(tmp_path, capsys, args, field):
     out = tmp_path / "inst.json"

@@ -3,7 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opcoupling.errors import PreconditionError, ShapeError, SingularMatrixError
+from opcoupling.errors import (
+    NumericalError,
+    PreconditionError,
+    ShapeError,
+    SingularMatrixError,
+)
 from opcoupling.numkernel import (
     _certainly_within,
     adjoint,
@@ -28,6 +33,15 @@ def test_as_matrix_rejects_nan():
 
 def test_spectral_norm_empty():
     assert spectral_norm(np.zeros((0, 3))) == 0.0
+
+
+def test_spectral_norm_failed_svd_is_a_numerical_error(monkeypatch):
+    def failing(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", failing)
+    with pytest.raises(NumericalError, match="SVD of shape"):
+        spectral_norm(np.eye(2))
 
 
 def _residual_cases():

@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import sys
 from collections import Counter
@@ -399,6 +400,44 @@ class TestRunPipeline:
     def test_supplied_witness_must_match(self):
         with pytest.raises(PipelineStageError, match="witness"):
             run_pipeline([[2.0]], [[0.5]], w=worked_special())
+
+    def test_supplied_witness_of_wrong_shape_fails_its_stage(self):
+        with pytest.raises(PipelineStageError) as info:
+            run_pipeline(np.eye(2), [[0.5]], w=worked_special())
+        assert info.value.stage == "witness_consistency"
+        assert str(info.value) == ("stage 'witness_consistency': residual of "
+                                   "mismatched shapes (1, 1) vs (2, 2)")
+
+    def test_fredholm_dims_mismatch_fails_its_stage(self, monkeypatch):
+        real = reduction.fredholm_report
+
+        def skewed(w):
+            fred = real(w)
+            return dataclasses.replace(fred, dim_g1=fred.dim_g1 + 1)
+
+        monkeypatch.setattr(reduction, "fredholm_report", skewed)
+        u, v = random_instance(InstanceSpec(12, 14, 2, seed=1))
+        with pytest.raises(PipelineStageError) as info:
+            run_pipeline(u, v, tol=1e-8)
+        assert info.value.stage == "fredholm"
+        assert str(info.value) == (
+            "stage 'fredholm': kernel/cokernel dimensions disagree (h2=10, g1=11, "
+            "ker F22=12, ker E11=12); witness is not genuine")
+
+    def test_extension_on_the_wrong_side_fails_its_stage(self, monkeypatch):
+        real = reduction.build_eaoe
+
+        def flipped(*args):
+            eaoe, report = real(*args)
+            return SimpleNamespace(extended_side="V", ext_dim=eaoe.ext_dim), report
+
+        monkeypatch.setattr(reduction, "build_eaoe", flipped)
+        u, v = random_instance(InstanceSpec(12, 14, 2, seed=1))
+        with pytest.raises(PipelineStageError) as info:
+            run_pipeline(u, v, tol=1e-8)
+        assert info.value.stage == "build_eaoe"
+        assert str(info.value) == ("stage 'build_eaoe': extension landed on V "
+                                   "but index(F22)=2 demands U")
 
     def test_failed_stage_carries_its_report(self):
         u, v = random_instance(InstanceSpec(12, 14, 2, seed=1))

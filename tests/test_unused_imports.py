@@ -1,8 +1,11 @@
-"""Every name a module of the package imports is read somewhere in it.
+"""Every name a module of the package imports is read somewhere in it, and
+every private module-level function or class is used somewhere in the package.
 
-No linter ships with the toolchain, so the check walks each module's syntax
-tree: a name bound by an import must occur as a plain name or as the base
-of an attribute access elsewhere in the module.
+No linter ships with the toolchain, so the checks walk the syntax trees: a
+name bound by an import must occur as a plain name or as the base of an
+attribute access elsewhere in the module, and the name of a private
+top-level ``def`` or ``class`` must occur as a plain name or an attribute
+somewhere in the package besides its own definition.
 """
 
 import ast
@@ -39,3 +42,29 @@ def test_attribute_base_counts_as_read():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_reads_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unreferenced_private(sources: list[str]) -> list[str]:
+    trees = [ast.parse(source) for source in sources]
+    defined = [node.name for tree in trees for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+               and node.name.startswith("_")]
+    used = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return [name for name in defined if name not in used]
+
+
+def test_detects_an_unreferenced_private_definition():
+    sources = ["def _dead():\n    pass\n\ndef _live():\n    pass\n",
+               "from . import a\nx = a._live()\n"]
+    assert unreferenced_private(sources) == ["_dead"]
+
+
+def test_package_uses_every_private_definition():
+    sources = [path.read_text(encoding="utf-8") for path in MODULES]
+    assert unreferenced_private(sources) == []
