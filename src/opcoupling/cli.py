@@ -226,7 +226,7 @@ def _run_one_pipeline(in_path: str, tol: float, out_path, report_path):
               help="JSON report path (single input).")
 @click.option("--out-dir", type=click.Path(file_okay=False),
               help="Output directory for batch mode.")
-@click.option("--jobs", type=int, default=1, show_default=True,
+@click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True,
               help="Parallel workers for batch mode.")
 @click.pass_context
 def pipeline(ctx, in_paths, tol, out_path, report_path, out_dir, jobs):
@@ -245,7 +245,7 @@ def pipeline(ctx, in_paths, tol, out_path, report_path, out_dir, jobs):
             return _run_one_pipeline(path, tol, wit, rep)
 
         failures = 0
-        workers = max(1, min(jobs, len(in_paths)))
+        workers = min(jobs, len(in_paths))
         # the pool joins inside the block, before the thread count is restored
         with _shared_blas_threads(workers), \
                 ThreadPoolExecutor(max_workers=workers) as pool:
@@ -321,7 +321,7 @@ def _parse_symbol(text: str, offset: int) -> SymbolFC:
               callback=_check_p)
 @click.option("--kmax", type=click.IntRange(min=0), default=5, show_default=True,
               help="Largest shift tried in the comparability search.")
-@click.option("--grid", type=int, default=0,
+@click.option("--grid", type=click.IntRange(min=0), default=0,
               help="FFT grid size override for symbol inversion.")
 @click.option("--tol", type=float, default=1e-8, show_default=True, callback=_check_tol,
               help="Zero-threshold for |f| on the inversion grid.")

@@ -1,5 +1,10 @@
 """Synthesis of coupling witnesses and random test instances.
 
+:func:`synth_mc` dresses a sparse core by the singular vectors of U and V.
+The core pairs their smallest singular values one to one, so ``cond(Uhat)``
+is known in closed form and the off-diagonal corners have rank
+``min(n, m)``: the reduction then extends one side by ``|n - m|`` only.
+
 Random matrices are produced from an explicit ``numpy.random.Generator`` (or
 an integer seed), never from global state, so every instance is reproducible
 bit for bit.  Invertible factors are built as unitary-diagonal-unitary with
@@ -8,13 +13,13 @@ prescribed singular values, keeping conditioning under control.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .blockops import Block2x2
 from .errors import FeasibilityError, PreconditionError
-from .numkernel import adjoint, as_matrix, rank_of, svd, zeros
+from .numkernel import adjoint, as_matrix, svd, zeros
 from .relations import (
     DEFAULT_TOL,
     MCWitness,
@@ -58,81 +63,70 @@ def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def _null_pairing_permutation(n: int, m: int, k: int) -> np.ndarray:
-    """Self-inverse permutation of C^(n+m) swapping the k trailing coordinates
-    of the first group with the k trailing coordinates of the second."""
-    perm = np.arange(n + m)
-    for j in range(k):
-        perm[n - k + j], perm[n + m - k + j] = perm[n + m - k + j], perm[n - k + j]
-    p = zeros(n + m, n + m)
-    p[np.arange(n + m), perm] = 1.0
-    return p
+def _diag(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Block diagonal ``diag(a, b)``."""
+    return Block2x2(a, zeros(a.shape[0], b.shape[1]), zeros(b.shape[0], a.shape[1]),
+                    b).assemble()
 
 
-def synth_mc(U, V, tol: float = DEFAULT_TOL) -> MCWitness:
-    """Synthesize a matricial coupling of two matrices with equal nullity.
+def synth_mc(U, V, tol: float = DEFAULT_TOL) -> tuple[MCWitness, VerifierReport]:
+    """Matricial coupling of two square matrices with equal nullity, with the
+    report it was verified by.
 
-    Both matrices are put into rank normal form, ``U = P1 (I (+) 0) P2`` and
-    ``V = Q1 (I (+) 0) Q2``; the coupling matrix is the null-coordinate
-    pairing permutation dressed by those factors:
+    With the full SVDs ``U = W_u S_u X_u*`` and ``V = W_v S_v X_v*``,
 
-        Uhat = diag(P1, Q2^-1) @ Pi @ diag(P2, Q1^-1)
+        Uhat    = diag(W_u, X_v) @ C    @ diag(X_u*, W_v*)
+        UhatInv = diag(X_u, W_v) @ C^-1 @ diag(W_u*, X_v*)
 
-    where Pi swaps the null coordinates of U with the null coordinates of V
-    in index order and fixes everything else.  All factor inverses are
-    available in closed form, so ``UhatInv`` is exact up to rounding.
+    where the core ``C`` pairs the trailing ``min(n, m)`` coordinates of U
+    and V one to one: a null pair becomes the swap ``[[0, 1], [1, 0]]``, a
+    nonzero pair ``(s, r)`` becomes ``[[s, -t], [t, 0]]`` with
+    ``t = sqrt(s / r)`` (inverse ``[[0, 1/t], [-1/t, r]]``), and an unpaired
+    leading value becomes ``[s]`` or ``[1/r]``.  ``C^-1`` is written down too,
+    and ``cond(Uhat) = cond(C)``, taken from the blocks in closed form, is the
+    report's ``cond_uhat`` extra.  The nullities are the ranks of the two
+    SVDs; unequal ones raise :class:`~opcoupling.errors.FeasibilityError`.
     """
     U = as_matrix(U)
     V = as_matrix(V)
     n, m = U.shape[0], V.shape[0]
     if U.shape != (n, n) or V.shape != (m, m):
         raise PreconditionError("U and V must be square")
-    ku = n - rank_of(U)
-    kv = m - rank_of(V)
-    if ku != kv:
-        raise FeasibilityError(
-            f"cannot couple: nullity(U)={ku} differs from nullity(V)={kv}"
-        )
-    return _synth_mc(U, V, ku, tol)[0]
-
-
-def _synth_mc(U: np.ndarray, V: np.ndarray, k: int,
-              tol: float) -> tuple[MCWitness, VerifierReport]:
-    """The witness of :func:`synth_mc` with its verifier report, for square
-    complex ``U``, ``V`` whose common nullity ``k`` the caller has checked."""
-    n, m = U.shape[0], V.shape[0]
     res_u, res_v = svd(U), svd(V)
-    r_u, r_v = n - k, m - k
-    su = np.ones(n)
-    su[:r_u] = res_u.singulars[:r_u]
-    sv = np.ones(m)
-    sv[:r_v] = res_v.singulars[:r_v]
-    p1 = res_u.left * su            # P1 = W_u diag(su)
-    p2 = adjoint(res_u.right)       # unitary
-    q1 = res_v.left * sv
-    q2 = adjoint(res_v.right)
+    k, kv = n - res_u.rank(), m - res_v.rank()
+    if k != kv:
+        raise FeasibilityError(
+            f"cannot couple: nullity(U)={k} differs from nullity(V)={kv}")
+    p = min(n, m)
+    lead_u, lead_v = np.arange(n - p), n + np.arange(m - p)
+    pair_u, pair_v = np.arange(n - p, n - k), n + np.arange(m - p, m - k)
+    null_u, null_v = np.arange(n - k, n), n + np.arange(m - k, m)
+    s_lead, r_lead = res_u.singulars[: n - p], res_v.singulars[: m - p]
+    s, r = res_u.singulars[n - p: n - k], res_v.singulars[m - p: m - k]
+    t = np.sqrt(s / r)
 
-    pi = _null_pairing_permutation(n, m, k)
+    core, core_inv = zeros(n + m, n + m), zeros(n + m, n + m)
+    core[lead_u, lead_u], core_inv[lead_u, lead_u] = s_lead, 1.0 / s_lead
+    core[lead_v, lead_v], core_inv[lead_v, lead_v] = 1.0 / r_lead, r_lead
+    core[pair_u, pair_u], core[pair_u, pair_v], core[pair_v, pair_u] = s, -t, t
+    core_inv[pair_u, pair_v], core_inv[pair_v, pair_u] = 1.0 / t, -1.0 / t
+    core_inv[pair_v, pair_v] = r
+    for c in (core, core_inv):
+        c[null_u, null_v] = c[null_v, null_u] = 1.0
 
-    left = zeros(n + m, n + m)
-    left[:n, :n] = p1
-    left[n:, n:] = adjoint(q2)                  # Q2^-1, exact for unitary Q2
-    right = zeros(n + m, n + m)
-    right[:n, :n] = p2
-    right[n:, n:] = adjoint(res_v.left) / sv[:, None]   # Q1^-1 = diag(sv)^-1 W_v*
+    # singular values of C, blockwise: sigma+ - sigma- = s and
+    # sigma+ sigma- = t^2 for each nonzero pair, 1 twice for each null pair
+    sigma_plus = (np.hypot(s, 2.0 * t) + s) / 2.0
+    sigmas = np.concatenate([s_lead, 1.0 / r_lead, sigma_plus, t * t / sigma_plus,
+                             np.ones(k)])
+    cond = float(sigmas.max() / sigmas.min()) if sigmas.size else 1.0
 
-    left_inv = zeros(n + m, n + m)
-    left_inv[:n, :n] = adjoint(res_u.left) / su[:, None]  # P1^-1
-    left_inv[n:, n:] = q2
-    right_inv = zeros(n + m, n + m)
-    right_inv[:n, :n] = adjoint(p2)
-    right_inv[n:, n:] = q1
-
-    uhat = left @ pi @ right
-    uhat_inv = right_inv @ pi @ left_inv        # Pi is self-inverse
-
+    w_u, x_u, w_v, x_v = res_u.left, res_u.right, res_v.left, res_v.right
+    uhat = _diag(w_u, x_v) @ core @ _diag(adjoint(x_u), adjoint(w_v))
+    uhat_inv = _diag(x_u, w_v) @ core_inv @ _diag(adjoint(w_u), adjoint(x_v))
     mc = MCWitness(Uhat=uhat, UhatInv=uhat_inv, n=n, m=m, U=U, V=V)
-    return mc, _checked(verify_mc(mc, tol), "synth_mc")
+    report = verify_mc(mc, tol)
+    return mc, _checked(replace(report, extras={"cond_uhat": cond}), "synth_mc")
 
 
 def random_instance(spec: InstanceSpec):

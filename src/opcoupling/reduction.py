@@ -243,12 +243,14 @@ def _stacked_bases(d: CornerDecomposition):
 def fredholm_report(w: EAESpecialWitness) -> FredholmReport:
     """Rank and index bookkeeping for F11, F22, E11 and Ehat11.
 
-    The index identities ``index(F11) = -index(F22)`` and
-    ``index(E11) = -index(Ehat11)`` are asserted; for a genuine witness the
-    kernel/cokernel dimension equalities ``dim h2 = dim g1`` and
-    ``dim ker F22 = dim ker E11`` hold as well and are exposed through
-    :attr:`FredholmReport.dims_match`.  The sign of ``index(F22)`` dictates
-    which operator the one-sided extension lands on: positive means ``U``.
+    A corner's index is ``cols - rows`` whatever its rank, so the block
+    shapes :class:`~opcoupling.relations.EAESpecialWitness` fixes give the
+    identities ``index(F11) = -index(F22)`` and ``index(E11) = -index(Ehat11)``
+    by construction.  For a genuine witness the kernel/cokernel dimension
+    equalities ``dim h2 = dim g1`` and ``dim ker F22 = dim ker E11`` hold as
+    well; they are exposed through :attr:`FredholmReport.dims_match`.  The
+    sign of ``index(F22)`` dictates which operator the one-sided extension
+    lands on: positive means ``U``.
     """
     def corner(block: np.ndarray) -> CornerFredholm:
         rows, cols = block.shape
@@ -260,9 +262,6 @@ def fredholm_report(w: EAESpecialWitness) -> FredholmReport:
     f22 = corner(w.F22)
     e11 = corner(w.E11)
     ehat11 = corner(w.Ehat11)
-    if f11.index != -f22.index or e11.index != -ehat11.index:
-        raise NumericalError("corner index identities violated; witness blocks "
-                             "have inconsistent shapes")
     side = "U" if f22.index > 0 else ("V" if f22.index < 0 else "none")
     return FredholmReport(
         f11=f11, f22=f22, e11=e11, ehat11=ehat11,
@@ -591,8 +590,9 @@ def run_pipeline(U, V, w: EAESpecialWitness | None = None,
                 f"{null_v}; square matrices admit the extension chain exactly "
                 "when their nullities agree"
             )
-        mc, _ = stage("synthesize_mc", lambda: instances._synth_mc(U, V, null_u, tol),
-                      built_table, lambda out: {"nullity": null_u})
+        mc, _ = stage("synthesize_mc", lambda: instances.synth_mc(U, V, tol), built_table,
+                      lambda out: {"nullity": null_u,
+                                   "cond_uhat": out[1].extras["cond_uhat"]})
         w, special = stage("mc_to_special", lambda: _mc_to_eae_special(mc, tol))
     else:
         stage("witness_consistency", lambda: _checked(VerifierReport(

@@ -88,7 +88,7 @@ class TestCliPipeline:
                          "--out", str(wit), "--report", str(rep)]) == 0
         report = json.loads(rep.read_text())
         assert report["success"] is True
-        assert report["extension_dims"] == {"x0_dim": 4, "y0_dim": 2}
+        assert report["extension_dims"] == {"x0_dim": 2, "y0_dim": 0}
         assert [s["name"] for s in report["stages"]][0] == "synthesize_mc"
         # every witness written by pipeline re-verifies
         assert dispatch(["verify", "--witness", str(wit), "--kind", "sc"]) == 0
@@ -276,6 +276,13 @@ class TestBatchBlasThreads:
                 "--out", str(single / f"{path.stem}.witness.json"),
                 "--report", str(single / f"{path.stem}.report.json")]) == 0
         assert _masked_outputs(tmp_path / "batch") == _masked_outputs(single)
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_nonpositive_jobs_is_invalid_input(self, tmp_path, batch_inputs, capsys, jobs):
+        out = tmp_path / "out"
+        assert _batch(batch_inputs[:2], out, jobs) == 2
+        assert "'--jobs'" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("jobs, calls", [(8, [4, 8]), (2, [4, 8]), (1, [])])
     def test_workers_are_capped_by_inputs(self, tmp_path, batch_inputs, fake_blas,
@@ -467,7 +474,7 @@ class TestCliHankel:
 
     @pytest.mark.parametrize("option,value", [
         ("--p", "0.5"), ("--p", "0"), ("--p", "nan"), ("--p", "inf"), ("--p", "-inf"),
-        ("--kmax", "-3"), ("--kmax", "-1"),
+        ("--kmax", "-3"), ("--kmax", "-1"), ("--grid", "-4"), ("--grid", "-1"),
     ])
     def test_invalid_option_exits_2(self, tmp_path, capsys, option, value):
         rep = tmp_path / "h.json"
@@ -476,7 +483,8 @@ class TestCliHankel:
         assert f"'{option}'" in capsys.readouterr().err
         assert not rep.exists()
 
-    @pytest.mark.parametrize("option,value", [("--p", "1"), ("--kmax", "0")])
+    @pytest.mark.parametrize("option,value", [("--p", "1"), ("--kmax", "0"),
+                                              ("--grid", "0")])
     def test_boundary_option_accepted(self, tmp_path, option, value):
         rep = tmp_path / "h.json"
         assert dispatch(["hankel", "--symbol", "2,1", "--N", "10", f"{option}={value}",

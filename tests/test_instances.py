@@ -15,25 +15,40 @@ from opcoupling.relations import verify_mc, verify_sc
 
 class TestSynthMc:
     def test_null_pair_is_swap(self):
-        mc = synth_mc([[0.0]], [[0.0]])
+        mc, _ = synth_mc([[0.0]], [[0.0]])
         np.testing.assert_allclose(mc.Uhat, [[0.0, 1.0], [1.0, 0.0]], atol=1e-15)
         np.testing.assert_allclose(mc.UhatInv, mc.Uhat, atol=1e-15)
         assert verify_mc(mc, 1e-12).passed
 
-    def test_identity_pair_decouples(self):
-        mc = synth_mc([[1.0]], [[1.0]])
-        np.testing.assert_allclose(mc.Uhat, np.eye(2), atol=1e-15)
+    def test_identity_pair_couples(self):
+        # the nonzero pair (s, r) = (1, 1) gives t = sqrt(s / r) = 1
+        mc, _ = synth_mc([[1.0]], [[1.0]])
+        np.testing.assert_allclose(mc.Uhat, [[1.0, -1.0], [1.0, 0.0]], atol=1e-15)
+        np.testing.assert_allclose(mc.UhatInv, [[0.0, 1.0], [-1.0, 1.0]], atol=1e-15)
 
     def test_worked_pair(self):
-        mc = synth_mc([[1.0]], [[0.5]])
+        # (s, r) = (1, 0.5) gives t = sqrt(2); the inverse's corner is r
+        mc, _ = synth_mc([[1.0]], [[0.5]])
+        t = np.sqrt(2.0)
+        np.testing.assert_allclose(mc.Uhat, [[1.0, -t], [t, 0.0]], atol=1e-15)
+        np.testing.assert_allclose(mc.UhatInv, [[0.0, 1 / t], [-1 / t, 0.5]], atol=1e-15)
         assert verify_mc(mc, 1e-12).passed
+
+    @pytest.mark.parametrize("n,m,k,cond", [
+        (6, 6, 2, 1e3), (4, 9, 1, 1e2), (9, 4, 3, 1e4), (5, 5, 5, 1e2), (7, 2, 0, 10.0),
+    ], ids=["square", "wide", "tall", "all-null", "no-null"])
+    def test_cond_uhat_is_exact(self, n, m, k, cond):
+        u, v = random_instance(InstanceSpec(n, m, k, seed=11, cond_bound=cond))
+        mc, report = synth_mc(u, v)
+        assert report.extras["cond_uhat"] == pytest.approx(np.linalg.cond(mc.Uhat),
+                                                           rel=1e-6)
 
     @pytest.mark.parametrize("n,m,k,cond", [
         (4, 6, 2, 1e2), (8, 3, 3, 1e3), (16, 16, 4, 1e4), (32, 32, 6, 1e4),
     ])
     def test_verifies_at_tight_tolerance(self, n, m, k, cond):
         u, v = random_instance(InstanceSpec(n, m, k, seed=97, cond_bound=cond))
-        mc = synth_mc(u, v)
+        mc, _ = synth_mc(u, v)
         assert verify_mc(mc, 1e-10).passed
 
 

@@ -6,8 +6,10 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from opcoupling import reduction, relations
+from opcoupling import instances, reduction, relations
 from opcoupling.errors import (
     ConversionError,
     FeasibilityError,
@@ -57,7 +59,8 @@ def swap_special(n=1):
 
 def synthesized(n, m, k, seed=5, cond=100.0):
     u, v = random_instance(InstanceSpec(n, m, k, seed=seed, cond_bound=cond))
-    return mc_to_eae_special(synth_mc(u, v))
+    mc, _ = synth_mc(u, v)
+    return mc_to_eae_special(mc)
 
 
 class TestFredholmReport:
@@ -175,7 +178,8 @@ class TestNormalizeAdjointExactFallback:
 def chain():
     """The stage inputs of a 12x14, nullity-2 pipeline, built at the default tol."""
     u, v = random_instance(InstanceSpec(12, 14, 2, seed=1))
-    w = mc_to_eae_special(synth_mc(u, v))
+    mc, _ = synth_mc(u, v)
+    w = mc_to_eae_special(mc)
     d = decompose_corners(w)
     rb = derive_uv_blocks(w, d)
     wn = normalize_adjoint(w)
@@ -421,8 +425,8 @@ class TestRunPipeline:
             run_pipeline(u, v, tol=1e-8)
         assert info.value.stage == "fredholm"
         assert str(info.value) == (
-            "stage 'fredholm': kernel/cokernel dimensions disagree (h2=10, g1=11, "
-            "ker F22=12, ker E11=12); witness is not genuine")
+            "stage 'fredholm': kernel/cokernel dimensions disagree (h2=0, g1=1, "
+            "ker F22=2, ker E11=2); witness is not genuine")
 
     def test_extension_on_the_wrong_side_fails_its_stage(self, monkeypatch):
         real = reduction.build_eaoe
@@ -440,12 +444,14 @@ class TestRunPipeline:
                                    "but index(F22)=2 demands U")
 
     def test_failed_stage_carries_its_report(self):
+        # synthesize_mc passes at 3.3e-15; the anchored witness's
+        # extension equation reads 4.7e-15
         u, v = random_instance(InstanceSpec(12, 14, 2, seed=1))
         with pytest.raises(PipelineStageError) as info:
-            run_pipeline(u, v, tol=1e-13)
-        assert info.value.stage == "schur_coupling"
+            run_pipeline(u, v, tol=4e-15)
+        assert info.value.stage == "mc_to_special"
         label, value = info.value.report.worst()
-        assert label == "schur_u" and value > 1e-13
+        assert label == "extension_equation" and value > 4e-15
 
     def test_final_coupling_couples_the_inputs(self):
         u, v = random_instance(InstanceSpec(5, 3, 2, seed=77, cond_bound=100))
@@ -520,32 +526,53 @@ def test_pipeline_verifies_each_artifact_once(work_counts):
     assert run_pipeline(u, v, tol=1e-8).success
     assert sum(work_counts[k] for k in _VERIFIER_KINDS) == 4
     assert work_counts["eae_special"] == 0
-    assert work_counts["svd"] == 66
+    assert work_counts["svd"] == 60
 
 
 def test_supplied_witness_pipeline_counts(work_counts):
     """The supplied-witness path records residuals only, so it takes no
     sigma_min SVDs of E and F and calls no public verifier for them."""
     u, v = random_instance(InstanceSpec(12, 14, 2, seed=1))
-    w = mc_to_eae_special(synth_mc(u, v, 1e-8), 1e-8)
+    mc, _ = synth_mc(u, v, 1e-8)
+    w = mc_to_eae_special(mc, 1e-8)
     work_counts.clear()
     assert run_pipeline(u, v, w=w, tol=1e-8).success
     assert sum(work_counts[k] for k in _VERIFIER_KINDS) == 3
     assert work_counts["eae_special"] == 0
-    assert work_counts["svd"] == 57
+    assert work_counts["svd"] == 51
 
 
 def test_pipeline_calls_the_public_builders(monkeypatch):
-    """run_pipeline reaches the builders of its last three stages by their
-    public names, once each, so a wrapper on those names sees every call."""
+    """run_pipeline reaches the synthesis and the builders of its last three
+    stages by their public names, once each, so a wrapper on those names sees
+    every call."""
     u, v = random_instance(InstanceSpec(12, 14, 2, seed=1))
     expected = dumps_canonical(pipeline_report_to_dict(run_pipeline(u, v, tol=1e-8)))
     counts = Counter()
     _count_calls(monkeypatch, counts, {
+        "synth_mc": instances.synth_mc,
         "build_small_eae": reduction.build_small_eae,
         "build_eaoe": reduction.build_eaoe,
         "sc_from_eaoe": reduction.sc_from_eaoe,
     })
     report = run_pipeline(u, v, tol=1e-8)
-    assert counts == {"build_small_eae": 1, "build_eaoe": 1, "sc_from_eaoe": 1}
+    assert counts == {"synth_mc": 1, "build_small_eae": 1, "build_eaoe": 1,
+                      "sc_from_eaoe": 1}
     assert dumps_canonical(pipeline_report_to_dict(report)) == expected
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data(), n=st.integers(0, 32), m=st.integers(0, 32),
+       log_cond=st.floats(0.0, 6.0), seed=st.integers(0, 2**32 - 1))
+def test_synthesized_extension_is_one_sided_and_minimal(data, n, m, log_cond, seed):
+    k = data.draw(st.integers(0, min(n, m)), label="k")
+    u, v = random_instance(InstanceSpec(n, m, k, seed=seed, cond_bound=10.0 ** log_cond))
+    report = run_pipeline(u, v, tol=1e-8)
+    swapped = run_pipeline(v, u, tol=1e-8)
+    assert report.stage("synthesize_mc").data["cond_uhat"] == pytest.approx(
+        np.linalg.cond(report.mc.Uhat) if n + m else 1.0, rel=1e-6)
+    for r in (report, swapped):
+        assert r.x0_dim * r.y0_dim == 0
+        assert r.eaoe.ext_dim == abs(n - m)
+    if n != m:
+        assert {report.eaoe.extended_side, swapped.eaoe.extended_side} == {"U", "V"}

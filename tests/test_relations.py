@@ -158,7 +158,8 @@ class TestMcToEaeSpecial:
 
     def test_random_synthesized(self):
         u, v = random_instance(InstanceSpec(3, 3, 1, seed=7, cond_bound=50))
-        w = mc_to_eae_special(synth_mc(u, v))
+        mc, _ = synth_mc(u, v)
+        w = mc_to_eae_special(mc)
         rep = verify_eae_special(w, 1e-10)
         assert rep.passed
         assert rep.residuals["extension_equation"] <= 1e-10
@@ -231,7 +232,8 @@ class TestConverterProperties:
     def test_synthesized_eleven_identities(self, nullity):
         u, v = random_instance(InstanceSpec(4, 5, nullity, seed=31 + nullity,
                                             cond_bound=100))
-        w = mc_to_eae_special(synth_mc(u, v))
+        mc, _ = synth_mc(u, v)
+        w = mc_to_eae_special(mc)
         rep = verify_eae_special(w, 1e-10)
         labels = [f"identity_{r}" for r in
                   ("i", "ii", "iii", "iv", "v", "vi", "vii", "viii", "ix", "x", "xi")]
