@@ -24,10 +24,9 @@ from . import __version__
 from .errors import SymbolInversionError, ToolkitError
 from .hankel import (
     SymbolFC,
-    build_sections,
+    hankel_singular_values,
     mc_residual_hankel,
     shift_comparability,
-    singular_values,
     spectral_summability,
 )
 from .instances import InstanceSpec, random_instance
@@ -307,7 +306,10 @@ def _parse_symbol(text: str, offset: int) -> SymbolFC:
         raise click.UsageError(f"cannot parse --symbol: {exc}")
     if not coeffs:
         raise click.UsageError("--symbol must list at least one coefficient")
-    return SymbolFC(offset=offset, coeffs=np.array(coeffs, dtype=np.complex128))
+    try:
+        return SymbolFC(offset=offset, coeffs=np.array(coeffs, dtype=np.complex128))
+    except ToolkitError as exc:
+        raise click.UsageError(f"--symbol: {exc}")
 
 
 @main.command()
@@ -315,7 +317,7 @@ def _parse_symbol(text: str, offset: int) -> SymbolFC:
               help="Comma-separated coefficients, e.g. '2,1' or '0.5,1j'.")
 @click.option("--symbol-offset", type=int, default=0, show_default=True,
               help="Index of the first listed coefficient.")
-@click.option("--N", "section_size", type=int, required=True,
+@click.option("--N", "section_size", type=click.IntRange(min=1), required=True,
               help="Section half-size.")
 @click.option("--p", "schatten_p", type=float, default=2.0, show_default=True,
               callback=_check_p)
@@ -341,8 +343,8 @@ def hankel(ctx, symbol_text, symbol_offset, section_size, schatten_p, kmax,
         raise click.UsageError(str(exc))
 
     inv = coupling.inverse
-    sigma_f = singular_values(build_sections(f, section_size).H)
-    sigma_inv = singular_values(build_sections(inv, section_size).H)
+    sigma_f = hankel_singular_values(f, section_size)
+    sigma_inv = hankel_singular_values(inv, section_size)
     shift = shift_comparability(sigma_f, sigma_inv, kmax)
     summab_f = spectral_summability(sigma_f, schatten_p, besov_symbol=f)
     summab_inv = spectral_summability(sigma_inv, schatten_p, besov_symbol=inv)

@@ -25,9 +25,21 @@ two Hankel operators:
 
     [[Htilde_f, Ttilde_f], [T_f, H_f]] @ [[H_g, T_g], [Ttilde_g, Htilde_g]]
 
-is the identity up to truncation (g = 1/f).  :func:`mc_residual_hankel`
-measures that defect on the interior sub-block where the finite convolution
-agrees with the infinite one.
+is the identity up to truncation (g = 1/f).  In mode coordinates this
+product is the section of M_f times the section of M_g, so its entry (p, q)
+is ``sum_{|k| <= N} f(p - k) g(k - q)``.  :func:`mc_residual_hankel` bounds
+the defect (product - identity) from above without forming it:
+
+* on the interior rows, where the k-sum holds every coefficient of f, the
+  defect is the Toeplitz matrix of ``r = f * g - 1``; its norm is at most
+  the sup of r (cut to the offsets the block holds) on the circle, taken on
+  a fine FFT grid and enlarged by Bernstein's inequality;
+* the few edge rows with truncated k-sums are built by short convolutions
+  and decomposed exactly, and ``||D|| <= hypot(||edge||, ||interior||)``.
+
+Both residuals are thus certified upper bounds on the dense defect norms.
+:func:`hankel_singular_values` decomposes only the nonzero leading block of
+the Hankel section ``H``; the singular values beyond it are exact zeros.
 """
 
 from __future__ import annotations
@@ -37,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError, SymbolInversionError
-from .numkernel import spectral_norm, svd
+from .numkernel import _svd_vals, as_matrix, spectral_norm
 
 SIGMA_ZERO_REL = 1e-12  # singular values below this (relative) count as zero
 
@@ -102,7 +114,11 @@ def evaluate_on_grid(f: SymbolFC, grid: int) -> np.ndarray:
     buf = np.zeros(grid, dtype=np.complex128)
     idx = (np.arange(f.coeffs.size) + f.offset) % grid
     np.add.at(buf, idx, f.coeffs)
-    return np.fft.ifft(buf) * grid
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = np.fft.ifft(buf) * grid
+    if not np.all(np.isfinite(values)):
+        raise PreconditionError("symbol values overflow on the grid; rescale the symbol")
+    return values
 
 
 def winding_number(values: np.ndarray) -> int:
@@ -156,15 +172,35 @@ def convolve(f: SymbolFC, g: SymbolFC) -> SymbolFC:
                     coeffs=np.convolve(f.coeffs, g.coeffs))
 
 
+def _defect_symbol(f: SymbolFC, g: SymbolFC) -> SymbolFC:
+    """Coefficients of ``f * g - 1`` on a window that contains index 0."""
+    prod = convolve(f, g)
+    lo, hi = min(prod.offset, 0), max(prod.offset + prod.coeffs.size - 1, 0)
+    c = prod.coeff(np.arange(lo, hi + 1))
+    c[-lo] -= 1.0
+    return SymbolFC(offset=lo, coeffs=c)
+
+
 def convolution_residual(f: SymbolFC, g: SymbolFC) -> float:
     """l1 distance of the coefficients of ``f * g`` from the delta at 0."""
-    prod = convolve(f, g)
-    c = prod.coeffs.copy()
-    pos = -prod.offset
-    if 0 <= pos < c.size:
-        c[pos] -= 1.0
-        return float(np.sum(np.abs(c)))
-    return float(np.sum(np.abs(c))) + 1.0
+    return float(np.sum(np.abs(_defect_symbol(f, g).coeffs)))
+
+
+def _sup_bound(r: SymbolFC, lo: int, hi: int) -> float:
+    """Upper bound on ``max |r|`` on the circle, r cut to the window [lo, hi].
+
+    It bounds the spectral norm of every Toeplitz block ``r(p - q)`` whose
+    offsets lie in the window.  The max over an L-point grid, L >= 64 times
+    the support width w, is divided by ``1 - pi w / L``: by Bernstein's
+    inequality no point of the circle exceeds that.
+    """
+    part = r.restricted(lo, hi).trimmed(0.0)
+    if not np.any(part.coeffs):
+        return 0.0
+    width = part.coeffs.size - 1
+    grid = _fft_grid(64 * width, 64)
+    peak = float(np.max(np.abs(evaluate_on_grid(part, grid))))
+    return peak / (1.0 - np.pi * width / grid)
 
 
 # ---------------------------------------------------------------------------
@@ -180,18 +216,6 @@ class SectionBlocks:
     Htilde: np.ndarray
     H: np.ndarray
     T: np.ndarray
-
-    def reordered(self) -> np.ndarray:
-        """Block rows/columns swapped: ``[[Htilde, Ttilde], [T, H]]``."""
-        top = np.hstack([self.Htilde, self.Ttilde])
-        bottom = np.hstack([self.T, self.H])
-        return np.vstack([top, bottom])
-
-    def reordered_inverse_layout(self) -> np.ndarray:
-        """The complementary layout ``[[H, T], [Ttilde, Htilde]]``."""
-        top = np.hstack([self.H, self.T])
-        bottom = np.hstack([self.Ttilde, self.Htilde])
-        return np.vstack([top, bottom])
 
 
 def build_sections(f: SymbolFC, N: int) -> SectionBlocks:
@@ -215,7 +239,12 @@ def build_sections(f: SymbolFC, N: int) -> SectionBlocks:
 
 @dataclass(frozen=True)
 class HankelCouplingReport:
-    """Truncation defect of the section coupling between f and 1/f."""
+    """Truncation defect of the section coupling between f and 1/f.
+
+    ``interior_residual`` (sup of ``f * g - 1`` over the interior offsets) and
+    ``full_residual`` (``hypot`` of the exact edge-strip norm and that sup over
+    the interior rows) are certified upper bounds on the dense defect norms.
+    """
 
     N: int
     grid: int
@@ -231,6 +260,22 @@ class HankelCouplingReport:
     inverse: SymbolFC  # 1/f as inverted on the grid, before the section window
 
 
+def _edge_rows(f: SymbolFC, g: SymbolFC, N: int, rows) -> np.ndarray:
+    """Rows p of the section defect ``sum_{|k| <= N} f(p-k) g(k-q) - [p == q]``,
+    each a convolution of the k-slice of f with the reflected g."""
+    modes = np.arange(-N, N + 1)
+    a1, a2 = f.support
+    reflected = SymbolFC(offset=-(g.offset + g.coeffs.size - 1), coeffs=g.coeffs[::-1])
+    out = np.zeros((len(rows), modes.size), dtype=np.complex128)
+    for i, p in enumerate(rows):
+        k_lo, k_hi = max(-N, p - a2), min(N, p - a1)
+        if k_lo <= k_hi:
+            slice_f = SymbolFC(offset=k_lo, coeffs=f.coeff(p - np.arange(k_lo, k_hi + 1)))
+            out[i] = convolve(slice_f, reflected).coeff(modes)
+        out[i, p + N] -= 1.0
+    return out
+
+
 def mc_residual_hankel(f: SymbolFC, N: int, tol: float = 1e-8,
                        grid: int = 0) -> HankelCouplingReport:
     """Residual of the reordered section pair of f and 1/f against identity.
@@ -238,9 +283,11 @@ def mc_residual_hankel(f: SymbolFC, N: int, tol: float = 1e-8,
     The inverse symbol is truncated to the section window [-N, N], so the
     reported defect measures the symbol tail at scale N; for a fixed symbol
     with geometrically decaying inverse it decreases as N grows.  The
-    residual is the spectral norm of (product - identity) restricted to the
-    rows and columns whose convolution support lies fully inside the section
-    (full-block residual is reported alongside).
+    residual bounds the spectral norm of (product - identity) restricted to
+    the rows and columns whose convolution support lies fully inside the
+    section (a bound on the full-block residual is reported alongside).
+    Neither the sections nor their product is formed: the cost is a few
+    FFTs plus an SVD of the edge strip, at most ``|a1| + |a2|`` rows.
     """
     a1, a2 = f.support
     if a2 - a1 > 2 * N:
@@ -253,29 +300,23 @@ def mc_residual_hankel(f: SymbolFC, N: int, tol: float = 1e-8,
     inv = inv_full.restricted(-N, N).trimmed(0.0)
     b1, b2 = inv.support
 
-    sec_f = build_sections(f, N)
-    sec_g = build_sections(inv, N)
-    product = sec_f.reordered() @ sec_g.reordered_inverse_layout()
-    defect = product - np.eye(2 * N + 1)
-
-    def positions(lo: int, hi: int) -> np.ndarray:
-        ms = np.arange(lo, hi + 1)
-        return np.where(ms < 0, -ms - 1, N + ms)
-
     row_lo, row_hi = max(-N, a2 - N), min(N, a1 + N)
     col_lo, col_hi = max(-N, -N - b1), min(N, N - b2)
     if row_lo > row_hi or col_lo > col_hi:
         raise PreconditionError(
             "no interior rows/columns at this section size; increase N"
         )
-    sub = defect[np.ix_(positions(row_lo, row_hi), positions(col_lo, col_hi))]
+    r = _defect_symbol(f, inv)
+    edge = [*range(-N, row_lo), *range(row_hi + 1, N + 1)]
+    full = np.hypot(spectral_norm(_edge_rows(f, inv, N, edge)),
+                    _sup_bound(r, row_lo - N, row_hi + N))
 
     return HankelCouplingReport(
         N=N, grid=g_grid,
         f_support=(a1, a2), inv_support=(b1, b2),
         interior_rows=(row_lo, row_hi), interior_cols=(col_lo, col_hi),
-        interior_residual=spectral_norm(sub),
-        full_residual=spectral_norm(defect),
+        interior_residual=_sup_bound(r, row_lo - col_hi, row_hi - col_lo),
+        full_residual=float(full),
         inversion_l1=convolution_residual(f, inv),
         min_abs_on_grid=float(np.min(np.abs(values))),
         winding=winding_number(values),
@@ -288,8 +329,23 @@ def mc_residual_hankel(f: SymbolFC, N: int, tol: float = 1e-8,
 
 
 def singular_values(a) -> np.ndarray:
-    """Singular values of a matrix, non-increasing."""
-    return svd(a).singulars.copy()
+    """Singular values of a matrix, non-increasing (no singular vectors)."""
+    return _svd_vals(as_matrix(a))
+
+
+def hankel_singular_values(f: SymbolFC, N: int) -> np.ndarray:
+    """The N singular values of the (N+1) x N Hankel section H of f.
+
+    ``H[i, j] = fc(i + j + 1)`` vanishes unless ``i + j + 1 <= t``, the top
+    nonzero index of f, so only the leading ``min(N+1, t) x min(N, t)``
+    block is decomposed; the values beyond it are exact zeros.
+    """
+    t = max(f.support[1], 0)
+    rows, cols = np.arange(min(N + 1, t)), np.arange(min(N, t))
+    sigma = np.zeros(N)
+    if cols.size:
+        sigma[:cols.size] = singular_values(f.coeff(rows[:, None] + cols[None, :] + 1))
+    return sigma
 
 
 @dataclass(frozen=True)
@@ -443,16 +499,14 @@ def _besov_estimate(f: SymbolFC, p: float, t_points: int, s_points: int) -> Beso
     grid = _fft_grid(s_points, 4 * g.coeffs.size)
     js = np.arange(g.coeffs.size) + g.offset
 
-    integral = 0.0
+    # one row per t: the coefficients of D_t^n g, evaluated by a batched FFT
     dt = np.pi / t_points
-    for k in range(t_points):
-        t = (k + 0.5) * dt
-        mult = (np.exp(1j * js * t) - 1.0) ** order
-        diff = SymbolFC(offset=g.offset, coeffs=g.coeffs * mult)
-        vals = evaluate_on_grid(diff, grid)
-        norm_p_pow = float(np.mean(np.abs(vals) ** p))
-        integral += t ** (-1.0 - alpha * p) * norm_p_pow * dt
-    integral *= 2.0  # even integrand: double the (0, pi] half
+    ts = (np.arange(t_points) + 0.5) * dt
+    buf = np.zeros((t_points, grid), dtype=np.complex128)
+    buf[:, js % grid] = g.coeffs * (np.exp(1j * np.outer(ts, js)) - 1.0) ** order
+    norm_p_pow = np.mean(np.abs(np.fft.ifft(buf, axis=1) * grid) ** p, axis=1)
+    # even integrand: double the (0, pi] half
+    integral = 2.0 * float(np.sum(ts ** (-1.0 - alpha * p) * norm_p_pow * dt))
     return BesovEstimate(alpha=alpha, order=order, t_points=t_points,
                          s_points=grid, integral=integral,
                          seminorm=integral ** (1.0 / p))

@@ -472,6 +472,23 @@ class TestCliHankel:
     def test_bad_symbol_exits_2(self):
         assert dispatch(["hankel", "--symbol", "abc", "--N", "5"]) == 2
 
+    @pytest.mark.parametrize("text", ["nan", "2,inf", "1,-inf"])
+    def test_non_finite_symbol_exits_2(self, capsys, text):
+        assert dispatch(["hankel", "--symbol", text, "--N", "5"]) == 2
+        assert "--symbol: symbol coefficients must be finite" in capsys.readouterr().err
+
+    def test_overflowing_symbol_exits_2(self, capsys):
+        assert dispatch(["hankel", "--symbol", "1e308,1e308", "--N", "5"]) == 2
+        assert "overflow" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_nonpositive_section_size_exits_2(self, tmp_path, capsys, value):
+        rep = tmp_path / "h.json"
+        assert dispatch(["hankel", "--symbol", "2,1", f"--N={value}",
+                         "--report", str(rep)]) == 2
+        assert "'--N'" in capsys.readouterr().err
+        assert not rep.exists()
+
     @pytest.mark.parametrize("option,value", [
         ("--p", "0.5"), ("--p", "0"), ("--p", "nan"), ("--p", "inf"), ("--p", "-inf"),
         ("--kmax", "-3"), ("--kmax", "-1"), ("--grid", "-4"), ("--grid", "-1"),

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from opcoupling.hankel import (
     build_sections,
     convolution_residual,
     evaluate_on_grid,
+    hankel_singular_values,
     invert_symbol,
     mc_residual_hankel,
     shift_comparability,
@@ -19,6 +22,37 @@ from opcoupling.numkernel import rank_of, spectral_norm
 
 def symbol_2_plus_z():
     return SymbolFC(0, [2.0, 1.0])
+
+
+def dense_defects(f, N):
+    """Oracle: the dense section product minus identity, interior and full norms.
+
+    The sections of f and of 1/f (cut to [-N, N]) are assembled with the
+    modes in the order -1, ..., -N, 0, ..., N, so their product is the
+    reordered coupling product of the module docstring.
+    """
+    rep = mc_residual_hankel(f, N)
+    inv = rep.inverse.restricted(-N, N).trimmed(0.0)
+    sf, sg = build_sections(f, N), build_sections(inv, N)
+    defect = (np.block([[sf.Ttilde, sf.Htilde], [sf.H, sf.T]])
+              @ np.block([[sg.Ttilde, sg.Htilde], [sg.H, sg.T]])
+              - np.eye(2 * N + 1))
+
+    def positions(lo, hi):
+        ms = np.arange(lo, hi + 1)
+        return np.where(ms < 0, -ms - 1, N + ms)
+
+    sub = defect[np.ix_(positions(*rep.interior_rows), positions(*rep.interior_cols))]
+    return rep, spectral_norm(sub), spectral_norm(defect)
+
+
+ORACLE_SYMBOLS = {
+    "2+z": SymbolFC(0, [2.0, 1.0]),
+    "banded": SymbolFC(0, [3.0, 0.3 + 0.2j, -0.25j, 0.4, 0.1 - 0.3j]),
+    "two-sided": SymbolFC(-1, [0.25, 3.0, 0.5]),
+    "1+0.9z": SymbolFC(0, [1.0, 0.9]),   # truncation of 1/f dominates
+    "constant": SymbolFC(0, [2.0]),
+}
 
 
 class TestSymbolFC:
@@ -43,6 +77,11 @@ class TestSymbolFC:
         vals = evaluate_on_grid(f, 8)
         ts = 2 * np.pi * np.arange(8) / 8
         np.testing.assert_allclose(vals, 2 + np.exp(1j * ts), atol=1e-13)
+
+    def test_overflowing_values_rejected(self):
+        # finite coefficients whose sum overflows; must raise, not warn
+        with pytest.raises(PreconditionError, match="overflow"):
+            evaluate_on_grid(SymbolFC(0, [1e308, 1e308]), 8)
 
 
 class TestInvertSymbol:
@@ -145,6 +184,66 @@ class TestMcResidual:
             mc_residual_hankel(f, 2)
 
 
+class TestDenseOracle:
+    """The structured residuals bound the dense ones from above, tightly."""
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_SYMBOLS))
+    @pytest.mark.parametrize("N", [10, 40, 100, 400])
+    def test_residuals_bound_dense(self, name, N):
+        rep, interior, full = dense_defects(ORACLE_SYMBOLS[name], N)
+        assert interior - 1e-14 <= rep.interior_residual <= 1.1 * interior + 1e-14
+        assert full - 1e-14 <= rep.full_residual <= 1.1 * full + 1e-14
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_SYMBOLS))
+    @pytest.mark.parametrize("N", [10, 100, 400])
+    def test_sigmas_match_dense(self, name, N):
+        f = ORACLE_SYMBOLS[name]
+        for g in (f, mc_residual_hankel(f, N).inverse):
+            dense = singular_values(build_sections(g, N).H)
+            np.testing.assert_allclose(hankel_singular_values(g, N), dense,
+                                       rtol=0, atol=1e-12)
+
+    def test_truncation_dominated_defect_is_seen(self):
+        # 1/(1 + 0.9z) cut at N = 40 leaves r = 0.9 (-0.9)^40 z^41
+        rep, _, full = dense_defects(ORACLE_SYMBOLS["1+0.9z"], 40)
+        assert full == pytest.approx(0.9 ** 41, rel=1e-9)
+        assert full <= rep.full_residual <= 1.05 * full
+
+    def test_nonzero_block_beyond_section(self):
+        # top index above N: the nonzero block is all of H
+        f = SymbolFC(0, 0.5 ** np.arange(30))
+        np.testing.assert_allclose(hankel_singular_values(f, 8),
+                                   singular_values(build_sections(f, 8).H),
+                                   rtol=0, atol=1e-12)
+
+
+def _peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    """At N = 800 a dense (2N+1)^2 complex matrix alone takes 41 MB."""
+
+    LIMIT = 20 * 2 ** 20
+
+    @pytest.mark.parametrize("name", ["2+z", "banded", "two-sided"])
+    def test_residual_peak(self, name):
+        f = ORACLE_SYMBOLS[name]
+        assert _peak_bytes(lambda: mc_residual_hankel(f, 800)) < self.LIMIT
+
+    @pytest.mark.parametrize("name", ["2+z", "banded", "two-sided"])
+    def test_sigma_peak(self, name):
+        f = ORACLE_SYMBOLS[name]
+        inv = mc_residual_hankel(f, 800).inverse
+        assert _peak_bytes(lambda: (hankel_singular_values(f, 800),
+                                    hankel_singular_values(inv, 800))) < self.LIMIT
+
+
 class TestSingularValues:
     def test_single_entry_hankel(self):
         sec = build_sections(symbol_2_plus_z(), 10)
@@ -226,6 +325,22 @@ class TestSpectralSummability:
         rep = spectral_summability([1.0], 1.0, besov_symbol=symbol_2_plus_z(),
                                    t_points=32, s_points=64)
         assert rep.besov.order == 2
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+    def test_besov_matches_per_t_loop(self, p):
+        f = SymbolFC(-1, [0.25, 3.0, 0.5, -0.2j, 0.1])
+        besov = spectral_summability([1.0], p, besov_symbol=f).besov
+        # reference: one grid evaluation per midpoint t of (0, pi]
+        g = f.restricted(0, f.support[1])
+        js = np.arange(g.coeffs.size)
+        dt = np.pi / besov.t_points
+        integral = 0.0
+        for k in range(besov.t_points):
+            t = (k + 0.5) * dt
+            diff = SymbolFC(0, g.coeffs * (np.exp(1j * js * t) - 1.0) ** besov.order)
+            vals = evaluate_on_grid(diff, besov.s_points)
+            integral += t ** (-1.0 - p * besov.alpha) * np.mean(np.abs(vals) ** p) * dt
+        assert besov.integral == pytest.approx(2.0 * integral, rel=1e-12)
 
 
 class TestConvolutionIdentity:
