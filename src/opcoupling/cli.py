@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import ctypes
 import functools
+import io
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -70,14 +71,19 @@ def _load_json(path: str) -> dict:
     return obj
 
 
+def _write_text(path, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8; an OSError is a usage error."""
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise click.UsageError(f"cannot write {path}: {exc}")
+
+
 def emit_report(payload: dict, path: str) -> None:
     """Write a report as canonical JSON with a timestamp field."""
     payload = dict(payload)
     payload["timestamp"] = datetime.now(timezone.utc).isoformat()
-    try:
-        Path(path).write_text(dumps_canonical(payload), encoding="utf-8")
-    except OSError as exc:
-        raise click.UsageError(f"cannot write {path}: {exc}")
+    _write_text(path, dumps_canonical(payload))
 
 
 # (setter, getter) of the OpenBLAS thread count: numpy 2 wheels, ILP64 builds
@@ -150,22 +156,12 @@ def _check_p(ctx, param, value: float) -> float:
     return value
 
 
-def _write_witness(w, path: str) -> None:
-    try:
-        Path(path).write_text(dumps_canonical(encode_witness(w)), encoding="utf-8")
-    except OSError as exc:
-        raise click.UsageError(f"cannot write {path}: {exc}")
-
-
-def _write_sigma_csv(path: str, sigmas: np.ndarray) -> None:
-    try:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["index", "sigma"])
-            for i, s in enumerate(sigmas):
-                writer.writerow([i, repr(float(s))])
-    except OSError as exc:
-        raise click.UsageError(f"cannot write {path}: {exc}")
+def _sigma_csv(sigmas: np.ndarray) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["index", "sigma"])
+    writer.writerows([i, repr(float(s))] for i, s in enumerate(sigmas))
+    return buf.getvalue()
 
 
 @click.group()
@@ -194,10 +190,7 @@ def synth(n, m, nullity, seed, cond_bound, out_path):
     payload = encode_instance(u, v, meta={
         "n": n, "m": m, "nullity": nullity, "seed": seed, "cond_bound": cond_bound,
     })
-    try:
-        Path(out_path).write_text(dumps_canonical(payload), encoding="utf-8")
-    except OSError as exc:
-        raise click.UsageError(f"cannot write {out_path}: {exc}")
+    _write_text(out_path, dumps_canonical(payload))
     click.echo(f"wrote instance n={n} m={m} nullity={nullity} -> {out_path}")
 
 
@@ -208,7 +201,7 @@ def _run_one_pipeline(in_path: str, tol: float, out_path, report_path):
         raise click.UsageError(f"malformed instance file {in_path}: {exc}")
     report = run_pipeline(u, v, tol=tol)
     if out_path:
-        _write_witness(report.final_sc, out_path)
+        _write_text(out_path, dumps_canonical(encode_witness(report.final_sc)))
     if report_path:
         emit_report(pipeline_report_to_dict(report), report_path)
     return report
@@ -336,18 +329,18 @@ def hankel(ctx, symbol_text, symbol_offset, section_size, schatten_p, kmax,
     f = _parse_symbol(symbol_text, symbol_offset)
     try:
         coupling = mc_residual_hankel(f, section_size, tol=tol, grid=grid)
+        inv = coupling.inverse
+        sigma_f = hankel_singular_values(f, section_size)
+        sigma_inv = hankel_singular_values(inv, section_size)
+        summab_f = spectral_summability(sigma_f, schatten_p, besov_symbol=f)
+        summab_inv = spectral_summability(sigma_inv, schatten_p, besov_symbol=inv)
     except SymbolInversionError as exc:
         click.echo(f"symbol inversion failed: {exc}", err=True)
         ctx.exit(1)
     except ToolkitError as exc:
         raise click.UsageError(str(exc))
 
-    inv = coupling.inverse
-    sigma_f = hankel_singular_values(f, section_size)
-    sigma_inv = hankel_singular_values(inv, section_size)
     shift = shift_comparability(sigma_f, sigma_inv, kmax)
-    summab_f = spectral_summability(sigma_f, schatten_p, besov_symbol=f)
-    summab_inv = spectral_summability(sigma_inv, schatten_p, besov_symbol=inv)
 
     click.echo(
         f"N={section_size}: interior residual {coupling.interior_residual:.3e}, "
@@ -366,8 +359,8 @@ def hankel(ctx, symbol_text, symbol_offset, section_size, schatten_p, kmax,
         base = Path(report_path)
         csv_f = base.with_suffix(".sigma_f.csv")
         csv_inv = base.with_suffix(".sigma_inv.csv")
-        _write_sigma_csv(str(csv_f), sigma_f)
-        _write_sigma_csv(str(csv_inv), sigma_inv)
+        _write_text(csv_f, _sigma_csv(sigma_f))
+        _write_text(csv_inv, _sigma_csv(sigma_inv))
         payload = {
             "kind": "hankel_report",
             "tool": "opcoupling",

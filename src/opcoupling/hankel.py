@@ -52,6 +52,7 @@ from .errors import PreconditionError, SymbolInversionError
 from .numkernel import _svd_vals, as_matrix, spectral_norm
 
 SIGMA_ZERO_REL = 1e-12  # singular values below this (relative) count as zero
+_TAIL_REL = 1e-16  # invert_symbol trims coefficients below this (relative)
 
 
 # ---------------------------------------------------------------------------
@@ -134,14 +135,13 @@ def _fft_grid(requested: int, minimum: int) -> int:
     return 1 << (g - 1).bit_length()
 
 
-def invert_symbol(f: SymbolFC, grid: int, tol: float,
-                  tail_rel: float = 1e-16) -> SymbolFC:
+def invert_symbol(f: SymbolFC, grid: int, tol: float) -> SymbolFC:
     """Fourier coefficients of ``1/f`` by grid evaluation and inverse FFT.
 
     The grid is enlarged to at least four times the coefficient support (and
     to a power of two); the returned window is centered, so inverses with
     negative-index support (e.g. ``1/z``) come out correctly.  Coefficients
-    below ``tail_rel`` times the largest one are trimmed.  Use
+    below ``_TAIL_REL`` times the largest one are trimmed.  Use
     :func:`convolution_residual` to bound the quality of the truncation.
 
     Raises
@@ -163,7 +163,7 @@ def invert_symbol(f: SymbolFC, grid: int, tol: float,
     coeffs = np.fft.fft(1.0 / values) / g
     centered = np.roll(coeffs, g // 2)
     inv = SymbolFC(offset=-(g // 2), coeffs=centered)
-    return inv.trimmed(tail_rel * float(np.max(np.abs(centered))))
+    return inv.trimmed(_TAIL_REL * float(np.max(np.abs(centered))))
 
 
 def convolve(f: SymbolFC, g: SymbolFC) -> SymbolFC:
@@ -465,7 +465,8 @@ def spectral_summability(sv, p: float, besov_symbol: SymbolFC | None = None,
 
         int_{-pi}^{pi} |t|^(-1-alpha*p) ||D_t^n g||_p^p dt
 
-    on a uniform midpoint t-grid excluding t = 0.
+    on a uniform midpoint t-grid excluding t = 0.  A sum or integral that
+    overflows raises :class:`PreconditionError`.
     """
     if p < 1:
         raise PreconditionError("Schatten exponent p must be >= 1")
@@ -473,15 +474,16 @@ def spectral_summability(sv, p: float, besov_symbol: SymbolFC | None = None,
     if np.any(s < -1e-15):
         raise PreconditionError("singular values must be non-negative")
     s = np.maximum(s, 0.0)
-    powers = s ** p
-    total = float(powers.sum())
+    with np.errstate(over="ignore", invalid="ignore"):
+        powers = s ** p
+        total = float(powers.sum())
+        besov = (None if besov_symbol is None
+                 else _besov_estimate(besov_symbol, p, t_points, s_points))
+    if not np.isfinite([total, besov.integral if besov else 0.0]).all():
+        raise PreconditionError(f"a power sum at p = {p:g} overflows; rescale the symbol")
     partial = np.cumsum(powers)
     half = s.size // 2
     tail = float(powers[half:].sum() / total) if total > 0 else 0.0
-
-    besov = None
-    if besov_symbol is not None:
-        besov = _besov_estimate(besov_symbol, p, t_points, s_points)
 
     return SummabilityReport(p=p, total=total, partial_sums=partial,
                              tail_fraction=tail, besov=besov)

@@ -84,8 +84,10 @@ def synth_mc(U, V, tol: float = DEFAULT_TOL) -> tuple[MCWitness, VerifierReport]
     ``t = sqrt(s / r)`` (inverse ``[[0, 1/t], [-1/t, r]]``), and an unpaired
     leading value becomes ``[s]`` or ``[1/r]``.  ``C^-1`` is written down too,
     and ``cond(Uhat) = cond(C)``, taken from the blocks in closed form, is the
-    report's ``cond_uhat`` extra.  The nullities are the ranks of the two
-    SVDs; unequal ones raise :class:`~opcoupling.errors.FeasibilityError`.
+    report's ``cond_uhat`` extra.  The nullities are read from the two SVDs;
+    the common one is the ``nullity`` extra, and unequal ones raise
+    :class:`~opcoupling.errors.FeasibilityError`, which decides feasibility
+    for the whole pipeline.
     """
     U = as_matrix(U)
     V = as_matrix(V)
@@ -96,7 +98,8 @@ def synth_mc(U, V, tol: float = DEFAULT_TOL) -> tuple[MCWitness, VerifierReport]
     k, kv = n - res_u.rank(), m - res_v.rank()
     if k != kv:
         raise FeasibilityError(
-            f"cannot couple: nullity(U)={k} differs from nullity(V)={kv}")
+            f"no coupling exists: dim Ker U = {k} but dim Ker V = {kv}; square "
+            "matrices admit the extension chain exactly when their nullities agree")
     p = min(n, m)
     lead_u, lead_v = np.arange(n - p), n + np.arange(m - p)
     pair_u, pair_v = np.arange(n - p, n - k), n + np.arange(m - p, m - k)
@@ -126,7 +129,8 @@ def synth_mc(U, V, tol: float = DEFAULT_TOL) -> tuple[MCWitness, VerifierReport]
     uhat_inv = _diag(x_u, w_v) @ core_inv @ _diag(adjoint(w_u), adjoint(x_v))
     mc = MCWitness(Uhat=uhat, UhatInv=uhat_inv, n=n, m=m, U=U, V=V)
     report = verify_mc(mc, tol)
-    return mc, _checked(replace(report, extras={"cond_uhat": cond}), "synth_mc")
+    return mc, _checked(replace(report, extras={"nullity": k, "cond_uhat": cond}),
+                        "synth_mc")
 
 
 def random_instance(spec: InstanceSpec):

@@ -158,9 +158,8 @@ class SvdResult:
     right: np.ndarray
     rank_tol: float
 
-    def rank(self, tol: float | None = None) -> int:
-        cut = self.rank_tol if tol is None else tol
-        return int(np.count_nonzero(self.singulars > cut))
+    def rank(self) -> int:
+        return int(np.count_nonzero(self.singulars > self.rank_tol))
 
 
 @dataclass(frozen=True)
@@ -199,49 +198,40 @@ def svd(a) -> SvdResult:
                      rank_tol=default_rank_tol(a, s))
 
 
-def rank_of(a, tol: float | None = None) -> int:
-    """Numerical rank: number of singular values above the cutoff.
-
-    The cutoff is ``max(rows, cols) * eps * sigma_max`` unless ``tol``
-    supplies an absolute override.
-    """
+def rank_of(a) -> int:
+    """Numerical rank: number of singular values above the cutoff
+    ``max(rows, cols) * eps * sigma_max``."""
     a = as_matrix(a)
     if a.size == 0:
         return 0
     s = _svd_vals(a)
-    cut = default_rank_tol(a, s) if tol is None else tol
-    return int(np.count_nonzero(s > cut))
+    return int(np.count_nonzero(s > default_rank_tol(a, s)))
 
 
-def pinv(a, tol: float | None = None) -> np.ndarray:
-    """Moore-Penrose pseudoinverse via SVD with rank cutoff ``tol``."""
-    a = as_matrix(a)
-    if a.size == 0:
-        return zeros(a.shape[1], a.shape[0])
-    res = svd(a)
-    cut = res.rank_tol if tol is None else tol
-    r = int(np.count_nonzero(res.singulars > cut))
+def pinv(res: SvdResult) -> np.ndarray:
+    """Moore-Penrose pseudoinverse of the matrix factored by ``res``, with
+    its default rank cutoff."""
+    r = res.rank()
     if r == 0:
-        return zeros(a.shape[1], a.shape[0])
+        return zeros(res.right.shape[0], res.left.shape[0])
     inv_s = 1.0 / res.singulars[:r]
     return (res.right[:, :r] * inv_s) @ adjoint(res.left[:, :r])
 
 
-def subspaces(a, tol: float | None = None):
-    """Orthonormal bases of the four fundamental subspaces of ``a``.
+def subspaces(res: SvdResult):
+    """Orthonormal bases of the four fundamental subspaces of the matrix
+    factored by ``res``, split at its default rank cutoff.
 
     Returns
     -------
     (kernel, kernel_complement, range_, range_complement) : SubspaceBasis
         ``kernel + kernel_complement`` split the domain C^cols;
         ``range_ + range_complement`` split the codomain C^rows.  The
-        restriction of ``a`` mapping ``kernel_complement`` onto ``range_``
-        is invertible.
+        restriction of the matrix mapping ``kernel_complement`` onto
+        ``range_`` is invertible.
     """
-    a = as_matrix(a)
-    rows, cols = a.shape
-    res = svd(a)
-    r = res.rank(tol)
+    rows, cols = res.left.shape[0], res.right.shape[0]
+    r = res.rank()
     kernel = SubspaceBasis(cols, res.right[:, r:], cols - r)
     kernel_complement = SubspaceBasis(cols, res.right[:, :r], r)
     range_ = SubspaceBasis(rows, res.left[:, :r], r)
@@ -249,7 +239,7 @@ def subspaces(a, tol: float | None = None):
     return kernel, kernel_complement, range_, range_complement
 
 
-def condition_number(a, tol: float | None = None) -> float:
+def condition_number(a) -> float:
     """Condition number ``sigma_max / sigma_min`` of a square matrix.
 
     Takes one values-only SVD; a 0x0 matrix has condition 1.
@@ -259,10 +249,10 @@ def condition_number(a, tol: float | None = None) -> float:
     SingularMatrixError
         If the smallest singular value falls below the rank cutoff.
     """
-    return _norm_and_condition(a, tol)[1]
+    return _norm_and_condition(a)[1]
 
 
-def _norm_and_condition(a, tol: float | None = None) -> tuple[float, float]:
+def _norm_and_condition(a) -> tuple[float, float]:
     """``(spectral_norm(a), condition_number(a))`` from the one values-only
     SVD that both take; a 0x0 matrix gives ``(0.0, 1.0)``."""
     a = as_matrix(a)
@@ -272,7 +262,7 @@ def _norm_and_condition(a, tol: float | None = None) -> tuple[float, float]:
     if rows == 0:
         return 0.0, 1.0
     s = _svd_vals(a)
-    cut = default_rank_tol(a, s) if tol is None else tol
+    cut = default_rank_tol(a, s)
     sigma_min = float(s[-1])
     if sigma_min <= cut:
         raise SingularMatrixError(
@@ -283,7 +273,7 @@ def _norm_and_condition(a, tol: float | None = None) -> tuple[float, float]:
     return float(s[0]), float(s[0]) / sigma_min
 
 
-def inverse(a, tol: float | None = None):
+def inverse(a):
     """Inverse of a square matrix together with its condition number.
 
     Returns
@@ -298,5 +288,5 @@ def inverse(a, tol: float | None = None):
         If the smallest singular value falls below the rank cutoff.
     """
     a = as_matrix(a)
-    condition = condition_number(a, tol)
+    condition = condition_number(a)
     return np.linalg.inv(a), condition

@@ -5,7 +5,8 @@ Starting from an :class:`~opcoupling.relations.EAESpecialWitness` for
 
 1. splits the corners ``F22, E11 : Y -> X`` along orthonormal bases of their
    kernels/ranges and complements, so each becomes ``[[prime, 0], [0, 0]]``
-   with an invertible leading block (:func:`decompose_corners`);
+   with an invertible leading block (:func:`decompose_corners`), from the
+   one full SVD of each that the witness caches (``f22_svd``, ``e11_svd``);
 2. expresses ``U`` and ``V`` in those bases, where they are block triangular
    with ``E11' V11 = -U11 F22'`` and explicit one-sided inverses for the
    corner blocks ``U22, V22`` (:func:`derive_uv_blocks`);
@@ -31,8 +32,9 @@ table attached; the runner passes that table on as the stage error's
 ``report``.  The three builders of step 4 return their witness together
 with that table, which the runner records as the stage's residuals.
 In this finite-dimensional setting two square matrices admit such a chain
-exactly when their nullities agree, which is the feasibility oracle used
-when no witness is supplied.
+exactly when their nullities agree; without a supplied witness
+:func:`~opcoupling.instances.synth_mc` decides that, and the runner passes
+its :class:`~opcoupling.errors.FeasibilityError` on unwrapped.
 """
 
 from __future__ import annotations
@@ -246,22 +248,22 @@ def fredholm_report(w: EAESpecialWitness) -> FredholmReport:
     A corner's index is ``cols - rows`` whatever its rank, so the block
     shapes :class:`~opcoupling.relations.EAESpecialWitness` fixes give the
     identities ``index(F11) = -index(F22)`` and ``index(E11) = -index(Ehat11)``
-    by construction.  For a genuine witness the kernel/cokernel dimension
+    by construction.  The ranks of F22 and E11 are read from the witness's
+    cached SVDs of them.  For a genuine witness the kernel/cokernel dimension
     equalities ``dim h2 = dim g1`` and ``dim ker F22 = dim ker E11`` hold as
     well; they are exposed through :attr:`FredholmReport.dims_match`.  The
     sign of ``index(F22)`` dictates which operator the one-sided extension
     lands on: positive means ``U``.
     """
-    def corner(block: np.ndarray) -> CornerFredholm:
+    def corner(block: np.ndarray, r: int) -> CornerFredholm:
         rows, cols = block.shape
-        r = rank_of(block)
         return CornerFredholm(rank=r, kernel_dim=cols - r,
                               cokernel_dim=rows - r, index=(cols - r) - (rows - r))
 
-    f11 = corner(w.F11)
-    f22 = corner(w.F22)
-    e11 = corner(w.E11)
-    ehat11 = corner(w.Ehat11)
+    f11 = corner(w.F11, rank_of(w.F11))
+    f22 = corner(w.F22, w.f22_svd.rank())
+    e11 = corner(w.E11, w.e11_svd.rank())
+    ehat11 = corner(w.Ehat11, rank_of(w.Ehat11))
     side = "U" if f22.index > 0 else ("V" if f22.index < 0 else "none")
     return FredholmReport(
         f11=f11, f22=f22, e11=e11, ehat11=ehat11,
@@ -279,8 +281,8 @@ def decompose_corners(w: EAESpecialWitness, tol: float = DEFAULT_TOL) -> CornerD
     for the builders; the block forms ``f22`` and ``e11`` are re-verified to
     ``tol`` before returning.
     """
-    ker_f22, k2, im_f22, h2 = subspaces(w.F22)
-    ker_e11, f1, im_e11, g1 = subspaces(w.E11)
+    ker_f22, k2, im_f22, h2 = subspaces(w.f22_svd)
+    ker_e11, f1, im_e11, g1 = subspaces(w.e11_svd)
 
     f22_prime = _coords(im_f22.basis, w.F22, k2.basis)
     e11_prime = _coords(im_e11.basis, w.E11, f1.basis)
@@ -365,12 +367,13 @@ def normalize_adjoint(w: EAESpecialWitness, tol: float = DEFAULT_TOL) -> EAESpec
 
     establishes the same extension equivalence, leaves ``E11`` and ``F22``
     (hence the corner decomposition) untouched, and afterwards satisfies
-    ``P_ker_f22 @ E21 = E21`` and ``F21 = P_h2``.  Applying the transform to
-    an already-normalized witness yields ``X = 0``, so the operation is
+    ``P_ker_f22 @ E21 = E21`` and ``F21 = P_h2``.  ``pinv(F22)`` and both
+    projections come from ``w.f22_svd``.  Applying the transform to an
+    already-normalized witness yields ``X = 0``, so the operation is
     idempotent.  All four stored matrices are transformed in closed form.
     """
     n, m = w.n, w.m
-    x = pinv(w.F22) @ w.Ehat21
+    x = pinv(w.f22_svd) @ w.Ehat21
 
     t = Block2x2(eye(n), zeros(n, m), x, eye(m)).assemble()
     t_inv = Block2x2(eye(n), zeros(n, m), -x, eye(m)).assemble()
@@ -380,7 +383,9 @@ def normalize_adjoint(w: EAESpecialWitness, tol: float = DEFAULT_TOL) -> EAESpec
     wn = EAESpecialWitness(U=w.U, V=w.V, E=t @ w.E, F=w.F @ s,
                            Einv=w.Einv @ t_inv, Finv=s_inv @ w.Finv)
 
-    ker_f22, _kcomp, _ran, h2 = subspaces(wn.F22)
+    # F @ s leaves F's last column block, and so F22, bit for bit as it
+    # was: that block of s is [[0], [I]], whose products and sums are exact
+    ker_f22, _kcomp, _ran, h2 = subspaces(w.f22_svd)
     p_ker = ker_f22.basis @ adjoint(ker_f22.basis)
     p_h2 = h2.basis @ adjoint(h2.basis)
 
@@ -499,26 +504,18 @@ def build_eaoe(w: EAESpecialWitness, d: CornerDecomposition, rb: ReducedBlocks,
     phi_u, phi_u_inv = _phi_u(rb, r), _phi_u_inv(rb, r)
     psi_v, psi_v_inv = _psi_v(rb, r), _psi_v_inv(rb, r)
 
-    if y0 <= x0:
-        side, ext = "U", x0 - y0
-        e = (_direct_sum(w_cod_u, ext) @ _direct_sum(phi_u, ext)
-             @ _direct_sum(d.e11_prime, x0) @ adjoint(w_cod_v))
-        e_inv = (w_cod_v @ _direct_sum(d.e11_prime_inv, x0)
-                 @ _direct_sum(phi_u_inv, ext) @ _direct_sum(adjoint(w_cod_u), ext))
-        f = (w_dom_v @ psi_v_inv @ _direct_sum(-d.f22_prime_inv, x0)
-             @ _direct_sum(adjoint(w_dom_u), ext))
-        f_inv = (_direct_sum(w_dom_u, ext) @ _direct_sum(-d.f22_prime, x0)
-                 @ psi_v @ adjoint(w_dom_v))
-    else:
-        side, ext = "V", y0 - x0
-        e = (w_cod_u @ phi_u @ _direct_sum(d.e11_prime, y0)
-             @ _direct_sum(adjoint(w_cod_v), ext))
-        e_inv = (_direct_sum(w_cod_v, ext) @ _direct_sum(d.e11_prime_inv, y0)
-                 @ phi_u_inv @ adjoint(w_cod_u))
-        f = (_direct_sum(w_dom_v, ext) @ _direct_sum(psi_v_inv, ext)
-             @ _direct_sum(-d.f22_prime_inv, y0) @ adjoint(w_dom_u))
-        f_inv = (w_dom_u @ _direct_sum(-d.f22_prime, y0)
-                 @ _direct_sum(psi_v, ext) @ _direct_sum(adjoint(w_dom_v), ext))
+    # the larger extension meets e11' and f22'; the smaller side's factors
+    # are padded by the difference, a padding of 0 leaving them as they are
+    ext, big = abs(x0 - y0), max(x0, y0)
+    side, pad_u, pad_v = ("U", ext, 0) if y0 <= x0 else ("V", 0, ext)
+    e = (_direct_sum(w_cod_u, pad_u) @ _direct_sum(phi_u, pad_u)
+         @ _direct_sum(d.e11_prime, big) @ _direct_sum(adjoint(w_cod_v), pad_v))
+    e_inv = (_direct_sum(w_cod_v, pad_v) @ _direct_sum(d.e11_prime_inv, big)
+             @ _direct_sum(phi_u_inv, pad_u) @ _direct_sum(adjoint(w_cod_u), pad_u))
+    f = (_direct_sum(w_dom_v, pad_v) @ _direct_sum(psi_v_inv, pad_v)
+         @ _direct_sum(-d.f22_prime_inv, big) @ _direct_sum(adjoint(w_dom_u), pad_u))
+    f_inv = (_direct_sum(w_dom_u, pad_u) @ _direct_sum(-d.f22_prime, big)
+             @ _direct_sum(psi_v, pad_v) @ _direct_sum(adjoint(w_dom_v), pad_v))
 
     witness = EAOEWitness(extended_side=side, ext_dim=ext, E=e, F=f,
                           U=w.U, V=w.V, Einv=e_inv, Finv=f_inv)
@@ -536,8 +533,8 @@ def run_pipeline(U, V, w: EAESpecialWitness | None = None,
     When no witness is supplied one is synthesized, which requires
     ``nullity(U) == nullity(V)``; a mismatch raises
     :class:`~opcoupling.errors.FeasibilityError` quoting the rank oracle.
-    Everything after that check runs through one stage runner: a stage that
-    raises a :class:`~opcoupling.errors.ToolkitError` becomes a
+    Every step runs through one stage runner: a stage that raises any other
+    :class:`~opcoupling.errors.ToolkitError` becomes a
     :class:`~opcoupling.errors.PipelineStageError` that names it and carries
     the cause's residual table as ``report``; one that passes is recorded as
     a :class:`StageResult` of its residuals and data.
@@ -555,6 +552,8 @@ def run_pipeline(U, V, w: EAESpecialWitness | None = None,
     def stage(name, fn, residuals=lambda out: {}, data=lambda out: {}):
         try:
             out = fn()
+        except FeasibilityError:
+            raise
         except ToolkitError as exc:
             raise PipelineStageError(name, str(exc), getattr(exc, "report", None)) from exc
         stages.append(StageResult(name, residuals(out), data(out)))
@@ -583,16 +582,8 @@ def run_pipeline(U, V, w: EAESpecialWitness | None = None,
 
     mc = special = None
     if w is None:
-        null_u, null_v = n - rank_of(U), m - rank_of(V)
-        if null_u != null_v:
-            raise FeasibilityError(
-                f"no coupling exists: dim Ker U = {null_u} but dim Ker V = "
-                f"{null_v}; square matrices admit the extension chain exactly "
-                "when their nullities agree"
-            )
         mc, _ = stage("synthesize_mc", lambda: instances.synth_mc(U, V, tol), built_table,
-                      lambda out: {"nullity": null_u,
-                                   "cond_uhat": out[1].extras["cond_uhat"]})
+                      lambda out: dict(out[1].extras))
         w, special = stage("mc_to_special", lambda: _mc_to_eae_special(mc, tol))
     else:
         stage("witness_consistency", lambda: _checked(VerifierReport(

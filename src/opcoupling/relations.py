@@ -38,7 +38,9 @@ only when it can exceed 1, since a cheap upper bound settles
 ``max(1, ||rhs||) = 1`` otherwise (see
 :func:`~opcoupling.numkernel.rel_residual`).  Special-form witnesses carry
 their inverses so that verification cost and accuracy do not depend on
-re-inverting ``E`` and ``F``.
+re-inverting ``E`` and ``F``, and cache the one full SVD of each corner
+``F22`` and ``E11`` (``f22_svd``, ``e11_svd``) from which the reduction reads
+their ranks, bases and pseudoinverse.
 
 Every residual table, here and in :mod:`~opcoupling.reduction`, is checked
 by :func:`_checked`, which raises :class:`ConversionError` naming the worst
@@ -59,20 +61,24 @@ the witness alone, so the pipeline calls its private form.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .blockops import Block2x2
 from .errors import ConversionError, ShapeError
 from .numkernel import (
+    SvdResult,
     _certainly_within,
     _norm_and_condition,
+    _svd_vals,
     adjoint,
     as_matrix,
     condition_number,
     eye,
     inverse,
     rel_residual,
+    svd,
     zeros,
 )
 
@@ -269,6 +275,15 @@ class EAESpecialWitness:
     def Ehat21(self) -> np.ndarray:
         return self.Einv[self.m:, : self.n]
 
+    # one full SVD per corner, shared by every step of the reduction
+    @cached_property
+    def f22_svd(self) -> SvdResult:
+        return svd(self.F22)
+
+    @cached_property
+    def e11_svd(self) -> SvdResult:
+        return svd(self.E11)
+
 
 @dataclass(frozen=True)
 class EAOEWitness:
@@ -408,8 +423,8 @@ def verify_eae_special(w: EAESpecialWitness, tol: float = DEFAULT_TOL) -> Verifi
     """
     residuals = _special_residuals(w)
     d = w.n + w.m
-    sig_e = np.linalg.svd(w.E, compute_uv=False)
-    sig_f = np.linalg.svd(w.F, compute_uv=False)
+    sig_e = _svd_vals(w.E)
+    sig_f = _svd_vals(w.F)
     extras = {"sigma_min_e": float(sig_e[-1]) if d else 1.0,
               "sigma_min_f": float(sig_f[-1]) if d else 1.0}
     return VerifierReport("eae_special", residuals, tol, extras)

@@ -1,6 +1,7 @@
 import csv
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -127,10 +128,10 @@ class TestCliPipeline:
         def failing(*args, **kwargs):
             raise NumericalError("SVD of shape (4, 4) failed: no convergence")
 
-        monkeypatch.setattr("opcoupling.reduction.rank_of", failing)
+        monkeypatch.setattr("opcoupling.instances.svd", failing)
         assert dispatch(["pipeline", "--in", str(instance_file)]) == 1
-        assert ("pipeline failed: SVD of shape (4, 4) failed: no convergence"
-                in capsys.readouterr().err)
+        assert ("pipeline failed: stage 'synthesize_mc': SVD of shape (4, 4) failed: "
+                "no convergence" in capsys.readouterr().err)
 
     def test_batch_mode_with_jobs(self, tmp_path):
         paths = []
@@ -425,6 +426,35 @@ def test_meaningless_tol_is_invalid_input(tol_commands, command, value, capsys):
     assert "--tol" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,option", [
+    ("synth", "--out"), ("pipeline", "--out"), ("pipeline", "--report"),
+    ("verify", "--report"), ("hankel", "--report"),
+])
+def test_unwritable_output_is_invalid_input(tol_commands, tmp_path, capsys, command,
+                                            option):
+    args = tol_commands.get(command, ["synth", "--n", "2", "--m", "2"])
+    missing = tmp_path / "missing"
+    assert dispatch([*args, option, str(missing / "out.json")]) == 2
+    assert f"cannot write {missing}" in capsys.readouterr().err
+    assert not missing.exists()
+
+
+def test_svd_failure_in_eae_special_verification_exits_1(tmp_path, monkeypatch, capsys):
+    special = mc_to_eae_special(sc_to_mc(random_sc_witness(2, 3, 100, 0)))
+    path = tmp_path / "w.json"
+    path.write_text(dumps_canonical(encode_witness(special)))
+
+    def failing(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    # residuals settled, so the first SVD is the sigma_min one of E
+    monkeypatch.setattr("opcoupling.relations._special_residuals", lambda w: {})
+    monkeypatch.setattr(np.linalg, "svd", failing)
+    assert dispatch(["verify", "--witness", str(path), "--kind", "eae_special"]) == 1
+    assert ("verification error: SVD of shape (5, 5) failed: SVD did not converge"
+            in capsys.readouterr().err)
+
+
 class TestCliDeterminism:
     def test_reports_byte_identical_modulo_timestamp(self, tmp_path):
         outs = []
@@ -480,6 +510,14 @@ class TestCliHankel:
     def test_overflowing_symbol_exits_2(self, capsys):
         assert dispatch(["hankel", "--symbol", "1e308,1e308", "--N", "5"]) == 2
         assert "overflow" in capsys.readouterr().err
+
+    def test_overflowing_power_sum_exits_2_without_files(self, tmp_path, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert dispatch(["hankel", "--symbol", "1e200,1e199", "--N", "10",
+                             "--report", str(tmp_path / "r.json")]) == 2
+        assert "overflows; rescale the symbol" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("value", ["0", "-3"])
     def test_nonpositive_section_size_exits_2(self, tmp_path, capsys, value):

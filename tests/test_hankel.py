@@ -321,6 +321,12 @@ class TestSpectralSummability:
         assert rep.besov.order == 1
         assert np.isfinite(rep.besov.integral) and rep.besov.integral > 0
 
+    @pytest.mark.parametrize("sv,coeffs", [([1e200], [1.0]), ([1.0], [1e200, 1e199])],
+                             ids=["power_sum", "besov"])
+    def test_overflow_is_a_precondition_error(self, sv, coeffs):
+        with pytest.raises(PreconditionError, match="overflows; rescale the symbol"):
+            spectral_summability(sv, 2.0, besov_symbol=SymbolFC(0, coeffs))
+
     def test_besov_order_at_p_one(self):
         rep = spectral_summability([1.0], 1.0, besov_symbol=symbol_2_plus_z(),
                                    t_points=32, s_points=64)

@@ -186,26 +186,21 @@ class TestRank:
     def test_full_rank(self):
         assert rank_of([[2.0, 1.0], [1.0, 1.0]]) == 2
 
-    def test_override(self):
-        a = np.diag([1.0, 1e-6])
-        assert rank_of(a) == 2
-        assert rank_of(a, tol=1e-3) == 1
-
 
 class TestPinv:
     def test_diagonal(self):
-        np.testing.assert_allclose(pinv(np.diag([2.0, 0.0])),
+        np.testing.assert_allclose(pinv(svd(np.diag([2.0, 0.0]))),
                                    np.diag([0.5, 0.0]), atol=1e-15)
 
     def test_invertible_matches_inverse(self):
         rng = np.random.default_rng(5)
         a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         inv, cond = inverse(a)
-        assert spectral_norm(pinv(a) - inv) <= 1e-12 * cond
+        assert spectral_norm(pinv(svd(a)) - inv) <= 1e-12 * cond
 
     def test_column_vector(self):
         # rank-1 formula: pinv(a) = a* / ||a||^2
-        p = pinv(np.array([[3.0], [4.0]]))
+        p = pinv(svd(np.array([[3.0], [4.0]])))
         np.testing.assert_allclose(p, [[3.0 / 25.0, 4.0 / 25.0]], atol=1e-15)
 
     @pytest.mark.parametrize("seed", range(6))
@@ -213,14 +208,14 @@ class TestPinv:
         rng = np.random.default_rng(seed)
         rows, cols = rng.integers(1, 7, size=2)
         a = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
-        assert spectral_norm(pinv(pinv(a)) - a) <= 1e-12 * max(1.0, spectral_norm(a))
+        assert spectral_norm(pinv(svd(pinv(svd(a)))) - a) <= 1e-12 * max(1.0, spectral_norm(a))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_penrose_identities(self, seed):
         rng = np.random.default_rng(100 + seed)
         a = rng.standard_normal((5, 3)) @ rng.standard_normal((3, 4))
         a = a.astype(complex)
-        p = pinv(a)
+        p = pinv(svd(a))
         assert spectral_norm(a @ p @ a - a) <= 1e-12 * max(1, spectral_norm(a))
         assert spectral_norm(p @ a @ p - p) <= 1e-12 * max(1, spectral_norm(p))
         assert spectral_norm(adjoint(a @ p) - a @ p) <= 1e-12
@@ -229,16 +224,16 @@ class TestPinv:
 
 class TestSubspaces:
     def test_zero_map(self):
-        kernel, kcomp, ran, rcomp = subspaces(np.zeros((2, 2)))
+        kernel, kcomp, ran, rcomp = subspaces(svd(np.zeros((2, 2))))
         assert (kernel.dim, kcomp.dim, ran.dim, rcomp.dim) == (2, 0, 0, 2)
 
     def test_identity(self):
-        kernel, kcomp, ran, rcomp = subspaces(np.eye(3))
+        kernel, kcomp, ran, rcomp = subspaces(svd(np.eye(3)))
         assert (kernel.dim, ran.dim) == (0, 3)
 
     def test_coordinate_projection(self):
         a = np.array([[1.0, 0.0], [0.0, 0.0]])
-        kernel, kcomp, ran, rcomp = subspaces(a)
+        kernel, kcomp, ran, rcomp = subspaces(svd(a))
         # kernel = span e2, range = span e1, complements the other axes
         np.testing.assert_allclose(np.abs(kernel.basis), [[0.0], [1.0]], atol=1e-15)
         np.testing.assert_allclose(np.abs(ran.basis), [[1.0], [0.0]], atol=1e-15)
@@ -252,7 +247,7 @@ class TestSubspaces:
         r = int(rng.integers(0, min(rows, cols) + 1))
         a = (rng.standard_normal((rows, r)) + 1j * rng.standard_normal((rows, r))) @ \
             (rng.standard_normal((r, cols)) + 1j * rng.standard_normal((r, cols)))
-        kernel, kcomp, ran, rcomp = subspaces(a)
+        kernel, kcomp, ran, rcomp = subspaces(svd(a))
         assert rank_of(a) + kernel.dim == cols
         # assembling a in the four bases gives [[a', 0], [0, 0]] with a' invertible
         dom = np.hstack([kcomp.basis, kernel.basis])
@@ -307,4 +302,4 @@ class TestInverse:
         rng = np.random.default_rng(40 + seed)
         a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
         inv, cond = inverse(a)
-        assert spectral_norm(inv - pinv(a)) <= 1e-13 * cond
+        assert spectral_norm(inv - pinv(svd(a))) <= 1e-13 * cond

@@ -17,7 +17,7 @@ from opcoupling.errors import (
     PipelineStageError,
 )
 from opcoupling.instances import InstanceSpec, random_instance, synth_mc
-from opcoupling.numkernel import pinv, rel_residual, spectral_norm, subspaces
+from opcoupling.numkernel import pinv, rel_residual, spectral_norm, subspaces, svd
 from opcoupling.reduction import (
     build_eaoe,
     build_small_eae,
@@ -144,7 +144,7 @@ class TestDecomposeCornersExactFallback:
 
 def _normalization_residuals(wn):
     """The residual table normalize_adjoint checks, computed exactly."""
-    ker, _, _, h2 = subspaces(wn.F22)
+    ker, _, _, h2 = subspaces(svd(wn.F22))
     p_ker = ker.basis @ ker.basis.conj().T
     scale = max(1.0, np.linalg.norm(wn.E21, 2))
     residuals = {
@@ -272,7 +272,7 @@ class TestNormalizeAdjoint:
     def test_worked_instance_transform_value(self):
         w = worked_special()
         # the corner transform is pinv(F22) @ Ehat21 = (-2)(0.5) = -1
-        x = pinv(w.F22) @ w.Ehat21
+        x = pinv(svd(w.F22)) @ w.Ehat21
         np.testing.assert_allclose(x, [[-1.0]], atol=1e-14)
         wn = normalize_adjoint(w, 1e-12)
         assert verify_eae_special(wn, 1e-12).passed
@@ -288,7 +288,7 @@ class TestNormalizeAdjoint:
         w = synthesized(2, 3, 1, seed=8)
         wn = normalize_adjoint(w, 1e-10)
         from opcoupling.numkernel import subspaces
-        ker, _, _, h2 = subspaces(wn.F22)
+        ker, _, _, h2 = subspaces(svd(wn.F22))
         p_ker = ker.basis @ ker.basis.conj().T
         p_h2 = h2.basis @ h2.basis.conj().T
         assert spectral_norm(p_ker @ wn.E21 - wn.E21) <= 1e-10
@@ -299,6 +299,17 @@ class TestNormalizeAdjoint:
         wn = normalize_adjoint(w)
         np.testing.assert_array_equal(w.E11, wn.E11)
         np.testing.assert_array_equal(w.F22, wn.F22)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data(), n=st.integers(0, 12), m=st.integers(0, 12),
+       seed=st.integers(0, 2**32 - 1))
+def test_normalize_adjoint_keeps_f22_bits(data, n, m, seed):
+    """normalize_adjoint reads the projections of the normalized witness from
+    the input's SVD of F22, which is exact only if F22 keeps every bit."""
+    k = data.draw(st.integers(0, min(n, m)), label="k")
+    w = synthesized(n, m, k, seed=seed)
+    assert normalize_adjoint(w).F22.tobytes() == w.F22.tobytes()
 
 
 class TestCheckTwoSided:
@@ -504,12 +515,14 @@ def _count_calls(monkeypatch, counts, functions):
 
 @pytest.fixture
 def work_counts(monkeypatch):
-    """Counter of dense SVDs and of calls to each public verifier."""
+    """Counter of dense SVDs, of those among them that compute singular
+    vectors, and of calls to each public verifier."""
     counts = Counter()
     real_svd = np.linalg.svd
 
     def counting_svd(*args, **kwargs):
         counts["svd"] += 1
+        counts["full_svd"] += kwargs.get("compute_uv", True)
         return real_svd(*args, **kwargs)
 
     # np.linalg.norm(., 2) reaches the SVD through its own module's globals
@@ -526,7 +539,9 @@ def test_pipeline_verifies_each_artifact_once(work_counts):
     assert run_pipeline(u, v, tol=1e-8).success
     assert sum(work_counts[k] for k in _VERIFIER_KINDS) == 4
     assert work_counts["eae_special"] == 0
-    assert work_counts["svd"] == 60
+    assert work_counts["svd"] == 54
+    # one each of U, V, F22 and E11
+    assert work_counts["full_svd"] == 4
 
 
 def test_supplied_witness_pipeline_counts(work_counts):
@@ -539,7 +554,9 @@ def test_supplied_witness_pipeline_counts(work_counts):
     assert run_pipeline(u, v, w=w, tol=1e-8).success
     assert sum(work_counts[k] for k in _VERIFIER_KINDS) == 3
     assert work_counts["eae_special"] == 0
-    assert work_counts["svd"] == 51
+    assert work_counts["svd"] == 47
+    # one each of F22 and E11
+    assert work_counts["full_svd"] == 2
 
 
 def test_pipeline_calls_the_public_builders(monkeypatch):

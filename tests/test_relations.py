@@ -243,5 +243,6 @@ class TestConverterProperties:
 def test_synth_mc_feasibility_error():
     u, _ = random_instance(InstanceSpec(3, 3, 0, seed=1, cond_bound=10))
     _, v = random_instance(InstanceSpec(3, 3, 2, seed=2, cond_bound=10))
-    with pytest.raises(FeasibilityError):
+    with pytest.raises(FeasibilityError, match=r"^no coupling exists: dim Ker U = 0 but "
+                       r"dim Ker V = 2; .* exactly when their nullities agree$"):
         synth_mc(u, v)
