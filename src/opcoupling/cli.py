@@ -308,8 +308,8 @@ def _parse_symbol(text: str, offset: int) -> SymbolFC:
 @main.command()
 @click.option("--symbol", "symbol_text", required=True,
               help="Comma-separated coefficients, e.g. '2,1' or '0.5,1j'.")
-@click.option("--symbol-offset", type=int, default=0, show_default=True,
-              help="Index of the first listed coefficient.")
+@click.option("--symbol-offset", type=click.IntRange(-2**62, 2**62), default=0,
+              show_default=True, help="Index of the first listed coefficient.")
 @click.option("--N", "section_size", type=click.IntRange(min=1), required=True,
               help="Section half-size.")
 @click.option("--p", "schatten_p", type=float, default=2.0, show_default=True,

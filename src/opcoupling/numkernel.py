@@ -5,8 +5,11 @@ Every operator in this package is carried by a dense complex matrix
 as ``(0, k)`` are first-class citizens: degenerate subspace splits occur
 routinely in the reduction pipeline and all routines here accept them.
 
-Complements are always orthogonal complements, extracted from a full SVD, so
-every :class:`SubspaceBasis` produced here has orthonormal columns.
+A subspace basis is a block of columns of one :class:`SvdResult`'s unitary
+factors, split at its rank: the leading ``rank`` columns of ``left`` span the
+range and the trailing ones its orthogonal complement, and the trailing
+columns of ``right`` span the kernel and the leading ones its complement.
+Every such basis is orthonormal.
 """
 
 from __future__ import annotations
@@ -162,24 +165,6 @@ class SvdResult:
         return int(np.count_nonzero(self.singulars > self.rank_tol))
 
 
-@dataclass(frozen=True)
-class SubspaceBasis:
-    """Orthonormal basis of a subspace of C^ambient_dim, columns spanning it."""
-
-    ambient_dim: int
-    basis: np.ndarray  # ambient_dim x dim, orthonormal columns
-    dim: int
-
-    def __post_init__(self):
-        if self.basis.shape != (self.ambient_dim, self.dim):
-            raise ShapeError(
-                f"basis shape {self.basis.shape} does not match "
-                f"({self.ambient_dim}, {self.dim})"
-            )
-        if self.dim > self.ambient_dim:
-            raise ShapeError("subspace dimension exceeds ambient dimension")
-
-
 def svd(a) -> SvdResult:
     """Full SVD with unitary factors and the default rank cutoff attached.
 
@@ -216,27 +201,6 @@ def pinv(res: SvdResult) -> np.ndarray:
         return zeros(res.right.shape[0], res.left.shape[0])
     inv_s = 1.0 / res.singulars[:r]
     return (res.right[:, :r] * inv_s) @ adjoint(res.left[:, :r])
-
-
-def subspaces(res: SvdResult):
-    """Orthonormal bases of the four fundamental subspaces of the matrix
-    factored by ``res``, split at its default rank cutoff.
-
-    Returns
-    -------
-    (kernel, kernel_complement, range_, range_complement) : SubspaceBasis
-        ``kernel + kernel_complement`` split the domain C^cols;
-        ``range_ + range_complement`` split the codomain C^rows.  The
-        restriction of the matrix mapping ``kernel_complement`` onto
-        ``range_`` is invertible.
-    """
-    rows, cols = res.left.shape[0], res.right.shape[0]
-    r = res.rank()
-    kernel = SubspaceBasis(cols, res.right[:, r:], cols - r)
-    kernel_complement = SubspaceBasis(cols, res.right[:, :r], r)
-    range_ = SubspaceBasis(rows, res.left[:, :r], r)
-    range_complement = SubspaceBasis(rows, res.left[:, r:], rows - r)
-    return kernel, kernel_complement, range_, range_complement
 
 
 def condition_number(a) -> float:

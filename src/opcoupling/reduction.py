@@ -52,7 +52,7 @@ from .errors import (
     ToolkitError,
 )
 from .numkernel import (
-    SubspaceBasis,
+    SvdResult,
     adjoint,
     as_matrix,
     eye,
@@ -61,7 +61,6 @@ from .numkernel import (
     rank_of,
     rel_residual,
     spectral_norm,
-    subspaces,
     zeros,
 )
 from .relations import (
@@ -93,35 +92,23 @@ from . import instances
 class CornerDecomposition:
     """Orthonormal splittings of the corners F22 and E11 (both Y -> X).
 
-    Domain Y splits as k2 (+) ker_f22 and f1 (+) ker_e11; codomain X splits
-    as im_f22 (+) h2 and im_e11 (+) g1.  In these bases the corners are
-    ``[[f22_prime, 0], [0, 0]]`` and ``[[e11_prime, 0], [0, 0]]`` with
-    invertible leading blocks whose inverses and condition numbers are
-    recorded.
+    ``f22`` and ``e11`` are the full SVDs the witness caches and ``rank``
+    their common rank.  Their factors split at ``rank`` into X = im_f22 (+) h2
+    = im_e11 (+) g1 (``left``) and Y = k2 (+) ker_f22 = f1 (+) ker_e11
+    (``right``).  In these bases the corners are ``[[f22_prime, 0], [0, 0]]``
+    and ``[[e11_prime, 0], [0, 0]]`` with invertible leading blocks whose
+    inverses and condition numbers are recorded.
     """
 
-    k2: SubspaceBasis
-    ker_f22: SubspaceBasis
-    im_f22: SubspaceBasis
-    h2: SubspaceBasis
+    f22: SvdResult
+    e11: SvdResult
+    rank: int
     f22_prime: np.ndarray
     f22_prime_inv: np.ndarray
-    f1: SubspaceBasis
-    ker_e11: SubspaceBasis
-    im_e11: SubspaceBasis
-    g1: SubspaceBasis
     e11_prime: np.ndarray
     e11_prime_inv: np.ndarray
     cond_f22_prime: float
     cond_e11_prime: float
-
-    @property
-    def rank_f22(self) -> int:
-        return self.im_f22.dim
-
-    @property
-    def rank_e11(self) -> int:
-        return self.im_e11.dim
 
 
 @dataclass(frozen=True)
@@ -228,16 +215,6 @@ def _coords(left_basis: np.ndarray, op: np.ndarray, right_basis: np.ndarray) -> 
     return adjoint(left_basis) @ op @ right_basis
 
 
-def _stacked_bases(d: CornerDecomposition):
-    """Unitaries ``(w_dom_u, w_cod_u, w_dom_v, w_cod_v)`` whose columns are the
-    split bases of X = im_f22 (+) h2 = im_e11 (+) g1 and
-    Y = k2 (+) ker_f22 = f1 (+) ker_e11."""
-    return (np.hstack([d.im_f22.basis, d.h2.basis]),
-            np.hstack([d.im_e11.basis, d.g1.basis]),
-            np.hstack([d.k2.basis, d.ker_f22.basis]),
-            np.hstack([d.f1.basis, d.ker_e11.basis]))
-
-
 # ---------------------------------------------------------------------------
 # operations
 
@@ -276,33 +253,40 @@ def fredholm_report(w: EAESpecialWitness) -> FredholmReport:
 def decompose_corners(w: EAESpecialWitness, tol: float = DEFAULT_TOL) -> CornerDecomposition:
     """Split F22 and E11 along orthonormal kernel/range bases.
 
-    Returns the eight subspace bases together with the invertible compressions
-    ``f22_prime`` and ``e11_prime`` and their inverses, computed once here
-    for the builders; the block forms ``f22`` and ``e11`` are re-verified to
-    ``tol`` before returning.
-    """
-    ker_f22, k2, im_f22, h2 = subspaces(w.f22_svd)
-    ker_e11, f1, im_e11, g1 = subspaces(w.e11_svd)
+    Returns the witness's cached SVDs of both corners and their common rank,
+    together with the invertible compressions ``f22_prime`` and
+    ``e11_prime`` and their inverses, computed once here for the builders;
+    the block forms ``f22`` and ``e11`` are re-verified to ``tol`` before
+    returning.
 
-    f22_prime = _coords(im_f22.basis, w.F22, k2.basis)
-    e11_prime = _coords(im_e11.basis, w.E11, f1.basis)
+    Raises
+    ------
+    NumericalError
+        If the two corners differ in rank, which a genuine witness rules out.
+    """
+    f22, e11 = w.f22_svd, w.e11_svd
+    r = f22.rank()
+    if e11.rank() != r:
+        raise NumericalError(
+            f"rank(E11)={e11.rank()} differs from rank(F22)={r}; "
+            "the corner blocks of a genuine witness have equal rank"
+        )
+
+    f22_prime = _coords(f22.left[:, :r], w.F22, f22.right[:, :r])
+    e11_prime = _coords(e11.left[:, :r], w.E11, e11.right[:, :r])
     f22_prime_inv, cond_f = inverse(f22_prime)
     e11_prime_inv, cond_e = inverse(e11_prime)
     d = CornerDecomposition(
-        k2=k2, ker_f22=ker_f22, im_f22=im_f22, h2=h2,
+        f22=f22, e11=e11, rank=r,
         f22_prime=f22_prime, f22_prime_inv=f22_prime_inv,
-        f1=f1, ker_e11=ker_e11, im_e11=im_e11, g1=g1,
         e11_prime=e11_prime, e11_prime_inv=e11_prime_inv,
         cond_f22_prime=cond_f, cond_e11_prime=cond_e,
     )
-    w_dom_u, w_cod_u, w_dom_v, w_cod_v = _stacked_bases(d)
 
     def pairs():
-        for label, cod_w, block, dom_w, prime in (
-            ("f22", w_dom_u, w.F22, w_dom_v, f22_prime),
-            ("e11", w_cod_u, w.E11, w_cod_v, e11_prime),
-        ):
-            in_coords = _coords(cod_w, block, dom_w)
+        for label, res, block, prime in (("f22", f22, w.F22, f22_prime),
+                                         ("e11", e11, w.E11, e11_prime)):
+            in_coords = _coords(res.left, block, res.right)
             target = zeros(*in_coords.shape)
             target[: prime.shape[0], : prime.shape[1]] = prime
             yield label, (in_coords, target)
@@ -329,18 +313,24 @@ def derive_uv_blocks(w: EAESpecialWitness, d: CornerDecomposition,
     call for a witness with the same ``U`` and ``V``, sparing their SVDs.
     The residual table fails when the witness is not a genuine anchored one.
     """
-    u11 = _coords(d.im_e11.basis, w.U, d.im_f22.basis)
-    u12 = _coords(d.im_e11.basis, w.U, d.h2.basis)
-    u21 = _coords(d.g1.basis, w.U, d.im_f22.basis)
-    u22 = _coords(d.g1.basis, w.U, d.h2.basis)
+    r = d.rank
+    im_f22, h2 = d.f22.left[:, :r], d.f22.left[:, r:]
+    k2, ker_f22 = d.f22.right[:, :r], d.f22.right[:, r:]
+    im_e11, g1 = d.e11.left[:, :r], d.e11.left[:, r:]
+    f1, ker_e11 = d.e11.right[:, :r], d.e11.right[:, r:]
 
-    v11 = _coords(d.f1.basis, w.V, d.k2.basis)
-    v12 = _coords(d.f1.basis, w.V, d.ker_f22.basis)
-    v21 = _coords(d.ker_e11.basis, w.V, d.k2.basis)
-    v22 = _coords(d.ker_e11.basis, w.V, d.ker_f22.basis)
+    u11 = _coords(im_e11, w.U, im_f22)
+    u12 = _coords(im_e11, w.U, h2)
+    u21 = _coords(g1, w.U, im_f22)
+    u22 = _coords(g1, w.U, h2)
 
-    left_inv_v22 = _coords(d.ker_f22.basis, w.E21, d.ker_e11.basis)
-    right_inv_u22 = _coords(d.h2.basis, w.Ehat21, d.g1.basis)
+    v11 = _coords(f1, w.V, k2)
+    v12 = _coords(f1, w.V, ker_f22)
+    v21 = _coords(ker_e11, w.V, k2)
+    v22 = _coords(ker_e11, w.V, ker_f22)
+
+    left_inv_v22 = _coords(ker_f22, w.E21, ker_e11)
+    right_inv_u22 = _coords(h2, w.Ehat21, g1)
 
     if scales is None:
         scales = (max(1.0, spectral_norm(w.U)), max(1.0, spectral_norm(w.V)))
@@ -349,8 +339,8 @@ def derive_uv_blocks(w: EAESpecialWitness, d: CornerDecomposition,
         "zero_block_u21": spectral_norm(u21) / scale_u,
         "zero_block_v12": spectral_norm(v12) / scale_v,
         "equivalence_u11_v11": rel_residual(d.e11_prime @ v11, -u11 @ d.f22_prime),
-        "left_inverse_v22": rel_residual(left_inv_v22 @ v22, eye(d.ker_f22.dim)),
-        "right_inverse_u22": rel_residual(u22 @ right_inv_u22, eye(d.g1.dim)),
+        "left_inverse_v22": rel_residual(left_inv_v22 @ v22, eye(v22.shape[1])),
+        "right_inverse_u22": rel_residual(u22 @ right_inv_u22, eye(u22.shape[0])),
     }
     _checked(VerifierReport("reduced_blocks", residuals, tol), "derive_uv_blocks")
     return ReducedBlocks(u11=u11, u12=u12, u22=u22, v11=v11, v21=v21, v22=v22,
@@ -385,9 +375,10 @@ def normalize_adjoint(w: EAESpecialWitness, tol: float = DEFAULT_TOL) -> EAESpec
 
     # F @ s leaves F's last column block, and so F22, bit for bit as it
     # was: that block of s is [[0], [I]], whose products and sums are exact
-    ker_f22, _kcomp, _ran, h2 = subspaces(w.f22_svd)
-    p_ker = ker_f22.basis @ adjoint(ker_f22.basis)
-    p_h2 = h2.basis @ adjoint(h2.basis)
+    r = w.f22_svd.rank()
+    ker_f22, h2 = w.f22_svd.right[:, r:], w.f22_svd.left[:, r:]
+    p_ker = ker_f22 @ adjoint(ker_f22)
+    p_h2 = h2 @ adjoint(h2)
 
     def pairs():
         yield "e21_into_ker_f22", (p_ker @ wn.E21, wn.E21)
@@ -398,11 +389,11 @@ def normalize_adjoint(w: EAESpecialWitness, tol: float = DEFAULT_TOL) -> EAESpec
     return wn
 
 
-def check_two_sided(w: EAESpecialWitness, rb: ReducedBlocks,
-                    tol: float = DEFAULT_TOL) -> dict[str, float]:
+def check_two_sided(rb: ReducedBlocks, tol: float = DEFAULT_TOL) -> dict[str, float]:
     """Certify that the one-sided inverses of v22 and u22 are two-sided.
 
-    Expects a witness normalized by :func:`normalize_adjoint`; then
+    Expects blocks derived from a witness normalized by
+    :func:`normalize_adjoint`; then
     ``v22 @ left_inv_v22`` and ``right_inv_u22 @ u22`` are identities as
     well, so both corner blocks are invertible with known inverses.
 
@@ -416,15 +407,6 @@ def check_two_sided(w: EAESpecialWitness, rb: ReducedBlocks,
     }
     report = VerifierReport("two_sided", residuals, tol)
     return _checked(report, "check_two_sided").residuals
-
-
-def _require_square_corners(d: CornerDecomposition) -> int:
-    if d.rank_e11 != d.rank_f22:
-        raise NumericalError(
-            f"rank(E11)={d.rank_e11} differs from rank(F22)={d.rank_f22}; "
-            "the corner blocks of a genuine witness have equal rank"
-        )
-    return d.rank_e11
 
 
 def _phi_u(rb: ReducedBlocks, r: int) -> np.ndarray:
@@ -467,9 +449,9 @@ def build_small_eae(w: EAESpecialWitness, d: CornerDecomposition, rb: ReducedBlo
     ``x0 = dim Ker E11`` and ``y0 = dim h2``.  Requires invertible corner
     blocks, i.e. :func:`check_two_sided` must have passed.
     """
-    r = _require_square_corners(d)
+    r = d.rank
     x0, y0 = w.m - r, w.n - r
-    w_dom_u, w_cod_u, w_dom_v, w_cod_v = _stacked_bases(d)
+    w_dom_u, w_cod_u, w_dom_v, w_cod_v = d.f22.left, d.e11.left, d.f22.right, d.e11.right
 
     swap_l = Block2x2(zeros(y0, x0), eye(y0), eye(x0), zeros(x0, y0)).assemble()
     l3 = Block2x2(d.e11_prime, zeros(r, x0 + y0), zeros(y0 + x0, r), swap_l).assemble()
@@ -498,9 +480,9 @@ def build_eaoe(w: EAESpecialWitness, d: CornerDecomposition, rb: ReducedBlocks,
     lands on ``U`` when ``dim Ker E11 >= dim h2``, i.e. exactly when
     ``index(F22) >= 0``.
     """
-    r = _require_square_corners(d)
+    r = d.rank
     x0, y0 = w.m - r, w.n - r
-    w_dom_u, w_cod_u, w_dom_v, w_cod_v = _stacked_bases(d)
+    w_dom_u, w_cod_u, w_dom_v, w_cod_v = d.f22.left, d.e11.left, d.f22.right, d.e11.right
     phi_u, phi_u_inv = _phi_u(rb, r), _phi_u_inv(rb, r)
     psi_v, psi_v_inv = _psi_v(rb, r), _psi_v_inv(rb, r)
 
@@ -606,13 +588,13 @@ def run_pipeline(U, V, w: EAESpecialWitness | None = None,
     })
     d = stage("decompose_corners", lambda: decompose_corners(w, tol), data=lambda c: {
         "cond_f22_prime": c.cond_f22_prime, "cond_e11_prime": c.cond_e11_prime,
-        "rank": c.rank_f22,
+        "rank": c.rank,
     })
     rb = stage("derive_blocks", lambda: derive_uv_blocks(w, d, tol), table)
     wn = stage("normalize_adjoint", lambda: normalize_adjoint(w, tol))
     # normalize_adjoint keeps U and V, so their norms carry over
     rb2 = stage("rederive_blocks", lambda: derive_uv_blocks(wn, d, tol, rb.scales), table)
-    stage("two_sided", lambda: check_two_sided(wn, rb2, tol), dict)
+    stage("two_sided", lambda: check_two_sided(rb2, tol), dict)
     small, _ = stage("small_eae", lambda: build_small_eae(wn, d, rb2, tol), built_table,
                      lambda out: {"x0_dim": out[0].x0_dim, "y0_dim": out[0].y0_dim})
     eaoe, _ = stage("build_eaoe", lambda: on_index_side(build_eaoe(wn, d, rb2, tol)),

@@ -530,6 +530,8 @@ class TestCliHankel:
     @pytest.mark.parametrize("option,value", [
         ("--p", "0.5"), ("--p", "0"), ("--p", "nan"), ("--p", "inf"), ("--p", "-inf"),
         ("--kmax", "-3"), ("--kmax", "-1"), ("--grid", "-4"), ("--grid", "-1"),
+        ("--symbol-offset", "100000000000000000000"),
+        ("--symbol-offset", "-100000000000000000000"),
     ])
     def test_invalid_option_exits_2(self, tmp_path, capsys, option, value):
         rep = tmp_path / "h.json"
@@ -537,6 +539,13 @@ class TestCliHankel:
                          "--report", str(rep)]) == 2
         assert f"'{option}'" in capsys.readouterr().err
         assert not rep.exists()
+
+    @pytest.mark.parametrize("offset", [2**62, -2**62])
+    def test_extreme_symbol_offset_ends_in_a_usage_error(self, capsys, offset):
+        # the range's ends pass the option check and overflow no index sum
+        assert dispatch(["hankel", "--symbol", "2,1", f"--symbol-offset={offset}",
+                         "--N", "50"]) == 2
+        assert "no interior rows/columns" in capsys.readouterr().err
 
     @pytest.mark.parametrize("option,value", [("--p", "1"), ("--kmax", "0"),
                                               ("--grid", "0")])

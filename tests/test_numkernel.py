@@ -19,7 +19,6 @@ from opcoupling.numkernel import (
     rank_of,
     rel_residual,
     spectral_norm,
-    subspaces,
     svd,
 )
 
@@ -223,22 +222,33 @@ class TestPinv:
 
 
 class TestSubspaces:
+    """The four fundamental subspaces are column blocks of the SVD factors:
+    for ``res = svd(a)`` and ``r = res.rank()``, ``res.right[:, r:]`` spans
+    the kernel, ``res.right[:, :r]`` its complement, ``res.left[:, :r]`` the
+    range and ``res.left[:, r:]`` its complement."""
+
+    @staticmethod
+    def split(a):
+        res = svd(a)
+        r = res.rank()
+        return res.right[:, r:], res.right[:, :r], res.left[:, :r], res.left[:, r:]
+
     def test_zero_map(self):
-        kernel, kcomp, ran, rcomp = subspaces(svd(np.zeros((2, 2))))
-        assert (kernel.dim, kcomp.dim, ran.dim, rcomp.dim) == (2, 0, 0, 2)
+        kernel, kcomp, ran, rcomp = self.split(np.zeros((2, 2)))
+        assert [b.shape[1] for b in (kernel, kcomp, ran, rcomp)] == [2, 0, 0, 2]
 
     def test_identity(self):
-        kernel, kcomp, ran, rcomp = subspaces(svd(np.eye(3)))
-        assert (kernel.dim, ran.dim) == (0, 3)
+        kernel, kcomp, ran, rcomp = self.split(np.eye(3))
+        assert (kernel.shape[1], ran.shape[1]) == (0, 3)
 
     def test_coordinate_projection(self):
         a = np.array([[1.0, 0.0], [0.0, 0.0]])
-        kernel, kcomp, ran, rcomp = subspaces(svd(a))
+        kernel, kcomp, ran, rcomp = self.split(a)
         # kernel = span e2, range = span e1, complements the other axes
-        np.testing.assert_allclose(np.abs(kernel.basis), [[0.0], [1.0]], atol=1e-15)
-        np.testing.assert_allclose(np.abs(ran.basis), [[1.0], [0.0]], atol=1e-15)
-        np.testing.assert_allclose(np.abs(kcomp.basis), [[1.0], [0.0]], atol=1e-15)
-        np.testing.assert_allclose(np.abs(rcomp.basis), [[0.0], [1.0]], atol=1e-15)
+        np.testing.assert_allclose(np.abs(kernel), [[0.0], [1.0]], atol=1e-15)
+        np.testing.assert_allclose(np.abs(ran), [[1.0], [0.0]], atol=1e-15)
+        np.testing.assert_allclose(np.abs(kcomp), [[1.0], [0.0]], atol=1e-15)
+        np.testing.assert_allclose(np.abs(rcomp), [[0.0], [1.0]], atol=1e-15)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_rank_nullity_and_block_form(self, seed):
@@ -247,20 +257,20 @@ class TestSubspaces:
         r = int(rng.integers(0, min(rows, cols) + 1))
         a = (rng.standard_normal((rows, r)) + 1j * rng.standard_normal((rows, r))) @ \
             (rng.standard_normal((r, cols)) + 1j * rng.standard_normal((r, cols)))
-        kernel, kcomp, ran, rcomp = subspaces(svd(a))
-        assert rank_of(a) + kernel.dim == cols
+        kernel, kcomp, ran, rcomp = self.split(a)
+        assert rank_of(a) + kernel.shape[1] == cols
         # assembling a in the four bases gives [[a', 0], [0, 0]] with a' invertible
-        dom = np.hstack([kcomp.basis, kernel.basis])
-        cod = np.hstack([ran.basis, rcomp.basis])
+        dom = np.hstack([kcomp, kernel])
+        cod = np.hstack([ran, rcomp])
         coords = adjoint(cod) @ a @ dom
-        k = ran.dim
+        k = ran.shape[1]
         scale = max(1.0, spectral_norm(a))
         assert spectral_norm(coords[:k, k:]) <= 1e-12 * scale
         assert spectral_norm(coords[k:, :]) <= 1e-12 * scale
         if k:
             inverse(coords[:k, :k])  # must not raise
         # a annihilates its kernel
-        assert spectral_norm(a @ kernel.basis) <= 1e-12 * scale
+        assert spectral_norm(a @ kernel) <= 1e-12 * scale
 
 
 class TestInverse:

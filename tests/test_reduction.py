@@ -17,7 +17,7 @@ from opcoupling.errors import (
     PipelineStageError,
 )
 from opcoupling.instances import InstanceSpec, random_instance, synth_mc
-from opcoupling.numkernel import pinv, rel_residual, spectral_norm, subspaces, svd
+from opcoupling.numkernel import pinv, rel_residual, spectral_norm, svd
 from opcoupling.reduction import (
     build_eaoe,
     build_small_eae,
@@ -86,36 +86,55 @@ class TestFredholmReport:
         assert rep.dims_match
 
 
+def _complement_dims(d):
+    """``(dim h2, dim g1, dim Ker F22, dim Ker E11)``: the columns of each
+    SVD factor past the common rank."""
+    r = d.rank
+    return (d.f22.left.shape[1] - r, d.e11.left.shape[1] - r,
+            d.f22.right.shape[1] - r, d.e11.right.shape[1] - r)
+
+
 class TestDecomposeCorners:
     def test_worked_instance_trivial_complements(self):
         d = decompose_corners(worked_special())
-        assert d.h2.dim == 0 and d.g1.dim == 0
-        assert d.ker_f22.dim == 0 and d.ker_e11.dim == 0
+        assert d.rank == 1 and _complement_dims(d) == (0, 0, 0, 0)
         # invertible compressions are the nonzero scalars, up to basis phase
         assert abs(d.f22_prime[0, 0]) == pytest.approx(0.5)
         assert abs(d.e11_prime[0, 0]) == pytest.approx(1.0)
 
     def test_swap_witness_zero_corner(self):
         d = decompose_corners(swap_special())
-        assert d.ker_e11.dim == 1 and d.im_e11.dim == 0
-        assert d.ker_f22.dim == 1 and d.im_f22.dim == 0
+        assert d.rank == 0 and _complement_dims(d) == (1, 1, 1, 1)
         assert d.f22_prime.shape == (0, 0)
 
     def test_synthesized_kernel_dims_match(self):
-        d = decompose_corners(synthesized(2, 2, 1))
-        assert d.ker_e11.dim == d.ker_f22.dim
-        assert d.h2.dim == d.g1.dim
+        h2, g1, ker_f22, ker_e11 = _complement_dims(decompose_corners(synthesized(2, 2, 1)))
+        assert ker_e11 == ker_f22
+        assert h2 == g1
+
+    def test_reads_the_cached_corner_svds(self):
+        w = synthesized(3, 4, 2, seed=21)
+        d = decompose_corners(w)
+        assert d.f22 is w.f22_svd and d.e11 is w.e11_svd
+        assert d.rank == w.f22_svd.rank() == w.e11_svd.rank()
+
+    def test_unequal_corner_ranks_raise(self):
+        # E11 = [[1]] has rank 1, F22 = [[0]] rank 0; the shapes are all
+        # the constructor checks
+        swap = [[0.0, 1.0], [1.0, 0.0]]
+        w = special_from_ef(U=[[1.0]], V=[[1.0]], E=np.eye(2), F=swap)
+        with pytest.raises(NumericalError) as info:
+            decompose_corners(w)
+        assert str(info.value) == ("rank(E11)=1 differs from rank(F22)=0; the corner "
+                                   "blocks of a genuine witness have equal rank")
 
 
 def _block_form_residuals(w, d):
     """Exact residuals of the block forms decompose_corners checks."""
     out = {}
-    for name, block, dom, ker, ran, comp, prime in (
-        ("f22", w.F22, d.k2, d.ker_f22, d.im_f22, d.h2, d.f22_prime),
-        ("e11", w.E11, d.f1, d.ker_e11, d.im_e11, d.g1, d.e11_prime),
-    ):
-        cod_w = np.hstack([ran.basis, comp.basis])
-        in_coords = cod_w.conj().T @ block @ np.hstack([dom.basis, ker.basis])
+    for name, block, res, prime in (("f22", w.F22, d.f22, d.f22_prime),
+                                    ("e11", w.E11, d.e11, d.e11_prime)):
+        in_coords = res.left.conj().T @ block @ res.right
         target = np.zeros_like(in_coords)
         target[: prime.shape[0], : prime.shape[1]] = prime
         out[name] = rel_residual(in_coords, target)
@@ -139,17 +158,19 @@ class TestDecomposeCornersExactFallback:
     def test_tol_at_the_exact_residual_passes(self):
         w = synthesized(12, 14, 2, seed=1)
         d = decompose_corners(w, max(_block_form_residuals(w, decompose_corners(w)).values()))
-        assert d.rank_f22 == d.rank_e11
+        assert d.rank == d.f22.rank() == d.e11.rank()
 
 
 def _normalization_residuals(wn):
     """The residual table normalize_adjoint checks, computed exactly."""
-    ker, _, _, h2 = subspaces(svd(wn.F22))
-    p_ker = ker.basis @ ker.basis.conj().T
+    res = svd(wn.F22)
+    r = res.rank()
+    ker, h2 = res.right[:, r:], res.left[:, r:]
+    p_ker = ker @ ker.conj().T
     scale = max(1.0, np.linalg.norm(wn.E21, 2))
     residuals = {
         "e21_into_ker_f22": np.linalg.norm(p_ker @ wn.E21 - wn.E21, 2) / scale,
-        "f21_is_p_h2": rel_residual(wn.F21, h2.basis @ h2.basis.conj().T),
+        "f21_is_p_h2": rel_residual(wn.F21, h2 @ h2.conj().T),
     }
     residuals.update(verify_eae_special(wn).residuals)
     return residuals
@@ -200,8 +221,8 @@ def _residual_checks(c):
                              lambda tol: derive_uv_blocks(c.w, c.d, tol)),
         "normalize_adjoint": ("normalize_adjoint", _normalization_residuals(c.wn),
                               lambda tol: normalize_adjoint(c.w, tol)),
-        "check_two_sided": ("check_two_sided", check_two_sided(c.wn, c.rb2),
-                            lambda tol: check_two_sided(c.wn, c.rb2, tol)),
+        "check_two_sided": ("check_two_sided", check_two_sided(c.rb2),
+                            lambda tol: check_two_sided(c.rb2, tol)),
         "build_small_eae": ("build_small_eae", verify_eae(small).residuals,
                             lambda tol: build_small_eae(c.wn, c.d, c.rb2, tol)),
         "build_eaoe": ("build_eaoe", verify_eaoe(eaoe).residuals,
@@ -287,10 +308,11 @@ class TestNormalizeAdjoint:
     def test_conditions_hold_after_one_application(self):
         w = synthesized(2, 3, 1, seed=8)
         wn = normalize_adjoint(w, 1e-10)
-        from opcoupling.numkernel import subspaces
-        ker, _, _, h2 = subspaces(svd(wn.F22))
-        p_ker = ker.basis @ ker.basis.conj().T
-        p_h2 = h2.basis @ h2.basis.conj().T
+        res = svd(wn.F22)
+        r = res.rank()
+        ker, h2 = res.right[:, r:], res.left[:, r:]
+        p_ker = ker @ ker.conj().T
+        p_h2 = h2 @ h2.conj().T
         assert spectral_norm(p_ker @ wn.E21 - wn.E21) <= 1e-10
         assert rel_residual(wn.F21, p_h2) <= 1e-10
 
@@ -317,21 +339,21 @@ class TestCheckTwoSided:
         w = worked_special()
         d = decompose_corners(w)
         rb = derive_uv_blocks(w, d)
-        residuals = check_two_sided(w, rb, 1e-12)
+        residuals = check_two_sided(rb, 1e-12)
         assert max(residuals.values()) == 0.0  # zero-dimensional blocks
 
     def test_swap_witness(self):
         w = swap_special()
         d = decompose_corners(w)
         rb = derive_uv_blocks(w, d)
-        residuals = check_two_sided(w, rb, 1e-12)
+        residuals = check_two_sided(rb, 1e-12)
         assert max(residuals.values()) <= 1e-14
 
     def test_synthesized_after_normalization(self):
         w = normalize_adjoint(synthesized(3, 4, 2, seed=13))
         d = decompose_corners(w)
         rb = derive_uv_blocks(w, d)
-        residuals = check_two_sided(w, rb, 1e-10)
+        residuals = check_two_sided(rb, 1e-10)
         assert max(residuals.values()) <= 1e-10
 
 

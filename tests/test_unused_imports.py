@@ -1,11 +1,14 @@
-"""Every name a module of the package imports is read somewhere in it, and
-every private module-level function or class is used somewhere in the package.
+"""Every name a module of the package imports is read somewhere in it,
+every private module-level function or class is used somewhere in the
+package, and every public one somewhere in the package, the benchmark
+scripts or the acceptance tests.
 
 No linter ships with the toolchain, so the checks walk the syntax trees: a
 name bound by an import must occur as a plain name or as the base of an
-attribute access elsewhere in the module, and the name of a private
-top-level ``def`` or ``class`` must occur as a plain name or an attribute
-somewhere in the package besides its own definition.
+attribute access elsewhere in the module, and the name of a top-level
+``def`` or ``class`` must occur as a plain name or an attribute besides its
+own definition.  A decorated public ``def`` is exempt, since its decorator
+may register it (a click command is reached through its group).
 """
 
 import ast
@@ -44,11 +47,7 @@ def test_module_reads_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
-def unreferenced_private(sources: list[str]) -> list[str]:
-    trees = [ast.parse(source) for source in sources]
-    defined = [node.name for tree in trees for node in tree.body
-               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-               and node.name.startswith("_")]
+def _names_read(trees) -> set[str]:
     used = set()
     for tree in trees:
         for node in ast.walk(tree):
@@ -56,7 +55,31 @@ def unreferenced_private(sources: list[str]) -> list[str]:
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
-    return [name for name in defined if name not in used]
+    return used
+
+
+def _top_level_definitions(trees):
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                yield node
+
+
+def unreferenced_private(sources: list[str]) -> list[str]:
+    trees = [ast.parse(source) for source in sources]
+    used = _names_read(trees)
+    return [node.name for node in _top_level_definitions(trees)
+            if node.name.startswith("_") and node.name not in used]
+
+
+def unreferenced_public(sources: list[str], readers: list[str]) -> list[str]:
+    """Public top-level definitions of ``sources`` that neither they nor
+    ``readers`` refer to; decorated functions are exempt."""
+    trees = [ast.parse(source) for source in sources]
+    used = _names_read(trees + [ast.parse(source) for source in readers])
+    return [node.name for node in _top_level_definitions(trees)
+            if not node.name.startswith("_") and node.name not in used
+            and (isinstance(node, ast.ClassDef) or not node.decorator_list)]
 
 
 def test_detects_an_unreferenced_private_definition():
@@ -68,3 +91,18 @@ def test_detects_an_unreferenced_private_definition():
 def test_package_uses_every_private_definition():
     sources = [path.read_text(encoding="utf-8") for path in MODULES]
     assert unreferenced_private(sources) == []
+
+
+def test_detects_an_unreferenced_public_definition():
+    sources = ["def dead():\n    pass\n\ndef live():\n    pass\n\n"
+               "@group.command()\ndef registered():\n    pass\n\n"
+               "@dataclass\nclass Unused:\n    x: int\n"]
+    readers = ["from pkg.a import live\nlive()\n"]
+    assert unreferenced_public(sources, readers) == ["dead", "Unused"]
+
+
+def test_package_uses_every_public_definition():
+    root = Path(opcoupling.__file__).resolve().parents[2]
+    readers = sorted((root / "perfbench").glob("*.py")) + [root / "tests" / "test_acceptance.py"]
+    sources = [path.read_text(encoding="utf-8") for path in MODULES]
+    assert unreferenced_public(sources, [p.read_text(encoding="utf-8") for p in readers]) == []
