@@ -10,6 +10,14 @@ factors, split at its rank: the leading ``rank`` columns of ``left`` span the
 range and the trailing ones its orthogonal complement, and the trailing
 columns of ``right`` span the kernel and the leading ones its complement.
 Every such basis is orthonormal.
+
+Every dense SVD and Cholesky factorization of the package is taken here.
+The rule: an exact SVD is taken only for a value that is recorded, or for a
+check that nothing else settles.  A denominator ``max(1, ||rhs||)`` that a
+certificate proves to be 1 (:func:`_at_most_unit_norm`), the norm and
+condition of an exact identity, and a pass/fail check settled by a
+certified bound (:func:`_certainly_within`) take none, and each gives the
+float the SVD would have given.
 """
 
 from __future__ import annotations
@@ -69,24 +77,77 @@ def spectral_norm(a) -> float:
     return float(_svd_vals(a)[0])
 
 
-def _at_most_unit_norm(a: np.ndarray) -> bool:
-    """Whether ``spectral_norm(a) <= 1`` is certain without an SVD.
+def _is_identity(a: np.ndarray) -> bool:
+    """Whether ``a`` is exactly an identity matrix."""
+    rows, cols = a.shape
+    return rows == cols and np.count_nonzero(a) == rows and bool(np.all(np.diagonal(a) == 1))
 
-    ``min(||a||_F, sqrt(||a||_1 ||a||_inf))`` bounds the spectral norm from
-    above.  A bound below ``1 - slack`` leaves room for the rounding of the
-    bound and of the SVD, so the SVD could not have returned more than 1.
+
+def _gamma(k: int) -> float:
+    """Higham's ``gamma_k = k u / (1 - k u)``, with ``u = eps / 2`` the unit
+    roundoff: the relative error bound of ``k`` successive roundings."""
+    ku = k * EPS / 2
+    return ku / (1.0 - ku)
+
+
+def _at_most_unit_norm(a: np.ndarray) -> bool:
+    """Whether ``spectral_norm(a) <= 1`` is certain, settled without an SVD.
+
+    True means ``||a||_2 <= 1 - slack`` is proven; the slack leaves room for
+    the rounding of the SVD, so the SVD could not have returned more than 1.
     The identity, whose SVD returns exactly 1.0, is the one case on the
-    boundary that is also taken as settled.
+    boundary that is also taken as settled.  The cheap upper bound
+    ``min(||a||_F, sqrt(||a||_1 ||a||_inf))`` is tried first.  When it fails
+    and no row or column already has 2-norm above ``1 - slack``, the smaller
+    Gram matrix ``G`` of ``a`` is formed and the certificate is a
+    floating-point Cholesky factorization of ``(1 - slack)^2 I - G - tau I``
+    that runs to completion (S. M. Rump, *Verification of positive
+    definiteness*, BIT 46, 2006; Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2002, ch. 10).  ``tau`` covers the rounding of ``G``, at most
+    ``sqrt(2) gamma_{p+1} ||a||_F^2`` for complex dot products of length
+    ``p``, and of the Cholesky itself, at most ``gamma / (1 - gamma)`` times
+    the trace of the factored matrix, with complex-arithmetic constants.
+    False means only that neither settled the question.
     """
     if a.size == 0:
         return True
-    rows, cols = a.shape
-    if rows == cols and np.count_nonzero(a) == rows and np.all(np.diagonal(a) == 1):
+    if _is_identity(a):
         return True
+    rows, cols = a.shape
+    p, k = max(rows, cols), min(rows, cols)
+    edge = 1.0 - 16 * p * EPS
     mag = np.abs(a)
-    bound = min(float(np.sqrt(np.sum(mag * mag))),
+    sq = mag * mag
+    col2, row2 = sq.sum(axis=0), sq.sum(axis=1)
+    fro2 = float(col2.sum())
+    bound = min(float(np.sqrt(fro2)),
                 float(np.sqrt(mag.sum(axis=0).max() * mag.sum(axis=1).max())))
-    return bound <= 1.0 - 16 * max(rows, cols) * EPS
+    if bound <= edge:
+        return True
+    # ||a|| is at least each row's and column's 2-norm; the negated test
+    # also turns away non-finite entries
+    if not max(float(col2.max()), float(row2.max())) <= edge * edge:
+        return False
+    gram = adjoint(a) @ a if cols <= rows else a @ adjoint(a)
+    # complex gammas as gamma_{2j} >= sqrt(2) gamma_j, doubled for the
+    # second-order terms, the rounding of the squares, the shifted diagonal
+    # and underflow
+    g_chol = _gamma(2 * k + 4)
+    tau = 2.0 * (_gamma(2 * p + 4) * fro2 * (1.0 + _gamma(a.size + 4))
+                 + g_chol / (1.0 - g_chol) * k + EPS + p * k * _TINY)
+    h = -gram
+    h[np.diag_indices(k)] += edge * edge - tau
+    try:
+        np.linalg.cholesky(h)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _norm_at_least_one(a: np.ndarray) -> float:
+    """``max(1, spectral_norm(a))``, the denominator of a relative residual,
+    with the SVD skipped where :func:`_at_most_unit_norm` settles it at 1."""
+    return 1.0 if _at_most_unit_norm(a) else max(1.0, spectral_norm(a))
 
 
 def rel_residual(lhs, rhs) -> float:
@@ -105,8 +166,7 @@ def rel_residual(lhs, rhs) -> float:
     diff = lhs - rhs
     if not diff.any():
         return 0.0
-    scale = 1.0 if _at_most_unit_norm(rhs) else max(1.0, spectral_norm(rhs))
-    return spectral_norm(diff) / scale
+    return spectral_norm(diff) / _norm_at_least_one(rhs)
 
 
 def _certainly_within(pairs, tol: float) -> bool:
@@ -218,13 +278,17 @@ def condition_number(a) -> float:
 
 def _norm_and_condition(a) -> tuple[float, float]:
     """``(spectral_norm(a), condition_number(a))`` from the one values-only
-    SVD that both take; a 0x0 matrix gives ``(0.0, 1.0)``."""
+    SVD that both take; a 0x0 matrix gives ``(0.0, 1.0)`` and an exact
+    identity ``(1.0, 1.0)`` without one."""
     a = as_matrix(a)
     rows, cols = a.shape
     if rows != cols:
         raise ShapeError(f"expected a square matrix, got shape {a.shape}")
     if rows == 0:
         return 0.0, 1.0
+    # the values-only SVD of an identity returns exact ones
+    if _is_identity(a):
+        return 1.0, 1.0
     s = _svd_vals(a)
     cut = default_rank_tol(a, s)
     sigma_min = float(s[-1])

@@ -39,7 +39,7 @@ its :class:`~opcoupling.errors.FeasibilityError` on unwrapped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -53,12 +53,12 @@ from .errors import (
 )
 from .numkernel import (
     SvdResult,
+    _norm_at_least_one,
     adjoint,
     as_matrix,
     eye,
     inverse,
     pinv,
-    rank_of,
     rel_residual,
     spectral_norm,
     zeros,
@@ -74,6 +74,7 @@ from .relations import (
     _checked,
     _checked_pairs,
     _direct_sum,
+    _inverse_residuals,
     _mc_to_eae_special,
     _special_pairs,
     _special_residuals,
@@ -119,8 +120,7 @@ class ReducedBlocks:
     ``V`` on (k2 (+) ker_f22) -> (f1 (+) ker_e11) lower block triangular.
     ``left_inv_v22 @ v22`` and ``u22 @ right_inv_u22`` are identities; the
     residuals of the suppressed blocks and of ``e11' v11 = -u11 f22'`` are
-    kept for reporting.  ``scales`` holds ``max(1, ||U||)`` and
-    ``max(1, ||V||)``, the denominators of the suppressed-block residuals.
+    kept for reporting.
     """
 
     u11: np.ndarray
@@ -132,7 +132,13 @@ class ReducedBlocks:
     left_inv_v22: np.ndarray
     right_inv_u22: np.ndarray
     residuals: dict[str, float] = field(default_factory=dict)
-    scales: tuple[float, float] = (1.0, 1.0)
+
+
+@dataclass(frozen=True)
+class CornerIndex:
+    """Index ``cols - rows`` of a corner block, whatever its rank."""
+
+    index: int
 
 
 @dataclass(frozen=True)
@@ -147,12 +153,13 @@ class CornerFredholm:
 
 @dataclass(frozen=True)
 class FredholmReport:
-    """Rank/kernel/index bookkeeping for the four corner blocks."""
+    """Index bookkeeping for the four corner blocks, and rank data for the
+    two whose SVDs the witness caches."""
 
-    f11: CornerFredholm
+    f11: CornerIndex
     f22: CornerFredholm
     e11: CornerFredholm
-    ehat11: CornerFredholm
+    ehat11: CornerIndex
     dim_h2: int
     dim_g1: int
     dim_ker_f22: int
@@ -220,30 +227,32 @@ def _coords(left_basis: np.ndarray, op: np.ndarray, right_basis: np.ndarray) -> 
 
 
 def fredholm_report(w: EAESpecialWitness) -> FredholmReport:
-    """Rank and index bookkeeping for F11, F22, E11 and Ehat11.
+    """Index bookkeeping for F11, F22, E11 and Ehat11, rank data for F22, E11.
 
     A corner's index is ``cols - rows`` whatever its rank, so the block
     shapes :class:`~opcoupling.relations.EAESpecialWitness` fixes give the
     identities ``index(F11) = -index(F22)`` and ``index(E11) = -index(Ehat11)``
-    by construction.  The ranks of F22 and E11 are read from the witness's
-    cached SVDs of them.  For a genuine witness the kernel/cokernel dimension
-    equalities ``dim h2 = dim g1`` and ``dim ker F22 = dim ker E11`` hold as
-    well; they are exposed through :attr:`FredholmReport.dims_match`.  The
-    sign of ``index(F22)`` dictates which operator the one-sided extension
-    lands on: positive means ``U``.
+    by construction, and F11 and Ehat11 are not factored.  The ranks of F22
+    and E11 are read from the witness's cached SVDs of them.  For a genuine
+    witness the kernel/cokernel dimension equalities ``dim h2 = dim g1`` and
+    ``dim ker F22 = dim ker E11`` hold as well; they are exposed through
+    :attr:`FredholmReport.dims_match`.  The sign of ``index(F22)`` dictates
+    which operator the one-sided extension lands on: positive means ``U``.
     """
     def corner(block: np.ndarray, r: int) -> CornerFredholm:
         rows, cols = block.shape
         return CornerFredholm(rank=r, kernel_dim=cols - r,
                               cokernel_dim=rows - r, index=(cols - r) - (rows - r))
 
-    f11 = corner(w.F11, rank_of(w.F11))
+    def index(block: np.ndarray) -> CornerIndex:
+        rows, cols = block.shape
+        return CornerIndex(index=cols - rows)
+
     f22 = corner(w.F22, w.f22_svd.rank())
     e11 = corner(w.E11, w.e11_svd.rank())
-    ehat11 = corner(w.Ehat11, rank_of(w.Ehat11))
     side = "U" if f22.index > 0 else ("V" if f22.index < 0 else "none")
     return FredholmReport(
-        f11=f11, f22=f22, e11=e11, ehat11=ehat11,
+        f11=index(w.F11), f22=f22, e11=e11, ehat11=index(w.Ehat11),
         dim_h2=f22.cokernel_dim, dim_g1=e11.cokernel_dim,
         dim_ker_f22=f22.kernel_dim, dim_ker_e11=e11.kernel_dim,
         extension_side=side,
@@ -297,7 +306,7 @@ def decompose_corners(w: EAESpecialWitness, tol: float = DEFAULT_TOL) -> CornerD
 
 def derive_uv_blocks(w: EAESpecialWitness, d: CornerDecomposition,
                      tol: float = DEFAULT_TOL,
-                     scales: tuple[float, float] | None = None) -> ReducedBlocks:
+                     carried: ReducedBlocks | None = None) -> ReducedBlocks:
     """Express U and V in the decomposition bases and extract their blocks.
 
     The compressions are
@@ -309,8 +318,11 @@ def derive_uv_blocks(w: EAESpecialWitness, d: CornerDecomposition,
     ``left_inv_v22 = Pi_ker_f22 @ E21 @ J_ker_e11`` (a left inverse of v22)
     and ``right_inv_u22 = Pi_h2 @ Ehat21 @ J_g1`` (a right inverse of u22)
     are computed from the witness blocks, not by inverting anything.
-    ``scales`` may pass on the :attr:`ReducedBlocks.scales` of an earlier
-    call for a witness with the same ``U`` and ``V``, sparing their SVDs.
+    ``carried`` may pass the blocks of an earlier call for a witness with
+    the same ``U``, ``V``, ``E11`` and ``F22`` bit for bit, as
+    :func:`normalize_adjoint` leaves them: the blocks of U and V and the
+    first three residuals, which depend on nothing else, are then carried
+    over, and only the one-sided inverses are derived again.
     The residual table fails when the witness is not a genuine anchored one.
     """
     r = d.rank
@@ -319,33 +331,33 @@ def derive_uv_blocks(w: EAESpecialWitness, d: CornerDecomposition,
     im_e11, g1 = d.e11.left[:, :r], d.e11.left[:, r:]
     f1, ker_e11 = d.e11.right[:, :r], d.e11.right[:, r:]
 
-    u11 = _coords(im_e11, w.U, im_f22)
-    u12 = _coords(im_e11, w.U, h2)
-    u21 = _coords(g1, w.U, im_f22)
-    u22 = _coords(g1, w.U, h2)
-
-    v11 = _coords(f1, w.V, k2)
-    v12 = _coords(f1, w.V, ker_f22)
-    v21 = _coords(ker_e11, w.V, k2)
-    v22 = _coords(ker_e11, w.V, ker_f22)
-
     left_inv_v22 = _coords(ker_f22, w.E21, ker_e11)
     right_inv_u22 = _coords(h2, w.Ehat21, g1)
+    if carried is None:
+        u11 = _coords(im_e11, w.U, im_f22)
+        v11 = _coords(f1, w.V, k2)
+        rb = ReducedBlocks(
+            u11=u11, u12=_coords(im_e11, w.U, h2), u22=_coords(g1, w.U, h2),
+            v11=v11, v21=_coords(ker_e11, w.V, k2), v22=_coords(ker_e11, w.V, ker_f22),
+            left_inv_v22=left_inv_v22, right_inv_u22=right_inv_u22,
+            residuals={
+                "zero_block_u21": (spectral_norm(_coords(g1, w.U, im_f22))
+                                   / _norm_at_least_one(w.U)),
+                "zero_block_v12": (spectral_norm(_coords(f1, w.V, ker_f22))
+                                   / _norm_at_least_one(w.V)),
+                "equivalence_u11_v11": rel_residual(d.e11_prime @ v11, -u11 @ d.f22_prime),
+            })
+    else:
+        rb = replace(carried, left_inv_v22=left_inv_v22, right_inv_u22=right_inv_u22)
 
-    if scales is None:
-        scales = (max(1.0, spectral_norm(w.U)), max(1.0, spectral_norm(w.V)))
-    scale_u, scale_v = scales
+    # a carried table keeps its order: the two inverse entries are replaced
     residuals = {
-        "zero_block_u21": spectral_norm(u21) / scale_u,
-        "zero_block_v12": spectral_norm(v12) / scale_v,
-        "equivalence_u11_v11": rel_residual(d.e11_prime @ v11, -u11 @ d.f22_prime),
-        "left_inverse_v22": rel_residual(left_inv_v22 @ v22, eye(v22.shape[1])),
-        "right_inverse_u22": rel_residual(u22 @ right_inv_u22, eye(u22.shape[0])),
+        **rb.residuals,
+        "left_inverse_v22": rel_residual(left_inv_v22 @ rb.v22, eye(rb.v22.shape[1])),
+        "right_inverse_u22": rel_residual(rb.u22 @ right_inv_u22, eye(rb.u22.shape[0])),
     }
     _checked(VerifierReport("reduced_blocks", residuals, tol), "derive_uv_blocks")
-    return ReducedBlocks(u11=u11, u12=u12, u22=u22, v11=v11, v21=v21, v22=v22,
-                         left_inv_v22=left_inv_v22, right_inv_u22=right_inv_u22,
-                         residuals=residuals, scales=scales)
+    return replace(rb, residuals=residuals)
 
 
 def normalize_adjoint(w: EAESpecialWitness, tol: float = DEFAULT_TOL) -> EAESpecialWitness:
@@ -468,40 +480,52 @@ def build_small_eae(w: EAESpecialWitness, d: CornerDecomposition, rb: ReducedBlo
 
 
 def build_eaoe(w: EAESpecialWitness, d: CornerDecomposition, rb: ReducedBlocks,
+               small: tuple[EAEWitness, VerifierReport],
                tol: float = DEFAULT_TOL) -> tuple[EAOEWitness, VerifierReport]:
     """Collapse the two small extensions into one one-sided extension, and
     return it with the report it was verified by.
 
-    The smaller extension space is embedded into the larger one by the
-    first-coordinates isometry (in the decomposition bases the embedding,
-    its left inverse, and the complement bookkeeping all become identity
-    blocks), which turns the two-sided extension of :func:`build_small_eae`
-    into a one-sided extension of dimension ``|x0 - y0|``.  The extension
-    lands on ``U`` when ``dim Ker E11 >= dim h2``, i.e. exactly when
-    ``index(F22) >= 0``.
+    ``small`` is the witness :func:`build_small_eae` built from the same
+    ``w``, ``d`` and ``rb``, with its report.  The smaller extension space is
+    embedded into the larger one by the first-coordinates isometry (in the
+    decomposition bases the embedding, its left inverse, and the complement
+    bookkeeping all become identity blocks), which turns the two-sided
+    extension into a one-sided extension of dimension ``|x0 - y0|``.  The
+    extension lands on ``U`` when ``dim Ker E11 >= dim h2``, i.e. exactly
+    when ``index(F22) >= 0``.  When one extension is already trivial
+    (``x0 * y0 == 0``) the embedding gives the small witness's E and F bit
+    for bit, so they are taken from it together with its extension residual
+    and conditions, and only the inverses it does not carry are checked.
     """
     r = d.rank
     x0, y0 = w.m - r, w.n - r
     w_dom_u, w_cod_u, w_dom_v, w_cod_v = d.f22.left, d.e11.left, d.f22.right, d.e11.right
-    phi_u, phi_u_inv = _phi_u(rb, r), _phi_u_inv(rb, r)
-    psi_v, psi_v_inv = _psi_v(rb, r), _psi_v_inv(rb, r)
+    phi_u_inv, psi_v = _phi_u_inv(rb, r), _psi_v(rb, r)
 
     # the larger extension meets e11' and f22'; the smaller side's factors
     # are padded by the difference, a padding of 0 leaving them as they are
     ext, big = abs(x0 - y0), max(x0, y0)
     side, pad_u, pad_v = ("U", ext, 0) if y0 <= x0 else ("V", 0, ext)
-    e = (_direct_sum(w_cod_u, pad_u) @ _direct_sum(phi_u, pad_u)
-         @ _direct_sum(d.e11_prime, big) @ _direct_sum(adjoint(w_cod_v), pad_v))
     e_inv = (_direct_sum(w_cod_v, pad_v) @ _direct_sum(d.e11_prime_inv, big)
              @ _direct_sum(phi_u_inv, pad_u) @ _direct_sum(adjoint(w_cod_u), pad_u))
-    f = (_direct_sum(w_dom_v, pad_v) @ _direct_sum(psi_v_inv, pad_v)
-         @ _direct_sum(-d.f22_prime_inv, big) @ _direct_sum(adjoint(w_dom_u), pad_u))
     f_inv = (_direct_sum(w_dom_u, pad_u) @ _direct_sum(-d.f22_prime, big)
              @ _direct_sum(psi_v, pad_v) @ _direct_sum(adjoint(w_dom_v), pad_v))
+    if x0 * y0:
+        e = (_direct_sum(w_cod_u, pad_u) @ _direct_sum(_phi_u(rb, r), pad_u)
+             @ _direct_sum(d.e11_prime, big) @ _direct_sum(adjoint(w_cod_v), pad_v))
+        f = (_direct_sum(w_dom_v, pad_v) @ _direct_sum(_psi_v_inv(rb, r), pad_v)
+             @ _direct_sum(-d.f22_prime_inv, big) @ _direct_sum(adjoint(w_dom_u), pad_u))
+        witness = EAOEWitness(extended_side=side, ext_dim=ext, E=e, F=f,
+                              U=w.U, V=w.V, Einv=e_inv, Finv=f_inv)
+        return witness, _checked(verify_eaoe(witness, tol), "build_eaoe")
 
-    witness = EAOEWitness(extended_side=side, ext_dim=ext, E=e, F=f,
+    eae, eae_report = small
+    witness = EAOEWitness(extended_side=side, ext_dim=ext, E=eae.E, F=eae.F,
                           U=w.U, V=w.V, Einv=e_inv, Finv=f_inv)
-    return witness, _checked(verify_eaoe(witness, tol), "build_eaoe")
+    residuals = {"extension_equation": eae_report.residuals["extension_equation"],
+                 **_inverse_residuals(witness)}
+    report = VerifierReport("eaoe", residuals, tol, dict(eae_report.extras))
+    return witness, _checked(report, "build_eaoe")
 
 
 # ---------------------------------------------------------------------------
@@ -592,12 +616,14 @@ def run_pipeline(U, V, w: EAESpecialWitness | None = None,
     })
     rb = stage("derive_blocks", lambda: derive_uv_blocks(w, d, tol), table)
     wn = stage("normalize_adjoint", lambda: normalize_adjoint(w, tol))
-    # normalize_adjoint keeps U and V, so their norms carry over
-    rb2 = stage("rederive_blocks", lambda: derive_uv_blocks(wn, d, tol, rb.scales), table)
+    # normalize_adjoint keeps U, V, E11 and F22, so their blocks carry over
+    rb2 = stage("rederive_blocks", lambda: derive_uv_blocks(wn, d, tol, rb), table)
     stage("two_sided", lambda: check_two_sided(rb2, tol), dict)
-    small, _ = stage("small_eae", lambda: build_small_eae(wn, d, rb2, tol), built_table,
-                     lambda out: {"x0_dim": out[0].x0_dim, "y0_dim": out[0].y0_dim})
-    eaoe, _ = stage("build_eaoe", lambda: on_index_side(build_eaoe(wn, d, rb2, tol)),
+    small, small_report = stage(
+        "small_eae", lambda: build_small_eae(wn, d, rb2, tol), built_table,
+        lambda out: {"x0_dim": out[0].x0_dim, "y0_dim": out[0].y0_dim})
+    eaoe, _ = stage("build_eaoe",
+                    lambda: on_index_side(build_eaoe(wn, d, rb2, (small, small_report), tol)),
                     built_table, lambda out: {"extended_side": out[0].extended_side,
                                               "ext_dim": out[0].ext_dim})
     sc, _ = stage("schur_coupling", lambda: sc_from_eaoe(eaoe, tol), built_table)

@@ -33,10 +33,12 @@ all, labelled ``identity_i`` .. ``identity_xi``:
 
 Every verifier reports relative residuals ``||lhs - rhs|| / max(1, ||rhs||)``
 in the spectral norm, and every *reported* residual is that exact value.
-Numerators are always exact spectral norms; a denominator is computed by SVD
-only when it can exceed 1, since a cheap upper bound settles
+An exact SVD is taken only for a recorded value or a check nothing else
+settles.  Numerators are always exact spectral norms; a denominator is
+computed by SVD only when it may exceed 1, since a certified bound settles
 ``max(1, ||rhs||) = 1`` otherwise (see
-:func:`~opcoupling.numkernel.rel_residual`).  Special-form witnesses carry
+:func:`~opcoupling.numkernel.rel_residual`), and an exact identity block
+has norm and condition 1 without one.  Special-form witnesses carry
 their inverses so that verification cost and accuracy do not depend on
 re-inverting ``E`` and ``F``, and cache the one full SVD of each corner
 ``F22`` and ``E11`` (``f22_svd``, ``e11_svd``) from which the reduction reads
@@ -440,12 +442,18 @@ def verify_eaoe(w: EAOEWitness, tol: float = DEFAULT_TOL) -> VerifierReport:
     else:
         lhs = w.U
         rhs = w.E @ _direct_sum(w.V, w.ext_dim) @ w.F
-    residuals = {"extension_equation": rel_residual(lhs, rhs)}
+    residuals = {"extension_equation": rel_residual(lhs, rhs), **_inverse_residuals(w)}
+    return VerifierReport("eaoe", residuals, tol, {"cond_e": cond_e, "cond_f": cond_f})
+
+
+def _inverse_residuals(w: EAOEWitness) -> dict[str, float]:
+    """Residuals of the inverses of E and F that an EAOE witness carries."""
+    residuals = {}
     if w.Einv is not None:
         residuals["e_times_einv"] = rel_residual(w.E @ w.Einv, eye(w.E.shape[0]))
     if w.Finv is not None:
         residuals["f_times_finv"] = rel_residual(w.F @ w.Finv, eye(w.F.shape[0]))
-    return VerifierReport("eaoe", residuals, tol, {"cond_e": cond_e, "cond_f": cond_f})
+    return residuals
 
 
 # ---------------------------------------------------------------------------

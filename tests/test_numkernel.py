@@ -9,7 +9,10 @@ from opcoupling.errors import (
     ShapeError,
     SingularMatrixError,
 )
+from opcoupling.instances import random_unitary
 from opcoupling.numkernel import (
+    EPS,
+    _at_most_unit_norm,
     _certainly_within,
     adjoint,
     as_matrix,
@@ -143,6 +146,69 @@ def test_certainly_within_settles_only_clear_cases():
     # left to the exact check: mismatched shapes, non-finite values
     assert not _certainly_within([(np.zeros((2, 3)), np.zeros((3, 2)))], 1.0)
     assert not _certainly_within([(np.full((2, 2), np.nan), np.zeros((2, 2)))], 1.0)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(rows=st.integers(0, 9), cols=st.integers(0, 9),
+       kind=st.sampled_from(["gaussian", "rank_one", "flat_spectrum", "identity_plus_tiny"]),
+       norm=st.one_of(st.sampled_from([1 - 1e-9, 1.0, 1 + 1e-9]),
+                      st.floats(1 - 1e-14, 1 + 1e-14), st.floats(0.5, 2.0)),
+       seed=st.integers(0, 2**32 - 1))
+def test_unit_norm_certificate_never_certifies_a_norm_above_one(rows, cols, kind, norm, seed):
+    # a True answer replaces max(1, ||a||) by 1.0 without an SVD, so it must
+    # never be given where the SVD returns more than 1
+    rng = np.random.default_rng(seed)
+    if kind == "identity_plus_tiny":
+        a = np.eye(rows, cols) + 1e-15 * rng.standard_normal((rows, cols))
+    else:
+        if kind == "rank_one":
+            a = np.outer(rng.standard_normal(rows) + 1j * rng.standard_normal(rows),
+                         rng.standard_normal(cols) + 1j * rng.standard_normal(cols))
+        elif kind == "flat_spectrum":
+            # every singular value within 1e-3 of the largest: many rows and
+            # columns near the norm, where the Cholesky certificate decides
+            k = min(rows, cols)
+            a = ((random_unitary(rows, rng)[:, :k] * (1 - 1e-3 * rng.random(k)))
+                 @ random_unitary(cols, rng)[:k])
+        else:
+            a = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+        if a.size:
+            a *= norm / spectral_norm(a)
+    a = np.asarray(a, dtype=complex)
+    if _at_most_unit_norm(a):
+        assert spectral_norm(a) <= 1.0
+
+
+def test_unit_norm_certificate_settles_clear_cases():
+    rng = np.random.default_rng(5)
+    for rows, cols in ((200, 200), (200, 220), (220, 200)):
+        # singular values spread over [0, 0.99], the largest exactly 0.99
+        k = min(rows, cols)
+        sigma = 0.99 * np.sqrt(rng.random(k))
+        sigma[0] = 0.99
+        a = (random_unitary(rows, rng)[:, :k] * sigma) @ random_unitary(cols, rng)[:k]
+        # neither cheap bound settles it: ||a||_F is about 10
+        assert np.linalg.norm(a) > 1
+        assert _at_most_unit_norm(a)
+        assert not _at_most_unit_norm(a * (1.01 / 0.99))
+    q = random_unitary(200, rng)
+    assert _at_most_unit_norm(0.99 * q)
+    assert not _at_most_unit_norm(q)
+    assert _at_most_unit_norm(np.eye(3, dtype=complex))
+    assert _at_most_unit_norm(np.zeros((0, 4), dtype=complex))
+    assert _at_most_unit_norm(np.zeros((4, 0), dtype=complex))
+    assert not _at_most_unit_norm(np.full((2, 2), np.nan, dtype=complex))
+
+
+def test_unit_norm_certificate_leaves_room_for_rounding():
+    # Every singular value lies 1e-13 below the certificate's edge
+    # 1 - 16 * 200 * eps, so ||a|| <= 1 holds with room to spare; but the gap
+    # is below what the rounding of the Gram matrix and of the Cholesky may
+    # hide at 200x200, so the certificate must leave the question to the SVD.
+    edge = 1 - 16 * 200 * EPS
+    q = random_unitary(200, np.random.default_rng(6))
+    assert not _at_most_unit_norm(edge * (1 - 1e-13) * q)
+    assert _at_most_unit_norm(edge * (1 - 1e-6) * q)
 
 
 class TestSvd:
