@@ -395,7 +395,9 @@ def shift_comparability(alpha, beta, k_max: int) -> ShiftComparabilityReport:
     Entries below ``1e-12 * max(sigma)`` count as zero and are excluded from
     the ratios, so finite-rank tails are compared by support rather than by
     quotients of noise.  A shift with no comparable pair gets no constant;
-    if none has one the verdict is "incomparable at this truncation".
+    if none has one the verdict is "incomparable at this truncation".  A
+    shift of the longer length or more pairs no entries, so the search stops
+    at ``max(len(alpha), len(beta)) - 1`` whatever ``k_max`` is.
     """
     alpha = _check_sv_sequence("alpha", alpha)
     beta = _check_sv_sequence("beta", beta)
@@ -404,7 +406,7 @@ def shift_comparability(alpha, beta, k_max: int) -> ShiftComparabilityReport:
 
     records = []
     best: tuple[str, int, float] | None = None
-    for k in range(k_max + 1):
+    for k in range(min(k_max, max(alpha.size, beta.size) - 1) + 1):
         for orientation, lead, trail in (("alpha_vs_beta", alpha, beta),
                                          ("beta_vs_alpha", beta, alpha)):
             span = min(lead.size, trail.size - k)

@@ -30,7 +30,9 @@ its residual table against ``tol`` through
 :class:`~opcoupling.errors.ConversionError` naming the worst entry, with the
 table attached; the runner passes that table on as the stage error's
 ``report``.  The three builders of step 4 return their witness together
-with that table, which the runner records as the stage's residuals.
+with that table, which the runner records as the stage's residuals.  A
+value several stages read is cached by the object whose inputs fix it, so
+the runner passes objects and checks nothing of its own.
 In this finite-dimensional setting two square matrices admit such a chain
 exactly when their nullities agree; without a supplied witness
 :func:`~opcoupling.instances.synth_mc` decides that, and the runner passes
@@ -39,7 +41,10 @@ its :class:`~opcoupling.errors.FeasibilityError` on unwrapped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from collections.abc import Mapping
+from dataclasses import dataclass, field
+from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -75,9 +80,8 @@ from .relations import (
     _checked_pairs,
     _direct_sum,
     _inverse_residuals,
-    _mc_to_eae_special,
     _special_pairs,
-    _special_residuals,
+    mc_to_eae_special,
     sc_from_eaoe,
     verify_eae,
     verify_eaoe,
@@ -98,9 +102,13 @@ class CornerDecomposition:
     = im_e11 (+) g1 (``left``) and Y = k2 (+) ker_f22 = f1 (+) ker_e11
     (``right``).  In these bases the corners are ``[[f22_prime, 0], [0, 0]]``
     and ``[[e11_prime, 0], [0, 0]]`` with invertible leading blocks whose
-    inverses and condition numbers are recorded.
+    inverses and condition numbers are recorded.  The compressions of the
+    witness's ``U`` and ``V`` to these bases, ``u11`` .. ``v22``, and their
+    ``block_residuals`` are computed on first use and kept.
     """
 
+    U: np.ndarray
+    V: np.ndarray
     f22: SvdResult
     e11: SvdResult
     rank: int
@@ -110,6 +118,36 @@ class CornerDecomposition:
     e11_prime_inv: np.ndarray
     cond_f22_prime: float
     cond_e11_prime: float
+
+    # the subspaces of the splits above, as orthonormal bases
+    im_f22 = property(lambda self: self.f22.left[:, : self.rank])
+    h2 = property(lambda self: self.f22.left[:, self.rank:])
+    k2 = property(lambda self: self.f22.right[:, : self.rank])
+    ker_f22 = property(lambda self: self.f22.right[:, self.rank:])
+    im_e11 = property(lambda self: self.e11.left[:, : self.rank])
+    g1 = property(lambda self: self.e11.left[:, self.rank:])
+    f1 = property(lambda self: self.e11.right[:, : self.rank])
+    ker_e11 = property(lambda self: self.e11.right[:, self.rank:])
+    # the compressions of U and V to them
+    u11 = cached_property(lambda self: _coords(self.im_e11, self.U, self.im_f22))
+    u12 = cached_property(lambda self: _coords(self.im_e11, self.U, self.h2))
+    u22 = cached_property(lambda self: _coords(self.g1, self.U, self.h2))
+    v11 = cached_property(lambda self: _coords(self.f1, self.V, self.k2))
+    v21 = cached_property(lambda self: _coords(self.ker_e11, self.V, self.k2))
+    v22 = cached_property(lambda self: _coords(self.ker_e11, self.V, self.ker_f22))
+
+    @cached_property
+    def block_residuals(self) -> Mapping[str, float]:
+        """Residuals of the blocks the triangular forms suppress and of
+        ``e11' v11 = -u11 f22'``; read-only, so every table holds a copy."""
+        return MappingProxyType({
+            "zero_block_u21": (spectral_norm(_coords(self.g1, self.U, self.im_f22))
+                               / _norm_at_least_one(self.U)),
+            "zero_block_v12": (spectral_norm(_coords(self.f1, self.V, self.ker_f22))
+                               / _norm_at_least_one(self.V)),
+            "equivalence_u11_v11": rel_residual(self.e11_prime @ self.v11,
+                                                -self.u11 @ self.f22_prime),
+        })
 
 
 @dataclass(frozen=True)
@@ -165,11 +203,6 @@ class FredholmReport:
     dim_ker_f22: int
     dim_ker_e11: int
     extension_side: str  # "U" if index(F22) > 0, "V" if < 0, else "none"
-
-    @property
-    def dims_match(self) -> bool:
-        """Cokernel/kernel dimension equalities of a genuine witness."""
-        return self.dim_h2 == self.dim_g1 and self.dim_ker_f22 == self.dim_ker_e11
 
 
 @dataclass(frozen=True)
@@ -233,11 +266,12 @@ def fredholm_report(w: EAESpecialWitness) -> FredholmReport:
     shapes :class:`~opcoupling.relations.EAESpecialWitness` fixes give the
     identities ``index(F11) = -index(F22)`` and ``index(E11) = -index(Ehat11)``
     by construction, and F11 and Ehat11 are not factored.  The ranks of F22
-    and E11 are read from the witness's cached SVDs of them.  For a genuine
-    witness the kernel/cokernel dimension equalities ``dim h2 = dim g1`` and
-    ``dim ker F22 = dim ker E11`` hold as well; they are exposed through
-    :attr:`FredholmReport.dims_match`.  The sign of ``index(F22)`` dictates
-    which operator the one-sided extension lands on: positive means ``U``.
+    and E11 are read from the witness's cached SVDs of them.  Both corners
+    are n x m, so the kernel/cokernel dimension equalities ``dim h2 = dim
+    g1`` and ``dim ker F22 = dim ker E11`` of a genuine witness hold exactly
+    when the ranks agree, which :func:`decompose_corners` checks.  The sign
+    of ``index(F22)`` dictates which operator the one-sided extension lands
+    on: positive means ``U``.
     """
     def corner(block: np.ndarray, r: int) -> CornerFredholm:
         rows, cols = block.shape
@@ -286,7 +320,7 @@ def decompose_corners(w: EAESpecialWitness, tol: float = DEFAULT_TOL) -> CornerD
     f22_prime_inv, cond_f = inverse(f22_prime)
     e11_prime_inv, cond_e = inverse(e11_prime)
     d = CornerDecomposition(
-        f22=f22, e11=e11, rank=r,
+        U=w.U, V=w.V, f22=f22, e11=e11, rank=r,
         f22_prime=f22_prime, f22_prime_inv=f22_prime_inv,
         e11_prime=e11_prime, e11_prime_inv=e11_prime_inv,
         cond_f22_prime=cond_f, cond_e11_prime=cond_e,
@@ -305,11 +339,9 @@ def decompose_corners(w: EAESpecialWitness, tol: float = DEFAULT_TOL) -> CornerD
 
 
 def derive_uv_blocks(w: EAESpecialWitness, d: CornerDecomposition,
-                     tol: float = DEFAULT_TOL,
-                     carried: ReducedBlocks | None = None) -> ReducedBlocks:
-    """Express U and V in the decomposition bases and extract their blocks.
-
-    The compressions are
+                     tol: float = DEFAULT_TOL) -> ReducedBlocks:
+    """Read the blocks of U and V from ``d``; derive the one-sided inverses
+    of their corner blocks from ``w``.  ``d`` keeps the compressions
 
         U : (im_f22 (+) h2) -> (im_e11 (+) g1)   upper block triangular,
         V : (k2 (+) ker_f22) -> (f1 (+) ker_e11) lower block triangular,
@@ -317,47 +349,22 @@ def derive_uv_blocks(w: EAESpecialWitness, d: CornerDecomposition,
     with ``e11' @ v11 = -u11 @ f22'``.  The one-sided inverses
     ``left_inv_v22 = Pi_ker_f22 @ E21 @ J_ker_e11`` (a left inverse of v22)
     and ``right_inv_u22 = Pi_h2 @ Ehat21 @ J_g1`` (a right inverse of u22)
-    are computed from the witness blocks, not by inverting anything.
-    ``carried`` may pass the blocks of an earlier call for a witness with
-    the same ``U``, ``V``, ``E11`` and ``F22`` bit for bit, as
-    :func:`normalize_adjoint` leaves them: the blocks of U and V and the
-    first three residuals, which depend on nothing else, are then carried
-    over, and only the one-sided inverses are derived again.
-    The residual table fails when the witness is not a genuine anchored one.
+    are computed from the blocks of ``w``, not by inverting anything; ``w``
+    has the ``U``, ``V``, ``E11`` and ``F22`` that ``d`` split.  The residual
+    table, ``d``'s three entries then the two inverses', fails when the
+    witness is not a genuine anchored one.
     """
-    r = d.rank
-    im_f22, h2 = d.f22.left[:, :r], d.f22.left[:, r:]
-    k2, ker_f22 = d.f22.right[:, :r], d.f22.right[:, r:]
-    im_e11, g1 = d.e11.left[:, :r], d.e11.left[:, r:]
-    f1, ker_e11 = d.e11.right[:, :r], d.e11.right[:, r:]
-
-    left_inv_v22 = _coords(ker_f22, w.E21, ker_e11)
-    right_inv_u22 = _coords(h2, w.Ehat21, g1)
-    if carried is None:
-        u11 = _coords(im_e11, w.U, im_f22)
-        v11 = _coords(f1, w.V, k2)
-        rb = ReducedBlocks(
-            u11=u11, u12=_coords(im_e11, w.U, h2), u22=_coords(g1, w.U, h2),
-            v11=v11, v21=_coords(ker_e11, w.V, k2), v22=_coords(ker_e11, w.V, ker_f22),
-            left_inv_v22=left_inv_v22, right_inv_u22=right_inv_u22,
-            residuals={
-                "zero_block_u21": (spectral_norm(_coords(g1, w.U, im_f22))
-                                   / _norm_at_least_one(w.U)),
-                "zero_block_v12": (spectral_norm(_coords(f1, w.V, ker_f22))
-                                   / _norm_at_least_one(w.V)),
-                "equivalence_u11_v11": rel_residual(d.e11_prime @ v11, -u11 @ d.f22_prime),
-            })
-    else:
-        rb = replace(carried, left_inv_v22=left_inv_v22, right_inv_u22=right_inv_u22)
-
-    # a carried table keeps its order: the two inverse entries are replaced
+    left_inv_v22 = _coords(d.ker_f22, w.E21, d.ker_e11)
+    right_inv_u22 = _coords(d.h2, w.Ehat21, d.g1)
     residuals = {
-        **rb.residuals,
-        "left_inverse_v22": rel_residual(left_inv_v22 @ rb.v22, eye(rb.v22.shape[1])),
-        "right_inverse_u22": rel_residual(rb.u22 @ right_inv_u22, eye(rb.u22.shape[0])),
+        **d.block_residuals,
+        "left_inverse_v22": rel_residual(left_inv_v22 @ d.v22, eye(d.v22.shape[1])),
+        "right_inverse_u22": rel_residual(d.u22 @ right_inv_u22, eye(d.u22.shape[0])),
     }
     _checked(VerifierReport("reduced_blocks", residuals, tol), "derive_uv_blocks")
-    return replace(rb, residuals=residuals)
+    return ReducedBlocks(u11=d.u11, u12=d.u12, u22=d.u22, v11=d.v11, v21=d.v21,
+                         v22=d.v22, left_inv_v22=left_inv_v22,
+                         right_inv_u22=right_inv_u22, residuals=residuals)
 
 
 def normalize_adjoint(w: EAESpecialWitness, tol: float = DEFAULT_TOL) -> EAESpecialWitness:
@@ -571,39 +578,24 @@ def run_pipeline(U, V, w: EAESpecialWitness | None = None,
     def built_table(out):
         return dict(out[1].residuals)
 
-    def genuine(f):
-        if not f.dims_match:
-            raise NumericalError(
-                f"kernel/cokernel dimensions disagree (h2={f.dim_h2}, "
-                f"g1={f.dim_g1}, ker F22={f.dim_ker_f22}, "
-                f"ker E11={f.dim_ker_e11}); witness is not genuine")
-        return f
-
-    def on_index_side(built):
-        side = built[0].extended_side
-        if fred.extension_side not in ("none", side):
-            raise NumericalError(f"extension landed on {side} but index(F22)="
-                                 f"{fred.f22.index} demands {fred.extension_side}")
-        return built
-
-    mc = special = None
+    mc = None
     if w is None:
         mc, _ = stage("synthesize_mc", lambda: instances.synth_mc(U, V, tol), built_table,
                       lambda out: dict(out[1].extras))
-        w, special = stage("mc_to_special", lambda: _mc_to_eae_special(mc, tol))
+        w = stage("mc_to_special", lambda: mc_to_eae_special(mc, tol))
     else:
         stage("witness_consistency", lambda: _checked(VerifierReport(
             "witness_consistency",
             {"witness_u": rel_residual(w.U, U), "witness_v": rel_residual(w.V, V)},
             tol), "supplied witness"), table)
 
-    # a supplied witness is checked by its residuals alone, without the
-    # sigma_min extras of verify_eae_special
+    # the witness's cached table, which mc_to_eae_special has taken already,
+    # without the sigma_min extras of verify_eae_special
     stage("verify_special", lambda: _checked(
-        special or VerifierReport("eae_special", _special_residuals(w), tol),
-        "anchored witness"), table)
+        VerifierReport("eae_special", dict(w.residual_table), tol), "anchored witness"),
+        table)
 
-    fred = stage("fredholm", lambda: genuine(fredholm_report(w)), data=lambda f: {
+    fred = stage("fredholm", lambda: fredholm_report(w), data=lambda f: {
         "index_f22": f.f22.index, "index_f11": f.f11.index,
         "index_e11": f.e11.index, "index_ehat11": f.ehat11.index,
         "dim_h2": f.dim_h2, "dim_g1": f.dim_g1,
@@ -616,14 +608,13 @@ def run_pipeline(U, V, w: EAESpecialWitness | None = None,
     })
     rb = stage("derive_blocks", lambda: derive_uv_blocks(w, d, tol), table)
     wn = stage("normalize_adjoint", lambda: normalize_adjoint(w, tol))
-    # normalize_adjoint keeps U, V, E11 and F22, so their blocks carry over
-    rb2 = stage("rederive_blocks", lambda: derive_uv_blocks(wn, d, tol, rb), table)
+    # normalize_adjoint keeps U, V, E11 and F22, so d's blocks hold for wn
+    rb2 = stage("rederive_blocks", lambda: derive_uv_blocks(wn, d, tol), table)
     stage("two_sided", lambda: check_two_sided(rb2, tol), dict)
     small, small_report = stage(
         "small_eae", lambda: build_small_eae(wn, d, rb2, tol), built_table,
         lambda out: {"x0_dim": out[0].x0_dim, "y0_dim": out[0].y0_dim})
-    eaoe, _ = stage("build_eaoe",
-                    lambda: on_index_side(build_eaoe(wn, d, rb2, (small, small_report), tol)),
+    eaoe, _ = stage("build_eaoe", lambda: build_eaoe(wn, d, rb2, (small, small_report), tol),
                     built_table, lambda out: {"extended_side": out[0].extended_side,
                                               "ext_dim": out[0].ext_dim})
     sc, _ = stage("schur_coupling", lambda: sc_from_eaoe(eaoe, tol), built_table)

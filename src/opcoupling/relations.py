@@ -56,14 +56,17 @@ decision and any error message are those of the exact check.
 
 Each converter verifies its output once.  A builder the pipeline calls
 returns the witness with that report, so the pipeline records the report
-instead of verifying the witness again.  :func:`mc_to_eae_special` returns
-the witness alone, so the pipeline calls its private form.
+instead of verifying the witness again.  An anchored witness caches its
+exact residual table (``residual_table``), so :func:`mc_to_eae_special`,
+:func:`verify_eae_special` and the pipeline all read one computation of it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -286,6 +289,13 @@ class EAESpecialWitness:
     def e11_svd(self) -> SvdResult:
         return svd(self.E11)
 
+    @cached_property
+    def residual_table(self) -> Mapping[str, float]:
+        """Exact residuals of the twenty pairs of :func:`_special_pairs`, in
+        their order; read-only, so every report holds a copy."""
+        return MappingProxyType({label: rel_residual(lhs, rhs)
+                                 for label, (lhs, rhs) in _special_pairs(self)})
+
 
 @dataclass(frozen=True)
 class EAOEWitness:
@@ -411,11 +421,6 @@ def _special_pairs(w: EAESpecialWitness):
     yield "identity_xi", (eh21 @ e11, -f22 @ e21)
 
 
-def _special_residuals(w: EAESpecialWitness) -> dict[str, float]:
-    """Exact residuals of the pairs of :func:`_special_pairs`."""
-    return {label: rel_residual(lhs, rhs) for label, (lhs, rhs) in _special_pairs(w)}
-
-
 def verify_eae_special(w: EAESpecialWitness, tol: float = DEFAULT_TOL) -> VerifierReport:
     """Full residual table for an anchored witness.
 
@@ -423,7 +428,7 @@ def verify_eae_special(w: EAESpecialWitness, tol: float = DEFAULT_TOL) -> Verifi
     inverses, the closed form of F^-1, the extension equation and the eleven
     block identities.  The extras are the smallest singular values of E, F.
     """
-    residuals = _special_residuals(w)
+    residuals = dict(w.residual_table)
     d = w.n + w.m
     sig_e = _svd_vals(w.E)
     sig_f = _svd_vals(w.F)
@@ -522,13 +527,9 @@ def mc_to_eae_special(w: MCWitness, tol: float = DEFAULT_TOL) -> EAESpecialWitne
 
     and ``E (V (+) I_X) F = U (+) I_Y``.  All four matrices come from corner
     blocks, so no numerical inversion is involved; the output is validated by
-    the residual table of :func:`verify_eae_special`.
+    the witness's cached residual table, which :func:`verify_eae_special`
+    and the pipeline read again without recomputing it.
     """
-    return _mc_to_eae_special(w, tol)[0]
-
-
-def _mc_to_eae_special(w: MCWitness, tol: float) -> tuple[EAESpecialWitness, VerifierReport]:
-    """The witness of :func:`mc_to_eae_special` with its verifier report."""
     n, m = w.n, w.m
     r = w.Uhat[:n, n:]
     q = w.Uhat[n:, :n]
@@ -544,8 +545,9 @@ def _mc_to_eae_special(w: MCWitness, tol: float) -> tuple[EAESpecialWitness, Ver
 
     witness = EAESpecialWitness(U=w.U, V=w.V, E=e, F=f, Einv=einv, Finv=finv)
     # the residual table alone: nothing downstream reads the sigma_min extras
-    report = VerifierReport("eae_special", _special_residuals(witness), tol)
-    return witness, _checked(report, "mc_to_eae_special")
+    _checked(VerifierReport("eae_special", dict(witness.residual_table), tol),
+             "mc_to_eae_special")
+    return witness
 
 
 def sc_from_eaoe(w: EAOEWitness,

@@ -12,7 +12,7 @@ from opcoupling.errors import NumericalError
 from opcoupling.hankel import SymbolFC
 from opcoupling.instances import InstanceSpec, random_instance, random_sc_witness
 from opcoupling.reduction import run_pipeline
-from opcoupling.relations import EAOEWitness, mc_to_eae_special, sc_to_mc
+from opcoupling.relations import EAESpecialWitness, EAOEWitness, mc_to_eae_special, sc_to_mc
 from opcoupling.serialization import (
     decode_matrix,
     decode_witness,
@@ -447,8 +447,8 @@ def test_svd_failure_in_eae_special_verification_exits_1(tmp_path, monkeypatch, 
     def failing(*args, **kwargs):
         raise np.linalg.LinAlgError("SVD did not converge")
 
-    # residuals settled, so the first SVD is the sigma_min one of E
-    monkeypatch.setattr("opcoupling.relations._special_residuals", lambda w: {})
+    # an empty anchored table, so the first SVD is the sigma_min one of E
+    monkeypatch.setattr(EAESpecialWitness, "residual_table", {})
     monkeypatch.setattr(np.linalg, "svd", failing)
     assert dispatch(["verify", "--witness", str(path), "--kind", "eae_special"]) == 1
     assert ("verification error: SVD of shape (5, 5) failed: SVD did not converge"

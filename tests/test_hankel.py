@@ -284,6 +284,16 @@ class TestShiftComparability:
         assert rep.verdict_orientation == "beta_vs_alpha"
         assert abs(rep.verdict_c - 1.0) <= 1e-12
 
+    def test_shifts_past_the_sequences_are_not_searched(self):
+        # a shift of 10 or more pairs no entries of length-10 sequences
+        alpha, beta = 2.0 ** -np.arange(10), 3.0 ** -np.arange(10)
+        rep = shift_comparability(alpha, beta, 10**4)
+        capped = shift_comparability(alpha, beta, 9)
+        assert len(rep.records) == 2 * 10
+        assert rep.records == capped.records
+        assert (rep.verdict_orientation, rep.verdict_k, rep.verdict_c) == (
+            capped.verdict_orientation, capped.verdict_k, capped.verdict_c)
+
     def test_incomparable(self):
         rep = shift_comparability([1.0, 0.0], [0.0, 0.0], 1)
         assert not rep.comparable

@@ -37,7 +37,12 @@ from opcoupling.relations import (
     verify_eaoe,
     verify_sc,
 )
-from opcoupling.serialization import dumps_canonical, pipeline_report_to_dict
+from opcoupling.serialization import (
+    decode_witness,
+    dumps_canonical,
+    encode_witness,
+    pipeline_report_to_dict,
+)
 
 
 def special_from_ef(U, V, E, F):
@@ -103,13 +108,20 @@ def synthesized(n, m, k, seed=5, cond=100.0):
     return mc_to_eae_special(mc)
 
 
+def read_back(w):
+    """``w`` as a witness file gives it back to ``verify`` or ``--witness``:
+    a fresh object, with nothing cached."""
+    return decode_witness(encode_witness(w))
+
+
 class TestFredholmReport:
     def test_worked_instance_all_trivial(self):
         rep = fredholm_report(worked_special())
         for corner in (rep.f11, rep.f22, rep.e11, rep.ehat11):
             assert corner.index == 0
         assert rep.f22.kernel_dim == rep.e11.kernel_dim == 0
-        assert rep.dims_match and rep.extension_side == "none"
+        assert rep.dim_h2 == rep.dim_g1 == 0 and rep.dim_ker_f22 == rep.dim_ker_e11 == 0
+        assert rep.extension_side == "none"
 
     def test_rectangular_indices(self):
         # U is 1x1 with nullity 1, V is 2x2 with nullity 1
@@ -124,7 +136,7 @@ class TestFredholmReport:
         rep = fredholm_report(swap_special(3))
         assert rep.f22.index == 0
         assert rep.dim_ker_f22 == 3 and rep.dim_ker_e11 == 3
-        assert rep.dims_match
+        assert rep.dim_h2 == rep.dim_g1 == 3
 
 
 def _complement_dims(d):
@@ -246,7 +258,7 @@ def chain():
     rb = derive_uv_blocks(w, d)
     wn = normalize_adjoint(w)
     return SimpleNamespace(u=u, v=v, w=w, d=d, rb=rb, wn=wn,
-                           rb2=derive_uv_blocks(wn, d, carried=rb))
+                           rb2=derive_uv_blocks(wn, d))
 
 
 def _residual_checks(c):
@@ -307,8 +319,10 @@ def test_failed_check_raises_one_way(chain, name):
 class TestDeriveUvBlocks:
     def test_carried_blocks_match_a_fresh_derivation(self, chain):
         # normalization leaves U, V, E11 and F22 bit for bit, so the blocks
-        # and residuals carried over are those a fresh call would give
-        fresh = derive_uv_blocks(chain.wn, chain.d)
+        # and residuals the split of w keeps are those a fresh split of the
+        # normalized witness gives
+        assert chain.rb2.u11 is chain.d.u11 and chain.rb2.v22 is chain.d.v22
+        fresh = derive_uv_blocks(chain.wn, decompose_corners(read_back(chain.wn)))
         assert fresh.residuals == chain.rb2.residuals
         for name in ("u11", "u12", "u22", "v11", "v21", "v22",
                      "left_inv_v22", "right_inv_u22"):
@@ -496,36 +510,19 @@ class TestRunPipeline:
         assert str(info.value) == ("stage 'witness_consistency': residual of "
                                    "mismatched shapes (1, 1) vs (2, 2)")
 
-    def test_fredholm_dims_mismatch_fails_its_stage(self, monkeypatch):
-        real = reduction.fredholm_report
-
-        def skewed(w):
-            fred = real(w)
-            return dataclasses.replace(fred, dim_g1=fred.dim_g1 + 1)
-
-        monkeypatch.setattr(reduction, "fredholm_report", skewed)
+    def test_unequal_corner_ranks_fail_their_stage(self):
+        # F22 and E11 are both n x m, so their kernel and cokernel dimensions
+        # disagree exactly when their ranks do
         u, v = random_instance(InstanceSpec(12, 14, 2, seed=1))
+        w = read_back(mc_to_eae_special(synth_mc(u, v)[0]))
+        e11 = w.e11_svd
+        vars(w)["e11_svd"] = dataclasses.replace(e11, rank_tol=e11.singulars[11])
         with pytest.raises(PipelineStageError) as info:
-            run_pipeline(u, v, tol=1e-8)
-        assert info.value.stage == "fredholm"
+            run_pipeline(u, v, w=w, tol=1e-8)
+        assert info.value.stage == "decompose_corners"
         assert str(info.value) == (
-            "stage 'fredholm': kernel/cokernel dimensions disagree (h2=0, g1=1, "
-            "ker F22=2, ker E11=2); witness is not genuine")
-
-    def test_extension_on_the_wrong_side_fails_its_stage(self, monkeypatch):
-        real = reduction.build_eaoe
-
-        def flipped(*args):
-            eaoe, report = real(*args)
-            return SimpleNamespace(extended_side="V", ext_dim=eaoe.ext_dim), report
-
-        monkeypatch.setattr(reduction, "build_eaoe", flipped)
-        u, v = random_instance(InstanceSpec(12, 14, 2, seed=1))
-        with pytest.raises(PipelineStageError) as info:
-            run_pipeline(u, v, tol=1e-8)
-        assert info.value.stage == "build_eaoe"
-        assert str(info.value) == ("stage 'build_eaoe': extension landed on V "
-                                   "but index(F22)=2 demands U")
+            "stage 'decompose_corners': rank(E11)=11 differs from rank(F22)=12; "
+            "the corner blocks of a genuine witness have equal rank")
 
     def test_failed_stage_carries_its_report(self):
         # synthesize_mc passes at 3.3e-15; the anchored witness's
@@ -631,17 +628,22 @@ def test_pipeline_verifies_each_artifact_once(work_counts):
 
 def test_supplied_witness_pipeline_counts(work_counts):
     """The supplied-witness path records residuals only, so it takes no
-    sigma_min SVDs of E and F and calls no public verifier for them."""
+    sigma_min SVDs of E and F and calls no public verifier for them.  A
+    witness read from a file takes its anchored table in verify_special;
+    the object mc_to_eae_special returned holds it already."""
     u, v = random_instance(InstanceSpec(12, 14, 2, seed=1))
     mc, _ = synth_mc(u, v, 1e-8)
     w = mc_to_eae_special(mc, 1e-8)
     work_counts.clear()
-    assert run_pipeline(u, v, w=w, tol=1e-8).success
+    assert run_pipeline(u, v, w=read_back(w), tol=1e-8).success
     assert sum(work_counts[k] for k in _VERIFIER_KINDS) == 2
     assert work_counts["eae_special"] == 0
     assert work_counts["svd"] == 34
     # one each of F22 and E11
     assert work_counts["full_svd"] == 2
+    work_counts.clear()
+    assert run_pipeline(u, v, w=w, tol=1e-8).success
+    assert work_counts["svd"] == 34 - 16
 
 
 # the stages both paths share, with the dense SVDs each takes at 12x14
@@ -663,7 +665,7 @@ def test_dense_svds_per_stage(work_counts, supplied):
     """Each stage's dense SVDs at 12x14, nullity 2, so that a change in the
     count names the stage it comes from."""
     u, v = random_instance(InstanceSpec(12, 14, 2, seed=1))
-    w = mc_to_eae_special(synth_mc(u, v, 1e-8)[0], 1e-8) if supplied else None
+    w = read_back(mc_to_eae_special(synth_mc(u, v, 1e-8)[0], 1e-8)) if supplied else None
     work_counts.clear()
     work_counts.stages.clear()
     run_pipeline(u, v, w=w, tol=1e-8)
@@ -681,21 +683,22 @@ def test_dense_svds_per_stage(work_counts, supplied):
 
 
 def test_pipeline_calls_the_public_builders(monkeypatch):
-    """run_pipeline reaches the synthesis and the builders of its last three
-    stages by their public names, once each, so a wrapper on those names sees
-    every call."""
+    """run_pipeline reaches the synthesis, the anchored witness and the
+    builders of its last three stages by their public names, once each, so a
+    wrapper on those names sees every call."""
     u, v = random_instance(InstanceSpec(12, 14, 2, seed=1))
     expected = dumps_canonical(pipeline_report_to_dict(run_pipeline(u, v, tol=1e-8)))
     counts = Counter()
     _count_calls(monkeypatch, counts, {
         "synth_mc": instances.synth_mc,
+        "mc_to_eae_special": relations.mc_to_eae_special,
         "build_small_eae": reduction.build_small_eae,
         "build_eaoe": reduction.build_eaoe,
         "sc_from_eaoe": reduction.sc_from_eaoe,
     })
     report = run_pipeline(u, v, tol=1e-8)
-    assert counts == {"synth_mc": 1, "build_small_eae": 1, "build_eaoe": 1,
-                      "sc_from_eaoe": 1}
+    assert counts == {"synth_mc": 1, "mc_to_eae_special": 1, "build_small_eae": 1,
+                      "build_eaoe": 1, "sc_from_eaoe": 1}
     assert dumps_canonical(pipeline_report_to_dict(report)) == expected
 
 

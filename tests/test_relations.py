@@ -164,6 +164,17 @@ class TestMcToEaeSpecial:
         assert rep.passed
         assert rep.residuals["extension_equation"] <= 1e-10
 
+    def test_reports_hold_copies_of_the_cached_table(self):
+        u, v = random_instance(InstanceSpec(3, 3, 1, seed=7, cond_bound=50))
+        w = mc_to_eae_special(synth_mc(u, v)[0])
+        table = w.residual_table
+        rep = verify_eae_special(w)
+        assert list(rep.residuals.items()) == list(table.items()) and len(table) == 20
+        rep.residuals["extension_equation"] = 1.0
+        assert w.residual_table is table and table["extension_equation"] < 1e-12
+        with pytest.raises(TypeError):
+            table["extension_equation"] = 1.0
+
     def test_conversion_error_carries_report(self):
         bad = MCWitness(Uhat=np.array([[1.0, 0.0], [0.0, 1.0]]),
                         UhatInv=np.array([[1.0, 0.0], [0.0, 2.0]]),
