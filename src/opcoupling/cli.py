@@ -310,13 +310,13 @@ def _parse_symbol(text: str, offset: int) -> SymbolFC:
               help="Comma-separated coefficients, e.g. '2,1' or '0.5,1j'.")
 @click.option("--symbol-offset", type=click.IntRange(-2**62, 2**62), default=0,
               show_default=True, help="Index of the first listed coefficient.")
-@click.option("--N", "section_size", type=click.IntRange(min=1), required=True,
+@click.option("--N", "section_size", type=click.IntRange(1, 2**16), required=True,
               help="Section half-size.")
 @click.option("--p", "schatten_p", type=float, default=2.0, show_default=True,
               callback=_check_p)
 @click.option("--kmax", type=click.IntRange(min=0), default=5, show_default=True,
               help="Largest shift tried in the comparability search.")
-@click.option("--grid", type=click.IntRange(min=0), default=0,
+@click.option("--grid", type=click.IntRange(0, 2**20), default=0,
               help="FFT grid size override for symbol inversion.")
 @click.option("--tol", type=float, default=1e-8, show_default=True, callback=_check_tol,
               help="Zero-threshold for |f| on the inversion grid.")

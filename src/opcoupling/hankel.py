@@ -409,14 +409,13 @@ def shift_comparability(alpha, beta, k_max: int) -> ShiftComparabilityReport:
     for k in range(min(k_max, max(alpha.size, beta.size) - 1) + 1):
         for orientation, lead, trail in (("alpha_vs_beta", alpha, beta),
                                          ("beta_vs_alpha", beta, alpha)):
-            span = min(lead.size, trail.size - k)
-            cs = []
-            for n_idx in range(max(span, 0)):
-                a_n, b_n = lead[n_idx], trail[n_idx + k]
-                if a_n > threshold and b_n > threshold:
-                    cs.append(min(a_n / b_n, b_n / a_n))
-            c = float(min(cs)) if cs else None
-            records.append(ShiftRecord(orientation, k, c, len(cs)))
+            span = max(min(lead.size, trail.size - k), 0)
+            a, b = lead[:span], trail[k:k + span]
+            both = (a > threshold) & (b > threshold)
+            a, b = a[both], b[both]
+            cs = np.minimum(a / b, b / a)
+            c = float(cs.min()) if cs.size else None
+            records.append(ShiftRecord(orientation, k, c, int(cs.size)))
             if c is not None and (best is None or c > best[2]):
                 best = (orientation, k, c)
 

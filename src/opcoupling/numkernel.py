@@ -116,12 +116,15 @@ def _at_most_unit_norm(a: np.ndarray) -> bool:
     rows, cols = a.shape
     p, k = max(rows, cols), min(rows, cols)
     edge = 1.0 - 16 * p * EPS
-    mag = np.abs(a)
-    sq = mag * mag
-    col2, row2 = sq.sum(axis=0), sq.sum(axis=1)
-    fro2 = float(col2.sum())
-    bound = min(float(np.sqrt(fro2)),
-                float(np.sqrt(mag.sum(axis=0).max() * mag.sum(axis=1).max())))
+    # entries above about 1e154 overflow the squares to inf, which certifies
+    # nothing and leaves the question to the SVD
+    with np.errstate(over="ignore", invalid="ignore"):
+        mag = np.abs(a)
+        sq = mag * mag
+        col2, row2 = sq.sum(axis=0), sq.sum(axis=1)
+        fro2 = float(col2.sum())
+        bound = min(float(np.sqrt(fro2)),
+                    float(np.sqrt(mag.sum(axis=0).max() * mag.sum(axis=1).max())))
     if bound <= edge:
         return True
     # ||a|| is at least each row's and column's 2-norm; the negated test
@@ -187,7 +190,10 @@ def _certainly_within(pairs, tol: float) -> bool:
             return False
         diff = lhs - rhs
         slack = (diff.size + 16 * max(diff.shape, default=0)) * EPS
-        bound = float(np.linalg.norm(diff)) + float(np.sqrt(diff.size * _TINY))
+        # an overflowing sum of squares gives an inf bound, which settles
+        # nothing; the negated test also turns away nan
+        with np.errstate(over="ignore", invalid="ignore"):
+            bound = float(np.linalg.norm(diff)) + float(np.sqrt(diff.size * _TINY))
         if not bound <= tol * (1.0 - slack):
             return False
     return True

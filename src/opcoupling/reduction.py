@@ -9,7 +9,8 @@ Starting from an :class:`~opcoupling.relations.EAESpecialWitness` for
    one full SVD of each that the witness caches (``f22_svd``, ``e11_svd``);
 2. expresses ``U`` and ``V`` in those bases, where they are block triangular
    with ``E11' V11 = -U11 F22'`` and explicit one-sided inverses for the
-   corner blocks ``U22, V22`` (:func:`derive_uv_blocks`);
+   corner blocks ``U22, V22`` (:func:`derive_uv_blocks`, which pairs the
+   witness with its split in one :class:`ReducedBlocks`);
 3. rewrites the witness with ``X = pinv(F22) @ Ehat21`` so that ``E21`` maps
    into Ker F22 and ``F21`` becomes the projection onto the cokernel of
    ``F22`` (:func:`normalize_adjoint`), after which the one-sided inverses
@@ -17,7 +18,8 @@ Starting from an :class:`~opcoupling.relations.EAESpecialWitness` for
 4. assembles an EAE witness whose extensions are only ``Ker E11`` and the
    cokernel of ``F22`` (:func:`build_small_eae`), collapses it to a single
    one-sided extension of size ``|dim Ker E11 - dim coker F22|``
-   (:func:`build_eaoe`), and closes the loop with a Schur coupling
+   (:func:`build_eaoe`), both from the :class:`ReducedBlocks` of the
+   normalized witness alone, and closes the loop with a Schur coupling
    (:func:`~opcoupling.relations.sc_from_eaoe`).
 
 :func:`run_pipeline` chains all steps as named stages of one runner.  The
@@ -31,7 +33,8 @@ its residual table against ``tol`` through
 table attached; the runner passes that table on as the stage error's
 ``report``.  The three builders of step 4 return their witness together
 with that table, which the runner records as the stage's residuals.  A
-value several stages read is cached by the object whose inputs fix it, so
+value several stages read is cached by the object whose inputs fix it, and
+each step hands the next one object whose parts come from one witness, so
 the runner passes objects and checks nothing of its own.
 In this finite-dimensional setting two square matrices admit such a chain
 exactly when their nullities agree; without a supplied witness
@@ -84,7 +87,6 @@ from .relations import (
     mc_to_eae_special,
     sc_from_eaoe,
     verify_eae,
-    verify_eaoe,
 )
 from . import instances
 
@@ -102,9 +104,11 @@ class CornerDecomposition:
     = im_e11 (+) g1 (``left``) and Y = k2 (+) ker_f22 = f1 (+) ker_e11
     (``right``).  In these bases the corners are ``[[f22_prime, 0], [0, 0]]``
     and ``[[e11_prime, 0], [0, 0]]`` with invertible leading blocks whose
-    inverses and condition numbers are recorded.  The compressions of the
-    witness's ``U`` and ``V`` to these bases, ``u11`` .. ``v22``, and their
-    ``block_residuals`` are computed on first use and kept.
+    inverses and condition numbers are recorded, and ``x0 = m - rank`` and
+    ``y0 = n - rank`` are the dimensions of Ker E11 and of h2, the extensions
+    of the small EAE.  The compressions of the witness's ``U`` and ``V`` to
+    these bases, ``u11`` .. ``v22``, and their ``block_residuals`` are
+    computed on first use and kept.
     """
 
     U: np.ndarray
@@ -119,6 +123,8 @@ class CornerDecomposition:
     cond_f22_prime: float
     cond_e11_prime: float
 
+    x0 = property(lambda self: self.V.shape[0] - self.rank)
+    y0 = property(lambda self: self.U.shape[0] - self.rank)
     # the subspaces of the splits above, as orthonormal bases
     im_f22 = property(lambda self: self.f22.left[:, : self.rank])
     h2 = property(lambda self: self.f22.left[:, self.rank:])
@@ -152,24 +158,45 @@ class CornerDecomposition:
 
 @dataclass(frozen=True)
 class ReducedBlocks:
-    """U and V written in the decomposition bases.
+    """One-sided inverses of the corner blocks of U and V in the bases of
+    the split ``d``, which keeps the blocks themselves.
 
     ``U`` on (im_f22 (+) h2) -> (im_e11 (+) g1) is upper block triangular,
     ``V`` on (k2 (+) ker_f22) -> (f1 (+) ker_e11) lower block triangular.
-    ``left_inv_v22 @ v22`` and ``u22 @ right_inv_u22`` are identities; the
-    residuals of the suppressed blocks and of ``e11' v11 = -u11 f22'`` are
-    kept for reporting.
+    ``left_inv_v22 @ d.v22`` and ``d.u22 @ right_inv_u22`` are identities; the
+    residuals of the suppressed blocks, of ``e11' v11 = -u11 f22'`` and of
+    the two inverses are kept for reporting.  The invertible triangular
+    factors ``Phi_U = [[I, u12], [0, u22]]`` and ``Psi_V = [[I, 0], [v21,
+    v22]]`` of U and V, and their inverses, are built on first use and kept;
+    they are inverses once :func:`check_two_sided` has passed.
     """
 
-    u11: np.ndarray
-    u12: np.ndarray
-    u22: np.ndarray
-    v11: np.ndarray
-    v21: np.ndarray
-    v22: np.ndarray
+    d: CornerDecomposition
     left_inv_v22: np.ndarray
     right_inv_u22: np.ndarray
-    residuals: dict[str, float] = field(default_factory=dict)
+    residuals: dict[str, float]
+
+    @cached_property
+    def phi_u(self) -> np.ndarray:
+        d = self.d
+        return Block2x2(eye(d.rank), d.u12, zeros(d.y0, d.rank), d.u22).assemble()
+
+    @cached_property
+    def phi_u_inv(self) -> np.ndarray:
+        d, u22_inv = self.d, self.right_inv_u22
+        return Block2x2(eye(d.rank), -d.u12 @ u22_inv, zeros(d.y0, d.rank),
+                        u22_inv).assemble()
+
+    @cached_property
+    def psi_v(self) -> np.ndarray:
+        d = self.d
+        return Block2x2(eye(d.rank), zeros(d.rank, d.x0), d.v21, d.v22).assemble()
+
+    @cached_property
+    def psi_v_inv(self) -> np.ndarray:
+        d, v22_inv = self.d, self.left_inv_v22
+        return Block2x2(eye(d.rank), zeros(d.rank, d.x0), -v22_inv @ d.v21,
+                        v22_inv).assemble()
 
 
 @dataclass(frozen=True)
@@ -180,23 +207,13 @@ class CornerIndex:
 
 
 @dataclass(frozen=True)
-class CornerFredholm:
-    """Rank data of one corner block, with index = kernel - cokernel."""
-
-    rank: int
-    kernel_dim: int
-    cokernel_dim: int
-    index: int
-
-
-@dataclass(frozen=True)
 class FredholmReport:
-    """Index bookkeeping for the four corner blocks, and rank data for the
-    two whose SVDs the witness caches."""
+    """Indices of the four corner blocks, and the dimensions of the
+    cokernels and kernels of the two whose SVDs the witness caches."""
 
     f11: CornerIndex
-    f22: CornerFredholm
-    e11: CornerFredholm
+    f22: CornerIndex
+    e11: CornerIndex
     ehat11: CornerIndex
     dim_h2: int
     dim_g1: int
@@ -260,35 +277,28 @@ def _coords(left_basis: np.ndarray, op: np.ndarray, right_basis: np.ndarray) -> 
 
 
 def fredholm_report(w: EAESpecialWitness) -> FredholmReport:
-    """Index bookkeeping for F11, F22, E11 and Ehat11, rank data for F22, E11.
+    """Indices of F11, F22, E11 and Ehat11, and the dimensions of the
+    cokernels h2, g1 and kernels of F22 and E11.
 
     A corner's index is ``cols - rows`` whatever its rank, so the block
-    shapes :class:`~opcoupling.relations.EAESpecialWitness` fixes give the
-    identities ``index(F11) = -index(F22)`` and ``index(E11) = -index(Ehat11)``
-    by construction, and F11 and Ehat11 are not factored.  The ranks of F22
-    and E11 are read from the witness's cached SVDs of them.  Both corners
-    are n x m, so the kernel/cokernel dimension equalities ``dim h2 = dim
+    shapes :class:`~opcoupling.relations.EAESpecialWitness` fixes give
+    ``index(F22) = index(E11) = m - n = -index(F11) = -index(Ehat11)`` by
+    construction, and no corner is factored for them.  F22 and E11 are both
+    n x m; the dimensions are read from the ranks of the witness's cached
+    SVDs of them.  The kernel/cokernel dimension equalities ``dim h2 = dim
     g1`` and ``dim ker F22 = dim ker E11`` of a genuine witness hold exactly
     when the ranks agree, which :func:`decompose_corners` checks.  The sign
     of ``index(F22)`` dictates which operator the one-sided extension lands
     on: positive means ``U``.
     """
-    def corner(block: np.ndarray, r: int) -> CornerFredholm:
-        rows, cols = block.shape
-        return CornerFredholm(rank=r, kernel_dim=cols - r,
-                              cokernel_dim=rows - r, index=(cols - r) - (rows - r))
-
-    def index(block: np.ndarray) -> CornerIndex:
-        rows, cols = block.shape
-        return CornerIndex(index=cols - rows)
-
-    f22 = corner(w.F22, w.f22_svd.rank())
-    e11 = corner(w.E11, w.e11_svd.rank())
-    side = "U" if f22.index > 0 else ("V" if f22.index < 0 else "none")
+    n, m = w.n, w.m
+    rank_f22, rank_e11 = w.f22_svd.rank(), w.e11_svd.rank()
+    side = "U" if m > n else ("V" if m < n else "none")
     return FredholmReport(
-        f11=index(w.F11), f22=f22, e11=e11, ehat11=index(w.Ehat11),
-        dim_h2=f22.cokernel_dim, dim_g1=e11.cokernel_dim,
-        dim_ker_f22=f22.kernel_dim, dim_ker_e11=e11.kernel_dim,
+        f11=CornerIndex(n - m), f22=CornerIndex(m - n),
+        e11=CornerIndex(m - n), ehat11=CornerIndex(n - m),
+        dim_h2=n - rank_f22, dim_g1=n - rank_e11,
+        dim_ker_f22=m - rank_f22, dim_ker_e11=m - rank_e11,
         extension_side=side,
     )
 
@@ -340,8 +350,8 @@ def decompose_corners(w: EAESpecialWitness, tol: float = DEFAULT_TOL) -> CornerD
 
 def derive_uv_blocks(w: EAESpecialWitness, d: CornerDecomposition,
                      tol: float = DEFAULT_TOL) -> ReducedBlocks:
-    """Read the blocks of U and V from ``d``; derive the one-sided inverses
-    of their corner blocks from ``w``.  ``d`` keeps the compressions
+    """Pair the split ``d`` with the one-sided inverses of the corner blocks
+    of U and V that ``w`` gives.  ``d`` keeps the compressions
 
         U : (im_f22 (+) h2) -> (im_e11 (+) g1)   upper block triangular,
         V : (k2 (+) ker_f22) -> (f1 (+) ker_e11) lower block triangular,
@@ -350,21 +360,22 @@ def derive_uv_blocks(w: EAESpecialWitness, d: CornerDecomposition,
     ``left_inv_v22 = Pi_ker_f22 @ E21 @ J_ker_e11`` (a left inverse of v22)
     and ``right_inv_u22 = Pi_h2 @ Ehat21 @ J_g1`` (a right inverse of u22)
     are computed from the blocks of ``w``, not by inverting anything; ``w``
-    has the ``U``, ``V``, ``E11`` and ``F22`` that ``d`` split.  The residual
-    table, ``d``'s three entries then the two inverses', fails when the
-    witness is not a genuine anchored one.
+    has the ``U``, ``V``, ``E11`` and ``F22`` that ``d`` split.  This is the
+    one place where a witness is paired with a split: every later step reads
+    both from the :class:`ReducedBlocks` returned.  The residual table,
+    ``d``'s three entries then the two inverses', fails when the witness is
+    not a genuine anchored one.
     """
     left_inv_v22 = _coords(d.ker_f22, w.E21, d.ker_e11)
     right_inv_u22 = _coords(d.h2, w.Ehat21, d.g1)
     residuals = {
         **d.block_residuals,
-        "left_inverse_v22": rel_residual(left_inv_v22 @ d.v22, eye(d.v22.shape[1])),
-        "right_inverse_u22": rel_residual(d.u22 @ right_inv_u22, eye(d.u22.shape[0])),
+        "left_inverse_v22": rel_residual(left_inv_v22 @ d.v22, eye(d.x0)),
+        "right_inverse_u22": rel_residual(d.u22 @ right_inv_u22, eye(d.y0)),
     }
     _checked(VerifierReport("reduced_blocks", residuals, tol), "derive_uv_blocks")
-    return ReducedBlocks(u11=d.u11, u12=d.u12, u22=d.u22, v11=d.v11, v21=d.v21,
-                         v22=d.v22, left_inv_v22=left_inv_v22,
-                         right_inv_u22=right_inv_u22, residuals=residuals)
+    return ReducedBlocks(d=d, left_inv_v22=left_inv_v22, right_inv_u22=right_inv_u22,
+                         residuals=residuals)
 
 
 def normalize_adjoint(w: EAESpecialWitness, tol: float = DEFAULT_TOL) -> EAESpecialWitness:
@@ -418,58 +429,34 @@ def check_two_sided(rb: ReducedBlocks, tol: float = DEFAULT_TOL) -> dict[str, fl
 
     Returns the two residuals.
     """
-    dim_ker_e11 = rb.v22.shape[0]
-    dim_h2 = rb.u22.shape[1]
+    d = rb.d
     residuals = {
-        "v22_right_inverse": rel_residual(rb.v22 @ rb.left_inv_v22, eye(dim_ker_e11)),
-        "u22_left_inverse": rel_residual(rb.right_inv_u22 @ rb.u22, eye(dim_h2)),
+        "v22_right_inverse": rel_residual(d.v22 @ rb.left_inv_v22, eye(d.x0)),
+        "u22_left_inverse": rel_residual(rb.right_inv_u22 @ d.u22, eye(d.y0)),
     }
     report = VerifierReport("two_sided", residuals, tol)
     return _checked(report, "check_two_sided").residuals
 
 
-def _phi_u(rb: ReducedBlocks, r: int) -> np.ndarray:
-    """Invertible factor [[I, u12], [0, u22]] of U in the reduction bases."""
-    y0 = rb.u22.shape[0]
-    return Block2x2(eye(r), rb.u12, zeros(y0, r), rb.u22).assemble()
-
-
-def _phi_u_inv(rb: ReducedBlocks, r: int) -> np.ndarray:
-    y0 = rb.u22.shape[0]
-    u22_inv = rb.right_inv_u22
-    return Block2x2(eye(r), -rb.u12 @ u22_inv, zeros(y0, r), u22_inv).assemble()
-
-
-def _psi_v(rb: ReducedBlocks, r: int) -> np.ndarray:
-    """Invertible factor [[I, 0], [v21, v22]] of V in the reduction bases."""
-    x0 = rb.v22.shape[0]
-    return Block2x2(eye(r), zeros(r, x0), rb.v21, rb.v22).assemble()
-
-
-def _psi_v_inv(rb: ReducedBlocks, r: int) -> np.ndarray:
-    x0 = rb.v22.shape[0]
-    v22_inv = rb.left_inv_v22
-    return Block2x2(eye(r), zeros(r, x0), -v22_inv @ rb.v21, v22_inv).assemble()
-
-
-def build_small_eae(w: EAESpecialWitness, d: CornerDecomposition, rb: ReducedBlocks,
+def build_small_eae(rb: ReducedBlocks,
                     tol: float = DEFAULT_TOL) -> tuple[EAEWitness, VerifierReport]:
     """EAE witness with extensions Ker E11 (on the U side) and h2 (on V's),
     with the report it was verified by.
 
     Factor ``U = Phi_U @ (u11 (+) I)`` and ``V = (v11 (+) I) @ Psi_V`` with
-    the invertible triangular factors from :func:`derive_uv_blocks`; the
-    three-fold block identity
+    the invertible triangular factors of ``rb``; the three-fold block
+    identity
 
         u11 (+) I_h2 (+) I_ker_e11
           = [e11' (+) swap] @ (v11 (+) I) @ [-(f22')^-1 (+) swap]
 
     then glues everything into ``U (+) I_x0 = E (V (+) I_y0) F`` with
-    ``x0 = dim Ker E11`` and ``y0 = dim h2``.  Requires invertible corner
+    ``x0 = dim Ker E11`` and ``y0 = dim h2``; U, V, the bases and both
+    dimensions come from the split ``rb.d``.  Requires invertible corner
     blocks, i.e. :func:`check_two_sided` must have passed.
     """
-    r = d.rank
-    x0, y0 = w.m - r, w.n - r
+    d = rb.d
+    r, x0, y0 = d.rank, d.x0, d.y0
     w_dom_u, w_cod_u, w_dom_v, w_cod_v = d.f22.left, d.e11.left, d.f22.right, d.e11.right
 
     swap_l = Block2x2(zeros(y0, x0), eye(y0), eye(x0), zeros(x0, y0)).assemble()
@@ -477,61 +464,60 @@ def build_small_eae(w: EAESpecialWitness, d: CornerDecomposition, rb: ReducedBlo
     swap_r = Block2x2(zeros(x0, y0), eye(x0), eye(y0), zeros(y0, x0)).assemble()
     r3 = Block2x2(-d.f22_prime_inv, zeros(r, y0 + x0), zeros(x0 + y0, r), swap_r).assemble()
 
-    e = (_direct_sum(w_cod_u, x0) @ _direct_sum(_phi_u(rb, r), x0)
+    e = (_direct_sum(w_cod_u, x0) @ _direct_sum(rb.phi_u, x0)
          @ l3 @ _direct_sum(adjoint(w_cod_v), y0))
-    f = (_direct_sum(w_dom_v, y0) @ _direct_sum(_psi_v_inv(rb, r), y0)
+    f = (_direct_sum(w_dom_v, y0) @ _direct_sum(rb.psi_v_inv, y0)
          @ r3 @ _direct_sum(adjoint(w_dom_u), x0))
 
-    witness = EAEWitness(U=w.U, V=w.V, E=e, F=f, x0_dim=x0, y0_dim=y0)
+    witness = EAEWitness(U=d.U, V=d.V, E=e, F=f, x0_dim=x0, y0_dim=y0)
     return witness, _checked(verify_eae(witness, tol), "build_small_eae")
 
 
-def build_eaoe(w: EAESpecialWitness, d: CornerDecomposition, rb: ReducedBlocks,
-               small: tuple[EAEWitness, VerifierReport],
+def build_eaoe(rb: ReducedBlocks, small: tuple[EAEWitness, VerifierReport],
                tol: float = DEFAULT_TOL) -> tuple[EAOEWitness, VerifierReport]:
     """Collapse the two small extensions into one one-sided extension, and
     return it with the report it was verified by.
 
-    ``small`` is the witness :func:`build_small_eae` built from the same
-    ``w``, ``d`` and ``rb``, with its report.  The smaller extension space is
-    embedded into the larger one by the first-coordinates isometry (in the
-    decomposition bases the embedding, its left inverse, and the complement
-    bookkeeping all become identity blocks), which turns the two-sided
-    extension into a one-sided extension of dimension ``|x0 - y0|``.  The
-    extension lands on ``U`` when ``dim Ker E11 >= dim h2``, i.e. exactly
-    when ``index(F22) >= 0``.  When one extension is already trivial
-    (``x0 * y0 == 0``) the embedding gives the small witness's E and F bit
-    for bit, so they are taken from it together with its extension residual
-    and conditions, and only the inverses it does not carry are checked.
+    ``small`` is the witness :func:`build_small_eae` built from ``rb``, with
+    its report.  The smaller extension space is embedded into the larger one
+    by the first-coordinates isometry (in the decomposition bases the
+    embedding, its left inverse, and the complement bookkeeping all become
+    identity blocks), which turns the two-sided extension into a one-sided
+    extension of dimension ``|x0 - y0|``.  The extension lands on ``U`` when
+    ``dim Ker E11 >= dim h2``, i.e. exactly when ``index(F22) >= 0``.  When
+    one extension is already trivial (``x0 * y0 == 0``) the embedding gives
+    the small witness's E and F bit for bit, so they are taken from it with
+    its extension report; otherwise the embedded E and F go through
+    :func:`~opcoupling.relations.verify_eae` with the other extension
+    trivial.  Either way the inverses the small witness lacks are checked,
+    and the report reads as :func:`~opcoupling.relations.verify_eaoe`'s.
     """
-    r = d.rank
-    x0, y0 = w.m - r, w.n - r
+    d = rb.d
+    x0, y0 = d.x0, d.y0
     w_dom_u, w_cod_u, w_dom_v, w_cod_v = d.f22.left, d.e11.left, d.f22.right, d.e11.right
-    phi_u_inv, psi_v = _phi_u_inv(rb, r), _psi_v(rb, r)
 
     # the larger extension meets e11' and f22'; the smaller side's factors
     # are padded by the difference, a padding of 0 leaving them as they are
-    ext, big = abs(x0 - y0), max(x0, y0)
-    side, pad_u, pad_v = ("U", ext, 0) if y0 <= x0 else ("V", 0, ext)
+    ext_dim, big = abs(x0 - y0), max(x0, y0)
+    side, pad_u, pad_v = ("U", ext_dim, 0) if y0 <= x0 else ("V", 0, ext_dim)
     e_inv = (_direct_sum(w_cod_v, pad_v) @ _direct_sum(d.e11_prime_inv, big)
-             @ _direct_sum(phi_u_inv, pad_u) @ _direct_sum(adjoint(w_cod_u), pad_u))
+             @ _direct_sum(rb.phi_u_inv, pad_u) @ _direct_sum(adjoint(w_cod_u), pad_u))
     f_inv = (_direct_sum(w_dom_u, pad_u) @ _direct_sum(-d.f22_prime, big)
-             @ _direct_sum(psi_v, pad_v) @ _direct_sum(adjoint(w_dom_v), pad_v))
+             @ _direct_sum(rb.psi_v, pad_v) @ _direct_sum(adjoint(w_dom_v), pad_v))
     if x0 * y0:
-        e = (_direct_sum(w_cod_u, pad_u) @ _direct_sum(_phi_u(rb, r), pad_u)
+        e = (_direct_sum(w_cod_u, pad_u) @ _direct_sum(rb.phi_u, pad_u)
              @ _direct_sum(d.e11_prime, big) @ _direct_sum(adjoint(w_cod_v), pad_v))
-        f = (_direct_sum(w_dom_v, pad_v) @ _direct_sum(_psi_v_inv(rb, r), pad_v)
+        f = (_direct_sum(w_dom_v, pad_v) @ _direct_sum(rb.psi_v_inv, pad_v)
              @ _direct_sum(-d.f22_prime_inv, big) @ _direct_sum(adjoint(w_dom_u), pad_u))
-        witness = EAOEWitness(extended_side=side, ext_dim=ext, E=e, F=f,
-                              U=w.U, V=w.V, Einv=e_inv, Finv=f_inv)
-        return witness, _checked(verify_eaoe(witness, tol), "build_eaoe")
-
-    eae, eae_report = small
-    witness = EAOEWitness(extended_side=side, ext_dim=ext, E=eae.E, F=eae.F,
-                          U=w.U, V=w.V, Einv=e_inv, Finv=f_inv)
-    residuals = {"extension_equation": eae_report.residuals["extension_equation"],
-                 **_inverse_residuals(witness)}
-    report = VerifierReport("eaoe", residuals, tol, dict(eae_report.extras))
+        extension = verify_eae(EAEWitness(U=d.U, V=d.V, E=e, F=f, x0_dim=pad_u,
+                                          y0_dim=pad_v), tol)
+    else:
+        small_eae, extension = small
+        e, f = small_eae.E, small_eae.F
+    witness = EAOEWitness(extended_side=side, ext_dim=ext_dim, E=e, F=f,
+                          U=d.U, V=d.V, Einv=e_inv, Finv=f_inv)
+    report = VerifierReport("eaoe", {**extension.residuals, **_inverse_residuals(witness)},
+                            tol, dict(extension.extras))
     return witness, _checked(report, "build_eaoe")
 
 
@@ -611,18 +597,17 @@ def run_pipeline(U, V, w: EAESpecialWitness | None = None,
     # normalize_adjoint keeps U, V, E11 and F22, so d's blocks hold for wn
     rb2 = stage("rederive_blocks", lambda: derive_uv_blocks(wn, d, tol), table)
     stage("two_sided", lambda: check_two_sided(rb2, tol), dict)
-    small, small_report = stage(
-        "small_eae", lambda: build_small_eae(wn, d, rb2, tol), built_table,
-        lambda out: {"x0_dim": out[0].x0_dim, "y0_dim": out[0].y0_dim})
-    eaoe, _ = stage("build_eaoe", lambda: build_eaoe(wn, d, rb2, (small, small_report), tol),
-                    built_table, lambda out: {"extended_side": out[0].extended_side,
-                                              "ext_dim": out[0].ext_dim})
+    small = stage("small_eae", lambda: build_small_eae(rb2, tol), built_table,
+                  lambda out: {"x0_dim": out[0].x0_dim, "y0_dim": out[0].y0_dim})
+    eaoe, _ = stage("build_eaoe", lambda: build_eaoe(rb2, small, tol), built_table,
+                    lambda out: {"extended_side": out[0].extended_side,
+                                 "ext_dim": out[0].ext_dim})
     sc, _ = stage("schur_coupling", lambda: sc_from_eaoe(eaoe, tol), built_table)
 
     return PipelineReport(
         U=U, V=V, tol=tol, stages=tuple(stages),
         witness=w, normalized_witness=wn, mc=mc, fredholm=fred,
-        x0_dim=small.x0_dim, y0_dim=small.y0_dim,
-        small_eae=small, eaoe=eaoe, final_sc=sc,
+        x0_dim=small[0].x0_dim, y0_dim=small[0].y0_dim,
+        small_eae=small[0], eaoe=eaoe, final_sc=sc,
         success=True,
     )

@@ -56,8 +56,10 @@ decision and any error message are those of the exact check.
 
 Each converter verifies its output once.  A builder the pipeline calls
 returns the witness with that report, so the pipeline records the report
-instead of verifying the witness again.  An anchored witness caches its
-exact residual table (``residual_table``), so :func:`mc_to_eae_special`,
+instead of verifying the witness again.  :func:`verify_eaoe` is
+:func:`verify_eae` with the other extension trivial, plus the residuals of
+the inverses.  An anchored witness caches its exact residual table
+(``residual_table``), so :func:`mc_to_eae_special`,
 :func:`verify_eae_special` and the pipeline all read one computation of it.
 """
 
@@ -438,17 +440,13 @@ def verify_eae_special(w: EAESpecialWitness, tol: float = DEFAULT_TOL) -> Verifi
 
 
 def verify_eaoe(w: EAOEWitness, tol: float = DEFAULT_TOL) -> VerifierReport:
-    """Check the one-sided extension equation and invertibility of E, F."""
-    cond_e = condition_number(w.E)
-    cond_f = condition_number(w.F)
-    if w.extended_side == "U":
-        lhs = _direct_sum(w.U, w.ext_dim)
-        rhs = w.E @ w.V @ w.F
-    else:
-        lhs = w.U
-        rhs = w.E @ _direct_sum(w.V, w.ext_dim) @ w.F
-    residuals = {"extension_equation": rel_residual(lhs, rhs), **_inverse_residuals(w)}
-    return VerifierReport("eaoe", residuals, tol, {"cond_e": cond_e, "cond_f": cond_f})
+    """Check the one-sided extension equation and invertibility of E, F:
+    :func:`verify_eae` with the other extension trivial, then the residuals
+    of the inverses the witness carries."""
+    x0, y0 = (w.ext_dim, 0) if w.extended_side == "U" else (0, w.ext_dim)
+    eae = verify_eae(EAEWitness(U=w.U, V=w.V, E=w.E, F=w.F, x0_dim=x0, y0_dim=y0), tol)
+    return VerifierReport("eaoe", {**eae.residuals, **_inverse_residuals(w)}, tol,
+                          eae.extras)
 
 
 def _inverse_residuals(w: EAOEWitness) -> dict[str, float]:

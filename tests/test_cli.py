@@ -519,7 +519,8 @@ class TestCliHankel:
         assert "overflows; rescale the symbol" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("value", ["0", "-3"])
+    # past the range's top end a section would be too large to allocate
+    @pytest.mark.parametrize("value", ["0", "-3", str(2**16 + 1), str(10**30)])
     def test_nonpositive_section_size_exits_2(self, tmp_path, capsys, value):
         rep = tmp_path / "h.json"
         assert dispatch(["hankel", "--symbol", "2,1", f"--N={value}",
@@ -530,6 +531,7 @@ class TestCliHankel:
     @pytest.mark.parametrize("option,value", [
         ("--p", "0.5"), ("--p", "0"), ("--p", "nan"), ("--p", "inf"), ("--p", "-inf"),
         ("--kmax", "-3"), ("--kmax", "-1"), ("--grid", "-4"), ("--grid", "-1"),
+        ("--grid", str(2**20 + 1)), ("--grid", str(2**45)), ("--grid", str(10**30)),
         ("--symbol-offset", "100000000000000000000"),
         ("--symbol-offset", "-100000000000000000000"),
     ])
@@ -548,7 +550,8 @@ class TestCliHankel:
         assert "no interior rows/columns" in capsys.readouterr().err
 
     @pytest.mark.parametrize("option,value", [("--p", "1"), ("--kmax", "0"),
-                                              ("--grid", "0")])
+                                              ("--grid", "0"), ("--grid", str(2**20)),
+                                              ("--N", str(2**16))])
     def test_boundary_option_accepted(self, tmp_path, option, value):
         rep = tmp_path / "h.json"
         assert dispatch(["hankel", "--symbol", "2,1", "--N", "10", f"{option}={value}",

@@ -294,6 +294,36 @@ class TestShiftComparability:
         assert (rep.verdict_orientation, rep.verdict_k, rep.verdict_c) == (
             capped.verdict_orientation, capped.verdict_k, capped.verdict_c)
 
+    def test_matches_the_loop_it_replaced(self):
+        # the per-entry loop over each shift, as it stood before the search
+        # was vectorized; the arithmetic is the same, so the records must be
+        def loop_records(alpha, beta, k_max):
+            threshold = 1e-12 * max(alpha.max(), beta.max())
+            records = []
+            for k in range(min(k_max, max(alpha.size, beta.size) - 1) + 1):
+                for orientation, lead, trail in (("alpha_vs_beta", alpha, beta),
+                                                 ("beta_vs_alpha", beta, alpha)):
+                    cs = [min(lead[i] / trail[i + k], trail[i + k] / lead[i])
+                          for i in range(max(min(lead.size, trail.size - k), 0))
+                          if lead[i] > threshold and trail[i + k] > threshold]
+                    records.append((orientation, k, float(min(cs)) if cs else None,
+                                    len(cs)))
+            return records
+
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            alpha, beta = (np.sort(rng.random(rng.integers(1, 30)) ** rng.integers(1, 20))[::-1]
+                           for _ in range(2))
+            for seq in (alpha, beta):
+                seq[rng.integers(0, seq.size + 1):] = 0.0   # finite-rank tails
+            k_max = int(rng.integers(0, 40))
+            rep = shift_comparability(alpha, beta, k_max)
+            records = loop_records(alpha, beta, k_max)
+            assert [(r.orientation, r.k, r.c, r.compared) for r in rep.records] == records
+            best = max((r for r in records if r[2] is not None), key=lambda r: r[2],
+                       default=(None, None, None))
+            assert (rep.verdict_orientation, rep.verdict_k, rep.verdict_c) == best[:3]
+
     def test_incomparable(self):
         rep = shift_comparability([1.0, 0.0], [0.0, 0.0], 1)
         assert not rep.comparable

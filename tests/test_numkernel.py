@@ -148,6 +148,20 @@ def test_certainly_within_settles_only_clear_cases():
     assert not _certainly_within([(np.full((2, 2), np.nan), np.zeros((2, 2)))], 1.0)
 
 
+@pytest.mark.parametrize("scale", [2e200, -3e200j, 1e300])
+def test_huge_entries_are_left_to_the_svd_without_a_warning(scale):
+    # the squares of entries above about 1e154 overflow, so neither
+    # certificate settles anything, and the exact norms decide; with
+    # warnings as errors an overflow warning would fail the test
+    a = scale * np.eye(2)
+    near = a * (1 + 1e-12)
+    assert not _at_most_unit_norm(a)
+    assert not _certainly_within([(near, a)], 1e-8)
+    assert _certainly_within([(a, a)], 1e-8)
+    assert rel_residual(near, a) == spectral_norm(near - a) / spectral_norm(a) <= 1e-8
+    assert rel_residual(a, 1.5 * a) == spectral_norm(a - 1.5 * a) / spectral_norm(1.5 * a)
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(rows=st.integers(0, 9), cols=st.integers(0, 9),
        kind=st.sampled_from(["gaussian", "rank_one", "flat_spectrum", "identity_plus_tiny"]),

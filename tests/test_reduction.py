@@ -119,7 +119,6 @@ class TestFredholmReport:
         rep = fredholm_report(worked_special())
         for corner in (rep.f11, rep.f22, rep.e11, rep.ehat11):
             assert corner.index == 0
-        assert rep.f22.kernel_dim == rep.e11.kernel_dim == 0
         assert rep.dim_h2 == rep.dim_g1 == 0 and rep.dim_ker_f22 == rep.dim_ker_e11 == 0
         assert rep.extension_side == "none"
 
@@ -265,9 +264,9 @@ def _residual_checks(c):
     """Each residual check by name: ``(what the message names, its exact
     residual table, a call that runs it at a given tol)``."""
     u_off = c.u + 1e-6
-    built_small = build_small_eae(c.wn, c.d, c.rb2)
+    built_small = build_small_eae(c.rb2)
     small = built_small[0]
-    eaoe, _ = build_eaoe(c.wn, c.d, c.rb2, built_small)
+    eaoe, _ = build_eaoe(c.rb2, built_small)
     return {
         "decompose_corners": ("decompose_corners", _block_form_residuals(c.w, c.d),
                               lambda tol: decompose_corners(c.w, tol)),
@@ -278,9 +277,9 @@ def _residual_checks(c):
         "check_two_sided": ("check_two_sided", check_two_sided(c.rb2),
                             lambda tol: check_two_sided(c.rb2, tol)),
         "build_small_eae": ("build_small_eae", verify_eae(small).residuals,
-                            lambda tol: build_small_eae(c.wn, c.d, c.rb2, tol)),
+                            lambda tol: build_small_eae(c.rb2, tol)),
         "build_eaoe": ("build_eaoe", verify_eaoe(eaoe).residuals,
-                       lambda tol: build_eaoe(c.wn, c.d, c.rb2, built_small, tol)),
+                       lambda tol: build_eaoe(c.rb2, built_small, tol)),
         "witness_consistency": ("supplied witness",
                                 {"witness_u": rel_residual(c.w.U, u_off), "witness_v": 0.0},
                                 lambda tol: run_pipeline(u_off, c.v, w=c.w, tol=tol)),
@@ -321,30 +320,31 @@ class TestDeriveUvBlocks:
         # normalization leaves U, V, E11 and F22 bit for bit, so the blocks
         # and residuals the split of w keeps are those a fresh split of the
         # normalized witness gives
-        assert chain.rb2.u11 is chain.d.u11 and chain.rb2.v22 is chain.d.v22
+        assert chain.rb2.d is chain.d
         fresh = derive_uv_blocks(chain.wn, decompose_corners(read_back(chain.wn)))
         assert fresh.residuals == chain.rb2.residuals
-        for name in ("u11", "u12", "u22", "v11", "v21", "v22",
-                     "left_inv_v22", "right_inv_u22"):
+        for name in ("u11", "u12", "u22", "v11", "v21", "v22"):
+            np.testing.assert_array_equal(getattr(fresh.d, name), getattr(chain.d, name))
+        for name in ("left_inv_v22", "right_inv_u22"):
             np.testing.assert_array_equal(getattr(fresh, name), getattr(chain.rb2, name))
 
     def test_worked_instance_scalar_identity(self):
         w = worked_special()
         d = decompose_corners(w)
-        rb = derive_uv_blocks(w, d)
-        assert abs(rb.u11[0, 0]) == pytest.approx(1.0)
-        assert abs(rb.v11[0, 0]) == pytest.approx(0.5)
+        derive_uv_blocks(w, d)
+        assert abs(d.u11[0, 0]) == pytest.approx(1.0)
+        assert abs(d.v11[0, 0]) == pytest.approx(0.5)
         # the coupled equivalence e11' v11 = -u11 f22'
-        assert rel_residual(d.e11_prime @ rb.v11, -rb.u11 @ d.f22_prime) <= 1e-14
+        assert rel_residual(d.e11_prime @ d.v11, -d.u11 @ d.f22_prime) <= 1e-14
 
     def test_swap_witness_degenerate_split(self):
         w = swap_special()
         d = decompose_corners(w)
         rb = derive_uv_blocks(w, d)
-        assert rb.u11.shape == (0, 0) and rb.v11.shape == (0, 0)
-        assert rb.u22.shape == (1, 1) and rb.v22.shape == (1, 1)
-        assert rel_residual(rb.left_inv_v22 @ rb.v22, np.eye(1)) <= 1e-14
-        assert rel_residual(rb.u22 @ rb.right_inv_u22, np.eye(1)) <= 1e-14
+        assert d.u11.shape == (0, 0) and d.v11.shape == (0, 0)
+        assert d.u22.shape == (1, 1) and d.v22.shape == (1, 1)
+        assert rel_residual(rb.left_inv_v22 @ d.v22, np.eye(1)) <= 1e-14
+        assert rel_residual(d.u22 @ rb.right_inv_u22, np.eye(1)) <= 1e-14
 
     def test_synthesized_zero_blocks(self):
         w = synthesized(3, 3, 1)
@@ -427,7 +427,7 @@ class TestBuildSmallEae:
         w = worked_special()
         d = decompose_corners(w)
         rb = derive_uv_blocks(w, d)
-        small, _ = build_small_eae(w, d, rb)
+        small, _ = build_small_eae(rb)
         assert small.x0_dim == 0 and small.y0_dim == 0
         assert verify_eae(small, 1e-12).passed
 
@@ -436,7 +436,7 @@ class TestBuildSmallEae:
         w = swap_special(n)
         d = decompose_corners(w)
         rb = derive_uv_blocks(w, d)
-        small, _ = build_small_eae(w, d, rb)
+        small, _ = build_small_eae(rb)
         assert small.x0_dim == n and small.y0_dim == n
         assert verify_eae(small, 1e-12).passed
 
@@ -444,7 +444,7 @@ class TestBuildSmallEae:
         w = normalize_adjoint(synthesized(4, 6, 2, seed=17))
         d = decompose_corners(w)
         rb = derive_uv_blocks(w, d)
-        small, _ = build_small_eae(w, d, rb)
+        small, _ = build_small_eae(rb)
         from opcoupling.numkernel import rank_of
         assert small.x0_dim == 6 - rank_of(w.E11)
         assert small.y0_dim == 4 - rank_of(w.F22)
@@ -456,7 +456,7 @@ class TestBuildEaoe:
         w = worked_special()
         d = decompose_corners(w)
         rb = derive_uv_blocks(w, d)
-        eaoe, _ = build_eaoe(w, d, rb, build_small_eae(w, d, rb))
+        eaoe, _ = build_eaoe(rb, build_small_eae(rb))
         assert eaoe.ext_dim == 0
         lhs = eaoe.E @ np.array([[0.5]]) @ eaoe.F
         np.testing.assert_allclose(lhs, [[1.0]], atol=1e-12)
@@ -465,7 +465,7 @@ class TestBuildEaoe:
         w = normalize_adjoint(synthesized(1, 2, 1))
         d = decompose_corners(w)
         rb = derive_uv_blocks(w, d)
-        eaoe, _ = build_eaoe(w, d, rb, build_small_eae(w, d, rb))
+        eaoe, _ = build_eaoe(rb, build_small_eae(rb))
         assert eaoe.extended_side == "U" and eaoe.ext_dim == 1
         assert fredholm_report(w).f22.index == 1
         assert verify_eaoe(eaoe, 1e-10).passed
@@ -474,9 +474,24 @@ class TestBuildEaoe:
         w = normalize_adjoint(synthesized(4, 2, 1, seed=3))
         d = decompose_corners(w)
         rb = derive_uv_blocks(w, d)
-        eaoe, _ = build_eaoe(w, d, rb, build_small_eae(w, d, rb))
+        eaoe, _ = build_eaoe(rb, build_small_eae(rb))
         assert eaoe.extended_side == "V" and eaoe.ext_dim == 2
         assert verify_eaoe(eaoe, 1e-9).passed
+
+
+    def test_two_sided_extensions_report_as_verify_eaoe(self):
+        # both extensions nonzero: the embedded E and F are checked by
+        # verify_eae, and the report is the one verify_eaoe gives
+        u, v = random_instance(InstanceSpec(12, 14, 2, seed=1))
+        w = normalize_adjoint(mc_to_eae_special(coupled_mc(u, v, 7)))
+        rb = derive_uv_blocks(w, decompose_corners(w))
+        assert (rb.d.x0, rb.d.y0) == (7, 5)
+        eaoe, report = build_eaoe(rb, build_small_eae(rb))
+        assert eaoe.extended_side == "U" and eaoe.ext_dim == 2
+        again = verify_eaoe(eaoe, 1e-8)
+        assert (report.kind, report.residuals, report.extras) == (
+            again.kind, again.residuals, again.extras)
+        assert report.passed
 
 
 class TestRunPipeline:

@@ -1,0 +1,183 @@
+"""Write a fixed corpus of opcoupling outputs, for byte-identity checks.
+
+Run it with the checkout's ``src`` on ``PYTHONPATH``::
+
+    PYTHONPATH=src python tools/byte_corpus.py OUT_DIR [--quick]
+
+Two checkouts compute the same values exactly when ``diff -r`` of their
+corpora is empty.  Each report's ``timestamp``, the one field outside the
+byte-identity contract, is masked.  The corpus holds:
+
+* ``cli/``: ``synth`` instance files; ``pipeline --out --report`` on each at
+  two tolerances, one of which fails some stages, with the exit code and the
+  captured output of every command; one ``--jobs 2`` batch; the six witnesses
+  of a pipeline run and ``verify --report`` on all five witness kinds;
+  ``hankel --report`` with its CSV side files.
+* ``lib/``: ``run_pipeline`` results, synthesized and on supplied anchored
+  witnesses, including two-sided ones from the test-side builder
+  ``coupled_mc``: the canonical report and the six witnesses of a run that
+  passed, and the stage, message and hex residual table of one that failed.
+
+``--quick`` writes a small subset of ``cli/`` that takes about a second.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import os
+import re
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from opcoupling.cli import dispatch
+from opcoupling.errors import ToolkitError
+from opcoupling.instances import InstanceSpec, random_instance
+from opcoupling.reduction import run_pipeline
+from opcoupling.relations import mc_to_eae_special
+from opcoupling.serialization import dumps_canonical, encode_witness, pipeline_report_to_dict
+
+_TESTS = Path(__file__).resolve().parents[1] / "tests"
+_TIMESTAMP = re.compile(r'"timestamp": "[^"]*"')
+_WITNESSES = ("mc", "witness", "normalized_witness", "small_eae", "eaoe", "final_sc")
+# the witness of each verifier kind among a pipeline report's witnesses
+_VERIFY_KINDS = {"mc": "mc", "eae_special": "witness", "eae": "small_eae",
+                 "eaoe": "eaoe", "sc": "final_sc"}
+
+
+def _run(out: Path, name: str, argv: list[str]) -> None:
+    """Run one CLI command and record its exit code and output as ``name``."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = dispatch(argv)
+    (out / f"{name}.status.txt").write_text(
+        f"exit {code}\n--- stdout\n{stdout.getvalue()}--- stderr\n{stderr.getvalue()}",
+        encoding="utf-8")
+
+
+def _write_witnesses(out: Path, report) -> None:
+    for attr in _WITNESSES:
+        w = getattr(report, attr)
+        if w is not None:
+            (out / f"{attr}.json").write_text(dumps_canonical(encode_witness(w)),
+                                              encoding="utf-8")
+
+
+def _cli(out: Path, quick: bool) -> None:
+    out.mkdir()
+    specs = [(6, 7, 1, 3), (5, 4, 1, 2)] if quick else [
+        (0, 0, 0, 0), (1, 1, 1, 0), (3, 4, 2, 5), (12, 14, 2, 1), (14, 12, 2, 1),
+        (40, 30, 3, 7), (100, 110, 10, 2)]
+    instances = []
+    for n, m, k, seed in specs:
+        stem = f"inst_{n}x{m}_k{k}_s{seed}"
+        path = out / f"{stem}.json"
+        _run(out, f"synth_{stem}", ["synth", "--n", str(n), "--m", str(m),
+                                    "--nullity", str(k), "--seed", str(seed),
+                                    "--out", str(path)])
+        instances.append(path)
+        for tol in ("1e-8", "1e-15"):
+            run = f"pipeline_{stem}_tol{tol}"
+            _run(out, run, ["pipeline", "--in", str(path), "--tol", tol,
+                            "--out", str(out / f"{run}.sc.json"),
+                            "--report", str(out / f"{run}.report.json")])
+
+    batch = instances if quick else instances[2:6]
+    _run(out, "batch_jobs2", ["pipeline", *(a for p in batch for a in ("--in", str(p))),
+                              "--out-dir", str(out / "batch"), "--jobs", "2"])
+
+    n, m, k, seed = (6, 7, 1, 3) if quick else (12, 14, 2, 1)
+    u, v = random_instance(InstanceSpec(n, m, k, seed=seed))
+    wdir = out / "witnesses"
+    wdir.mkdir()
+    _write_witnesses(wdir, run_pipeline(u, v, tol=1e-8))
+    kinds = {"eae_special": "witness"} if quick else _VERIFY_KINDS
+    for kind, attr in kinds.items():
+        for tol in ("1e-8", "1e-15"):
+            run = f"verify_{kind}_tol{tol}"
+            _run(wdir, run, ["verify", "--witness", str(wdir / f"{attr}.json"),
+                             "--kind", kind, "--tol", tol,
+                             "--report", str(wdir / f"{run}.report.json")])
+
+    hankel = [("2,1", "20", "5")] if quick else [
+        ("2,1", "30", "5"), ("2,1", "30", "29"), ("1,0.5,0.25", "60", "8"),
+        ("3,1j,-0.5", "100", "10"), ("1,-1", "10", "5")]
+    for i, (symbol, size, kmax) in enumerate(hankel):
+        _run(out, f"hankel_{i}", ["hankel", "--symbol", symbol, "--N", size,
+                                  "--kmax", kmax, "--report", str(out / f"hankel_{i}.json")])
+
+
+def _pipeline_case(out: Path, name: str, u, v, w, tol: float) -> None:
+    case = out / name
+    case.mkdir()
+    try:
+        report = run_pipeline(u, v, w=w, tol=tol)
+    except ToolkitError as exc:
+        lines = [f"{type(exc).__name__}: {exc}", f"stage {getattr(exc, 'stage', None)}"]
+        table = getattr(exc, "report", None)
+        if table is not None:
+            lines += [f"{label} {float(value).hex()}"
+                      for label, value in table.residuals.items()]
+        (case / "failure.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return
+    (case / "report.json").write_text(dumps_canonical(pipeline_report_to_dict(report)),
+                                      encoding="utf-8")
+    _write_witnesses(case, report)
+
+
+def _lib(out: Path) -> None:
+    sys.path.insert(0, str(_TESTS))
+    from test_reduction import coupled_mc
+
+    out.mkdir()
+    rng = np.random.default_rng(2024)
+    cases = [(0, 0, 0, 0, 100.0), (2, 2, 2, 0, 100.0), (12, 14, 2, 1, 100.0),
+             (200, 220, 20, 1, 100.0)]
+    for seed in range(12):
+        n, m = (int(x) for x in rng.integers(1, 49, size=2))
+        cases.append((n, m, int(rng.integers(0, min(n, m) + 1)), seed,
+                      float(10.0 ** rng.uniform(0, 6))))
+    for n, m, k, seed, cond in cases:
+        u, v = random_instance(InstanceSpec(n, m, k, seed=seed, cond_bound=cond))
+        for tol in (1e-8, 5e-15, 1e-15):
+            _pipeline_case(out, f"synth_{n}x{m}_k{k}_s{seed}_tol{tol:g}", u, v, None, tol)
+
+    # supplied anchored witnesses: one-sided, and two-sided from coupled_mc
+    for n, m, k, r, seed in [(12, 14, 2, 2, 1), (12, 14, 2, 7, 1), (40, 30, 3, 10, 4),
+                             (30, 40, 0, 5, 6), (9, 9, 3, 4, 8), (200, 220, 20, 120, 1)]:
+        u, v = random_instance(InstanceSpec(n, m, k, seed=seed))
+        w = mc_to_eae_special(coupled_mc(u, v, r))
+        for tol in (1e-8, 1e-13, 3e-14, 1e-15):
+            _pipeline_case(out, f"coupled_{n}x{m}_k{k}_r{r}_s{seed}_tol{tol:g}",
+                           u, v, w, tol)
+
+
+def write_corpus(out_dir, quick: bool = False) -> None:
+    """Write the corpus into the new directory ``out_dir``.
+
+    The commands run inside it with relative paths, so that the captured
+    output does not depend on where the corpus is written.
+    """
+    Path(out_dir).mkdir(parents=True)
+    cwd = os.getcwd()
+    os.chdir(out_dir)
+    try:
+        _cli(Path("cli"), quick)
+        if not quick:
+            _lib(Path("lib"))
+        for path in Path().rglob("*.json"):
+            text = path.read_text(encoding="utf-8")
+            masked = _TIMESTAMP.sub('"timestamp": "<masked>"', text)
+            if masked != text:
+                path.write_text(masked, encoding="utf-8")
+    finally:
+        os.chdir(cwd)
+
+
+if __name__ == "__main__":
+    args = sys.argv[1:]
+    if len(args) not in (1, 2) or args[1:] not in ([], ["--quick"]):
+        sys.exit("usage: byte_corpus.py OUT_DIR [--quick]")
+    write_corpus(args[0], quick=bool(args[1:]))
