@@ -436,12 +436,11 @@ class BesovEstimate:
     t_points: int
     s_points: int
     integral: float     # estimate of  int |t|^(-1-alpha*p) ||D_t^n g||_p^p dt
-    seminorm: float     # integral ** (1/p)
 
 
 @dataclass(frozen=True)
 class SummabilityReport:
-    """Schatten-type partial sums with a tail-trend diagnostic.
+    """Schatten-type power sum with a tail-trend diagnostic.
 
     These are diagnostics for eyeballing p-summability of a singular value
     sequence at finite truncation, never pass/fail verdicts.
@@ -449,14 +448,14 @@ class SummabilityReport:
 
     p: float
     total: float                 # sum of sigma_n ** p
-    partial_sums: np.ndarray
     tail_fraction: float         # share contributed by the trailing half
     besov: BesovEstimate | None = None
 
 
 def spectral_summability(sv, p: float, besov_symbol: SymbolFC | None = None,
                          t_points: int = 128, s_points: int = 512) -> SummabilityReport:
-    """Partial sums of ``sigma_n ** p`` plus an optional Besov-type estimate.
+    """Sum of ``sigma_n ** p``, the share of its trailing half, and an
+    optional Besov-type estimate.
 
     When ``besov_symbol`` is given, the analytic projection of the symbol
     (coefficients at indices >= 0) is run through the difference-operator
@@ -482,12 +481,10 @@ def spectral_summability(sv, p: float, besov_symbol: SymbolFC | None = None,
                  else _besov_estimate(besov_symbol, p, t_points, s_points))
     if not np.isfinite([total, besov.integral if besov else 0.0]).all():
         raise PreconditionError(f"a power sum at p = {p:g} overflows; rescale the symbol")
-    partial = np.cumsum(powers)
     half = s.size // 2
     tail = float(powers[half:].sum() / total) if total > 0 else 0.0
 
-    return SummabilityReport(p=p, total=total, partial_sums=partial,
-                             tail_fraction=tail, besov=besov)
+    return SummabilityReport(p=p, total=total, tail_fraction=tail, besov=besov)
 
 
 def _besov_estimate(f: SymbolFC, p: float, t_points: int, s_points: int) -> BesovEstimate:
@@ -511,5 +508,4 @@ def _besov_estimate(f: SymbolFC, p: float, t_points: int, s_points: int) -> Beso
     # even integrand: double the (0, pi] half
     integral = 2.0 * float(np.sum(ts ** (-1.0 - alpha * p) * norm_p_pow * dt))
     return BesovEstimate(alpha=alpha, order=order, t_points=t_points,
-                         s_points=grid, integral=integral,
-                         seminorm=integral ** (1.0 / p))
+                         s_points=grid, integral=integral)

@@ -259,16 +259,6 @@ def rank_of(a) -> int:
     return int(np.count_nonzero(s > default_rank_tol(a, s)))
 
 
-def pinv(res: SvdResult) -> np.ndarray:
-    """Moore-Penrose pseudoinverse of the matrix factored by ``res``, with
-    its default rank cutoff."""
-    r = res.rank()
-    if r == 0:
-        return zeros(res.right.shape[0], res.left.shape[0])
-    inv_s = 1.0 / res.singulars[:r]
-    return (res.right[:, :r] * inv_s) @ adjoint(res.left[:, :r])
-
-
 def condition_number(a) -> float:
     """Condition number ``sigma_max / sigma_min`` of a square matrix.
 

@@ -11,15 +11,20 @@ Starting from an :class:`~opcoupling.relations.EAESpecialWitness` for
    with ``E11' V11 = -U11 F22'`` and explicit one-sided inverses for the
    corner blocks ``U22, V22`` (:func:`derive_uv_blocks`, which pairs the
    witness with its split in one :class:`ReducedBlocks`);
-3. rewrites the witness with ``X = pinv(F22) @ Ehat21`` so that ``E21`` maps
-   into Ker F22 and ``F21`` becomes the projection onto the cokernel of
-   ``F22`` (:func:`normalize_adjoint`), after which the one-sided inverses
-   are two-sided (:func:`check_two_sided`);
+3. certifies that the one-sided inverses are two-sided
+   (:func:`check_two_sided`).  The paper first normalizes the witness, with
+   ``X = pinv(F22) @ Ehat21``, to ``E21 + X E11`` and ``Ehat21 - F22 X``;
+   in orthonormal splits that changes neither inverse, so the blocks are
+   derived once.  ``ker_f22* @ X = 0`` gives ``Pi_ker_f22 (E21 + X E11)
+   J_ker_e11 = Pi_ker_f22 E21 J_ker_e11``, and the pin ``Einv22 = F22``
+   gives ``Ehat21 - F22 X = P_h2 Ehat21``, whose ``Pi_h2 (.) J_g1`` is the
+   same right inverse; so :func:`check_two_sided` certifies the blocks the
+   builders use;
 4. assembles an EAE witness whose extensions are only ``Ker E11`` and the
    cokernel of ``F22`` (:func:`build_small_eae`), collapses it to a single
    one-sided extension of size ``|dim Ker E11 - dim coker F22|``
-   (:func:`build_eaoe`), both from the :class:`ReducedBlocks` of the
-   normalized witness alone, and closes the loop with a Schur coupling
+   (:func:`build_eaoe`), both from that :class:`ReducedBlocks` alone, and
+   closes the loop with a Schur coupling
    (:func:`~opcoupling.relations.sc_from_eaoe`).
 
 :func:`run_pipeline` chains all steps as named stages of one runner.  The
@@ -66,7 +71,6 @@ from .numkernel import (
     as_matrix,
     eye,
     inverse,
-    pinv,
     rel_residual,
     spectral_norm,
     zeros,
@@ -83,7 +87,6 @@ from .relations import (
     _checked_pairs,
     _direct_sum,
     _inverse_residuals,
-    _special_pairs,
     mc_to_eae_special,
     sc_from_eaoe,
     verify_eae,
@@ -242,7 +245,6 @@ class PipelineReport:
     tol: float
     stages: tuple[StageResult, ...]
     witness: EAESpecialWitness
-    normalized_witness: EAESpecialWitness
     mc: MCWitness | None
     fredholm: FredholmReport
     x0_dim: int
@@ -378,54 +380,14 @@ def derive_uv_blocks(w: EAESpecialWitness, d: CornerDecomposition,
                          residuals=residuals)
 
 
-def normalize_adjoint(w: EAESpecialWitness, tol: float = DEFAULT_TOL) -> EAESpecialWitness:
-    """Rewrite the witness so E21 maps into Ker F22 and F21 projects onto h2.
-
-    With ``X = pinv(F22) @ Ehat21`` the transformed pair
-
-        E~ = [[I, 0], [X, I]] @ E        F~ = F @ [[I, 0], [-X U, I]]
-
-    establishes the same extension equivalence, leaves ``E11`` and ``F22``
-    (hence the corner decomposition) untouched, and afterwards satisfies
-    ``P_ker_f22 @ E21 = E21`` and ``F21 = P_h2``.  ``pinv(F22)`` and both
-    projections come from ``w.f22_svd``.  Applying the transform to an
-    already-normalized witness yields ``X = 0``, so the operation is
-    idempotent.  All four stored matrices are transformed in closed form.
-    """
-    n, m = w.n, w.m
-    x = pinv(w.f22_svd) @ w.Ehat21
-
-    t = Block2x2(eye(n), zeros(n, m), x, eye(m)).assemble()
-    t_inv = Block2x2(eye(n), zeros(n, m), -x, eye(m)).assemble()
-    s = Block2x2(eye(n), zeros(n, m), -x @ w.U, eye(m)).assemble()
-    s_inv = Block2x2(eye(n), zeros(n, m), x @ w.U, eye(m)).assemble()
-
-    wn = EAESpecialWitness(U=w.U, V=w.V, E=t @ w.E, F=w.F @ s,
-                           Einv=w.Einv @ t_inv, Finv=s_inv @ w.Finv)
-
-    # F @ s leaves F's last column block, and so F22, bit for bit as it
-    # was: that block of s is [[0], [I]], whose products and sums are exact
-    r = w.f22_svd.rank()
-    ker_f22, h2 = w.f22_svd.right[:, r:], w.f22_svd.left[:, r:]
-    p_ker = ker_f22 @ adjoint(ker_f22)
-    p_h2 = h2 @ adjoint(h2)
-
-    def pairs():
-        yield "e21_into_ker_f22", (p_ker @ wn.E21, wn.E21)
-        yield "f21_is_p_h2", (wn.F21, p_h2)
-        yield from _special_pairs(wn)
-
-    _checked_pairs("normalization", pairs, tol, "normalize_adjoint")
-    return wn
-
-
 def check_two_sided(rb: ReducedBlocks, tol: float = DEFAULT_TOL) -> dict[str, float]:
     """Certify that the one-sided inverses of v22 and u22 are two-sided.
 
-    Expects blocks derived from a witness normalized by
-    :func:`normalize_adjoint`; then
-    ``v22 @ left_inv_v22`` and ``right_inv_u22 @ u22`` are identities as
-    well, so both corner blocks are invertible with known inverses.
+    The inverses :func:`derive_uv_blocks` read from the witness as it is
+    are those of the normalized witness of the paper (see the module
+    docstring), for which ``v22 @ left_inv_v22`` and ``right_inv_u22 @ u22``
+    are identities as well; both corner blocks are then invertible with
+    known inverses, which is what the builders need.
 
     Returns the two residuals.
     """
@@ -593,20 +555,17 @@ def run_pipeline(U, V, w: EAESpecialWitness | None = None,
         "rank": c.rank,
     })
     rb = stage("derive_blocks", lambda: derive_uv_blocks(w, d, tol), table)
-    wn = stage("normalize_adjoint", lambda: normalize_adjoint(w, tol))
-    # normalize_adjoint keeps U, V, E11 and F22, so d's blocks hold for wn
-    rb2 = stage("rederive_blocks", lambda: derive_uv_blocks(wn, d, tol), table)
-    stage("two_sided", lambda: check_two_sided(rb2, tol), dict)
-    small = stage("small_eae", lambda: build_small_eae(rb2, tol), built_table,
+    stage("two_sided", lambda: check_two_sided(rb, tol), dict)
+    small = stage("small_eae", lambda: build_small_eae(rb, tol), built_table,
                   lambda out: {"x0_dim": out[0].x0_dim, "y0_dim": out[0].y0_dim})
-    eaoe, _ = stage("build_eaoe", lambda: build_eaoe(rb2, small, tol), built_table,
+    eaoe, _ = stage("build_eaoe", lambda: build_eaoe(rb, small, tol), built_table,
                     lambda out: {"extended_side": out[0].extended_side,
                                  "ext_dim": out[0].ext_dim})
     sc, _ = stage("schur_coupling", lambda: sc_from_eaoe(eaoe, tol), built_table)
 
     return PipelineReport(
         U=U, V=V, tol=tol, stages=tuple(stages),
-        witness=w, normalized_witness=wn, mc=mc, fredholm=fred,
+        witness=w, mc=mc, fredholm=fred,
         x0_dim=small[0].x0_dim, y0_dim=small[0].y0_dim,
         small_eae=small[0], eaoe=eaoe, final_sc=sc,
         success=True,

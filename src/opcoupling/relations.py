@@ -42,16 +42,15 @@ has norm and condition 1 without one.  Special-form witnesses carry
 their inverses so that verification cost and accuracy do not depend on
 re-inverting ``E`` and ``F``, and cache the one full SVD of each corner
 ``F22`` and ``E11`` (``f22_svd``, ``e11_svd``) from which the reduction reads
-their ranks, bases and pseudoinverse.
+their ranks and bases.
 
 Every residual table, here and in :mod:`~opcoupling.reduction`, is checked
 by :func:`_checked`, which raises :class:`ConversionError` naming the worst
-entry, with the table attached.  The two checks whose values nobody
-records, the block forms of the corners and the re-check of a normalized
-witness in :mod:`~opcoupling.reduction`, go through :func:`_checked_pairs`:
-the certified bound ``||lhs - rhs||_F <= tol``
-(:func:`~opcoupling.numkernel._certainly_within`) settles them without an
-SVD, and only when it cannot decide is the exact table computed, so the
+entry, with the table attached.  The check whose values nobody records,
+the block forms of the corners in :mod:`~opcoupling.reduction`, goes
+through :func:`_checked_pairs`: the certified bound ``||lhs - rhs||_F <=
+tol`` (:func:`~opcoupling.numkernel._certainly_within`) settles it without
+an SVD, and only when it cannot decide is the exact table computed, so the
 decision and any error message are those of the exact check.
 
 Each converter verifies its output once.  A builder the pipeline calls
@@ -329,6 +328,12 @@ class EAOEWitness:
             e_shape, f_shape = (n, m + self.ext_dim), (m + self.ext_dim, n)
         if self.E.shape != e_shape or self.F.shape != f_shape:
             raise ShapeError("E, F shapes inconsistent with the extension side")
+        for name, shape in (("Einv", e_shape[::-1]), ("Finv", f_shape[::-1])):
+            inv = getattr(self, name)
+            if inv is not None:
+                object.__setattr__(self, name, inv := as_matrix(inv))
+                if inv.shape != shape:
+                    raise ShapeError(f"{name} must be {shape[0]}x{shape[1]}")
 
 
 # ---------------------------------------------------------------------------

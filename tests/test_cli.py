@@ -406,6 +406,20 @@ class TestCliMalformedMatrices:
         assert str(path) in err and "matrices" in err
 
 
+@pytest.mark.parametrize("name", ["Einv", "Finv"])
+def test_eaoe_inverse_of_wrong_shape_is_invalid_input(tmp_path, name, capsys):
+    # once a bare ValueError from the product E @ Einv in verify_eaoe
+    eaoe = run_pipeline(*random_instance(InstanceSpec(3, 4, 1, seed=2))).eaoe
+    assert eaoe.E.shape == (4, 4)
+    obj = encode_witness(eaoe)
+    obj["matrices"][name] = encode_matrix(np.eye(2))
+    path = tmp_path / "eaoe.json"
+    path.write_text(json.dumps(obj))
+    assert dispatch(["verify", "--witness", str(path), "--kind", "eaoe"]) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and f"{name} must be 4x4" in err
+
+
 @pytest.fixture(scope="module")
 def tol_commands(tmp_path_factory):
     """The argument vectors of the three commands that take --tol."""

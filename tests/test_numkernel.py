@@ -18,7 +18,6 @@ from opcoupling.numkernel import (
     as_matrix,
     condition_number,
     inverse,
-    pinv,
     rank_of,
     rel_residual,
     spectral_norm,
@@ -266,41 +265,6 @@ class TestRank:
         assert rank_of([[2.0, 1.0], [1.0, 1.0]]) == 2
 
 
-class TestPinv:
-    def test_diagonal(self):
-        np.testing.assert_allclose(pinv(svd(np.diag([2.0, 0.0]))),
-                                   np.diag([0.5, 0.0]), atol=1e-15)
-
-    def test_invertible_matches_inverse(self):
-        rng = np.random.default_rng(5)
-        a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        inv, cond = inverse(a)
-        assert spectral_norm(pinv(svd(a)) - inv) <= 1e-12 * cond
-
-    def test_column_vector(self):
-        # rank-1 formula: pinv(a) = a* / ||a||^2
-        p = pinv(svd(np.array([[3.0], [4.0]])))
-        np.testing.assert_allclose(p, [[3.0 / 25.0, 4.0 / 25.0]], atol=1e-15)
-
-    @pytest.mark.parametrize("seed", range(6))
-    def test_double_pinv_roundtrip(self, seed):
-        rng = np.random.default_rng(seed)
-        rows, cols = rng.integers(1, 7, size=2)
-        a = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
-        assert spectral_norm(pinv(svd(pinv(svd(a)))) - a) <= 1e-12 * max(1.0, spectral_norm(a))
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_penrose_identities(self, seed):
-        rng = np.random.default_rng(100 + seed)
-        a = rng.standard_normal((5, 3)) @ rng.standard_normal((3, 4))
-        a = a.astype(complex)
-        p = pinv(svd(a))
-        assert spectral_norm(a @ p @ a - a) <= 1e-12 * max(1, spectral_norm(a))
-        assert spectral_norm(p @ a @ p - p) <= 1e-12 * max(1, spectral_norm(p))
-        assert spectral_norm(adjoint(a @ p) - a @ p) <= 1e-12
-        assert spectral_norm(adjoint(p @ a) - p @ a) <= 1e-12
-
-
 class TestSubspaces:
     """The four fundamental subspaces are column blocks of the SVD factors:
     for ``res = svd(a)`` and ``r = res.rank()``, ``res.right[:, r:]`` spans
@@ -392,4 +356,4 @@ class TestInverse:
         rng = np.random.default_rng(40 + seed)
         a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
         inv, cond = inverse(a)
-        assert spectral_norm(inv - pinv(svd(a))) <= 1e-13 * cond
+        assert spectral_norm(inv - np.linalg.pinv(a)) <= 1e-13 * cond

@@ -17,7 +17,7 @@ from opcoupling.errors import (
     PipelineStageError,
 )
 from opcoupling.instances import InstanceSpec, random_instance, synth_mc
-from opcoupling.numkernel import pinv, rel_residual, spectral_norm, svd
+from opcoupling.numkernel import rel_residual, svd
 from opcoupling.reduction import (
     build_eaoe,
     build_small_eae,
@@ -25,7 +25,6 @@ from opcoupling.reduction import (
     decompose_corners,
     derive_uv_blocks,
     fredholm_report,
-    normalize_adjoint,
     run_pipeline,
 )
 from opcoupling.relations import (
@@ -213,40 +212,6 @@ class TestDecomposeCornersExactFallback:
         assert d.rank == d.f22.rank() == d.e11.rank()
 
 
-def _normalization_residuals(wn):
-    """The residual table normalize_adjoint checks, computed exactly."""
-    res = svd(wn.F22)
-    r = res.rank()
-    ker, h2 = res.right[:, r:], res.left[:, r:]
-    p_ker = ker @ ker.conj().T
-    scale = max(1.0, np.linalg.norm(wn.E21, 2))
-    residuals = {
-        "e21_into_ker_f22": np.linalg.norm(p_ker @ wn.E21 - wn.E21, 2) / scale,
-        "f21_is_p_h2": rel_residual(wn.F21, h2 @ h2.conj().T),
-    }
-    residuals.update(verify_eae_special(wn).residuals)
-    return residuals
-
-
-class TestNormalizeAdjointExactFallback:
-    def test_too_tight_tol_names_the_worst_exact_residual(self):
-        w = synthesized(12, 14, 2, seed=1)
-        residuals = _normalization_residuals(normalize_adjoint(w))
-        worst = max(residuals, key=residuals.get)
-        tol = 1e-15
-        assert residuals[worst] > tol
-        with pytest.raises(NumericalError) as info:
-            normalize_adjoint(w, tol)
-        assert str(info.value) == (f"normalize_adjoint failed verification: {worst} "
-                                   f"residual {residuals[worst]:.3e} exceeds {tol:g}")
-
-    def test_tol_at_the_worst_exact_residual_passes(self):
-        w = synthesized(12, 14, 2, seed=1)
-        wn = normalize_adjoint(w)
-        tol = max(_normalization_residuals(wn).values())
-        np.testing.assert_array_equal(normalize_adjoint(w, tol).E, wn.E)
-
-
 @pytest.fixture(scope="module")
 def chain():
     """The stage inputs of a 12x14, nullity-2 pipeline, built at the default tol."""
@@ -254,32 +219,27 @@ def chain():
     mc, _ = synth_mc(u, v)
     w = mc_to_eae_special(mc)
     d = decompose_corners(w)
-    rb = derive_uv_blocks(w, d)
-    wn = normalize_adjoint(w)
-    return SimpleNamespace(u=u, v=v, w=w, d=d, rb=rb, wn=wn,
-                           rb2=derive_uv_blocks(wn, d))
+    return SimpleNamespace(u=u, v=v, w=w, d=d, rb=derive_uv_blocks(w, d))
 
 
 def _residual_checks(c):
     """Each residual check by name: ``(what the message names, its exact
     residual table, a call that runs it at a given tol)``."""
     u_off = c.u + 1e-6
-    built_small = build_small_eae(c.rb2)
+    built_small = build_small_eae(c.rb)
     small = built_small[0]
-    eaoe, _ = build_eaoe(c.rb2, built_small)
+    eaoe, _ = build_eaoe(c.rb, built_small)
     return {
         "decompose_corners": ("decompose_corners", _block_form_residuals(c.w, c.d),
                               lambda tol: decompose_corners(c.w, tol)),
         "derive_uv_blocks": ("derive_uv_blocks", c.rb.residuals,
                              lambda tol: derive_uv_blocks(c.w, c.d, tol)),
-        "normalize_adjoint": ("normalize_adjoint", _normalization_residuals(c.wn),
-                              lambda tol: normalize_adjoint(c.w, tol)),
-        "check_two_sided": ("check_two_sided", check_two_sided(c.rb2),
-                            lambda tol: check_two_sided(c.rb2, tol)),
+        "check_two_sided": ("check_two_sided", check_two_sided(c.rb),
+                            lambda tol: check_two_sided(c.rb, tol)),
         "build_small_eae": ("build_small_eae", verify_eae(small).residuals,
-                            lambda tol: build_small_eae(c.rb2, tol)),
+                            lambda tol: build_small_eae(c.rb, tol)),
         "build_eaoe": ("build_eaoe", verify_eaoe(eaoe).residuals,
-                       lambda tol: build_eaoe(c.rb2, built_small, tol)),
+                       lambda tol: build_eaoe(c.rb, built_small, tol)),
         "witness_consistency": ("supplied witness",
                                 {"witness_u": rel_residual(c.w.U, u_off), "witness_v": 0.0},
                                 lambda tol: run_pipeline(u_off, c.v, w=c.w, tol=tol)),
@@ -292,8 +252,8 @@ _PIPELINE_CHECKS = ("witness_consistency", "verify_special")
 
 
 @pytest.mark.parametrize("name", ["decompose_corners", "derive_uv_blocks",
-                                  "normalize_adjoint", "check_two_sided",
-                                  "build_small_eae", "build_eaoe", *_PIPELINE_CHECKS])
+                                  "check_two_sided", "build_small_eae", "build_eaoe",
+                                  *_PIPELINE_CHECKS])
 def test_failed_check_raises_one_way(chain, name):
     """Every residual check fails alike: a ConversionError (a NumericalError)
     carrying the exact table and naming its worst entry; a pipeline stage
@@ -317,16 +277,16 @@ def test_failed_check_raises_one_way(chain, name):
 
 class TestDeriveUvBlocks:
     def test_carried_blocks_match_a_fresh_derivation(self, chain):
-        # normalization leaves U, V, E11 and F22 bit for bit, so the blocks
-        # and residuals the split of w keeps are those a fresh split of the
-        # normalized witness gives
-        assert chain.rb2.d is chain.d
-        fresh = derive_uv_blocks(chain.wn, decompose_corners(read_back(chain.wn)))
-        assert fresh.residuals == chain.rb2.residuals
+        # the blocks and residuals the split of w keeps are, bit for bit,
+        # those a fresh split of w read back from its file gives
+        assert chain.rb.d is chain.d
+        w = read_back(chain.w)
+        fresh = derive_uv_blocks(w, decompose_corners(w))
+        assert fresh.residuals == chain.rb.residuals
         for name in ("u11", "u12", "u22", "v11", "v21", "v22"):
             np.testing.assert_array_equal(getattr(fresh.d, name), getattr(chain.d, name))
         for name in ("left_inv_v22", "right_inv_u22"):
-            np.testing.assert_array_equal(getattr(fresh, name), getattr(chain.rb2, name))
+            np.testing.assert_array_equal(getattr(fresh, name), getattr(chain.rb, name))
 
     def test_worked_instance_scalar_identity(self):
         w = worked_special()
@@ -354,51 +314,6 @@ class TestDeriveUvBlocks:
         assert rb.residuals["zero_block_v12"] <= 1e-10
 
 
-class TestNormalizeAdjoint:
-    def test_worked_instance_transform_value(self):
-        w = worked_special()
-        # the corner transform is pinv(F22) @ Ehat21 = (-2)(0.5) = -1
-        x = pinv(svd(w.F22)) @ w.Ehat21
-        np.testing.assert_allclose(x, [[-1.0]], atol=1e-14)
-        wn = normalize_adjoint(w, 1e-12)
-        assert verify_eae_special(wn, 1e-12).passed
-
-    def test_idempotent(self):
-        w = synthesized(2, 3, 1)
-        wn = normalize_adjoint(w)
-        wn2 = normalize_adjoint(wn)
-        assert spectral_norm(wn2.E - wn.E) <= 1e-12 * max(1, spectral_norm(wn.E))
-        assert spectral_norm(wn2.F - wn.F) <= 1e-12 * max(1, spectral_norm(wn.F))
-
-    def test_conditions_hold_after_one_application(self):
-        w = synthesized(2, 3, 1, seed=8)
-        wn = normalize_adjoint(w, 1e-10)
-        res = svd(wn.F22)
-        r = res.rank()
-        ker, h2 = res.right[:, r:], res.left[:, r:]
-        p_ker = ker @ ker.conj().T
-        p_h2 = h2 @ h2.conj().T
-        assert spectral_norm(p_ker @ wn.E21 - wn.E21) <= 1e-10
-        assert rel_residual(wn.F21, p_h2) <= 1e-10
-
-    def test_preserves_corners(self):
-        w = synthesized(3, 4, 2, seed=21)
-        wn = normalize_adjoint(w)
-        np.testing.assert_array_equal(w.E11, wn.E11)
-        np.testing.assert_array_equal(w.F22, wn.F22)
-
-
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(data=st.data(), n=st.integers(0, 12), m=st.integers(0, 12),
-       seed=st.integers(0, 2**32 - 1))
-def test_normalize_adjoint_keeps_f22_bits(data, n, m, seed):
-    """normalize_adjoint reads the projections of the normalized witness from
-    the input's SVD of F22, which is exact only if F22 keeps every bit."""
-    k = data.draw(st.integers(0, min(n, m)), label="k")
-    w = synthesized(n, m, k, seed=seed)
-    assert normalize_adjoint(w).F22.tobytes() == w.F22.tobytes()
-
-
 class TestCheckTwoSided:
     def test_worked_instance_trivial(self):
         w = worked_special()
@@ -415,11 +330,63 @@ class TestCheckTwoSided:
         assert max(residuals.values()) <= 1e-14
 
     def test_synthesized_after_normalization(self):
-        w = normalize_adjoint(synthesized(3, 4, 2, seed=13))
+        # the blocks of the witness as it is are those of its normalization
+        # (see test_normalization_keeps_the_one_sided_inverses)
+        w = synthesized(3, 4, 2, seed=13)
         d = decompose_corners(w)
         rb = derive_uv_blocks(w, d)
         residuals = check_two_sided(rb, 1e-10)
         assert max(residuals.values()) <= 1e-10
+
+
+def sheared(w, y):
+    """``w`` transformed by ``E -> [[I, 0], [y, I]] E`` and ``F -> F [[I, 0],
+    [-y U, I]]``, which keeps every anchored pin for any m x n ``y``; the
+    paper's normalization is this transform with ``y = pinv(F22) Ehat21``."""
+    n, m = w.n, w.m
+
+    def lower(block):
+        out = np.eye(n + m, dtype=complex)
+        out[n:, :n] = block
+        return out
+
+    return EAESpecialWitness(U=w.U, V=w.V, E=lower(y) @ w.E, F=w.F @ lower(-y @ w.U),
+                             Einv=w.Einv @ lower(-y), Finv=lower(y @ w.U) @ w.Finv)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data(), coupled=st.booleans(), n=st.integers(1, 24),
+       log_cond=st.floats(0.0, 3.0), seed=st.integers(0, 2**32 - 1))
+def test_normalization_keeps_the_one_sided_inverses(data, coupled, n, log_cond, seed):
+    """The paper normalizes the witness, with ``X = pinv(F22) Ehat21``, to
+    ``E21 + X E11`` and ``Ehat21 - F22 X`` before it shows the one-sided
+    inverses two-sided.  In orthonormal splits the inverses read from the
+    normalized blocks are those of the witness as it is, which is why the
+    pipeline derives them once.  The inputs are two-sided ``coupled_mc``
+    witnesses, and synthesized ones with n > m, whose F22 has a cokernel;
+    both come out of ``mc_to_eae_special`` normalized up to rounding, so a
+    random shear makes X nonzero."""
+    m = data.draw(st.integers(0, 24 if coupled else n - 1), label="m")
+    k = data.draw(st.integers(0, min(n, m)), label="k")
+    u, v = random_instance(InstanceSpec(n, m, k, seed=seed, cond_bound=10.0 ** log_cond))
+    if coupled:
+        mc = coupled_mc(u, v, data.draw(st.integers(k, min(n, m)), label="r"))
+    else:
+        mc, _ = synth_mc(u, v, 1e-8)
+    rng = np.random.default_rng(seed)
+    y = (rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))) / np.sqrt(2 * n)
+    w = sheared(mc_to_eae_special(mc, 1e-8), y)
+    d = decompose_corners(w, 1e-8)
+    rb = derive_uv_blocks(w, d, 1e-8)
+    r = d.rank
+    f22 = w.f22_svd
+    x = (f22.right[:, :r] / f22.singulars[:r]) @ f22.left[:, :r].conj().T @ w.Ehat21
+    e21, ehat21 = w.E21 + x @ w.E11, w.Ehat21 - w.F22 @ x
+    left_inv = d.ker_f22.conj().T @ e21 @ d.ker_e11
+    right_inv = d.h2.conj().T @ ehat21 @ d.g1
+    assert rel_residual(left_inv, rb.left_inv_v22) <= 1e-13
+    assert rel_residual(right_inv, rb.right_inv_u22) <= 1e-13
+    check_two_sided(rb, 1e-8)
 
 
 class TestBuildSmallEae:
@@ -441,7 +408,7 @@ class TestBuildSmallEae:
         assert verify_eae(small, 1e-12).passed
 
     def test_synthesized_dims(self):
-        w = normalize_adjoint(synthesized(4, 6, 2, seed=17))
+        w = synthesized(4, 6, 2, seed=17)
         d = decompose_corners(w)
         rb = derive_uv_blocks(w, d)
         small, _ = build_small_eae(rb)
@@ -462,7 +429,7 @@ class TestBuildEaoe:
         np.testing.assert_allclose(lhs, [[1.0]], atol=1e-12)
 
     def test_extension_side_matches_index_sign(self):
-        w = normalize_adjoint(synthesized(1, 2, 1))
+        w = synthesized(1, 2, 1)
         d = decompose_corners(w)
         rb = derive_uv_blocks(w, d)
         eaoe, _ = build_eaoe(rb, build_small_eae(rb))
@@ -471,7 +438,7 @@ class TestBuildEaoe:
         assert verify_eaoe(eaoe, 1e-10).passed
 
     def test_v_side_extension(self):
-        w = normalize_adjoint(synthesized(4, 2, 1, seed=3))
+        w = synthesized(4, 2, 1, seed=3)
         d = decompose_corners(w)
         rb = derive_uv_blocks(w, d)
         eaoe, _ = build_eaoe(rb, build_small_eae(rb))
@@ -483,7 +450,7 @@ class TestBuildEaoe:
         # both extensions nonzero: the embedded E and F are checked by
         # verify_eae, and the report is the one verify_eaoe gives
         u, v = random_instance(InstanceSpec(12, 14, 2, seed=1))
-        w = normalize_adjoint(mc_to_eae_special(coupled_mc(u, v, 7)))
+        w = mc_to_eae_special(coupled_mc(u, v, 7))
         rb = derive_uv_blocks(w, decompose_corners(w))
         assert (rb.d.x0, rb.d.y0) == (7, 5)
         eaoe, report = build_eaoe(rb, build_small_eae(rb))
@@ -572,9 +539,8 @@ class TestRunPipeline:
         names = [s.name for s in report.stages]
         assert names == [
             "synthesize_mc", "mc_to_special", "verify_special", "fredholm",
-            "decompose_corners", "derive_blocks", "normalize_adjoint",
-            "rederive_blocks", "two_sided", "small_eae", "build_eaoe",
-            "schur_coupling",
+            "decompose_corners", "derive_blocks", "two_sided", "small_eae",
+            "build_eaoe", "schur_coupling",
         ]
 
 
@@ -636,7 +602,7 @@ def test_pipeline_verifies_each_artifact_once(work_counts):
     assert sum(work_counts[k] for k in _VERIFIER_KINDS) == 3
     assert work_counts["eaoe"] == 0
     assert work_counts["eae_special"] == 0
-    assert work_counts["svd"] == 40
+    assert work_counts["svd"] == 39
     # one each of U, V, F22 and E11
     assert work_counts["full_svd"] == 4
 
@@ -653,12 +619,12 @@ def test_supplied_witness_pipeline_counts(work_counts):
     assert run_pipeline(u, v, w=read_back(w), tol=1e-8).success
     assert sum(work_counts[k] for k in _VERIFIER_KINDS) == 2
     assert work_counts["eae_special"] == 0
-    assert work_counts["svd"] == 34
+    assert work_counts["svd"] == 33
     # one each of F22 and E11
     assert work_counts["full_svd"] == 2
     work_counts.clear()
     assert run_pipeline(u, v, w=w, tol=1e-8).success
-    assert work_counts["svd"] == 34 - 16
+    assert work_counts["svd"] == 33 - 16
 
 
 # the stages both paths share, with the dense SVDs each takes at 12x14
@@ -666,8 +632,6 @@ _SHARED_STAGE_SVDS = {
     "fredholm": 2,             # the cached full SVDs of F22 and E11
     "decompose_corners": 2,    # cond of f22' and e11'
     "derive_blocks": 3,        # v12's norm, the equivalence, v22's inverse; u21, u22 empty
-    "normalize_adjoint": 0,    # settled by the certified Frobenius bound
-    "rederive_blocks": 1,      # v22's inverse; the three others carried over
     "two_sided": 1,
     "small_eae": 4,            # cond of E and F, the extension equation and its norm
     "build_eaoe": 2,           # the two inverses the small witness lacks

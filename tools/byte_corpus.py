@@ -10,12 +10,12 @@ byte-identity contract, is masked.  The corpus holds:
 
 * ``cli/``: ``synth`` instance files; ``pipeline --out --report`` on each at
   two tolerances, one of which fails some stages, with the exit code and the
-  captured output of every command; one ``--jobs 2`` batch; the six witnesses
+  captured output of every command; one ``--jobs 2`` batch; the five witnesses
   of a pipeline run and ``verify --report`` on all five witness kinds;
   ``hankel --report`` with its CSV side files.
 * ``lib/``: ``run_pipeline`` results, synthesized and on supplied anchored
   witnesses, including two-sided ones from the test-side builder
-  ``coupled_mc``: the canonical report and the six witnesses of a run that
+  ``coupled_mc``: the canonical report and the five witnesses of a run that
   passed, and the stage, message and hex residual table of one that failed.
 
 ``--quick`` writes a small subset of ``cli/`` that takes about a second.
@@ -41,7 +41,7 @@ from opcoupling.serialization import dumps_canonical, encode_witness, pipeline_r
 
 _TESTS = Path(__file__).resolve().parents[1] / "tests"
 _TIMESTAMP = re.compile(r'"timestamp": "[^"]*"')
-_WITNESSES = ("mc", "witness", "normalized_witness", "small_eae", "eaoe", "final_sc")
+_WITNESSES = ("mc", "witness", "small_eae", "eaoe", "final_sc")
 # the witness of each verifier kind among a pipeline report's witnesses
 _VERIFY_KINDS = {"mc": "mc", "eae_special": "witness", "eae": "small_eae",
                  "eaoe": "eaoe", "sc": "final_sc"}
