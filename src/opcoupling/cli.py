@@ -171,8 +171,9 @@ def main():
 
 
 @main.command()
-@click.option("--n", type=int, required=True, help="Size of U.")
-@click.option("--m", type=int, required=True, help="Size of V.")
+# sizes above 2**10 would need gigabytes; InstanceSpec rejects negative ones
+@click.option("--n", type=click.IntRange(max=2**10), required=True, help="Size of U.")
+@click.option("--m", type=click.IntRange(max=2**10), required=True, help="Size of V.")
 @click.option("--nullity", type=int, default=0, show_default=True,
               help="Common kernel dimension of U and V.")
 @click.option("--seed", type=int, default=0, show_default=True)

@@ -12,10 +12,6 @@ class ShapeError(ToolkitError):
 class SingularMatrixError(ToolkitError):
     """A matrix required to be invertible is (numerically) singular."""
 
-    def __init__(self, message, sigma_min=None):
-        super().__init__(message)
-        self.sigma_min = sigma_min
-
 
 class PreconditionError(ToolkitError):
     """An operation's precondition does not hold for the given input."""
@@ -49,8 +45,3 @@ class PipelineStageError(ToolkitError):
 
 class SymbolInversionError(ToolkitError):
     """A circle symbol is too close to zero on the evaluation grid."""
-
-    def __init__(self, message, min_abs=None, winding=None):
-        super().__init__(message)
-        self.min_abs = min_abs
-        self.winding = winding

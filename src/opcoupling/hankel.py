@@ -147,19 +147,16 @@ def invert_symbol(f: SymbolFC, grid: int, tol: float) -> SymbolFC:
     Raises
     ------
     SymbolInversionError
-        If ``min |f|`` on the grid is not larger than ``tol``; the error
-        reports that minimum and the winding number of the grid values.
+        If ``min |f|`` on the grid is not larger than ``tol``; the message
+        quotes that minimum and the grid size.
     """
     g = _fft_grid(grid, 4 * f.coeffs.size)
     values = evaluate_on_grid(f, g)
     min_abs = float(np.min(np.abs(values)))
     if min_abs <= tol:
-        wind = winding_number(values) if min_abs > 0 else None
         raise SymbolInversionError(
             f"symbol comes within {min_abs:.3e} of zero on a {g}-point grid "
-            f"(threshold {tol:g}); it is not invertible at this resolution",
-            min_abs=min_abs, winding=wind,
-        )
+            f"(threshold {tol:g}); it is not invertible at this resolution")
     coeffs = np.fft.fft(1.0 / values) / g
     centered = np.roll(coeffs, g // 2)
     inv = SymbolFC(offset=-(g // 2), coeffs=centered)
@@ -248,8 +245,6 @@ class HankelCouplingReport:
 
     N: int
     grid: int
-    f_support: tuple[int, int]
-    inv_support: tuple[int, int]
     interior_rows: tuple[int, int]   # mode range, inclusive
     interior_cols: tuple[int, int]
     interior_residual: float
@@ -313,7 +308,6 @@ def mc_residual_hankel(f: SymbolFC, N: int, tol: float = 1e-8,
 
     return HankelCouplingReport(
         N=N, grid=g_grid,
-        f_support=(a1, a2), inv_support=(b1, b2),
         interior_rows=(row_lo, row_hi), interior_cols=(col_lo, col_hi),
         interior_residual=_sup_bound(r, row_lo - col_hi, row_hi - col_lo),
         full_residual=float(full),
@@ -365,8 +359,6 @@ class ShiftComparabilityReport:
     nonzero; the verdict keeps the (orientation, k) with the largest c.
     """
 
-    alpha: np.ndarray
-    beta: np.ndarray
     threshold: float
     records: tuple[ShiftRecord, ...]
     verdict_orientation: str | None
@@ -420,7 +412,7 @@ def shift_comparability(alpha, beta, k_max: int) -> ShiftComparabilityReport:
                 best = (orientation, k, c)
 
     return ShiftComparabilityReport(
-        alpha=alpha, beta=beta, threshold=threshold, records=tuple(records),
+        threshold=threshold, records=tuple(records),
         verdict_orientation=None if best is None else best[0],
         verdict_k=None if best is None else best[1],
         verdict_c=None if best is None else best[2],
@@ -452,8 +444,8 @@ class SummabilityReport:
     besov: BesovEstimate | None = None
 
 
-def spectral_summability(sv, p: float, besov_symbol: SymbolFC | None = None,
-                         t_points: int = 128, s_points: int = 512) -> SummabilityReport:
+def spectral_summability(sv, p: float,
+                         besov_symbol: SymbolFC | None = None) -> SummabilityReport:
     """Sum of ``sigma_n ** p``, the share of its trailing half, and an
     optional Besov-type estimate.
 
@@ -465,8 +457,10 @@ def spectral_summability(sv, p: float, besov_symbol: SymbolFC | None = None,
 
         int_{-pi}^{pi} |t|^(-1-alpha*p) ||D_t^n g||_p^p dt
 
-    on a uniform midpoint t-grid excluding t = 0.  A sum or integral that
-    overflows raises :class:`PreconditionError`.
+    on 128 uniform midpoints of (0, pi], doubled since the integrand is
+    even, with each ``D_t^n g`` on an FFT grid of at least 512 points; the
+    report's ``besov`` records both sizes.  A sum or integral that overflows
+    raises :class:`PreconditionError`.
     """
     if p < 1:
         raise PreconditionError("Schatten exponent p must be >= 1")
@@ -478,7 +472,7 @@ def spectral_summability(sv, p: float, besov_symbol: SymbolFC | None = None,
         powers = s ** p
         total = float(powers.sum())
         besov = (None if besov_symbol is None
-                 else _besov_estimate(besov_symbol, p, t_points, s_points))
+                 else _besov_estimate(besov_symbol, p))
     if not np.isfinite([total, besov.integral if besov else 0.0]).all():
         raise PreconditionError(f"a power sum at p = {p:g} overflows; rescale the symbol")
     half = s.size // 2
@@ -487,7 +481,8 @@ def spectral_summability(sv, p: float, besov_symbol: SymbolFC | None = None,
     return SummabilityReport(p=p, total=total, tail_fraction=tail, besov=besov)
 
 
-def _besov_estimate(f: SymbolFC, p: float, t_points: int, s_points: int) -> BesovEstimate:
+def _besov_estimate(f: SymbolFC, p: float) -> BesovEstimate:
+    t_points, s_points = 128, 512
     alpha = 1.0 / p
     order = int(np.floor(alpha)) + 1
     # analytic projection: non-negative modes only

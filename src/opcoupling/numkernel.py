@@ -291,9 +291,7 @@ def _norm_and_condition(a) -> tuple[float, float]:
     if sigma_min <= cut:
         raise SingularMatrixError(
             f"matrix of shape {a.shape} is numerically singular "
-            f"(sigma_min={sigma_min:.3e}, cutoff={cut:.3e})",
-            sigma_min=sigma_min,
-        )
+            f"(sigma_min={sigma_min:.3e}, cutoff={cut:.3e})")
     return float(s[0]), float(s[0]) / sigma_min
 
 

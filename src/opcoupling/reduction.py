@@ -6,7 +6,8 @@ Starting from an :class:`~opcoupling.relations.EAESpecialWitness` for
 1. splits the corners ``F22, E11 : Y -> X`` along orthonormal bases of their
    kernels/ranges and complements, so each becomes ``[[prime, 0], [0, 0]]``
    with an invertible leading block (:func:`decompose_corners`), from the
-   one full SVD of each that the witness caches (``f22_svd``, ``e11_svd``);
+   one full SVD of each that the witness caches (``f22_svd``, ``e11_svd``),
+   and checks both block forms at once, by a certified bound when it can;
 2. expresses ``U`` and ``V`` in those bases, where they are block triangular
    with ``E11' V11 = -U11 F22'`` and explicit one-sided inverses for the
    corner blocks ``U22, V22`` (:func:`derive_uv_blocks`, which pairs the
@@ -66,6 +67,7 @@ from .errors import (
 )
 from .numkernel import (
     SvdResult,
+    _certainly_within,
     _norm_at_least_one,
     adjoint,
     as_matrix,
@@ -84,7 +86,6 @@ from .relations import (
     SCWitness,
     VerifierReport,
     _checked,
-    _checked_pairs,
     _direct_sum,
     _inverse_residuals,
     mc_to_eae_special,
@@ -310,9 +311,12 @@ def decompose_corners(w: EAESpecialWitness, tol: float = DEFAULT_TOL) -> CornerD
 
     Returns the witness's cached SVDs of both corners and their common rank,
     together with the invertible compressions ``f22_prime`` and
-    ``e11_prime`` and their inverses, computed once here for the builders;
-    the block forms ``f22`` and ``e11`` are re-verified to ``tol`` before
-    returning.
+    ``e11_prime`` and their inverses, computed once here for the builders.
+    The block forms of ``f22`` and ``e11`` are re-verified to ``tol`` before
+    returning.  Nothing records their residuals, so the certified bound
+    (:func:`~opcoupling.numkernel._certainly_within`) settles the check when
+    it can; otherwise the exact table of the same two pairs is checked, and
+    the decision and any error message are those of the exact check.
 
     Raises
     ------
@@ -338,15 +342,16 @@ def decompose_corners(w: EAESpecialWitness, tol: float = DEFAULT_TOL) -> CornerD
         cond_f22_prime=cond_f, cond_e11_prime=cond_e,
     )
 
-    def pairs():
-        for label, res, block, prime in (("f22", f22, w.F22, f22_prime),
-                                         ("e11", e11, w.E11, e11_prime)):
-            in_coords = _coords(res.left, block, res.right)
-            target = zeros(*in_coords.shape)
-            target[: prime.shape[0], : prime.shape[1]] = prime
-            yield label, (in_coords, target)
-
-    _checked_pairs("corner_forms", pairs, tol, "decompose_corners")
+    pairs = {}
+    for label, res, block, prime in (("f22", f22, w.F22, f22_prime),
+                                     ("e11", e11, w.E11, e11_prime)):
+        in_coords = _coords(res.left, block, res.right)
+        target = zeros(*in_coords.shape)
+        target[:r, :r] = prime
+        pairs[label] = (in_coords, target)
+    if not _certainly_within(pairs.values(), tol):
+        residuals = {label: rel_residual(*pair) for label, pair in pairs.items()}
+        _checked(VerifierReport("corner_forms", residuals, tol), "decompose_corners")
     return d
 
 

@@ -46,12 +46,9 @@ their ranks and bases.
 
 Every residual table, here and in :mod:`~opcoupling.reduction`, is checked
 by :func:`_checked`, which raises :class:`ConversionError` naming the worst
-entry, with the table attached.  The check whose values nobody records,
-the block forms of the corners in :mod:`~opcoupling.reduction`, goes
-through :func:`_checked_pairs`: the certified bound ``||lhs - rhs||_F <=
-tol`` (:func:`~opcoupling.numkernel._certainly_within`) settles it without
-an SVD, and only when it cannot decide is the exact table computed, so the
-decision and any error message are those of the exact check.
+entry, with the table attached.  Only the block forms of the corners, whose
+values nobody records, are settled first by a certified bound (see
+:func:`~opcoupling.reduction.decompose_corners`).
 
 Each converter verifies its output once.  A builder the pipeline calls
 returns the witness with that report, so the pipeline records the report
@@ -75,7 +72,6 @@ from .blockops import Block2x2
 from .errors import ConversionError, ShapeError
 from .numkernel import (
     SvdResult,
-    _certainly_within,
     _norm_and_condition,
     _svd_vals,
     adjoint,
@@ -199,6 +195,9 @@ class EAEWitness:
         n, m = self.U.shape[0], self.V.shape[0]
         if self.U.shape != (n, n) or self.V.shape != (m, m):
             raise ShapeError("U and V must be square")
+        if n + self.x0_dim != m + self.y0_dim:
+            raise ShapeError(f"extended spaces differ in size: n + x0_dim = "
+                             f"{n + self.x0_dim}, m + y0_dim = {m + self.y0_dim}")
         if self.E.shape != (n + self.x0_dim, m + self.y0_dim):
             raise ShapeError("E shape inconsistent with extension dimensions")
         if self.F.shape != (m + self.y0_dim, n + self.x0_dim):
@@ -326,6 +325,9 @@ class EAOEWitness:
             e_shape, f_shape = (n + self.ext_dim, m), (m, n + self.ext_dim)
         else:
             e_shape, f_shape = (n, m + self.ext_dim), (m + self.ext_dim, n)
+        if e_shape[0] != e_shape[1]:
+            raise ShapeError(f"extended spaces differ in size: {e_shape[0]} on "
+                             f"the U side, {e_shape[1]} on the V side")
         if self.E.shape != e_shape or self.F.shape != f_shape:
             raise ShapeError("E, F shapes inconsistent with the extension side")
         for name, shape in (("Einv", e_shape[::-1]), ("Finv", f_shape[::-1])):
@@ -478,15 +480,6 @@ def _checked(report: VerifierReport, what: str) -> VerifierReport:
             report=report,
         )
     return report
-
-
-def _checked_pairs(kind: str, pairs, tol: float, what: str) -> None:
-    """:func:`_checked` on the residual table of the labelled ``(lhs, rhs)``
-    pairs that the callable ``pairs`` yields, settled by the certified bound
-    when it can be; the pairs are generated again for the exact table."""
-    if not _certainly_within((pair for _, pair in pairs()), tol):
-        residuals = {label: rel_residual(*pair) for label, pair in pairs()}
-        _checked(VerifierReport(kind, residuals, tol), what)
 
 
 def sc_to_mc(w: SCWitness, tol: float = DEFAULT_TOL) -> MCWitness:

@@ -12,7 +12,13 @@ from opcoupling.errors import NumericalError
 from opcoupling.hankel import SymbolFC
 from opcoupling.instances import InstanceSpec, random_instance, random_sc_witness
 from opcoupling.reduction import run_pipeline
-from opcoupling.relations import EAESpecialWitness, EAOEWitness, mc_to_eae_special, sc_to_mc
+from opcoupling.relations import (
+    EAESpecialWitness,
+    EAEWitness,
+    EAOEWitness,
+    mc_to_eae_special,
+    sc_to_mc,
+)
 from opcoupling.serialization import (
     decode_matrix,
     decode_witness,
@@ -420,6 +426,34 @@ def test_eaoe_inverse_of_wrong_shape_is_invalid_input(tmp_path, name, capsys):
     assert str(path) in err and f"{name} must be 4x4" in err
 
 
+_EYE2, _EYE3 = np.eye(2), np.eye(3)
+
+
+# each witness verifies; with the dims entry and E, F replaced as given, its
+# extended spaces differ in size, which once ended in a verification error
+@pytest.mark.parametrize("w,dim,value,e,f", [
+    (EAEWitness(U=_EYE2, V=_EYE3, E=_EYE3, F=_EYE3, x0_dim=1, y0_dim=0),
+     "x0_dim", 0, np.ones((2, 3)), np.ones((3, 2))),
+    (EAOEWitness(extended_side="U", ext_dim=1, E=_EYE3, F=_EYE3, U=_EYE2, V=_EYE3),
+     "ext_dim", 2, np.ones((4, 3)), np.ones((3, 4))),
+    (EAOEWitness(extended_side="V", ext_dim=1, E=_EYE3, F=_EYE3, U=_EYE3, V=_EYE2),
+     "ext_dim", 2, np.ones((3, 4)), np.ones((4, 3))),
+], ids=["eae", "eaoe_u", "eaoe_v"])
+def test_unequal_extended_spaces_are_invalid_input(tmp_path, capsys, w, dim, value, e, f):
+    obj = encode_witness(w)
+    kind = obj["kind"]
+    path = tmp_path / "w.json"
+    path.write_text(dumps_canonical(obj))
+    assert dispatch(["verify", "--witness", str(path), "--kind", kind]) == 0
+    obj["dims"][dim] = value
+    obj["matrices"].update(E=encode_matrix(e), F=encode_matrix(f))
+    path.write_text(dumps_canonical(obj))
+    capsys.readouterr()
+    assert dispatch(["verify", "--witness", str(path), "--kind", kind]) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and "extended spaces differ in size" in err
+
+
 @pytest.fixture(scope="module")
 def tol_commands(tmp_path_factory):
     """The argument vectors of the three commands that take --tol."""
@@ -577,9 +611,21 @@ class TestCliHankel:
     (["--n", "-1"], "size n"), (["--m", "-1"], "size m"), (["--nullity", "-1"], "nullity k"),
     (["--cond-bound", "nan"], "cond_bound"), (["--cond-bound", "inf"], "cond_bound"),
     (["--cond-bound", "0.5"], "cond_bound"), (["--seed", "-1"], "seed"),
+    # sizes at the cap pass the option check and reach the spec's
+    (["--n", "1024", "--m", "1024", "--nullity", "-1"], "nullity k"),
 ])
 def test_synth_invalid_spec_exits_2(tmp_path, capsys, args, field):
     out = tmp_path / "inst.json"
     assert dispatch(["synth", "--n", "2", "--m", "2", *args, "--out", str(out)]) == 2
     assert f"Error: {field} must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# the range check rejects a size before random_instance allocates anything
+@pytest.mark.parametrize("option,value", [("--n", 2**10 + 1), ("--n", 4097), ("--m", 10**30)])
+def test_synth_size_past_the_cap_exits_2(tmp_path, capsys, option, value):
+    out = tmp_path / "inst.json"
+    assert dispatch(["synth", "--n", "2", "--m", "2", f"{option}={value}",
+                     "--out", str(out)]) == 2
+    assert f"Invalid value for '{option}'" in capsys.readouterr().err
     assert not out.exists()

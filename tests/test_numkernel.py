@@ -328,9 +328,8 @@ class TestInverse:
         np.testing.assert_allclose(inv, [[0.5, -0.5], [0.5, 0.5]], atol=1e-15)
 
     def test_singular(self):
-        with pytest.raises(SingularMatrixError) as info:
+        with pytest.raises(SingularMatrixError, match=r"sigma_min=0\.000e\+00"):
             inverse(np.diag([1.0, 0.0]))
-        assert info.value.sigma_min == 0.0
 
     def test_non_square(self):
         with pytest.raises(ShapeError):
@@ -345,9 +344,8 @@ class TestInverse:
         a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
         assert condition_number(a) == inverse(a)[1]
         assert condition_number(np.zeros((0, 0))) == 1.0
-        with pytest.raises(SingularMatrixError) as info:
+        with pytest.raises(SingularMatrixError, match=r"sigma_min=0\.000e\+00"):
             condition_number(np.diag([1.0, 0.0]))
-        assert info.value.sigma_min == 0.0
         with pytest.raises(ShapeError):
             condition_number(np.zeros((2, 3)))
 

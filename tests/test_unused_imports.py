@@ -2,7 +2,8 @@
 every private module-level function or class is used somewhere in the
 package, and every public one, and every public method and property of a
 top-level class, somewhere in the package, the benchmark scripts or the
-acceptance tests.
+acceptance tests.  Every field of a dataclass of the package is read
+somewhere in the package, the benchmark scripts, the tools or the tests.
 
 No linter ships with the toolchain, so the checks walk the syntax trees: a
 name bound by an import must occur as a plain name or as the base of an
@@ -11,7 +12,12 @@ attribute access elsewhere in the module, and the name of a top-level
 bound to ``property(...)`` or ``cached_property(...)``, must be read as a
 plain name or an attribute besides its own definition.  A decorated public
 top-level ``def`` is exempt, since its decorator may register it (a click
-command is reached through its group).
+command is reached through its group).  A field counts as read when its name
+is loaded as an attribute or given to ``getattr`` as a string; storing it,
+constructing with it by keyword or reading it reflectively does not count.
+Fields are matched by name alone, so a read of another class's field of the
+same name masks a field nothing reads (``ShiftComparabilityReport.alpha``
+was masked by ``BesovEstimate.alpha`` this way).
 """
 
 import ast
@@ -156,3 +162,56 @@ def test_detects_an_unreferenced_public_member():
 
 def test_package_reads_every_public_member():
     assert unreferenced_public_members(*_package_and_readers()) == []
+
+
+def _is_dataclass(decorator) -> bool:
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return getattr(target, "id", getattr(target, "attr", None)) == "dataclass"
+
+
+def _dataclass_fields(trees):
+    """``Class.field`` of each annotated field of the top-level dataclasses
+    of ``trees``."""
+    for cls in _top_level_definitions(trees):
+        if isinstance(cls, ast.ClassDef) and any(map(_is_dataclass, cls.decorator_list)):
+            yield from (f"{cls.name}.{node.target.id}" for node in cls.body
+                        if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name))
+
+
+def _fields_read(trees) -> set[str]:
+    read = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "getattr"
+                  and len(node.args) > 1 and isinstance(node.args[1], ast.Constant)):
+                read.add(node.args[1].value)
+    return read
+
+
+def write_only_fields(sources: list[str], readers: list[str]) -> list[str]:
+    """Dataclass fields of ``sources`` that neither they nor ``readers`` read."""
+    trees = [ast.parse(source) for source in sources]
+    read = _fields_read(trees + [ast.parse(source) for source in readers])
+    return [field for field in _dataclass_fields(trees)
+            if field.partition(".")[2] not in read]
+
+
+def test_detects_a_write_only_field():
+    sources = ["@dataclass(frozen=True)\nclass R:\n    kept: int\n    named: int\n"
+               "    dropped: int\n\n"
+               "@dataclasses.dataclass\nclass S:\n    written: int\n\n"
+               "class Plain:\n    ignored: int\n\n"
+               "def make():\n    return R(kept=1, named=2, dropped=3), S(written=4)\n"]
+    readers = ["x = r.kept\ny = getattr(r, 'named')\nr.dropped = 5\n"]
+    assert write_only_fields(sources, readers) == ["R.dropped", "S.written"]
+
+
+def test_package_reads_every_dataclass_field():
+    root = Path(opcoupling.__file__).resolve().parents[2]
+    readers = [path for folder in ("perfbench", "tools", "tests")
+               for path in sorted((root / folder).glob("*.py"))]
+    sources = [path.read_text(encoding="utf-8") for path in MODULES]
+    assert write_only_fields(sources, [path.read_text(encoding="utf-8")
+                                       for path in readers]) == []
