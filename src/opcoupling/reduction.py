@@ -12,15 +12,15 @@ Starting from an :class:`~opcoupling.relations.EAESpecialWitness` for
    with ``E11' V11 = -U11 F22'`` and explicit one-sided inverses for the
    corner blocks ``U22, V22`` (:func:`derive_uv_blocks`, which pairs the
    witness with its split in one :class:`ReducedBlocks`);
-3. certifies that the one-sided inverses are two-sided
-   (:func:`check_two_sided`).  The paper first normalizes the witness, with
-   ``X = pinv(F22) @ Ehat21``, to ``E21 + X E11`` and ``Ehat21 - F22 X``;
-   in orthonormal splits that changes neither inverse, so the blocks are
-   derived once.  ``ker_f22* @ X = 0`` gives ``Pi_ker_f22 (E21 + X E11)
-   J_ker_e11 = Pi_ker_f22 E21 J_ker_e11``, and the pin ``Einv22 = F22``
-   gives ``Ehat21 - F22 X = P_h2 Ehat21``, whose ``Pi_h2 (.) J_g1`` is the
-   same right inverse; so :func:`check_two_sided` certifies the blocks the
-   builders use;
+3. certifies, in the same table of :func:`derive_uv_blocks`, that the
+   one-sided inverses are two-sided.  The paper first normalizes the
+   witness, with ``X = pinv(F22) @ Ehat21``, to ``E21 + X E11`` and
+   ``Ehat21 - F22 X``; in orthonormal splits that changes neither inverse,
+   so the blocks are derived once.  ``ker_f22* @ X = 0`` gives
+   ``Pi_ker_f22 (E21 + X E11) J_ker_e11 = Pi_ker_f22 E21 J_ker_e11``, and
+   the pin ``Einv22 = F22`` gives ``Ehat21 - F22 X = P_h2 Ehat21``, whose
+   ``Pi_h2 (.) J_g1`` is the same right inverse; so the table certifies the
+   blocks the builders use;
 4. assembles an EAE witness whose extensions are only ``Ker E11`` and the
    cokernel of ``F22`` (:func:`build_small_eae`), collapses it to a single
    one-sided extension of size ``|dim Ker E11 - dim coker F22|``
@@ -167,12 +167,12 @@ class ReducedBlocks:
 
     ``U`` on (im_f22 (+) h2) -> (im_e11 (+) g1) is upper block triangular,
     ``V`` on (k2 (+) ker_f22) -> (f1 (+) ker_e11) lower block triangular.
-    ``left_inv_v22 @ d.v22`` and ``d.u22 @ right_inv_u22`` are identities; the
-    residuals of the suppressed blocks, of ``e11' v11 = -u11 f22'`` and of
-    the two inverses are kept for reporting.  The invertible triangular
-    factors ``Phi_U = [[I, u12], [0, u22]]`` and ``Psi_V = [[I, 0], [v21,
-    v22]]`` of U and V, and their inverses, are built on first use and kept;
-    they are inverses once :func:`check_two_sided` has passed.
+    ``left_inv_v22`` and ``right_inv_u22`` are two-sided inverses of
+    ``d.v22`` and ``d.u22``; the residuals of the suppressed blocks, of
+    ``e11' v11 = -u11 f22'`` and of both inverses on both sides are kept for
+    reporting.  The invertible triangular factors ``Phi_U = [[I, u12], [0,
+    u22]]`` and ``Psi_V = [[I, 0], [v21, v22]]`` of U and V, and their
+    inverses, are built on first use and kept.
     """
 
     d: CornerDecomposition
@@ -223,7 +223,6 @@ class FredholmReport:
     dim_g1: int
     dim_ker_f22: int
     dim_ker_e11: int
-    extension_side: str  # "U" if index(F22) > 0, "V" if < 0, else "none"
 
 
 @dataclass(frozen=True)
@@ -247,7 +246,6 @@ class PipelineReport:
     stages: tuple[StageResult, ...]
     witness: EAESpecialWitness
     mc: MCWitness | None
-    fredholm: FredholmReport
     x0_dim: int
     y0_dim: int
     small_eae: EAEWitness
@@ -258,6 +256,20 @@ class PipelineReport:
     @property
     def max_residual(self) -> float:
         return max((s.max_residual for s in self.stages), default=0.0)
+
+    @property
+    def fredholm(self) -> FredholmReport:
+        """Corner indices, ``cols - rows`` whatever the rank, and the kernel
+        and cokernel dimensions of F22 and E11: both are n x m, of the common
+        rank :func:`decompose_corners` checks, so their kernels have
+        dimension ``x0_dim`` and their cokernels h2 and g1 ``y0_dim``."""
+        n, m = self.U.shape[0], self.V.shape[0]
+        return FredholmReport(
+            f11=CornerIndex(n - m), f22=CornerIndex(m - n),
+            e11=CornerIndex(m - n), ehat11=CornerIndex(n - m),
+            dim_h2=self.y0_dim, dim_g1=self.y0_dim,
+            dim_ker_f22=self.x0_dim, dim_ker_e11=self.x0_dim,
+        )
 
     def stage(self, name: str) -> StageResult:
         for s in self.stages:
@@ -277,33 +289,6 @@ def _coords(left_basis: np.ndarray, op: np.ndarray, right_basis: np.ndarray) -> 
 
 # ---------------------------------------------------------------------------
 # operations
-
-
-def fredholm_report(w: EAESpecialWitness) -> FredholmReport:
-    """Indices of F11, F22, E11 and Ehat11, and the dimensions of the
-    cokernels h2, g1 and kernels of F22 and E11.
-
-    A corner's index is ``cols - rows`` whatever its rank, so the block
-    shapes :class:`~opcoupling.relations.EAESpecialWitness` fixes give
-    ``index(F22) = index(E11) = m - n = -index(F11) = -index(Ehat11)`` by
-    construction, and no corner is factored for them.  F22 and E11 are both
-    n x m; the dimensions are read from the ranks of the witness's cached
-    SVDs of them.  The kernel/cokernel dimension equalities ``dim h2 = dim
-    g1`` and ``dim ker F22 = dim ker E11`` of a genuine witness hold exactly
-    when the ranks agree, which :func:`decompose_corners` checks.  The sign
-    of ``index(F22)`` dictates which operator the one-sided extension lands
-    on: positive means ``U``.
-    """
-    n, m = w.n, w.m
-    rank_f22, rank_e11 = w.f22_svd.rank(), w.e11_svd.rank()
-    side = "U" if m > n else ("V" if m < n else "none")
-    return FredholmReport(
-        f11=CornerIndex(n - m), f22=CornerIndex(m - n),
-        e11=CornerIndex(m - n), ehat11=CornerIndex(n - m),
-        dim_h2=n - rank_f22, dim_g1=n - rank_e11,
-        dim_ker_f22=m - rank_f22, dim_ker_e11=m - rank_e11,
-        extension_side=side,
-    )
 
 
 def decompose_corners(w: EAESpecialWitness, tol: float = DEFAULT_TOL) -> CornerDecomposition:
@@ -367,11 +352,14 @@ def derive_uv_blocks(w: EAESpecialWitness, d: CornerDecomposition,
     ``left_inv_v22 = Pi_ker_f22 @ E21 @ J_ker_e11`` (a left inverse of v22)
     and ``right_inv_u22 = Pi_h2 @ Ehat21 @ J_g1`` (a right inverse of u22)
     are computed from the blocks of ``w``, not by inverting anything; ``w``
-    has the ``U``, ``V``, ``E11`` and ``F22`` that ``d`` split.  This is the
-    one place where a witness is paired with a split: every later step reads
-    both from the :class:`ReducedBlocks` returned.  The residual table,
-    ``d``'s three entries then the two inverses', fails when the witness is
-    not a genuine anchored one.
+    has the ``U``, ``V``, ``E11`` and ``F22`` that ``d`` split.  They are
+    those of the paper's normalized witness (see the module docstring), so
+    ``v22 @ left_inv_v22`` and ``right_inv_u22 @ u22`` are identities as
+    well: both corner blocks are invertible with known inverses, which is
+    what the builders need.  This is the one place where a witness is paired
+    with a split: every later step reads both from the :class:`ReducedBlocks`
+    returned.  The residual table, ``d``'s three entries then the inverses'
+    on both sides, fails when the witness is not a genuine anchored one.
     """
     left_inv_v22 = _coords(d.ker_f22, w.E21, d.ker_e11)
     right_inv_u22 = _coords(d.h2, w.Ehat21, d.g1)
@@ -379,30 +367,12 @@ def derive_uv_blocks(w: EAESpecialWitness, d: CornerDecomposition,
         **d.block_residuals,
         "left_inverse_v22": rel_residual(left_inv_v22 @ d.v22, eye(d.x0)),
         "right_inverse_u22": rel_residual(d.u22 @ right_inv_u22, eye(d.y0)),
+        "v22_right_inverse": rel_residual(d.v22 @ left_inv_v22, eye(d.x0)),
+        "u22_left_inverse": rel_residual(right_inv_u22 @ d.u22, eye(d.y0)),
     }
     _checked(VerifierReport("reduced_blocks", residuals, tol), "derive_uv_blocks")
     return ReducedBlocks(d=d, left_inv_v22=left_inv_v22, right_inv_u22=right_inv_u22,
                          residuals=residuals)
-
-
-def check_two_sided(rb: ReducedBlocks, tol: float = DEFAULT_TOL) -> dict[str, float]:
-    """Certify that the one-sided inverses of v22 and u22 are two-sided.
-
-    The inverses :func:`derive_uv_blocks` read from the witness as it is
-    are those of the normalized witness of the paper (see the module
-    docstring), for which ``v22 @ left_inv_v22`` and ``right_inv_u22 @ u22``
-    are identities as well; both corner blocks are then invertible with
-    known inverses, which is what the builders need.
-
-    Returns the two residuals.
-    """
-    d = rb.d
-    residuals = {
-        "v22_right_inverse": rel_residual(d.v22 @ rb.left_inv_v22, eye(d.x0)),
-        "u22_left_inverse": rel_residual(rb.right_inv_u22 @ d.u22, eye(d.y0)),
-    }
-    report = VerifierReport("two_sided", residuals, tol)
-    return _checked(report, "check_two_sided").residuals
 
 
 def build_small_eae(rb: ReducedBlocks,
@@ -419,8 +389,8 @@ def build_small_eae(rb: ReducedBlocks,
 
     then glues everything into ``U (+) I_x0 = E (V (+) I_y0) F`` with
     ``x0 = dim Ker E11`` and ``y0 = dim h2``; U, V, the bases and both
-    dimensions come from the split ``rb.d``.  Requires invertible corner
-    blocks, i.e. :func:`check_two_sided` must have passed.
+    dimensions come from the split ``rb.d``, whose corner blocks ``rb``
+    certified invertible.
     """
     d = rb.d
     r, x0, y0 = d.rank, d.x0, d.y0
@@ -505,7 +475,9 @@ def run_pipeline(U, V, w: EAESpecialWitness | None = None,
     the cause's residual table as ``report``; one that passes is recorded as
     a :class:`StageResult` of its residuals and data.
     A stage that builds a witness records the report its builder verified
-    the witness with; no artifact is verified twice.
+    the witness with; no artifact is verified twice.  Every stage records a
+    residual table but ``decompose_corners``, whose block forms no report
+    holds; a supplied witness's anchored table is ``verify_special``'s.
     """
     U = as_matrix(U)
     V = as_matrix(V)
@@ -535,32 +507,24 @@ def run_pipeline(U, V, w: EAESpecialWitness | None = None,
     if w is None:
         mc, _ = stage("synthesize_mc", lambda: instances.synth_mc(U, V, tol), built_table,
                       lambda out: dict(out[1].extras))
-        w = stage("mc_to_special", lambda: mc_to_eae_special(mc, tol))
+        # the cached table mc_to_eae_special checked its witness with
+        w = stage("mc_to_special", lambda: mc_to_eae_special(mc, tol),
+                  lambda out: dict(out.residual_table))
     else:
         stage("witness_consistency", lambda: _checked(VerifierReport(
             "witness_consistency",
             {"witness_u": rel_residual(w.U, U), "witness_v": rel_residual(w.V, V)},
             tol), "supplied witness"), table)
+        # the witness's table, without the sigma_min extras of verify_eae_special
+        stage("verify_special", lambda: _checked(
+            VerifierReport("eae_special", dict(w.residual_table), tol), "anchored witness"),
+            table)
 
-    # the witness's cached table, which mc_to_eae_special has taken already,
-    # without the sigma_min extras of verify_eae_special
-    stage("verify_special", lambda: _checked(
-        VerifierReport("eae_special", dict(w.residual_table), tol), "anchored witness"),
-        table)
-
-    fred = stage("fredholm", lambda: fredholm_report(w), data=lambda f: {
-        "index_f22": f.f22.index, "index_f11": f.f11.index,
-        "index_e11": f.e11.index, "index_ehat11": f.ehat11.index,
-        "dim_h2": f.dim_h2, "dim_g1": f.dim_g1,
-        "dim_ker_f22": f.dim_ker_f22, "dim_ker_e11": f.dim_ker_e11,
-        "extension_side": f.extension_side,
-    })
     d = stage("decompose_corners", lambda: decompose_corners(w, tol), data=lambda c: {
         "cond_f22_prime": c.cond_f22_prime, "cond_e11_prime": c.cond_e11_prime,
         "rank": c.rank,
     })
     rb = stage("derive_blocks", lambda: derive_uv_blocks(w, d, tol), table)
-    stage("two_sided", lambda: check_two_sided(rb, tol), dict)
     small = stage("small_eae", lambda: build_small_eae(rb, tol), built_table,
                   lambda out: {"x0_dim": out[0].x0_dim, "y0_dim": out[0].y0_dim})
     eaoe, _ = stage("build_eaoe", lambda: build_eaoe(rb, small, tol), built_table,
@@ -570,7 +534,7 @@ def run_pipeline(U, V, w: EAESpecialWitness | None = None,
 
     return PipelineReport(
         U=U, V=V, tol=tol, stages=tuple(stages),
-        witness=w, mc=mc, fredholm=fred,
+        witness=w, mc=mc,
         x0_dim=small[0].x0_dim, y0_dim=small[0].y0_dim,
         small_eae=small[0], eaoe=eaoe, final_sc=sc,
         success=True,

@@ -50,13 +50,13 @@ entry, with the table attached.  Only the block forms of the corners, whose
 values nobody records, are settled first by a certified bound (see
 :func:`~opcoupling.reduction.decompose_corners`).
 
-Each converter verifies its output once.  A builder the pipeline calls
-returns the witness with that report, so the pipeline records the report
-instead of verifying the witness again.  :func:`verify_eaoe` is
-:func:`verify_eae` with the other extension trivial, plus the residuals of
-the inverses.  An anchored witness caches its exact residual table
-(``residual_table``), so :func:`mc_to_eae_special`,
-:func:`verify_eae_special` and the pipeline all read one computation of it.
+Each converter verifies its output once, and the pipeline records that
+table as the converter's stage instead of verifying the witness again: a
+builder returns its witness with the report, and an anchored witness caches
+its exact residual table (``residual_table``), which
+:func:`mc_to_eae_special` checks and the pipeline and
+:func:`verify_eae_special` read.  :func:`verify_eaoe` is :func:`verify_eae`
+with the other extension trivial, plus the residuals of the inverses.
 """
 
 from __future__ import annotations
@@ -523,8 +523,8 @@ def mc_to_eae_special(w: MCWitness, tol: float = DEFAULT_TOL) -> EAESpecialWitne
 
     and ``E (V (+) I_X) F = U (+) I_Y``.  All four matrices come from corner
     blocks, so no numerical inversion is involved; the output is validated by
-    the witness's cached residual table, which :func:`verify_eae_special`
-    and the pipeline read again without recomputing it.
+    the witness's cached residual table, which the pipeline records as its
+    ``mc_to_special`` stage without recomputing it.
     """
     n, m = w.n, w.m
     r = w.Uhat[:n, n:]

@@ -21,10 +21,8 @@ from opcoupling.numkernel import rel_residual, svd
 from opcoupling.reduction import (
     build_eaoe,
     build_small_eae,
-    check_two_sided,
     decompose_corners,
     derive_uv_blocks,
-    fredholm_report,
     run_pipeline,
 )
 from opcoupling.relations import (
@@ -113,28 +111,49 @@ def read_back(w):
     return decode_witness(encode_witness(w))
 
 
+def fredholm_of(w):
+    return run_pipeline(w.U, w.V, w=w, tol=1e-10).fredholm
+
+
 class TestFredholmReport:
     def test_worked_instance_all_trivial(self):
-        rep = fredholm_report(worked_special())
+        rep = fredholm_of(worked_special())
         for corner in (rep.f11, rep.f22, rep.e11, rep.ehat11):
             assert corner.index == 0
         assert rep.dim_h2 == rep.dim_g1 == 0 and rep.dim_ker_f22 == rep.dim_ker_e11 == 0
-        assert rep.extension_side == "none"
 
     def test_rectangular_indices(self):
         # U is 1x1 with nullity 1, V is 2x2 with nullity 1
-        w = synthesized(1, 2, 1)
-        rep = fredholm_report(w)
+        rep = fredholm_of(synthesized(1, 2, 1))
         assert rep.f22.index == 1      # dim Y - dim X
         assert rep.f11.index == -1
         assert rep.e11.index == 1 and rep.ehat11.index == -1
-        assert rep.extension_side == "U"
 
     def test_swap_witness_zero_indices(self):
-        rep = fredholm_report(swap_special(3))
+        rep = fredholm_of(swap_special(3))
         assert rep.f22.index == 0
         assert rep.dim_ker_f22 == 3 and rep.dim_ker_e11 == 3
         assert rep.dim_h2 == rep.dim_g1 == 3
+
+
+@pytest.mark.parametrize("n, m, r", [(3, 5, None), (6, 4, None), (12, 14, 7)],
+                         ids=["synthesized_n<m", "synthesized_n>m", "two_sided"])
+def test_indices_block_is_the_corner_ranks(n, m, r):
+    """The report's ``indices`` block, built from the shapes and the
+    extensions, equals what the ranks of the cached corner SVDs give; the
+    two-sided witness has both x0 and y0 nonzero."""
+    u, v = random_instance(InstanceSpec(n, m, 2, seed=9, cond_bound=100.0))
+    mc = synth_mc(u, v)[0] if r is None else coupled_mc(u, v, r)
+    w = mc_to_eae_special(mc)
+    report = run_pipeline(u, v, w=read_back(w), tol=1e-8)
+    rank_f22, rank_e11 = w.f22_svd.rank(), w.e11_svd.rank()
+    assert pipeline_report_to_dict(report)["indices"] == {
+        "f11": n - m, "f22": m - n, "e11": m - n, "ehat11": n - m,
+        "dim_h2": n - rank_f22, "dim_g1": n - rank_e11,
+        "dim_ker_f22": m - rank_f22, "dim_ker_e11": m - rank_e11,
+    }
+    if r is not None:
+        assert (report.x0_dim, report.y0_dim) == (m - r, n - r)
 
 
 def _complement_dims(d):
@@ -234,8 +253,6 @@ def _residual_checks(c):
                               lambda tol: decompose_corners(c.w, tol)),
         "derive_uv_blocks": ("derive_uv_blocks", c.rb.residuals,
                              lambda tol: derive_uv_blocks(c.w, c.d, tol)),
-        "check_two_sided": ("check_two_sided", check_two_sided(c.rb),
-                            lambda tol: check_two_sided(c.rb, tol)),
         "build_small_eae": ("build_small_eae", verify_eae(small).residuals,
                             lambda tol: build_small_eae(c.rb, tol)),
         "build_eaoe": ("build_eaoe", verify_eaoe(eaoe).residuals,
@@ -252,8 +269,7 @@ _PIPELINE_CHECKS = ("witness_consistency", "verify_special")
 
 
 @pytest.mark.parametrize("name", ["decompose_corners", "derive_uv_blocks",
-                                  "check_two_sided", "build_small_eae", "build_eaoe",
-                                  *_PIPELINE_CHECKS])
+                                  "build_small_eae", "build_eaoe", *_PIPELINE_CHECKS])
 def test_failed_check_raises_one_way(chain, name):
     """Every residual check fails alike: a ConversionError (a NumericalError)
     carrying the exact table and naming its worst entry; a pipeline stage
@@ -313,30 +329,36 @@ class TestDeriveUvBlocks:
         assert rb.residuals["zero_block_u21"] <= 1e-10
         assert rb.residuals["zero_block_v12"] <= 1e-10
 
+    def test_one_table_of_seven_entries(self, chain):
+        assert list(chain.rb.residuals) == [
+            "zero_block_u21", "zero_block_v12", "equivalence_u11_v11",
+            "left_inverse_v22", "right_inverse_u22",
+            "v22_right_inverse", "u22_left_inverse",
+        ]
+
+
+def _two_sided(rb):
+    """The residuals of the inverses on the side the witness does not give."""
+    return [rb.residuals["v22_right_inverse"], rb.residuals["u22_left_inverse"]]
+
 
 class TestCheckTwoSided:
     def test_worked_instance_trivial(self):
         w = worked_special()
-        d = decompose_corners(w)
-        rb = derive_uv_blocks(w, d)
-        residuals = check_two_sided(rb, 1e-12)
-        assert max(residuals.values()) == 0.0  # zero-dimensional blocks
+        rb = derive_uv_blocks(w, decompose_corners(w), 1e-12)
+        assert _two_sided(rb) == [0.0, 0.0]  # zero-dimensional blocks
 
     def test_swap_witness(self):
         w = swap_special()
-        d = decompose_corners(w)
-        rb = derive_uv_blocks(w, d)
-        residuals = check_two_sided(rb, 1e-12)
-        assert max(residuals.values()) <= 1e-14
+        rb = derive_uv_blocks(w, decompose_corners(w), 1e-12)
+        assert max(_two_sided(rb)) <= 1e-14
 
     def test_synthesized_after_normalization(self):
         # the blocks of the witness as it is are those of its normalization
         # (see test_normalization_keeps_the_one_sided_inverses)
         w = synthesized(3, 4, 2, seed=13)
-        d = decompose_corners(w)
-        rb = derive_uv_blocks(w, d)
-        residuals = check_two_sided(rb, 1e-10)
-        assert max(residuals.values()) <= 1e-10
+        rb = derive_uv_blocks(w, decompose_corners(w), 1e-10)
+        assert max(_two_sided(rb)) <= 1e-10
 
 
 def sheared(w, y):
@@ -386,7 +408,6 @@ def test_normalization_keeps_the_one_sided_inverses(data, coupled, n, log_cond, 
     right_inv = d.h2.conj().T @ ehat21 @ d.g1
     assert rel_residual(left_inv, rb.left_inv_v22) <= 1e-13
     assert rel_residual(right_inv, rb.right_inv_u22) <= 1e-13
-    check_two_sided(rb, 1e-8)
 
 
 class TestBuildSmallEae:
@@ -434,7 +455,7 @@ class TestBuildEaoe:
         rb = derive_uv_blocks(w, d)
         eaoe, _ = build_eaoe(rb, build_small_eae(rb))
         assert eaoe.extended_side == "U" and eaoe.ext_dim == 1
-        assert fredholm_report(w).f22.index == 1
+        assert w.F22.shape[1] - w.F22.shape[0] == 1  # index(F22) > 0
         assert verify_eaoe(eaoe, 1e-10).passed
 
     def test_v_side_extension(self):
@@ -531,17 +552,20 @@ class TestRunPipeline:
         report = run_pipeline(u, v, tol=1e-8)
         assert report.success
         assert verify_sc(report.final_sc, 1e-8).passed
-        assert report.x0_dim == report.fredholm.dim_ker_e11
-        assert report.y0_dim == report.fredholm.dim_h2
+        assert report.x0_dim == m - report.witness.e11_svd.rank()
+        assert report.y0_dim == n - report.witness.f22_svd.rank()
 
     def test_stage_names_cover_the_chain(self):
-        report = run_pipeline([[1.0]], [[0.5]], tol=1e-10)
-        names = [s.name for s in report.stages]
-        assert names == [
-            "synthesize_mc", "mc_to_special", "verify_special", "fredholm",
-            "decompose_corners", "derive_blocks", "two_sided", "small_eae",
-            "build_eaoe", "schur_coupling",
-        ]
+        shared = ["decompose_corners", "derive_blocks", "small_eae", "build_eaoe",
+                  "schur_coupling"]
+        for w, head in ((None, ["synthesize_mc", "mc_to_special"]),
+                        (worked_special(), ["witness_consistency", "verify_special"])):
+            report = run_pipeline([[1.0]], [[0.5]], w=w, tol=1e-10)
+            assert [s.name for s in report.stages] == head + shared
+            # each stage records the table that verified its artifact, but
+            # the corner forms, which a certified bound settles
+            assert [s.name for s in report.stages if not s.residuals] == [
+                "decompose_corners"]
 
 
 _VERIFIER_KINDS = ("sc", "mc", "eae", "eae_special", "eaoe")
@@ -629,10 +653,8 @@ def test_supplied_witness_pipeline_counts(work_counts):
 
 # the stages both paths share, with the dense SVDs each takes at 12x14
 _SHARED_STAGE_SVDS = {
-    "fredholm": 2,             # the cached full SVDs of F22 and E11
-    "decompose_corners": 2,    # cond of f22' and e11'
-    "derive_blocks": 3,        # v12's norm, the equivalence, v22's inverse; u21, u22 empty
-    "two_sided": 1,
+    "decompose_corners": 4,    # the cached full SVDs of F22 and E11; cond of f22', e11'
+    "derive_blocks": 4,        # v12's norm, the equivalence, v22's inverses; u21, u22 empty
     "small_eae": 4,            # cond of E and F, the extension equation and its norm
     "build_eaoe": 2,           # the two inverses the small witness lacks
     "schur_coupling": 3,       # cond of A (D is the identity), the two complements
@@ -655,9 +677,9 @@ def test_dense_svds_per_stage(work_counts, supplied):
         # the anchored table's exact residuals; denominators of 1 are certified
         head = {"witness_consistency": 0, "verify_special": 16}
     else:
-        # the full SVDs of U and V and the MC table; the anchored table is
-        # taken in mc_to_special and recorded by verify_special
-        head = {"synthesize_mc": 6, "mc_to_special": 16, "verify_special": 0}
+        # the full SVDs of U and V and the MC table; the anchored table,
+        # taken and recorded in mc_to_special
+        head = {"synthesize_mc": 6, "mc_to_special": 16}
     assert per_stage == {**head, **_SHARED_STAGE_SVDS}
 
 
@@ -712,5 +734,5 @@ def test_two_sided_extensions_collapse_to_one_side(data, n, m, log_cond, seed):
     assert report.eaoe.ext_dim == abs(n - m)
     if n != m:
         side = "U" if m > n else "V"
-        assert report.eaoe.extended_side == report.fredholm.extension_side == side
+        assert report.eaoe.extended_side == side
     assert verify_sc(report.final_sc, 1e-8).passed
