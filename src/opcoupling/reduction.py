@@ -5,22 +5,22 @@ Starting from an :class:`~opcoupling.relations.EAESpecialWitness` for
 
 1. splits the corners ``F22, E11 : Y -> X`` along orthonormal bases of their
    kernels/ranges and complements, so each becomes ``[[prime, 0], [0, 0]]``
-   with an invertible leading block (:func:`decompose_corners`), from the
-   one full SVD of each that the witness caches (``f22_svd``, ``e11_svd``),
-   and checks both block forms at once, by a certified bound when it can;
-2. expresses ``U`` and ``V`` in those bases, where they are block triangular
-   with ``E11' V11 = -U11 F22'`` and explicit one-sided inverses for the
-   corner blocks ``U22, V22`` (:func:`derive_uv_blocks`, which pairs the
-   witness with its split in one :class:`ReducedBlocks`);
-3. certifies, in the same table of :func:`derive_uv_blocks`, that the
-   one-sided inverses are two-sided.  The paper first normalizes the
-   witness, with ``X = pinv(F22) @ Ehat21``, to ``E21 + X E11`` and
-   ``Ehat21 - F22 X``; in orthonormal splits that changes neither inverse,
-   so the blocks are derived once.  ``ker_f22* @ X = 0`` gives
-   ``Pi_ker_f22 (E21 + X E11) J_ker_e11 = Pi_ker_f22 E21 J_ker_e11``, and
-   the pin ``Einv22 = F22`` gives ``Ehat21 - F22 X = P_h2 Ehat21``, whose
-   ``Pi_h2 (.) J_g1`` is the same right inverse; so the table certifies the
-   blocks the builders use;
+   with an invertible leading block, from the one full SVD of each that the
+   witness caches (``f22_svd``, ``e11_svd``), and checks both block forms at
+   once, by a certified bound when it can (:func:`decompose_corners`);
+2. in the same call expresses ``U`` and ``V`` in those bases, where they are
+   block triangular with ``E11' V11 = -U11 F22'``, and reads from the
+   witness one-sided inverses of the corner blocks ``U22, V22``; the one
+   :class:`ReducedBlocks` it returns holds the split, the blocks and the
+   inverses, with the residual table that certified them;
+3. certifies, in that table, that the one-sided inverses are two-sided.
+   The paper first normalizes the witness, with ``X = pinv(F22) @
+   Ehat21``, to ``E21 + X E11`` and ``Ehat21 - F22 X``; in orthonormal
+   splits that changes neither inverse, so the blocks are derived once.
+   ``ker_f22* @ X = 0`` gives ``Pi_ker_f22 (E21 + X E11) J_ker_e11 =
+   Pi_ker_f22 E21 J_ker_e11``, and the pin ``Einv22 = F22`` gives ``Ehat21 -
+   F22 X = P_h2 Ehat21``, whose ``Pi_h2 (.) J_g1`` is the same right
+   inverse; so the table certifies the blocks the builders use;
 4. assembles an EAE witness whose extensions are only ``Ker E11`` and the
    cokernel of ``F22`` (:func:`build_small_eae`), collapses it to a single
    one-sided extension of size ``|dim Ker E11 - dim coker F22|``
@@ -50,10 +50,8 @@ its :class:`~opcoupling.errors.FeasibilityError` on unwrapped.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
-from types import MappingProxyType
 
 import numpy as np
 
@@ -91,6 +89,7 @@ from .relations import (
     mc_to_eae_special,
     sc_from_eaoe,
     verify_eae,
+    verify_eaoe,
 )
 from . import instances
 
@@ -100,8 +99,9 @@ from . import instances
 
 
 @dataclass(frozen=True)
-class CornerDecomposition:
-    """Orthonormal splittings of the corners F22 and E11 (both Y -> X).
+class ReducedBlocks:
+    """The corners F22 and E11 (both Y -> X) split along orthonormal bases,
+    with U and V in those bases and inverses of their corner blocks.
 
     ``f22`` and ``e11`` are the full SVDs the witness caches and ``rank``
     their common rank.  Their factors split at ``rank`` into X = im_f22 (+) h2
@@ -110,9 +110,14 @@ class CornerDecomposition:
     and ``[[e11_prime, 0], [0, 0]]`` with invertible leading blocks whose
     inverses and condition numbers are recorded, and ``x0 = m - rank`` and
     ``y0 = n - rank`` are the dimensions of Ker E11 and of h2, the extensions
-    of the small EAE.  The compressions of the witness's ``U`` and ``V`` to
-    these bases, ``u11`` .. ``v22``, and their ``block_residuals`` are
-    computed on first use and kept.
+    of the small EAE.  ``U`` on (im_f22 (+) h2) -> (im_e11 (+) g1) is upper
+    block triangular and ``V`` on (k2 (+) ker_f22) -> (f1 (+) ker_e11) lower
+    block triangular; of their blocks the builders read ``u12, u22, v21,
+    v22``.  ``left_inv_v22`` and ``right_inv_u22`` are two-sided inverses of
+    ``v22`` and ``u22``, and ``residuals`` is the table that certified all
+    of it.  The invertible triangular factors ``Phi_U = [[I, u12], [0,
+    u22]]`` and ``Psi_V = [[I, 0], [v21, v22]]`` of U and V, and their
+    inverses, are built on first use and kept.
     """
 
     U: np.ndarray
@@ -126,80 +131,37 @@ class CornerDecomposition:
     e11_prime_inv: np.ndarray
     cond_f22_prime: float
     cond_e11_prime: float
-
-    x0 = property(lambda self: self.V.shape[0] - self.rank)
-    y0 = property(lambda self: self.U.shape[0] - self.rank)
-    # the subspaces of the splits above, as orthonormal bases
-    im_f22 = property(lambda self: self.f22.left[:, : self.rank])
-    h2 = property(lambda self: self.f22.left[:, self.rank:])
-    k2 = property(lambda self: self.f22.right[:, : self.rank])
-    ker_f22 = property(lambda self: self.f22.right[:, self.rank:])
-    im_e11 = property(lambda self: self.e11.left[:, : self.rank])
-    g1 = property(lambda self: self.e11.left[:, self.rank:])
-    f1 = property(lambda self: self.e11.right[:, : self.rank])
-    ker_e11 = property(lambda self: self.e11.right[:, self.rank:])
-    # the compressions of U and V to them
-    u11 = cached_property(lambda self: _coords(self.im_e11, self.U, self.im_f22))
-    u12 = cached_property(lambda self: _coords(self.im_e11, self.U, self.h2))
-    u22 = cached_property(lambda self: _coords(self.g1, self.U, self.h2))
-    v11 = cached_property(lambda self: _coords(self.f1, self.V, self.k2))
-    v21 = cached_property(lambda self: _coords(self.ker_e11, self.V, self.k2))
-    v22 = cached_property(lambda self: _coords(self.ker_e11, self.V, self.ker_f22))
-
-    @cached_property
-    def block_residuals(self) -> Mapping[str, float]:
-        """Residuals of the blocks the triangular forms suppress and of
-        ``e11' v11 = -u11 f22'``; read-only, so every table holds a copy."""
-        return MappingProxyType({
-            "zero_block_u21": (spectral_norm(_coords(self.g1, self.U, self.im_f22))
-                               / _norm_at_least_one(self.U)),
-            "zero_block_v12": (spectral_norm(_coords(self.f1, self.V, self.ker_f22))
-                               / _norm_at_least_one(self.V)),
-            "equivalence_u11_v11": rel_residual(self.e11_prime @ self.v11,
-                                                -self.u11 @ self.f22_prime),
-        })
-
-
-@dataclass(frozen=True)
-class ReducedBlocks:
-    """One-sided inverses of the corner blocks of U and V in the bases of
-    the split ``d``, which keeps the blocks themselves.
-
-    ``U`` on (im_f22 (+) h2) -> (im_e11 (+) g1) is upper block triangular,
-    ``V`` on (k2 (+) ker_f22) -> (f1 (+) ker_e11) lower block triangular.
-    ``left_inv_v22`` and ``right_inv_u22`` are two-sided inverses of
-    ``d.v22`` and ``d.u22``; the residuals of the suppressed blocks, of
-    ``e11' v11 = -u11 f22'`` and of both inverses on both sides are kept for
-    reporting.  The invertible triangular factors ``Phi_U = [[I, u12], [0,
-    u22]]`` and ``Psi_V = [[I, 0], [v21, v22]]`` of U and V, and their
-    inverses, are built on first use and kept.
-    """
-
-    d: CornerDecomposition
+    u12: np.ndarray
+    u22: np.ndarray
+    v21: np.ndarray
+    v22: np.ndarray
     left_inv_v22: np.ndarray
     right_inv_u22: np.ndarray
     residuals: dict[str, float]
 
+    x0 = property(lambda self: self.V.shape[0] - self.rank)
+    y0 = property(lambda self: self.U.shape[0] - self.rank)
+
     @cached_property
     def phi_u(self) -> np.ndarray:
-        d = self.d
-        return Block2x2(eye(d.rank), d.u12, zeros(d.y0, d.rank), d.u22).assemble()
+        return Block2x2(eye(self.rank), self.u12, zeros(self.y0, self.rank),
+                        self.u22).assemble()
 
     @cached_property
     def phi_u_inv(self) -> np.ndarray:
-        d, u22_inv = self.d, self.right_inv_u22
-        return Block2x2(eye(d.rank), -d.u12 @ u22_inv, zeros(d.y0, d.rank),
+        u22_inv = self.right_inv_u22
+        return Block2x2(eye(self.rank), -self.u12 @ u22_inv, zeros(self.y0, self.rank),
                         u22_inv).assemble()
 
     @cached_property
     def psi_v(self) -> np.ndarray:
-        d = self.d
-        return Block2x2(eye(d.rank), zeros(d.rank, d.x0), d.v21, d.v22).assemble()
+        return Block2x2(eye(self.rank), zeros(self.rank, self.x0), self.v21,
+                        self.v22).assemble()
 
     @cached_property
     def psi_v_inv(self) -> np.ndarray:
-        d, v22_inv = self.d, self.left_inv_v22
-        return Block2x2(eye(d.rank), zeros(d.rank, d.x0), -v22_inv @ d.v21,
+        v22_inv = self.left_inv_v22
+        return Block2x2(eye(self.rank), zeros(self.rank, self.x0), -v22_inv @ self.v21,
                         v22_inv).assemble()
 
 
@@ -291,17 +253,35 @@ def _coords(left_basis: np.ndarray, op: np.ndarray, right_basis: np.ndarray) -> 
 # operations
 
 
-def decompose_corners(w: EAESpecialWitness, tol: float = DEFAULT_TOL) -> CornerDecomposition:
-    """Split F22 and E11 along orthonormal kernel/range bases.
+def decompose_corners(w: EAESpecialWitness, tol: float = DEFAULT_TOL) -> ReducedBlocks:
+    """Split F22 and E11 along orthonormal kernel/range bases, and express U
+    and V, with inverses of their corner blocks, in those bases.
 
-    Returns the witness's cached SVDs of both corners and their common rank,
-    together with the invertible compressions ``f22_prime`` and
-    ``e11_prime`` and their inverses, computed once here for the builders.
-    The block forms of ``f22`` and ``e11`` are re-verified to ``tol`` before
-    returning.  Nothing records their residuals, so the certified bound
+    The splits come from the witness's cached SVDs of both corners and their
+    common rank; the invertible compressions ``f22_prime`` and ``e11_prime``
+    and their inverses are computed once here for the builders.  The block
+    forms of ``f22`` and ``e11`` are re-verified to ``tol`` first.  Nothing
+    records their residuals, so the certified bound
     (:func:`~opcoupling.numkernel._certainly_within`) settles the check when
     it can; otherwise the exact table of the same two pairs is checked, and
     the decision and any error message are those of the exact check.
+
+    In the splits
+
+        U : (im_f22 (+) h2) -> (im_e11 (+) g1)   upper block triangular,
+        V : (k2 (+) ker_f22) -> (f1 (+) ker_e11) lower block triangular,
+
+    with ``e11' @ v11 = -u11 @ f22'``.  The one-sided inverses
+    ``left_inv_v22 = Pi_ker_f22 @ E21 @ J_ker_e11`` (a left inverse of v22)
+    and ``right_inv_u22 = Pi_h2 @ Ehat21 @ J_g1`` (a right inverse of u22)
+    are read from the blocks of ``w``, not computed by inverting anything.
+    They are those of the paper's normalized witness (see the module
+    docstring), so ``v22 @ left_inv_v22`` and ``right_inv_u22 @ u22`` are
+    identities as well: both corner blocks are invertible with known
+    inverses, which is what the builders need.  The residual table, the
+    suppressed blocks ``u21`` and ``v12``, the coupled equivalence, then the
+    inverses on both sides, fails when the witness is not a genuine anchored
+    one.
 
     Raises
     ------
@@ -315,18 +295,13 @@ def decompose_corners(w: EAESpecialWitness, tol: float = DEFAULT_TOL) -> CornerD
             f"rank(E11)={e11.rank()} differs from rank(F22)={r}; "
             "the corner blocks of a genuine witness have equal rank"
         )
+    im_f22, h2, k2, ker_f22 = f22.left[:, :r], f22.left[:, r:], f22.right[:, :r], f22.right[:, r:]
+    im_e11, g1, f1, ker_e11 = e11.left[:, :r], e11.left[:, r:], e11.right[:, :r], e11.right[:, r:]
 
-    f22_prime = _coords(f22.left[:, :r], w.F22, f22.right[:, :r])
-    e11_prime = _coords(e11.left[:, :r], w.E11, e11.right[:, :r])
+    f22_prime = _coords(im_f22, w.F22, k2)
+    e11_prime = _coords(im_e11, w.E11, f1)
     f22_prime_inv, cond_f = inverse(f22_prime)
     e11_prime_inv, cond_e = inverse(e11_prime)
-    d = CornerDecomposition(
-        U=w.U, V=w.V, f22=f22, e11=e11, rank=r,
-        f22_prime=f22_prime, f22_prime_inv=f22_prime_inv,
-        e11_prime=e11_prime, e11_prime_inv=e11_prime_inv,
-        cond_f22_prime=cond_f, cond_e11_prime=cond_e,
-    )
-
     pairs = {}
     for label, res, block, prime in (("f22", f22, w.F22, f22_prime),
                                      ("e11", e11, w.E11, e11_prime)):
@@ -337,42 +312,31 @@ def decompose_corners(w: EAESpecialWitness, tol: float = DEFAULT_TOL) -> CornerD
     if not _certainly_within(pairs.values(), tol):
         residuals = {label: rel_residual(*pair) for label, pair in pairs.items()}
         _checked(VerifierReport("corner_forms", residuals, tol), "decompose_corners")
-    return d
 
-
-def derive_uv_blocks(w: EAESpecialWitness, d: CornerDecomposition,
-                     tol: float = DEFAULT_TOL) -> ReducedBlocks:
-    """Pair the split ``d`` with the one-sided inverses of the corner blocks
-    of U and V that ``w`` gives.  ``d`` keeps the compressions
-
-        U : (im_f22 (+) h2) -> (im_e11 (+) g1)   upper block triangular,
-        V : (k2 (+) ker_f22) -> (f1 (+) ker_e11) lower block triangular,
-
-    with ``e11' @ v11 = -u11 @ f22'``.  The one-sided inverses
-    ``left_inv_v22 = Pi_ker_f22 @ E21 @ J_ker_e11`` (a left inverse of v22)
-    and ``right_inv_u22 = Pi_h2 @ Ehat21 @ J_g1`` (a right inverse of u22)
-    are computed from the blocks of ``w``, not by inverting anything; ``w``
-    has the ``U``, ``V``, ``E11`` and ``F22`` that ``d`` split.  They are
-    those of the paper's normalized witness (see the module docstring), so
-    ``v22 @ left_inv_v22`` and ``right_inv_u22 @ u22`` are identities as
-    well: both corner blocks are invertible with known inverses, which is
-    what the builders need.  This is the one place where a witness is paired
-    with a split: every later step reads both from the :class:`ReducedBlocks`
-    returned.  The residual table, ``d``'s three entries then the inverses'
-    on both sides, fails when the witness is not a genuine anchored one.
-    """
-    left_inv_v22 = _coords(d.ker_f22, w.E21, d.ker_e11)
-    right_inv_u22 = _coords(d.h2, w.Ehat21, d.g1)
+    U, V = w.U, w.V
+    u22, v22 = _coords(g1, U, h2), _coords(ker_e11, V, ker_f22)
+    left_inv_v22 = _coords(ker_f22, w.E21, ker_e11)
+    right_inv_u22 = _coords(h2, w.Ehat21, g1)
+    x0, y0 = V.shape[0] - r, U.shape[0] - r
     residuals = {
-        **d.block_residuals,
-        "left_inverse_v22": rel_residual(left_inv_v22 @ d.v22, eye(d.x0)),
-        "right_inverse_u22": rel_residual(d.u22 @ right_inv_u22, eye(d.y0)),
-        "v22_right_inverse": rel_residual(d.v22 @ left_inv_v22, eye(d.x0)),
-        "u22_left_inverse": rel_residual(right_inv_u22 @ d.u22, eye(d.y0)),
+        "zero_block_u21": spectral_norm(_coords(g1, U, im_f22)) / _norm_at_least_one(U),
+        "zero_block_v12": spectral_norm(_coords(f1, V, ker_f22)) / _norm_at_least_one(V),
+        "equivalence_u11_v11": rel_residual(e11_prime @ _coords(f1, V, k2),
+                                            -_coords(im_e11, U, im_f22) @ f22_prime),
+        "left_inverse_v22": rel_residual(left_inv_v22 @ v22, eye(x0)),
+        "right_inverse_u22": rel_residual(u22 @ right_inv_u22, eye(y0)),
+        "v22_right_inverse": rel_residual(v22 @ left_inv_v22, eye(x0)),
+        "u22_left_inverse": rel_residual(right_inv_u22 @ u22, eye(y0)),
     }
-    _checked(VerifierReport("reduced_blocks", residuals, tol), "derive_uv_blocks")
-    return ReducedBlocks(d=d, left_inv_v22=left_inv_v22, right_inv_u22=right_inv_u22,
-                         residuals=residuals)
+    _checked(VerifierReport("reduced_blocks", residuals, tol), "decompose_corners")
+    return ReducedBlocks(
+        U=U, V=V, f22=f22, e11=e11, rank=r,
+        f22_prime=f22_prime, f22_prime_inv=f22_prime_inv,
+        e11_prime=e11_prime, e11_prime_inv=e11_prime_inv,
+        cond_f22_prime=cond_f, cond_e11_prime=cond_e,
+        u12=_coords(im_e11, U, h2), u22=u22, v21=_coords(ker_e11, V, k2), v22=v22,
+        left_inv_v22=left_inv_v22, right_inv_u22=right_inv_u22, residuals=residuals,
+    )
 
 
 def build_small_eae(rb: ReducedBlocks,
@@ -389,24 +353,23 @@ def build_small_eae(rb: ReducedBlocks,
 
     then glues everything into ``U (+) I_x0 = E (V (+) I_y0) F`` with
     ``x0 = dim Ker E11`` and ``y0 = dim h2``; U, V, the bases and both
-    dimensions come from the split ``rb.d``, whose corner blocks ``rb``
-    certified invertible.
+    dimensions come from the split ``rb``, which certified its corner blocks
+    invertible.
     """
-    d = rb.d
-    r, x0, y0 = d.rank, d.x0, d.y0
-    w_dom_u, w_cod_u, w_dom_v, w_cod_v = d.f22.left, d.e11.left, d.f22.right, d.e11.right
+    r, x0, y0 = rb.rank, rb.x0, rb.y0
+    w_dom_u, w_cod_u, w_dom_v, w_cod_v = rb.f22.left, rb.e11.left, rb.f22.right, rb.e11.right
 
     swap_l = Block2x2(zeros(y0, x0), eye(y0), eye(x0), zeros(x0, y0)).assemble()
-    l3 = Block2x2(d.e11_prime, zeros(r, x0 + y0), zeros(y0 + x0, r), swap_l).assemble()
+    l3 = Block2x2(rb.e11_prime, zeros(r, x0 + y0), zeros(y0 + x0, r), swap_l).assemble()
     swap_r = Block2x2(zeros(x0, y0), eye(x0), eye(y0), zeros(y0, x0)).assemble()
-    r3 = Block2x2(-d.f22_prime_inv, zeros(r, y0 + x0), zeros(x0 + y0, r), swap_r).assemble()
+    r3 = Block2x2(-rb.f22_prime_inv, zeros(r, y0 + x0), zeros(x0 + y0, r), swap_r).assemble()
 
     e = (_direct_sum(w_cod_u, x0) @ _direct_sum(rb.phi_u, x0)
          @ l3 @ _direct_sum(adjoint(w_cod_v), y0))
     f = (_direct_sum(w_dom_v, y0) @ _direct_sum(rb.psi_v_inv, y0)
          @ r3 @ _direct_sum(adjoint(w_dom_u), x0))
 
-    witness = EAEWitness(U=d.U, V=d.V, E=e, F=f, x0_dim=x0, y0_dim=y0)
+    witness = EAEWitness(U=rb.U, V=rb.V, E=e, F=f, x0_dim=x0, y0_dim=y0)
     return witness, _checked(verify_eae(witness, tol), "build_small_eae")
 
 
@@ -424,37 +387,35 @@ def build_eaoe(rb: ReducedBlocks, small: tuple[EAEWitness, VerifierReport],
     ``dim Ker E11 >= dim h2``, i.e. exactly when ``index(F22) >= 0``.  When
     one extension is already trivial (``x0 * y0 == 0``) the embedding gives
     the small witness's E and F bit for bit, so they are taken from it with
-    its extension report; otherwise the embedded E and F go through
-    :func:`~opcoupling.relations.verify_eae` with the other extension
-    trivial.  Either way the inverses the small witness lacks are checked,
-    and the report reads as :func:`~opcoupling.relations.verify_eaoe`'s.
+    its extension report, to which the residuals of the inverses the small
+    witness lacks are added; the report then reads as
+    :func:`~opcoupling.relations.verify_eaoe`'s, which checks the embedded E
+    and F otherwise.
     """
-    d = rb.d
-    x0, y0 = d.x0, d.y0
-    w_dom_u, w_cod_u, w_dom_v, w_cod_v = d.f22.left, d.e11.left, d.f22.right, d.e11.right
+    x0, y0 = rb.x0, rb.y0
+    w_dom_u, w_cod_u, w_dom_v, w_cod_v = rb.f22.left, rb.e11.left, rb.f22.right, rb.e11.right
 
     # the larger extension meets e11' and f22'; the smaller side's factors
     # are padded by the difference, a padding of 0 leaving them as they are
     ext_dim, big = abs(x0 - y0), max(x0, y0)
     side, pad_u, pad_v = ("U", ext_dim, 0) if y0 <= x0 else ("V", 0, ext_dim)
-    e_inv = (_direct_sum(w_cod_v, pad_v) @ _direct_sum(d.e11_prime_inv, big)
+    e_inv = (_direct_sum(w_cod_v, pad_v) @ _direct_sum(rb.e11_prime_inv, big)
              @ _direct_sum(rb.phi_u_inv, pad_u) @ _direct_sum(adjoint(w_cod_u), pad_u))
-    f_inv = (_direct_sum(w_dom_u, pad_u) @ _direct_sum(-d.f22_prime, big)
+    f_inv = (_direct_sum(w_dom_u, pad_u) @ _direct_sum(-rb.f22_prime, big)
              @ _direct_sum(rb.psi_v, pad_v) @ _direct_sum(adjoint(w_dom_v), pad_v))
     if x0 * y0:
         e = (_direct_sum(w_cod_u, pad_u) @ _direct_sum(rb.phi_u, pad_u)
-             @ _direct_sum(d.e11_prime, big) @ _direct_sum(adjoint(w_cod_v), pad_v))
+             @ _direct_sum(rb.e11_prime, big) @ _direct_sum(adjoint(w_cod_v), pad_v))
         f = (_direct_sum(w_dom_v, pad_v) @ _direct_sum(rb.psi_v_inv, pad_v)
-             @ _direct_sum(-d.f22_prime_inv, big) @ _direct_sum(adjoint(w_dom_u), pad_u))
-        extension = verify_eae(EAEWitness(U=d.U, V=d.V, E=e, F=f, x0_dim=pad_u,
-                                          y0_dim=pad_v), tol)
+             @ _direct_sum(-rb.f22_prime_inv, big) @ _direct_sum(adjoint(w_dom_u), pad_u))
     else:
-        small_eae, extension = small
-        e, f = small_eae.E, small_eae.F
+        e, f = small[0].E, small[0].F
     witness = EAOEWitness(extended_side=side, ext_dim=ext_dim, E=e, F=f,
-                          U=d.U, V=d.V, Einv=e_inv, Finv=f_inv)
-    report = VerifierReport("eaoe", {**extension.residuals, **_inverse_residuals(witness)},
-                            tol, dict(extension.extras))
+                          U=rb.U, V=rb.V, Einv=e_inv, Finv=f_inv)
+    extension = small[1]
+    report = verify_eaoe(witness, tol) if x0 * y0 else VerifierReport(
+        "eaoe", {**extension.residuals, **_inverse_residuals(witness)}, tol,
+        dict(extension.extras))
     return witness, _checked(report, "build_eaoe")
 
 
@@ -476,8 +437,9 @@ def run_pipeline(U, V, w: EAESpecialWitness | None = None,
     a :class:`StageResult` of its residuals and data.
     A stage that builds a witness records the report its builder verified
     the witness with; no artifact is verified twice.  Every stage records a
-    residual table but ``decompose_corners``, whose block forms no report
-    holds; a supplied witness's anchored table is ``verify_special``'s.
+    residual table: ``decompose_corners`` that of the blocks and inverses,
+    since a certified bound settles its corner forms, and a supplied
+    witness's anchored table is ``verify_special``'s.
     """
     U = as_matrix(U)
     V = as_matrix(V)
@@ -520,11 +482,9 @@ def run_pipeline(U, V, w: EAESpecialWitness | None = None,
             VerifierReport("eae_special", dict(w.residual_table), tol), "anchored witness"),
             table)
 
-    d = stage("decompose_corners", lambda: decompose_corners(w, tol), data=lambda c: {
-        "cond_f22_prime": c.cond_f22_prime, "cond_e11_prime": c.cond_e11_prime,
-        "rank": c.rank,
-    })
-    rb = stage("derive_blocks", lambda: derive_uv_blocks(w, d, tol), table)
+    rb = stage("decompose_corners", lambda: decompose_corners(w, tol), table,
+               lambda out: {"cond_f22_prime": out.cond_f22_prime,
+                            "cond_e11_prime": out.cond_e11_prime, "rank": out.rank})
     small = stage("small_eae", lambda: build_small_eae(rb, tol), built_table,
                   lambda out: {"x0_dim": out[0].x0_dim, "y0_dim": out[0].y0_dim})
     eaoe, _ = stage("build_eaoe", lambda: build_eaoe(rb, small, tol), built_table,

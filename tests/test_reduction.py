@@ -22,7 +22,6 @@ from opcoupling.reduction import (
     build_eaoe,
     build_small_eae,
     decompose_corners,
-    derive_uv_blocks,
     run_pipeline,
 )
 from opcoupling.relations import (
@@ -226,8 +225,14 @@ class TestDecomposeCornersExactFallback:
                                    f"residual {res[worst]:.3e} exceeds {tol:g}")
 
     def test_tol_at_the_exact_residual_passes(self):
+        # the corner forms pass at their exact residual, so what fails there
+        # is the blocks' table, checked after them; at its worst entry both pass
         w = synthesized(12, 14, 2, seed=1)
-        d = decompose_corners(w, max(_block_form_residuals(w, decompose_corners(w)).values()))
+        rb = decompose_corners(w)
+        with pytest.raises(ConversionError) as info:
+            decompose_corners(w, max(_block_form_residuals(w, rb).values()))
+        assert info.value.report.residuals == rb.residuals
+        d = decompose_corners(w, max(rb.residuals.values()))
         assert d.rank == d.f22.rank() == d.e11.rank()
 
 
@@ -237,8 +242,7 @@ def chain():
     u, v = random_instance(InstanceSpec(12, 14, 2, seed=1))
     mc, _ = synth_mc(u, v)
     w = mc_to_eae_special(mc)
-    d = decompose_corners(w)
-    return SimpleNamespace(u=u, v=v, w=w, d=d, rb=derive_uv_blocks(w, d))
+    return SimpleNamespace(u=u, v=v, w=w, rb=decompose_corners(w))
 
 
 def _residual_checks(c):
@@ -249,10 +253,10 @@ def _residual_checks(c):
     small = built_small[0]
     eaoe, _ = build_eaoe(c.rb, built_small)
     return {
-        "decompose_corners": ("decompose_corners", _block_form_residuals(c.w, c.d),
+        "decompose_corners": ("decompose_corners", _block_form_residuals(c.w, c.rb),
                               lambda tol: decompose_corners(c.w, tol)),
-        "derive_uv_blocks": ("derive_uv_blocks", c.rb.residuals,
-                             lambda tol: derive_uv_blocks(c.w, c.d, tol)),
+        "reduced_blocks": ("decompose_corners", c.rb.residuals,
+                           lambda tol: decompose_corners(c.w, tol)),
         "build_small_eae": ("build_small_eae", verify_eae(small).residuals,
                             lambda tol: build_small_eae(c.rb, tol)),
         "build_eaoe": ("build_eaoe", verify_eaoe(eaoe).residuals,
@@ -268,7 +272,7 @@ def _residual_checks(c):
 _PIPELINE_CHECKS = ("witness_consistency", "verify_special")
 
 
-@pytest.mark.parametrize("name", ["decompose_corners", "derive_uv_blocks",
+@pytest.mark.parametrize("name", ["decompose_corners", "reduced_blocks",
                                   "build_small_eae", "build_eaoe", *_PIPELINE_CHECKS])
 def test_failed_check_raises_one_way(chain, name):
     """Every residual check fails alike: a ConversionError (a NumericalError)
@@ -291,41 +295,43 @@ def test_failed_check_raises_one_way(chain, name):
                         f"{exact[label]:.3e} exceeds {tol:g}")
 
 
+def _u11_v11(rb):
+    """The leading blocks of U and V in the split ``rb``, which only its
+    coupled-equivalence residual reads."""
+    r = rb.rank
+    return (rb.e11.left[:, :r].conj().T @ rb.U @ rb.f22.left[:, :r],
+            rb.e11.right[:, :r].conj().T @ rb.V @ rb.f22.right[:, :r])
+
+
 class TestDeriveUvBlocks:
+    """The blocks of U and V and their inverses that decompose_corners derives."""
+
     def test_carried_blocks_match_a_fresh_derivation(self, chain):
         # the blocks and residuals the split of w keeps are, bit for bit,
         # those a fresh split of w read back from its file gives
-        assert chain.rb.d is chain.d
-        w = read_back(chain.w)
-        fresh = derive_uv_blocks(w, decompose_corners(w))
+        fresh = decompose_corners(read_back(chain.w))
         assert fresh.residuals == chain.rb.residuals
-        for name in ("u11", "u12", "u22", "v11", "v21", "v22"):
-            np.testing.assert_array_equal(getattr(fresh.d, name), getattr(chain.d, name))
-        for name in ("left_inv_v22", "right_inv_u22"):
+        for name in ("u12", "u22", "v21", "v22", "left_inv_v22", "right_inv_u22"):
             np.testing.assert_array_equal(getattr(fresh, name), getattr(chain.rb, name))
 
     def test_worked_instance_scalar_identity(self):
-        w = worked_special()
-        d = decompose_corners(w)
-        derive_uv_blocks(w, d)
-        assert abs(d.u11[0, 0]) == pytest.approx(1.0)
-        assert abs(d.v11[0, 0]) == pytest.approx(0.5)
+        rb = decompose_corners(worked_special())
+        u11, v11 = _u11_v11(rb)
+        assert abs(u11[0, 0]) == pytest.approx(1.0)
+        assert abs(v11[0, 0]) == pytest.approx(0.5)
         # the coupled equivalence e11' v11 = -u11 f22'
-        assert rel_residual(d.e11_prime @ d.v11, -d.u11 @ d.f22_prime) <= 1e-14
+        assert rel_residual(rb.e11_prime @ v11, -u11 @ rb.f22_prime) <= 1e-14
+        assert rb.residuals["equivalence_u11_v11"] <= 1e-14
 
     def test_swap_witness_degenerate_split(self):
-        w = swap_special()
-        d = decompose_corners(w)
-        rb = derive_uv_blocks(w, d)
-        assert d.u11.shape == (0, 0) and d.v11.shape == (0, 0)
-        assert d.u22.shape == (1, 1) and d.v22.shape == (1, 1)
-        assert rel_residual(rb.left_inv_v22 @ d.v22, np.eye(1)) <= 1e-14
-        assert rel_residual(d.u22 @ rb.right_inv_u22, np.eye(1)) <= 1e-14
+        rb = decompose_corners(swap_special())
+        assert rb.rank == 0 and rb.u12.shape == (0, 1) and rb.v21.shape == (1, 0)
+        assert rb.u22.shape == (1, 1) and rb.v22.shape == (1, 1)
+        assert rel_residual(rb.left_inv_v22 @ rb.v22, np.eye(1)) <= 1e-14
+        assert rel_residual(rb.u22 @ rb.right_inv_u22, np.eye(1)) <= 1e-14
 
     def test_synthesized_zero_blocks(self):
-        w = synthesized(3, 3, 1)
-        d = decompose_corners(w)
-        rb = derive_uv_blocks(w, d)
+        rb = decompose_corners(synthesized(3, 3, 1))
         assert rb.residuals["zero_block_u21"] <= 1e-10
         assert rb.residuals["zero_block_v12"] <= 1e-10
 
@@ -345,19 +351,19 @@ def _two_sided(rb):
 class TestCheckTwoSided:
     def test_worked_instance_trivial(self):
         w = worked_special()
-        rb = derive_uv_blocks(w, decompose_corners(w), 1e-12)
+        rb = decompose_corners(w, 1e-12)
         assert _two_sided(rb) == [0.0, 0.0]  # zero-dimensional blocks
 
     def test_swap_witness(self):
         w = swap_special()
-        rb = derive_uv_blocks(w, decompose_corners(w), 1e-12)
+        rb = decompose_corners(w, 1e-12)
         assert max(_two_sided(rb)) <= 1e-14
 
     def test_synthesized_after_normalization(self):
         # the blocks of the witness as it is are those of its normalization
         # (see test_normalization_keeps_the_one_sided_inverses)
         w = synthesized(3, 4, 2, seed=13)
-        rb = derive_uv_blocks(w, decompose_corners(w), 1e-10)
+        rb = decompose_corners(w, 1e-10)
         assert max(_two_sided(rb)) <= 1e-10
 
 
@@ -398,14 +404,13 @@ def test_normalization_keeps_the_one_sided_inverses(data, coupled, n, log_cond, 
     rng = np.random.default_rng(seed)
     y = (rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))) / np.sqrt(2 * n)
     w = sheared(mc_to_eae_special(mc, 1e-8), y)
-    d = decompose_corners(w, 1e-8)
-    rb = derive_uv_blocks(w, d, 1e-8)
-    r = d.rank
-    f22 = w.f22_svd
+    rb = decompose_corners(w, 1e-8)
+    r = rb.rank
+    f22, e11 = w.f22_svd, w.e11_svd
     x = (f22.right[:, :r] / f22.singulars[:r]) @ f22.left[:, :r].conj().T @ w.Ehat21
     e21, ehat21 = w.E21 + x @ w.E11, w.Ehat21 - w.F22 @ x
-    left_inv = d.ker_f22.conj().T @ e21 @ d.ker_e11
-    right_inv = d.h2.conj().T @ ehat21 @ d.g1
+    left_inv = f22.right[:, r:].conj().T @ e21 @ e11.right[:, r:]
+    right_inv = f22.left[:, r:].conj().T @ ehat21 @ e11.left[:, r:]
     assert rel_residual(left_inv, rb.left_inv_v22) <= 1e-13
     assert rel_residual(right_inv, rb.right_inv_u22) <= 1e-13
 
@@ -413,8 +418,7 @@ def test_normalization_keeps_the_one_sided_inverses(data, coupled, n, log_cond, 
 class TestBuildSmallEae:
     def test_worked_instance_no_extension(self):
         w = worked_special()
-        d = decompose_corners(w)
-        rb = derive_uv_blocks(w, d)
+        rb = decompose_corners(w)
         small, _ = build_small_eae(rb)
         assert small.x0_dim == 0 and small.y0_dim == 0
         assert verify_eae(small, 1e-12).passed
@@ -422,16 +426,14 @@ class TestBuildSmallEae:
     def test_swap_witness_identity_extension(self):
         n = 2
         w = swap_special(n)
-        d = decompose_corners(w)
-        rb = derive_uv_blocks(w, d)
+        rb = decompose_corners(w)
         small, _ = build_small_eae(rb)
         assert small.x0_dim == n and small.y0_dim == n
         assert verify_eae(small, 1e-12).passed
 
     def test_synthesized_dims(self):
         w = synthesized(4, 6, 2, seed=17)
-        d = decompose_corners(w)
-        rb = derive_uv_blocks(w, d)
+        rb = decompose_corners(w)
         small, _ = build_small_eae(rb)
         from opcoupling.numkernel import rank_of
         assert small.x0_dim == 6 - rank_of(w.E11)
@@ -442,8 +444,7 @@ class TestBuildSmallEae:
 class TestBuildEaoe:
     def test_worked_instance_plain_equivalence(self):
         w = worked_special()
-        d = decompose_corners(w)
-        rb = derive_uv_blocks(w, d)
+        rb = decompose_corners(w)
         eaoe, _ = build_eaoe(rb, build_small_eae(rb))
         assert eaoe.ext_dim == 0
         lhs = eaoe.E @ np.array([[0.5]]) @ eaoe.F
@@ -451,8 +452,7 @@ class TestBuildEaoe:
 
     def test_extension_side_matches_index_sign(self):
         w = synthesized(1, 2, 1)
-        d = decompose_corners(w)
-        rb = derive_uv_blocks(w, d)
+        rb = decompose_corners(w)
         eaoe, _ = build_eaoe(rb, build_small_eae(rb))
         assert eaoe.extended_side == "U" and eaoe.ext_dim == 1
         assert w.F22.shape[1] - w.F22.shape[0] == 1  # index(F22) > 0
@@ -460,20 +460,19 @@ class TestBuildEaoe:
 
     def test_v_side_extension(self):
         w = synthesized(4, 2, 1, seed=3)
-        d = decompose_corners(w)
-        rb = derive_uv_blocks(w, d)
+        rb = decompose_corners(w)
         eaoe, _ = build_eaoe(rb, build_small_eae(rb))
         assert eaoe.extended_side == "V" and eaoe.ext_dim == 2
         assert verify_eaoe(eaoe, 1e-9).passed
 
 
     def test_two_sided_extensions_report_as_verify_eaoe(self):
-        # both extensions nonzero: the embedded E and F are checked by
-        # verify_eae, and the report is the one verify_eaoe gives
+        # both extensions nonzero: the embedded witness is checked by
+        # verify_eaoe, so the report is the one it gives
         u, v = random_instance(InstanceSpec(12, 14, 2, seed=1))
         w = mc_to_eae_special(coupled_mc(u, v, 7))
-        rb = derive_uv_blocks(w, decompose_corners(w))
-        assert (rb.d.x0, rb.d.y0) == (7, 5)
+        rb = decompose_corners(w)
+        assert (rb.x0, rb.y0) == (7, 5)
         eaoe, report = build_eaoe(rb, build_small_eae(rb))
         assert eaoe.extended_side == "U" and eaoe.ext_dim == 2
         again = verify_eaoe(eaoe, 1e-8)
@@ -556,16 +555,13 @@ class TestRunPipeline:
         assert report.y0_dim == n - report.witness.f22_svd.rank()
 
     def test_stage_names_cover_the_chain(self):
-        shared = ["decompose_corners", "derive_blocks", "small_eae", "build_eaoe",
-                  "schur_coupling"]
+        shared = ["decompose_corners", "small_eae", "build_eaoe", "schur_coupling"]
         for w, head in ((None, ["synthesize_mc", "mc_to_special"]),
                         (worked_special(), ["witness_consistency", "verify_special"])):
             report = run_pipeline([[1.0]], [[0.5]], w=w, tol=1e-10)
             assert [s.name for s in report.stages] == head + shared
-            # each stage records the table that verified its artifact, but
-            # the corner forms, which a certified bound settles
-            assert [s.name for s in report.stages if not s.residuals] == [
-                "decompose_corners"]
+            # each stage records the table that verified its artifact
+            assert all(s.residuals for s in report.stages)
 
 
 _VERIFIER_KINDS = ("sc", "mc", "eae", "eae_special", "eaoe")
@@ -653,8 +649,9 @@ def test_supplied_witness_pipeline_counts(work_counts):
 
 # the stages both paths share, with the dense SVDs each takes at 12x14
 _SHARED_STAGE_SVDS = {
-    "decompose_corners": 4,    # the cached full SVDs of F22 and E11; cond of f22', e11'
-    "derive_blocks": 4,        # v12's norm, the equivalence, v22's inverses; u21, u22 empty
+    # the cached full SVDs of F22 and E11; cond of f22', e11'; v12's norm,
+    # the equivalence and v22's inverses (u21 and u22 are empty)
+    "decompose_corners": 8,
     "small_eae": 4,            # cond of E and F, the extension equation and its norm
     "build_eaoe": 2,           # the two inverses the small witness lacks
     "schur_coupling": 3,       # cond of A (D is the identity), the two complements
