@@ -258,10 +258,12 @@ def decompose_corners(w: EAESpecialWitness, tol: float = DEFAULT_TOL) -> Reduced
     and V, with inverses of their corner blocks, in those bases.
 
     The splits come from the witness's cached SVDs of both corners and their
-    common rank; the invertible compressions ``f22_prime`` and ``e11_prime``
-    and their inverses are computed once here for the builders.  The block
-    forms of ``f22`` and ``e11`` are re-verified to ``tol`` first.  Nothing
-    records their residuals, so the certified bound
+    common rank.  The invertible blocks ``f22_prime`` and ``e11_prime`` are
+    the leading blocks of the corners' compressions to those bases, and
+    they and their inverses are computed once here for the builders.  The
+    block forms of ``f22`` and ``e11``, nothing outside the leading block
+    relative to ``max(1, ||prime||)``, are re-verified to ``tol`` first.
+    Nothing records their residuals, so the certified bound
     (:func:`~opcoupling.numkernel._certainly_within`) settles the check when
     it can; otherwise the exact table of the same two pairs is checked, and
     the decision and any error message are those of the exact check.
@@ -298,17 +300,16 @@ def decompose_corners(w: EAESpecialWitness, tol: float = DEFAULT_TOL) -> Reduced
     im_f22, h2, k2, ker_f22 = f22.left[:, :r], f22.left[:, r:], f22.right[:, :r], f22.right[:, r:]
     im_e11, g1, f1, ker_e11 = e11.left[:, :r], e11.left[:, r:], e11.right[:, :r], e11.right[:, r:]
 
-    f22_prime = _coords(im_f22, w.F22, k2)
-    e11_prime = _coords(im_e11, w.E11, f1)
-    f22_prime_inv, cond_f = inverse(f22_prime)
-    e11_prime_inv, cond_e = inverse(e11_prime)
+    # f22' and e11' are the leading blocks of the corners' compressions
     pairs = {}
-    for label, res, block, prime in (("f22", f22, w.F22, f22_prime),
-                                     ("e11", e11, w.E11, e11_prime)):
+    for label, res, block in (("f22", f22, w.F22), ("e11", e11, w.E11)):
         in_coords = _coords(res.left, block, res.right)
         target = zeros(*in_coords.shape)
-        target[:r, :r] = prime
+        target[:r, :r] = in_coords[:r, :r]
         pairs[label] = (in_coords, target)
+    f22_prime, e11_prime = (np.ascontiguousarray(t[:r, :r]) for _, t in pairs.values())
+    f22_prime_inv, cond_f = inverse(f22_prime)
+    e11_prime_inv, cond_e = inverse(e11_prime)
     if not _certainly_within(pairs.values(), tol):
         residuals = {label: rel_residual(*pair) for label, pair in pairs.items()}
         _checked(VerifierReport("corner_forms", residuals, tol), "decompose_corners")

@@ -187,6 +187,18 @@ class TestDecomposeCorners:
         assert d.f22 is w.f22_svd and d.e11 is w.e11_svd
         assert d.rank == w.f22_svd.rank() == w.e11_svd.rank()
 
+    @pytest.mark.parametrize("r", [None, 7], ids=["synthesized", "two_sided"])
+    def test_primes_are_the_leading_blocks_of_the_compressions(self, r):
+        # f22' and e11' are, bit for bit, the leading blocks of the corners'
+        # full compressions, so the corner forms check only the rest
+        u, v = random_instance(InstanceSpec(12, 14, 2, seed=1))
+        w = mc_to_eae_special(synth_mc(u, v)[0] if r is None else coupled_mc(u, v, r))
+        rb = decompose_corners(w)
+        for res, block, prime in ((rb.f22, w.F22, rb.f22_prime),
+                                  (rb.e11, w.E11, rb.e11_prime)):
+            full = res.left.conj().T @ block @ res.right
+            np.testing.assert_array_equal(prime, full[: rb.rank, : rb.rank])
+
     def test_unequal_corner_ranks_raise(self):
         # E11 = [[1]] has rank 1, F22 = [[0]] rank 0; the shapes are all
         # the constructor checks
