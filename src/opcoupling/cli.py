@@ -229,6 +229,13 @@ def pipeline(ctx, in_paths, tol, out_path, report_path, out_dir, jobs):
             raise click.UsageError("use --out-dir with multiple inputs")
         if not out_dir:
             raise click.UsageError("--out-dir is required with multiple inputs")
+        # outputs are named by the input's stem, so no two inputs may share one
+        stems = [Path(path).stem for path in in_paths]
+        for i, stem in enumerate(stems):
+            if stem in stems[:i]:
+                raise click.UsageError(
+                    f"--in {in_paths[stems.index(stem)]} and --in {in_paths[i]} would "
+                    f"write the same files {stem}.*.json in --out-dir")
         Path(out_dir).mkdir(parents=True, exist_ok=True)
 
         def job(path: str):

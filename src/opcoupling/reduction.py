@@ -258,12 +258,11 @@ def decompose_corners(w: EAESpecialWitness, tol: float = DEFAULT_TOL) -> Reduced
     and V, with inverses of their corner blocks, in those bases.
 
     The splits come from the witness's cached SVDs of both corners and their
-    common rank.  The invertible blocks ``f22_prime`` and ``e11_prime`` are
-    the leading blocks of the corners' compressions to those bases, and
-    they and their inverses are computed once here for the builders.  The
-    block forms of ``f22`` and ``e11``, nothing outside the leading block
-    relative to ``max(1, ||prime||)``, are re-verified to ``tol`` first.
-    Nothing records their residuals, so the certified bound
+    common rank.  The invertible ``f22_prime`` and ``e11_prime``, the leading
+    blocks of the corners' compressions to those bases, and their inverses
+    are computed once here for the builders.  The block forms are checked
+    first: nothing outside the leading block, relative to ``max(1,
+    ||prime||)``.  No table records them, so the certified bound
     (:func:`~opcoupling.numkernel._certainly_within`) settles the check when
     it can; otherwise the exact table of the same two pairs is checked, and
     the decision and any error message are those of the exact check.
@@ -274,16 +273,14 @@ def decompose_corners(w: EAESpecialWitness, tol: float = DEFAULT_TOL) -> Reduced
         V : (k2 (+) ker_f22) -> (f1 (+) ker_e11) lower block triangular,
 
     with ``e11' @ v11 = -u11 @ f22'``.  The one-sided inverses
-    ``left_inv_v22 = Pi_ker_f22 @ E21 @ J_ker_e11`` (a left inverse of v22)
-    and ``right_inv_u22 = Pi_h2 @ Ehat21 @ J_g1`` (a right inverse of u22)
-    are read from the blocks of ``w``, not computed by inverting anything.
-    They are those of the paper's normalized witness (see the module
-    docstring), so ``v22 @ left_inv_v22`` and ``right_inv_u22 @ u22`` are
-    identities as well: both corner blocks are invertible with known
-    inverses, which is what the builders need.  The residual table, the
+    ``left_inv_v22 = Pi_ker_f22 @ E21 @ J_ker_e11`` of v22 and
+    ``right_inv_u22 = Pi_h2 @ Ehat21 @ J_g1`` of u22 are read from the
+    blocks of ``w``, not computed by inverting anything.  They are those of
+    the paper's normalized witness (see the module docstring), so they are
+    two-sided, which is what the builders need.  The residual table (the
     suppressed blocks ``u21`` and ``v12``, the coupled equivalence, then the
-    inverses on both sides, fails when the witness is not a genuine anchored
-    one.
+    inverses on both sides) fails when the witness is not a genuine
+    anchored one.
 
     Raises
     ------

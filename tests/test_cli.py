@@ -301,6 +301,23 @@ class TestBatchBlasThreads:
             assert dispatch(["verify", "--witness", str(wit), "--kind", "sc"]) == 0
 
 
+class TestBatchOutputNames:
+    @pytest.mark.parametrize("same_file", [False, True], ids=["same_stem", "same_file"])
+    def test_colliding_stems_are_invalid_input(self, tmp_path, batch_inputs, capsys,
+                                               same_file):
+        # outputs are named by stem, so both inputs would write one pair of files
+        first = batch_inputs[0]
+        second = first if same_file else tmp_path / "other" / first.name
+        if not same_file:
+            second.parent.mkdir()
+            second.write_bytes(batch_inputs[1].read_bytes())
+        out = tmp_path / "out"
+        assert _batch([first, batch_inputs[2], second], out, 2) == 2
+        err = capsys.readouterr().err
+        assert f"--in {first} and --in {second}" in err
+        assert capsys.readouterr().out == "" and not out.exists()
+
+
 def _truncate_to_negative_size(m):
     m.update(rows=-1, cols=-1, data=m["data"][:1])
 
