@@ -313,9 +313,9 @@ class TestBatchOutputNames:
             second.write_bytes(batch_inputs[1].read_bytes())
         out = tmp_path / "out"
         assert _batch([first, batch_inputs[2], second], out, 2) == 2
-        err = capsys.readouterr().err
-        assert f"--in {first} and --in {second}" in err
-        assert capsys.readouterr().out == "" and not out.exists()
+        captured = capsys.readouterr()
+        assert f"--in {first} and --in {second}" in captured.err
+        assert captured.out == "" and not out.exists()
 
 
 def _truncate_to_negative_size(m):
