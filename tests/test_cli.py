@@ -1,7 +1,13 @@
+import contextlib
 import csv
+import gc
+import io
 import json
+import os
 import re
+import stat
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -317,6 +323,14 @@ class TestBatchOutputNames:
         assert f"--in {first} and --in {second}" in captured.err
         assert captured.out == "" and not out.exists()
 
+    def test_rerun_into_one_out_dir_is_identical(self, tmp_path, batch_inputs):
+        outs = []
+        for _ in range(2):
+            assert _batch(batch_inputs, tmp_path / "out", 2) == 0
+            outs.append(_masked_outputs(tmp_path / "out"))
+        assert _batch(batch_inputs, tmp_path / "fresh", 2) == 0
+        assert outs[0] == outs[1] == _masked_outputs(tmp_path / "fresh")
+
 
 def _truncate_to_negative_size(m):
     m.update(rows=-1, cols=-1, data=m["data"][:1])
@@ -504,6 +518,61 @@ def test_unwritable_output_is_invalid_input(tol_commands, tmp_path, capsys, comm
     assert not missing.exists()
 
 
+class TestWriteText:
+    def test_shorter_text_leaves_only_the_new_bytes(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_bytes(b"x" * 5000)
+        cli._write_text(path, "short \u00e9")
+        assert path.read_bytes() == "short \u00e9".encode("utf-8")
+
+    def test_symlink_is_followed_and_kept(self, tmp_path):
+        target, link = tmp_path / "target.txt", tmp_path / "link.txt"
+        target.write_text("old contents, longer than the new")
+        link.symlink_to(target)
+        cli._write_text(link, "new")
+        assert link.is_symlink() and target.read_text() == "new"
+
+    def test_mode_is_kept(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_text("old")
+        path.chmod(0o640)
+        cli._write_text(path, "new")
+        assert stat.S_IMODE(path.stat().st_mode) == 0o640
+
+    def test_null_device_is_writable(self):
+        # a device cannot be truncated, so only regular files are cut
+        cli._write_text(os.devnull, "text")
+
+    def test_directory_is_invalid_input(self, tmp_path, capsys):
+        # the CSV side-file paths are derived, so no option check sees them
+        (tmp_path / "h.sigma_f.csv").mkdir()
+        assert dispatch(["hankel", "--symbol", "2,1", "--N", "10",
+                         "--report", str(tmp_path / "h.json")]) == 2
+        assert f"cannot write {tmp_path / 'h.sigma_f.csv'}" in capsys.readouterr().err
+
+
+def test_dispatch_keeps_no_stdout_sink_alive():
+    sink = io.StringIO()
+    ref = weakref.ref(sink)
+    with contextlib.redirect_stdout(sink):
+        assert dispatch(["hankel", "--symbol", "2,1", "--N", "10"]) == 0
+    assert sink.getvalue().startswith("N=10: ")
+    del sink
+    gc.collect()
+    assert ref() is None
+
+
+def test_messages_keep_the_stdout_error_handler(tmp_path):
+    # a non-UTF-8 file name reaches the message as a surrogate, which the
+    # surrogateescape handler of a POSIX stdout writes back as the raw byte
+    stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", errors="surrogateescape")
+    out = tmp_path / "inst\udcff.json"
+    with contextlib.redirect_stdout(stdout):
+        assert dispatch(["synth", "--n", "2", "--m", "2", "--out", str(out)]) == 0
+    stdout.flush()
+    assert stdout.buffer.getvalue().endswith(b"inst\xff.json\n")
+
+
 def test_svd_failure_in_eae_special_verification_exits_1(tmp_path, monkeypatch, capsys):
     special = mc_to_eae_special(sc_to_mc(random_sc_witness(2, 3, 100, 0)))
     path = tmp_path / "w.json"
@@ -560,6 +629,16 @@ class TestCliHankel:
         with open(tmp_path / "h.sigma_inv.csv") as fh:
             rows_inv = list(csv.reader(fh))
         assert float(rows_inv[1][1]) == pytest.approx(1.0 / 3.0, abs=1e-6)
+
+    def test_rerun_with_smaller_n_matches_a_fresh_run(self, tmp_path):
+        (tmp_path / "a").mkdir()
+        (tmp_path / "b").mkdir()
+        for n, tag in [("40", "a"), ("10", "a"), ("10", "b")]:
+            assert dispatch(["hankel", "--symbol", "2,1", "--N", n,
+                             "--report", str(tmp_path / tag / "r.json")]) == 0
+        for name in ("r.json", "r.sigma_f.csv", "r.sigma_inv.csv"):
+            texts = [_mask_timestamp((tmp_path / tag / name).read_text()) for tag in "ab"]
+            assert texts[0] == texts[1]
 
     def test_vanishing_symbol_exits_1(self):
         assert dispatch(["hankel", "--symbol", "1,-1", "--N", "10"]) == 1
