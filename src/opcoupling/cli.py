@@ -7,10 +7,8 @@ Exit codes: 0 on success / verification pass, 1 on verification failure,
 
 from __future__ import annotations
 
-import csv
 import ctypes
 import functools
-import io
 import json
 import os
 import stat
@@ -182,11 +180,8 @@ def _check_p(ctx, param, value: float) -> float:
 
 
 def _sigma_csv(sigmas: np.ndarray) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["index", "sigma"])
-    writer.writerows([i, repr(float(s))] for i, s in enumerate(sigmas))
-    return buf.getvalue()
+    rows = "".join(f"{i},{s!r}\r\n" for i, s in enumerate(sigmas.tolist()))
+    return "index,sigma\r\n" + rows
 
 
 @click.group()

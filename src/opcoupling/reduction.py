@@ -10,9 +10,9 @@ Starting from an :class:`~opcoupling.relations.EAESpecialWitness` for
    once, by a certified bound when it can (:func:`decompose_corners`);
 2. in the same call expresses ``U`` and ``V`` in those bases, where they are
    block triangular with ``E11' V11 = -U11 F22'``, and reads from the
-   witness one-sided inverses of the corner blocks ``U22, V22``; the one
-   :class:`ReducedBlocks` it returns holds the split, the blocks and the
-   inverses, with the residual table that certified them;
+   witness one-sided inverses of the corner blocks ``U22, V22``; it
+   returns one :class:`ReducedBlocks` of the split, the blocks and the
+   inverses, with the report that certified them;
 3. certifies, in that table, that the one-sided inverses are two-sided.
    The paper first normalizes the witness, with ``X = pinv(F22) @
    Ehat21``, to ``E21 + X E11`` and ``Ehat21 - F22 X``; in orthonormal
@@ -28,30 +28,31 @@ Starting from an :class:`~opcoupling.relations.EAESpecialWitness` for
    closes the loop with a Schur coupling
    (:func:`~opcoupling.relations.sc_from_eaoe`).
 
-:func:`run_pipeline` chains all steps as named stages of one runner.  The
-runner calls a stage, records its residual table and data as a
-:class:`StageResult`, and turns any
-:class:`~opcoupling.errors.ToolkitError` the stage raises into a
+:func:`run_pipeline` chains all steps as named stages of one runner.  Each
+step returns its artifact with the
+:class:`~opcoupling.relations.VerifierReport` that verified it, which the
+runner records whole as the stage, residuals and extras; it turns any
+:class:`~opcoupling.errors.ToolkitError` a stage raises into a
 :class:`~opcoupling.errors.PipelineStageError` naming it.  Every step checks
-its residual table against ``tol`` through
-:func:`~opcoupling.relations._checked`, so a failed step raises
-:class:`~opcoupling.errors.ConversionError` naming the worst entry, with the
-table attached; the runner passes that table on as the stage error's
-``report``.  The three builders of step 4 return their witness together
-with that table, which the runner records as the stage's residuals.  A
-value several stages read is cached by the object whose inputs fix it, and
-each step hands the next one object whose parts come from one witness, so
-the runner passes objects and checks nothing of its own.
-In this finite-dimensional setting two square matrices admit such a chain
-exactly when their nullities agree; without a supplied witness
+its report against ``tol`` through :func:`~opcoupling.relations._checked`,
+so a failed step raises :class:`~opcoupling.errors.ConversionError` naming
+the worst entry, with the report attached; the runner passes that report on
+as the stage error's ``report``.  A value several stages read is cached by
+the object whose inputs fix it, and each step hands the next one object
+whose parts come from one witness, so the runner passes objects and checks
+nothing of its own but a supplied witness's ``U`` and ``V``.  In this
+finite-dimensional setting two square matrices admit such a chain exactly
+when their nullities agree; without a supplied witness
 :func:`~opcoupling.instances.synth_mc` decides that, and the runner passes
 its :class:`~opcoupling.errors.FeasibilityError` on unwrapped.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
 from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -86,6 +87,7 @@ from .relations import (
     _checked,
     _direct_sum,
     _inverse_residuals,
+    _special_report,
     mc_to_eae_special,
     sc_from_eaoe,
     verify_eae,
@@ -107,17 +109,16 @@ class ReducedBlocks:
     their common rank.  Their factors split at ``rank`` into X = im_f22 (+) h2
     = im_e11 (+) g1 (``left``) and Y = k2 (+) ker_f22 = f1 (+) ker_e11
     (``right``).  In these bases the corners are ``[[f22_prime, 0], [0, 0]]``
-    and ``[[e11_prime, 0], [0, 0]]`` with invertible leading blocks whose
-    inverses and condition numbers are recorded, and ``x0 = m - rank`` and
-    ``y0 = n - rank`` are the dimensions of Ker E11 and of h2, the extensions
-    of the small EAE.  ``U`` on (im_f22 (+) h2) -> (im_e11 (+) g1) is upper
-    block triangular and ``V`` on (k2 (+) ker_f22) -> (f1 (+) ker_e11) lower
-    block triangular; of their blocks the builders read ``u12, u22, v21,
-    v22``.  ``left_inv_v22`` and ``right_inv_u22`` are two-sided inverses of
-    ``v22`` and ``u22``, and ``residuals`` is the table that certified all
-    of it.  The invertible triangular factors ``Phi_U = [[I, u12], [0,
-    u22]]`` and ``Psi_V = [[I, 0], [v21, v22]]`` of U and V, and their
-    inverses, are built on first use and kept.
+    and ``[[e11_prime, 0], [0, 0]]`` with invertible leading blocks, whose
+    inverses are kept, and ``x0 = m - rank`` and ``y0 = n - rank`` are the
+    dimensions of Ker E11 and of h2, the extensions of the small EAE.  ``U``
+    on (im_f22 (+) h2) -> (im_e11 (+) g1) is upper block triangular and
+    ``V`` on (k2 (+) ker_f22) -> (f1 (+) ker_e11) lower block triangular; of
+    their blocks the builders read ``u12, u22, v21, v22``.  ``left_inv_v22``
+    and ``right_inv_u22`` are two-sided inverses of ``v22`` and ``u22``.
+    The invertible triangular factors ``Phi_U = [[I, u12], [0, u22]]`` and
+    ``Psi_V = [[I, 0], [v21, v22]]`` of U and V, and their inverses, are
+    built on first use and kept.
     """
 
     U: np.ndarray
@@ -129,15 +130,12 @@ class ReducedBlocks:
     f22_prime_inv: np.ndarray
     e11_prime: np.ndarray
     e11_prime_inv: np.ndarray
-    cond_f22_prime: float
-    cond_e11_prime: float
     u12: np.ndarray
     u22: np.ndarray
     v21: np.ndarray
     v22: np.ndarray
     left_inv_v22: np.ndarray
     right_inv_u22: np.ndarray
-    residuals: dict[str, float]
 
     x0 = property(lambda self: self.V.shape[0] - self.rank)
     y0 = property(lambda self: self.U.shape[0] - self.rank)
@@ -188,24 +186,14 @@ class FredholmReport:
 
 
 @dataclass(frozen=True)
-class StageResult:
-    name: str
-    residuals: dict[str, float]
-    data: dict = field(default_factory=dict)
-
-    @property
-    def max_residual(self) -> float:
-        return max(self.residuals.values()) if self.residuals else 0.0
-
-
-@dataclass(frozen=True)
 class PipelineReport:
-    """Stage-by-stage record of one full reduction run."""
+    """Stage-by-stage record of one full reduction run: ``stages`` maps each
+    stage's name, in run order, to the report that verified its artifact."""
 
     U: np.ndarray
     V: np.ndarray
     tol: float
-    stages: tuple[StageResult, ...]
+    stages: Mapping[str, VerifierReport]
     witness: EAESpecialWitness
     mc: MCWitness | None
     x0_dim: int
@@ -217,7 +205,7 @@ class PipelineReport:
 
     @property
     def max_residual(self) -> float:
-        return max((s.max_residual for s in self.stages), default=0.0)
+        return max((s.max_residual for s in self.stages.values()), default=0.0)
 
     @property
     def fredholm(self) -> FredholmReport:
@@ -233,12 +221,6 @@ class PipelineReport:
             dim_ker_f22=self.x0_dim, dim_ker_e11=self.x0_dim,
         )
 
-    def stage(self, name: str) -> StageResult:
-        for s in self.stages:
-            if s.name == name:
-                return s
-        raise KeyError(name)
-
 
 # ---------------------------------------------------------------------------
 # helpers
@@ -253,9 +235,11 @@ def _coords(left_basis: np.ndarray, op: np.ndarray, right_basis: np.ndarray) -> 
 # operations
 
 
-def decompose_corners(w: EAESpecialWitness, tol: float = DEFAULT_TOL) -> ReducedBlocks:
+def decompose_corners(w: EAESpecialWitness,
+                      tol: float = DEFAULT_TOL) -> tuple[ReducedBlocks, VerifierReport]:
     """Split F22 and E11 along orthonormal kernel/range bases, and express U
-    and V, with inverses of their corner blocks, in those bases.
+    and V, with inverses of their corner blocks, in those bases; return the
+    split with the report that certified it.
 
     The splits come from the witness's cached SVDs of both corners and their
     common rank.  The invertible ``f22_prime`` and ``e11_prime``, the leading
@@ -280,7 +264,8 @@ def decompose_corners(w: EAESpecialWitness, tol: float = DEFAULT_TOL) -> Reduced
     two-sided, which is what the builders need.  The residual table (the
     suppressed blocks ``u21`` and ``v12``, the coupled equivalence, then the
     inverses on both sides) fails when the witness is not a genuine
-    anchored one.
+    anchored one; the report's extras are ``rank`` and the condition numbers
+    of ``f22_prime`` and ``e11_prime``.
 
     Raises
     ------
@@ -326,15 +311,16 @@ def decompose_corners(w: EAESpecialWitness, tol: float = DEFAULT_TOL) -> Reduced
         "v22_right_inverse": rel_residual(v22 @ left_inv_v22, eye(x0)),
         "u22_left_inverse": rel_residual(right_inv_u22 @ u22, eye(y0)),
     }
-    _checked(VerifierReport("reduced_blocks", residuals, tol), "decompose_corners")
+    extras = {"cond_f22_prime": cond_f, "cond_e11_prime": cond_e, "rank": r}
+    report = _checked(VerifierReport("reduced_blocks", residuals, tol, extras),
+                      "decompose_corners")
     return ReducedBlocks(
         U=U, V=V, f22=f22, e11=e11, rank=r,
         f22_prime=f22_prime, f22_prime_inv=f22_prime_inv,
         e11_prime=e11_prime, e11_prime_inv=e11_prime_inv,
-        cond_f22_prime=cond_f, cond_e11_prime=cond_e,
         u12=_coords(im_e11, U, h2), u22=u22, v21=_coords(ker_e11, V, k2), v22=v22,
-        left_inv_v22=left_inv_v22, right_inv_u22=right_inv_u22, residuals=residuals,
-    )
+        left_inv_v22=left_inv_v22, right_inv_u22=right_inv_u22,
+    ), report
 
 
 def build_small_eae(rb: ReducedBlocks,
@@ -431,13 +417,11 @@ def run_pipeline(U, V, w: EAESpecialWitness | None = None,
     Every step runs through one stage runner: a stage that raises any other
     :class:`~opcoupling.errors.ToolkitError` becomes a
     :class:`~opcoupling.errors.PipelineStageError` that names it and carries
-    the cause's residual table as ``report``; one that passes is recorded as
-    a :class:`StageResult` of its residuals and data.
-    A stage that builds a witness records the report its builder verified
-    the witness with; no artifact is verified twice.  Every stage records a
-    residual table: ``decompose_corners`` that of the blocks and inverses,
-    since a certified bound settles its corner forms, and a supplied
-    witness's anchored table is ``verify_special``'s.
+    the cause's report; one that passes is recorded as the report its step
+    verified its artifact with, so no artifact is verified twice.  A
+    supplied witness is one stage, ``verify_special``: its anchored table,
+    after the residuals ``witness_u`` and ``witness_v`` of its ``U`` and
+    ``V`` against the inputs.
     """
     U = as_matrix(U)
     V = as_matrix(V)
@@ -445,53 +429,37 @@ def run_pipeline(U, V, w: EAESpecialWitness | None = None,
     if U.shape != (n, n) or V.shape != (m, m):
         raise ShapeError("U and V must be square")
 
-    stages: list[StageResult] = []
+    stages: dict[str, VerifierReport] = {}
 
-    def stage(name, fn, residuals=lambda out: {}, data=lambda out: {}):
+    def stage(name, fn):
         try:
             out = fn()
         except FeasibilityError:
             raise
         except ToolkitError as exc:
             raise PipelineStageError(name, str(exc), getattr(exc, "report", None)) from exc
-        stages.append(StageResult(name, residuals(out), data(out)))
+        stages[name] = out[1]
         return out
 
-    def table(out):
-        return dict(out.residuals)
-
-    def built_table(out):
-        return dict(out[1].residuals)
+    def anchored(witness, **first):
+        return witness, _checked(_special_report(witness, tol, **first), "anchored witness")
 
     mc = None
     if w is None:
-        mc, _ = stage("synthesize_mc", lambda: instances.synth_mc(U, V, tol), built_table,
-                      lambda out: dict(out[1].extras))
+        mc, _ = stage("synthesize_mc", lambda: instances.synth_mc(U, V, tol))
         # the cached table mc_to_eae_special checked its witness with
-        w = stage("mc_to_special", lambda: mc_to_eae_special(mc, tol),
-                  lambda out: dict(out.residual_table))
+        w, _ = stage("mc_to_special", lambda: anchored(mc_to_eae_special(mc, tol)))
     else:
-        stage("witness_consistency", lambda: _checked(VerifierReport(
-            "witness_consistency",
-            {"witness_u": rel_residual(w.U, U), "witness_v": rel_residual(w.V, V)},
-            tol), "supplied witness"), table)
-        # the witness's table, without the sigma_min extras of verify_eae_special
-        stage("verify_special", lambda: _checked(
-            VerifierReport("eae_special", dict(w.residual_table), tol), "anchored witness"),
-            table)
+        stage("verify_special", lambda: anchored(
+            w, witness_u=rel_residual(w.U, U), witness_v=rel_residual(w.V, V)))
 
-    rb = stage("decompose_corners", lambda: decompose_corners(w, tol), table,
-               lambda out: {"cond_f22_prime": out.cond_f22_prime,
-                            "cond_e11_prime": out.cond_e11_prime, "rank": out.rank})
-    small = stage("small_eae", lambda: build_small_eae(rb, tol), built_table,
-                  lambda out: {"x0_dim": out[0].x0_dim, "y0_dim": out[0].y0_dim})
-    eaoe, _ = stage("build_eaoe", lambda: build_eaoe(rb, small, tol), built_table,
-                    lambda out: {"extended_side": out[0].extended_side,
-                                 "ext_dim": out[0].ext_dim})
-    sc, _ = stage("schur_coupling", lambda: sc_from_eaoe(eaoe, tol), built_table)
+    rb, _ = stage("decompose_corners", lambda: decompose_corners(w, tol))
+    small = stage("small_eae", lambda: build_small_eae(rb, tol))
+    eaoe, _ = stage("build_eaoe", lambda: build_eaoe(rb, small, tol))
+    sc, _ = stage("schur_coupling", lambda: sc_from_eaoe(eaoe, tol))
 
     return PipelineReport(
-        U=U, V=V, tol=tol, stages=tuple(stages),
+        U=U, V=V, tol=tol, stages=MappingProxyType(stages),
         witness=w, mc=mc,
         x0_dim=small[0].x0_dim, y0_dim=small[0].y0_dim,
         small_eae=small[0], eaoe=eaoe, final_sc=sc,

@@ -51,18 +51,19 @@ values nobody records, are settled first by a certified bound (see
 :func:`~opcoupling.reduction.decompose_corners`).
 
 Each converter verifies its output once, and the pipeline records that
-table as the converter's stage instead of verifying the witness again: a
+report as the converter's stage instead of verifying the witness again: a
 builder returns its witness with the report, and an anchored witness caches
-its exact residual table (``residual_table``), which
-:func:`mc_to_eae_special` checks and the pipeline and
-:func:`verify_eae_special` read.  :func:`verify_eaoe` is :func:`verify_eae`
-with the other extension trivial, plus the residuals of the inverses.
+its exact residual table (``residual_table``), whose one report
+(:func:`_special_report`) :func:`mc_to_eae_special` checks and the pipeline
+and :func:`verify_eae_special` read.  :func:`verify_eaoe` is
+:func:`verify_eae` with the other extension trivial, plus the residuals of
+the inverses.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from types import MappingProxyType
 
@@ -437,13 +438,16 @@ def verify_eae_special(w: EAESpecialWitness, tol: float = DEFAULT_TOL) -> Verifi
     inverses, the closed form of F^-1, the extension equation and the eleven
     block identities.  The extras are the smallest singular values of E, F.
     """
-    residuals = dict(w.residual_table)
     d = w.n + w.m
-    sig_e = _svd_vals(w.E)
-    sig_f = _svd_vals(w.F)
-    extras = {"sigma_min_e": float(sig_e[-1]) if d else 1.0,
-              "sigma_min_f": float(sig_f[-1]) if d else 1.0}
-    return VerifierReport("eae_special", residuals, tol, extras)
+    return replace(_special_report(w, tol),
+                   extras={"sigma_min_e": float(_svd_vals(w.E)[-1]) if d else 1.0,
+                           "sigma_min_f": float(_svd_vals(w.F)[-1]) if d else 1.0})
+
+
+def _special_report(w: EAESpecialWitness, tol: float, **first: float) -> VerifierReport:
+    """The cached anchored table of ``w`` as a report, after the entries
+    ``first``, without extras."""
+    return VerifierReport("eae_special", {**first, **w.residual_table}, tol)
 
 
 def verify_eaoe(w: EAOEWitness, tol: float = DEFAULT_TOL) -> VerifierReport:
@@ -541,8 +545,7 @@ def mc_to_eae_special(w: MCWitness, tol: float = DEFAULT_TOL) -> EAESpecialWitne
 
     witness = EAESpecialWitness(U=w.U, V=w.V, E=e, F=f, Einv=einv, Finv=finv)
     # the residual table alone: nothing downstream reads the sigma_min extras
-    _checked(VerifierReport("eae_special", dict(witness.residual_table), tol),
-             "mc_to_eae_special")
+    _checked(_special_report(witness, tol), "mc_to_eae_special")
     return witness
 
 

@@ -244,8 +244,8 @@ def pipeline_report_to_dict(report) -> dict:
                    "ext_dim": report.eaoe.ext_dim}
     out["max_residual"] = report.max_residual
     out["stages"] = [
-        {"name": s.name, "residuals": _plain(s.residuals), "data": _plain(s.data)}
-        for s in report.stages
+        {"name": name, "residuals": _plain(s.residuals), "data": _plain(s.extras)}
+        for name, s in report.stages.items()
     ]
     return out
 

@@ -630,6 +630,18 @@ class TestCliHankel:
             rows_inv = list(csv.reader(fh))
         assert float(rows_inv[1][1]) == pytest.approx(1.0 / 3.0, abs=1e-6)
 
+    @pytest.mark.parametrize("sigmas", [
+        np.random.default_rng(3).random(600) * 10.0 ** np.arange(-300, 300),
+        np.zeros(4), np.array([5e-324, 2.2250738585072014e-308 / 3, 1e-310]),
+        np.array([1e300, np.finfo(float).max]), np.array([]),
+    ], ids=["600_values", "zeros", "subnormals", "huge", "empty"])
+    def test_sigma_csv_is_what_the_csv_module_writes(self, sigmas):
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(["index", "sigma"])
+        writer.writerows([i, repr(float(s))] for i, s in enumerate(sigmas))
+        assert cli._sigma_csv(sigmas) == buf.getvalue()
+
     def test_rerun_with_smaller_n_matches_a_fresh_run(self, tmp_path):
         (tmp_path / "a").mkdir()
         (tmp_path / "b").mkdir()

@@ -19,7 +19,7 @@ from opcoupling.relations import verify_sc
 
 
 def decisions(report):
-    return (report.stage("synthesize_mc").data["nullity"], report.x0_dim, report.y0_dim,
+    return (report.stages["synthesize_mc"].extras["nullity"], report.x0_dim, report.y0_dim,
             report.eaoe.extended_side, report.eaoe.ext_dim)
 
 

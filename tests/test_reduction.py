@@ -165,25 +165,26 @@ def _complement_dims(d):
 
 class TestDecomposeCorners:
     def test_worked_instance_trivial_complements(self):
-        d = decompose_corners(worked_special())
+        d, _ = decompose_corners(worked_special())
         assert d.rank == 1 and _complement_dims(d) == (0, 0, 0, 0)
         # invertible compressions are the nonzero scalars, up to basis phase
         assert abs(d.f22_prime[0, 0]) == pytest.approx(0.5)
         assert abs(d.e11_prime[0, 0]) == pytest.approx(1.0)
 
     def test_swap_witness_zero_corner(self):
-        d = decompose_corners(swap_special())
+        d, _ = decompose_corners(swap_special())
         assert d.rank == 0 and _complement_dims(d) == (1, 1, 1, 1)
         assert d.f22_prime.shape == (0, 0)
 
     def test_synthesized_kernel_dims_match(self):
-        h2, g1, ker_f22, ker_e11 = _complement_dims(decompose_corners(synthesized(2, 2, 1)))
+        d, _ = decompose_corners(synthesized(2, 2, 1))
+        h2, g1, ker_f22, ker_e11 = _complement_dims(d)
         assert ker_e11 == ker_f22
         assert h2 == g1
 
     def test_reads_the_cached_corner_svds(self):
         w = synthesized(3, 4, 2, seed=21)
-        d = decompose_corners(w)
+        d, _ = decompose_corners(w)
         assert d.f22 is w.f22_svd and d.e11 is w.e11_svd
         assert d.rank == w.f22_svd.rank() == w.e11_svd.rank()
 
@@ -193,7 +194,7 @@ class TestDecomposeCorners:
         # full compressions, so the corner forms check only the rest
         u, v = random_instance(InstanceSpec(12, 14, 2, seed=1))
         w = mc_to_eae_special(synth_mc(u, v)[0] if r is None else coupled_mc(u, v, r))
-        rb = decompose_corners(w)
+        rb, _ = decompose_corners(w)
         for res, block, prime in ((rb.f22, w.F22, rb.f22_prime),
                                   (rb.e11, w.E11, rb.e11_prime)):
             full = res.left.conj().T @ block @ res.right
@@ -227,7 +228,7 @@ class TestDecomposeCornersExactFallback:
 
     def test_too_tight_tol_names_the_exact_residual(self):
         w = synthesized(12, 14, 2, seed=1)
-        res = _block_form_residuals(w, decompose_corners(w))
+        res = _block_form_residuals(w, decompose_corners(w)[0])
         worst = max(res, key=res.get)
         tol = 1e-16
         assert res[worst] > tol
@@ -240,48 +241,53 @@ class TestDecomposeCornersExactFallback:
         # the corner forms pass at their exact residual, so what fails there
         # is the blocks' table, checked after them; at its worst entry both pass
         w = synthesized(12, 14, 2, seed=1)
-        rb = decompose_corners(w)
+        rb, blocks = decompose_corners(w)
         with pytest.raises(ConversionError) as info:
             decompose_corners(w, max(_block_form_residuals(w, rb).values()))
-        assert info.value.report.residuals == rb.residuals
-        d = decompose_corners(w, max(rb.residuals.values()))
+        assert info.value.report.residuals == blocks.residuals
+        d, _ = decompose_corners(w, max(blocks.residuals.values()))
         assert d.rank == d.f22.rank() == d.e11.rank()
 
 
 @pytest.fixture(scope="module")
 def chain():
-    """The stage inputs of a 12x14, nullity-2 pipeline, built at the default tol."""
+    """The stage inputs of a 12x14, nullity-2 pipeline, built at the default
+    tol; ``blocks`` is the report of the split ``rb``."""
     u, v = random_instance(InstanceSpec(12, 14, 2, seed=1))
     mc, _ = synth_mc(u, v)
     w = mc_to_eae_special(mc)
-    return SimpleNamespace(u=u, v=v, w=w, rb=decompose_corners(w))
+    rb, blocks = decompose_corners(w)
+    return SimpleNamespace(u=u, v=v, w=w, rb=rb, blocks=blocks)
 
 
 def _residual_checks(c):
     """Each residual check by name: ``(what the message names, its exact
     residual table, a call that runs it at a given tol)``."""
     u_off = c.u + 1e-6
+    table = verify_eae_special(c.w).residuals
     built_small = build_small_eae(c.rb)
     small = built_small[0]
     eaoe, _ = build_eaoe(c.rb, built_small)
     return {
         "decompose_corners": ("decompose_corners", _block_form_residuals(c.w, c.rb),
                               lambda tol: decompose_corners(c.w, tol)),
-        "reduced_blocks": ("decompose_corners", c.rb.residuals,
+        "reduced_blocks": ("decompose_corners", c.blocks.residuals,
                            lambda tol: decompose_corners(c.w, tol)),
         "build_small_eae": ("build_small_eae", verify_eae(small).residuals,
                             lambda tol: build_small_eae(c.rb, tol)),
         "build_eaoe": ("build_eaoe", verify_eaoe(eaoe).residuals,
                        lambda tol: build_eaoe(c.rb, built_small, tol)),
-        "witness_consistency": ("supplied witness",
-                                {"witness_u": rel_residual(c.w.U, u_off), "witness_v": 0.0},
-                                lambda tol: run_pipeline(u_off, c.v, w=c.w, tol=tol)),
-        "verify_special": ("anchored witness", verify_eae_special(c.w).residuals,
+        "witness_u": ("anchored witness",
+                      {"witness_u": rel_residual(c.w.U, u_off), "witness_v": 0.0, **table},
+                      lambda tol: run_pipeline(u_off, c.v, w=c.w, tol=tol)),
+        "verify_special": ("anchored witness",
+                           {"witness_u": 0.0, "witness_v": 0.0, **table},
                            lambda tol: run_pipeline(c.u, c.v, w=c.w, tol=tol)),
     }
 
 
-_PIPELINE_CHECKS = ("witness_consistency", "verify_special")
+# the checks the supplied witness's one stage, verify_special, runs
+_PIPELINE_CHECKS = ("witness_u", "verify_special")
 
 
 @pytest.mark.parametrize("name", ["decompose_corners", "reduced_blocks",
@@ -299,7 +305,7 @@ def test_failed_check_raises_one_way(chain, name):
         run(tol)
     err = info.value
     if name in _PIPELINE_CHECKS:
-        assert err.stage == name and err.report is err.__cause__.report
+        assert err.stage == "verify_special" and err.report is err.__cause__.report
         err = err.__cause__
     assert isinstance(err, ConversionError) and isinstance(err, NumericalError)
     assert err.report.residuals == exact
@@ -321,62 +327,63 @@ class TestDeriveUvBlocks:
     def test_carried_blocks_match_a_fresh_derivation(self, chain):
         # the blocks and residuals the split of w keeps are, bit for bit,
         # those a fresh split of w read back from its file gives
-        fresh = decompose_corners(read_back(chain.w))
-        assert fresh.residuals == chain.rb.residuals
+        fresh, blocks = decompose_corners(read_back(chain.w))
+        assert (blocks.residuals, blocks.extras) == (chain.blocks.residuals,
+                                                     chain.blocks.extras)
         for name in ("u12", "u22", "v21", "v22", "left_inv_v22", "right_inv_u22"):
             np.testing.assert_array_equal(getattr(fresh, name), getattr(chain.rb, name))
 
     def test_worked_instance_scalar_identity(self):
-        rb = decompose_corners(worked_special())
+        rb, blocks = decompose_corners(worked_special())
         u11, v11 = _u11_v11(rb)
         assert abs(u11[0, 0]) == pytest.approx(1.0)
         assert abs(v11[0, 0]) == pytest.approx(0.5)
         # the coupled equivalence e11' v11 = -u11 f22'
         assert rel_residual(rb.e11_prime @ v11, -u11 @ rb.f22_prime) <= 1e-14
-        assert rb.residuals["equivalence_u11_v11"] <= 1e-14
+        assert blocks.residuals["equivalence_u11_v11"] <= 1e-14
 
     def test_swap_witness_degenerate_split(self):
-        rb = decompose_corners(swap_special())
+        rb, _ = decompose_corners(swap_special())
         assert rb.rank == 0 and rb.u12.shape == (0, 1) and rb.v21.shape == (1, 0)
         assert rb.u22.shape == (1, 1) and rb.v22.shape == (1, 1)
         assert rel_residual(rb.left_inv_v22 @ rb.v22, np.eye(1)) <= 1e-14
         assert rel_residual(rb.u22 @ rb.right_inv_u22, np.eye(1)) <= 1e-14
 
     def test_synthesized_zero_blocks(self):
-        rb = decompose_corners(synthesized(3, 3, 1))
-        assert rb.residuals["zero_block_u21"] <= 1e-10
-        assert rb.residuals["zero_block_v12"] <= 1e-10
+        _, blocks = decompose_corners(synthesized(3, 3, 1))
+        assert blocks.residuals["zero_block_u21"] <= 1e-10
+        assert blocks.residuals["zero_block_v12"] <= 1e-10
 
     def test_one_table_of_seven_entries(self, chain):
-        assert list(chain.rb.residuals) == [
+        assert list(chain.blocks.residuals) == [
             "zero_block_u21", "zero_block_v12", "equivalence_u11_v11",
             "left_inverse_v22", "right_inverse_u22",
             "v22_right_inverse", "u22_left_inverse",
         ]
+        assert chain.blocks.extras == {
+            "cond_f22_prime": pytest.approx(np.linalg.cond(chain.rb.f22_prime)),
+            "cond_e11_prime": pytest.approx(np.linalg.cond(chain.rb.e11_prime)),
+            "rank": chain.rb.rank,
+        }
 
 
-def _two_sided(rb):
+def _two_sided(w, tol):
     """The residuals of the inverses on the side the witness does not give."""
-    return [rb.residuals["v22_right_inverse"], rb.residuals["u22_left_inverse"]]
+    _, blocks = decompose_corners(w, tol)
+    return [blocks.residuals["v22_right_inverse"], blocks.residuals["u22_left_inverse"]]
 
 
 class TestCheckTwoSided:
     def test_worked_instance_trivial(self):
-        w = worked_special()
-        rb = decompose_corners(w, 1e-12)
-        assert _two_sided(rb) == [0.0, 0.0]  # zero-dimensional blocks
+        assert _two_sided(worked_special(), 1e-12) == [0.0, 0.0]  # zero-dimensional blocks
 
     def test_swap_witness(self):
-        w = swap_special()
-        rb = decompose_corners(w, 1e-12)
-        assert max(_two_sided(rb)) <= 1e-14
+        assert max(_two_sided(swap_special(), 1e-12)) <= 1e-14
 
     def test_synthesized_after_normalization(self):
         # the blocks of the witness as it is are those of its normalization
         # (see test_normalization_keeps_the_one_sided_inverses)
-        w = synthesized(3, 4, 2, seed=13)
-        rb = decompose_corners(w, 1e-10)
-        assert max(_two_sided(rb)) <= 1e-10
+        assert max(_two_sided(synthesized(3, 4, 2, seed=13), 1e-10)) <= 1e-10
 
 
 def sheared(w, y):
@@ -416,7 +423,7 @@ def test_normalization_keeps_the_one_sided_inverses(data, coupled, n, log_cond, 
     rng = np.random.default_rng(seed)
     y = (rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))) / np.sqrt(2 * n)
     w = sheared(mc_to_eae_special(mc, 1e-8), y)
-    rb = decompose_corners(w, 1e-8)
+    rb, _ = decompose_corners(w, 1e-8)
     r = rb.rank
     f22, e11 = w.f22_svd, w.e11_svd
     x = (f22.right[:, :r] / f22.singulars[:r]) @ f22.left[:, :r].conj().T @ w.Ehat21
@@ -430,7 +437,7 @@ def test_normalization_keeps_the_one_sided_inverses(data, coupled, n, log_cond, 
 class TestBuildSmallEae:
     def test_worked_instance_no_extension(self):
         w = worked_special()
-        rb = decompose_corners(w)
+        rb, _ = decompose_corners(w)
         small, _ = build_small_eae(rb)
         assert small.x0_dim == 0 and small.y0_dim == 0
         assert verify_eae(small, 1e-12).passed
@@ -438,14 +445,14 @@ class TestBuildSmallEae:
     def test_swap_witness_identity_extension(self):
         n = 2
         w = swap_special(n)
-        rb = decompose_corners(w)
+        rb, _ = decompose_corners(w)
         small, _ = build_small_eae(rb)
         assert small.x0_dim == n and small.y0_dim == n
         assert verify_eae(small, 1e-12).passed
 
     def test_synthesized_dims(self):
         w = synthesized(4, 6, 2, seed=17)
-        rb = decompose_corners(w)
+        rb, _ = decompose_corners(w)
         small, _ = build_small_eae(rb)
         from opcoupling.numkernel import rank_of
         assert small.x0_dim == 6 - rank_of(w.E11)
@@ -456,7 +463,7 @@ class TestBuildSmallEae:
 class TestBuildEaoe:
     def test_worked_instance_plain_equivalence(self):
         w = worked_special()
-        rb = decompose_corners(w)
+        rb, _ = decompose_corners(w)
         eaoe, _ = build_eaoe(rb, build_small_eae(rb))
         assert eaoe.ext_dim == 0
         lhs = eaoe.E @ np.array([[0.5]]) @ eaoe.F
@@ -464,7 +471,7 @@ class TestBuildEaoe:
 
     def test_extension_side_matches_index_sign(self):
         w = synthesized(1, 2, 1)
-        rb = decompose_corners(w)
+        rb, _ = decompose_corners(w)
         eaoe, _ = build_eaoe(rb, build_small_eae(rb))
         assert eaoe.extended_side == "U" and eaoe.ext_dim == 1
         assert w.F22.shape[1] - w.F22.shape[0] == 1  # index(F22) > 0
@@ -472,7 +479,7 @@ class TestBuildEaoe:
 
     def test_v_side_extension(self):
         w = synthesized(4, 2, 1, seed=3)
-        rb = decompose_corners(w)
+        rb, _ = decompose_corners(w)
         eaoe, _ = build_eaoe(rb, build_small_eae(rb))
         assert eaoe.extended_side == "V" and eaoe.ext_dim == 2
         assert verify_eaoe(eaoe, 1e-9).passed
@@ -483,7 +490,7 @@ class TestBuildEaoe:
         # verify_eaoe, so the report is the one it gives
         u, v = random_instance(InstanceSpec(12, 14, 2, seed=1))
         w = mc_to_eae_special(coupled_mc(u, v, 7))
-        rb = decompose_corners(w)
+        rb, _ = decompose_corners(w)
         assert (rb.x0, rb.y0) == (7, 5)
         eaoe, report = build_eaoe(rb, build_small_eae(rb))
         assert eaoe.extended_side == "U" and eaoe.ext_dim == 2
@@ -514,14 +521,20 @@ class TestRunPipeline:
             run_pipeline(np.diag([1.0, 0.0]), np.diag([5.0, 0.0, 0.0]))
 
     def test_supplied_witness_must_match(self):
-        with pytest.raises(PipelineStageError, match="witness"):
+        # a witness for another U fails its one stage, naming witness_u
+        with pytest.raises(PipelineStageError) as info:
             run_pipeline([[2.0]], [[0.5]], w=worked_special())
+        assert info.value.stage == "verify_special"
+        assert info.value.report.worst() == ("witness_u", 0.5)
+        assert str(info.value) == (
+            "stage 'verify_special': anchored witness failed verification: "
+            "witness_u residual 5.000e-01 exceeds 1e-08")
 
     def test_supplied_witness_of_wrong_shape_fails_its_stage(self):
         with pytest.raises(PipelineStageError) as info:
             run_pipeline(np.eye(2), [[0.5]], w=worked_special())
-        assert info.value.stage == "witness_consistency"
-        assert str(info.value) == ("stage 'witness_consistency': residual of "
+        assert info.value.stage == "verify_special"
+        assert str(info.value) == ("stage 'verify_special': residual of "
                                    "mismatched shapes (1, 1) vs (2, 2)")
 
     def test_unequal_corner_ranks_fail_their_stage(self):
@@ -569,47 +582,87 @@ class TestRunPipeline:
     def test_stage_names_cover_the_chain(self):
         shared = ["decompose_corners", "small_eae", "build_eaoe", "schur_coupling"]
         for w, head in ((None, ["synthesize_mc", "mc_to_special"]),
-                        (worked_special(), ["witness_consistency", "verify_special"])):
+                        (worked_special(), ["verify_special"])):
             report = run_pipeline([[1.0]], [[0.5]], w=w, tol=1e-10)
-            assert [s.name for s in report.stages] == head + shared
+            assert list(report.stages) == head + shared
             # each stage records the table that verified its artifact
-            assert all(s.residuals for s in report.stages)
+            assert all(s.residuals for s in report.stages.values())
+
+    def test_supplied_witness_is_one_stage(self):
+        # its residuals against the inputs, then its anchored table
+        report = run_pipeline([[1.0]], [[0.5]], w=worked_special(), tol=1e-10)
+        assert list(report.stages["verify_special"].residuals) == [
+            "witness_u", "witness_v", *worked_special().residual_table]
+
+
+@pytest.mark.parametrize("r", [None, 7], ids=["one_sided", "two_sided"])
+def test_stage_data_is_the_verifiers_extras(r):
+    """Each building stage records, bit for bit, the extras the verifier of
+    its artifact gives, and the report writes every stage's extras as its
+    data; the two-sided witness has both x0 and y0 nonzero."""
+    u, v = random_instance(InstanceSpec(12, 14, 2, seed=1))
+    w = None if r is None else mc_to_eae_special(coupled_mc(u, v, r))
+    report = run_pipeline(u, v, w=w, tol=1e-8)
+    assert report.x0_dim * report.y0_dim == (0 if r is None else 7 * 5)
+    stages = report.stages
+    assert stages["small_eae"].extras == verify_eae(report.small_eae).extras
+    assert stages["build_eaoe"].extras == verify_eaoe(report.eaoe).extras
+    assert stages["schur_coupling"].extras == verify_sc(report.final_sc).extras
+    data = {s["name"]: s["data"] for s in pipeline_report_to_dict(report)["stages"]}
+    assert data == {name: s.extras for name, s in stages.items()}
 
 
 _VERIFIER_KINDS = ("sc", "mc", "eae", "eae_special", "eaoe")
 
 
-def _count_calls(monkeypatch, counts, functions):
+def _hook_calls(monkeypatch, functions, before):
     """Rebind each of ``functions`` (label -> function), in every opcoupling
-    namespace that holds it, to a wrapper that counts its calls."""
+    namespace that holds it, to a wrapper that calls ``before(label)`` first."""
     namespaces = [mod for name, mod in sys.modules.items()
                   if name == "opcoupling" or name.startswith("opcoupling.")]
     for label, real in functions.items():
 
-        def counting(*args, _real=real, _label=label, **kwargs):
-            counts[_label] += 1
+        def hooked(*args, _real=real, _label=label, **kwargs):
+            before(_label)
             return _real(*args, **kwargs)
 
         for ns in namespaces:
             for attr, value in list(vars(ns).items()):
                 if value is real:
-                    monkeypatch.setattr(ns, attr, counting)
+                    monkeypatch.setattr(ns, attr, hooked)
+
+
+def _count_calls(monkeypatch, counts, functions):
+    """Count the calls of each of ``functions`` in ``counts``, by label."""
+
+    def count(label):
+        counts[label] += 1
+
+    _hook_calls(monkeypatch, functions, count)
+
+
+# the public step each pipeline stage calls, by stage name; a supplied
+# witness's stage, verify_special, calls none
+_STAGE_STEPS = {
+    "synthesize_mc": instances.synth_mc,
+    "mc_to_special": relations.mc_to_eae_special,
+    "decompose_corners": reduction.decompose_corners,
+    "small_eae": reduction.build_small_eae,
+    "build_eaoe": reduction.build_eaoe,
+    "schur_coupling": relations.sc_from_eaoe,
+}
 
 
 @pytest.fixture
 def work_counts(monkeypatch):
     """Counter of dense SVDs, of those among them that compute singular
     vectors, and of calls to each public verifier; ``counts.stages`` lists
-    each recorded pipeline stage with the dense SVDs taken until then."""
+    each stage whose public step was called, with the dense SVDs taken
+    before the call."""
     counts = Counter()
     counts.stages = []
-    real_stage_result = reduction.StageResult
-
-    def recording(name, *args, **kwargs):
-        counts.stages.append((name, counts["svd"]))
-        return real_stage_result(name, *args, **kwargs)
-
-    monkeypatch.setattr(reduction, "StageResult", recording)
+    _hook_calls(monkeypatch, _STAGE_STEPS,
+                lambda name: counts.stages.append((name, counts["svd"])))
     real_svd = np.linalg.svd
 
     def counting_svd(*args, **kwargs):
@@ -679,12 +732,15 @@ def test_dense_svds_per_stage(work_counts, supplied):
     work_counts.clear()
     work_counts.stages.clear()
     run_pipeline(u, v, w=w, tol=1e-8)
-    totals = [0] + [total for _, total in work_counts.stages]
-    per_stage = {name: totals[i + 1] - totals[i]
-                 for i, (name, _) in enumerate(work_counts.stages)}
+    # a stage runs from its step's call to the next one's, or to the end;
+    # the supplied witness's stage, which calls no step, from the start
+    marks = ([("verify_special", 0)] if supplied else []) + work_counts.stages
+    ends = [start for _, start in marks[1:]] + [work_counts["svd"]]
+    per_stage = {name: end - start for (name, start), end in zip(marks, ends)}
     if supplied:
-        # the anchored table's exact residuals; denominators of 1 are certified
-        head = {"witness_consistency": 0, "verify_special": 16}
+        # witness_u, witness_v and the anchored table's exact residuals;
+        # denominators of 1 are certified
+        head = {"verify_special": 16}
     else:
         # the full SVDs of U and V and the MC table; the anchored table,
         # taken and recorded in mc_to_special
@@ -720,7 +776,7 @@ def test_synthesized_extension_is_one_sided_and_minimal(data, n, m, log_cond, se
     u, v = random_instance(InstanceSpec(n, m, k, seed=seed, cond_bound=10.0 ** log_cond))
     report = run_pipeline(u, v, tol=1e-8)
     swapped = run_pipeline(v, u, tol=1e-8)
-    assert report.stage("synthesize_mc").data["cond_uhat"] == pytest.approx(
+    assert report.stages["synthesize_mc"].extras["cond_uhat"] == pytest.approx(
         np.linalg.cond(report.mc.Uhat) if n + m else 1.0, rel=1e-6)
     for r in (report, swapped):
         assert r.x0_dim * r.y0_dim == 0
