@@ -184,8 +184,38 @@ def _sigma_csv(sigmas: np.ndarray) -> str:
     return "index,sigma\r\n" + rows
 
 
-@click.group()
-@click.version_option(version=__version__, prog_name="opcoupling")
+def _show_version(ctx, param, value: bool) -> None:
+    """``--version``: click's own message, printed through :func:`_echo`."""
+    if value and not ctx.resilient_parsing:
+        _echo(f"opcoupling, version {__version__}")
+        ctx.exit()
+
+
+def _show_help(ctx, param, value: bool) -> None:
+    """``--help``: click's own help page, printed through :func:`_echo`."""
+    if value and not ctx.resilient_parsing:
+        _echo(ctx.get_help())
+        ctx.exit()
+
+
+class _Command(click.Command):
+    """A command whose ``--help`` prints through :func:`_echo`, since click's
+    own callback prints through the stream cache that :func:`_echo` avoids."""
+
+    def get_help_option(self, ctx):
+        option = super().get_help_option(ctx)
+        if option is not None:
+            option.callback = _show_help
+        return option
+
+
+class _Group(_Command, click.Group):
+    command_class = _Command
+
+
+@click.group(cls=_Group)
+@click.option("--version", is_flag=True, expose_value=False, is_eager=True,
+              callback=_show_version, help="Show the version and exit.")
 def main():
     """Coupling relations for complex matrices, with verified reductions."""
 

@@ -37,10 +37,17 @@ runner records whole as the stage, residuals and extras; it turns any
 its report against ``tol`` through :func:`~opcoupling.relations._checked`,
 so a failed step raises :class:`~opcoupling.errors.ConversionError` naming
 the worst entry, with the report attached; the runner passes that report on
-as the stage error's ``report``.  A value several stages read is cached by
-the object whose inputs fix it, and each step hands the next one object
-whose parts come from one witness, so the runner passes objects and checks
-nothing of its own but a supplied witness's ``U`` and ``V``.  In this
+as the stage error's ``report``.  The anchored witness of a synthesized
+coupling is returned alone by :func:`~opcoupling.relations.mc_to_eae_special`,
+so its stage records the report that function checked, rebuilt from the
+caches the check filled: the coupling's table and the witness's
+``f_times_finv``, with the bound they give on the other anchored entries
+(see :mod:`~opcoupling.relations`).  The twenty-entry anchored table is
+computed only for a supplied witness, where it is the only evidence.  A
+value several stages read is cached by the object whose inputs fix it, and
+each step hands the next one object whose parts come from one witness, so
+the runner passes objects and checks nothing of its own but a supplied
+witness's ``U`` and ``V``.  In this
 finite-dimensional setting two square matrices admit such a chain exactly
 when their nullities agree; without a supplied witness
 :func:`~opcoupling.instances.synth_mc` decides that, and the runner passes
@@ -84,6 +91,7 @@ from .relations import (
     MCWitness,
     SCWitness,
     VerifierReport,
+    _built_report,
     _checked,
     _direct_sum,
     _inverse_residuals,
@@ -441,17 +449,22 @@ def run_pipeline(U, V, w: EAESpecialWitness | None = None,
         stages[name] = out[1]
         return out
 
-    def anchored(witness, **first):
-        return witness, _checked(_special_report(witness, tol, **first), "anchored witness")
+    def built(witness):
+        # the report mc_to_eae_special checked, from the coupling's cached
+        # table and the witness's cached f_times_finv
+        return witness, _built_report(mc, witness, tol)
+
+    def supplied():
+        report = _special_report(w, tol, witness_u=rel_residual(w.U, U),
+                                 witness_v=rel_residual(w.V, V))
+        return w, _checked(report, "anchored witness")
 
     mc = None
     if w is None:
         mc, _ = stage("synthesize_mc", lambda: instances.synth_mc(U, V, tol))
-        # the cached table mc_to_eae_special checked its witness with
-        w, _ = stage("mc_to_special", lambda: anchored(mc_to_eae_special(mc, tol)))
+        w, _ = stage("mc_to_special", lambda: built(mc_to_eae_special(mc, tol)))
     else:
-        stage("verify_special", lambda: anchored(
-            w, witness_u=rel_residual(w.U, U), witness_v=rel_residual(w.V, V)))
+        stage("verify_special", supplied)
 
     rb, _ = stage("decompose_corners", lambda: decompose_corners(w, tol))
     small = stage("small_eae", lambda: build_small_eae(rb, tol))

@@ -52,12 +52,87 @@ values nobody records, are settled first by a certified bound (see
 
 Each converter verifies its output once, and the pipeline records that
 report as the converter's stage instead of verifying the witness again: a
-builder returns its witness with the report, and an anchored witness caches
-its exact residual table (``residual_table``), whose one report
-(:func:`_special_report`) :func:`mc_to_eae_special` checks and the pipeline
-and :func:`verify_eae_special` read.  :func:`verify_eaoe` is
+builder returns its witness with the report, and a value that is read
+twice is cached by the witness that fixes it.  An MC witness caches its
+table (``residual_table``), which :func:`verify_mc` reports and
+:func:`mc_to_eae_special` reads.  An anchored witness caches its
+twenty-entry table (``residual_table``), which :func:`_special_report`
+turns into the one report that a supplied witness's stage and
+:func:`verify_eae_special` read, and its entry ``f_times_finv``, which that
+table and :func:`_built_report` read.  :func:`verify_eaoe` is
 :func:`verify_eae` with the other extension trivial, plus the residuals of
 the inverses.
+
+**A witness built from a coupling.**  :func:`mc_to_eae_special` verifies
+its witness by the coupling's table and ``f_times_finv`` alone
+(:func:`_built_report`): every other anchored entry is bounded from these,
+as follows.  Write ``Uhat = [[U', R], [Q, S]]`` and ``UhatInv = [[A, B],
+[C, V']]``, with ``eU = U - U'`` and ``eV = V - V'`` the errors of the
+corners, ``D = Uhat UhatInv - I`` and ``D' = UhatInv Uhat - I``, and ``d1 =
+F21 - A U`` and ``d2 = Finv21 - (I - Q B)`` the rounding of the only two
+products the witness adds.  Its other blocks are copies (``E = [[R, U], [S,
+Q]]``, ``E^-1 = [[C, V], [A, B]]``, ``F11 = -Q``, ``F22 = B``), so the five
+corner pins are exactly 0, and over the stored floats, ``lhs - rhs`` is
+
+    e_times_einv   D + [[eU A, eU B + R eV], [0, S eV]]
+    f_times_finv   [[d2, 0], [B d2 - Z B, Z]],   Z = D'11 + A eU + d1
+    finv_form      d2 in the (2, 1) block, 0 elsewhere
+    extension_eq.  -[[X11, X12], [X21, X22]], where
+                   X11 = D11 U - R D'21 - R eV Q - R C eU + eU A U + U d1
+                   X12 = D12 + eU B + R eV
+                   X21 = D21 U - S D'21 - S eV Q - S C eU + Q d1
+                   X22 = D22 + S eV
+    (i) Z   (ii) -X11   (iii) X21   (iv) X12   (v) -X22
+    (vi) D'21 + C eU + eV Q   (vii) -d1   (viii) D11 + eU A
+    (ix) D21   (x) D'22 + eV S   (xi) D'12
+
+Bounds (Higham, *Accuracy and Stability of Numerical Algorithms*, 2002,
+ch. 3, with ``u = eps / 2`` and ``gamma_k = k u / (1 - k u)``).  Each real
+and imaginary part of a complex product of inner dimension ``k <= d = n +
+m`` sums ``2k`` real products, so in any order it errs by at most
+``sqrt(2) gamma_2k |X| |Y|`` entrywise.  A check's at most two products in
+a row and two additions then err by at most ``g = gamma_(6d+8)`` times the
+sum, over the terms of lhs and rhs, of the products of the factors' moduli;
+``T`` below is that sum with each modulus replaced by its factor's
+Frobenius norm.  The SVD of a residual is taken to be within a relative
+``s = 16 d eps``, as :mod:`~opcoupling.numkernel` takes it, and a computed
+Frobenius norm of a matrix or of a product of moduli within ``1 / rho``,
+``rho = 1 / (1 - gamma_(2d^2+2d+8))``.  With ``kappa = ((1 + s) / (1 -
+s))^2`` and ``N = rho max(1, sqrt(d), ||E||_F, ||E^-1||_F, ||F||_F,
+||F^-1||_F)``, which bounds the norm of every block above and of every
+identity block, the coupling's table ``t`` and the two products give
+
+    ||D||, ||D'||    <= eta  = kappa max(t.uhat_inverse, t.uhat_inverse_left)
+                               + g (rho^2 ||Uhat||_F ||UhatInv||_F + N)
+    ||eU||, ||eV||   <= eta' = kappa max(t.corner_u, t.corner_v) N
+    ||d1||           <= au_rounding = sqrt(2) gamma_2n rho || |A| |U| ||_F
+    ||d2||           <= qb_rounding = sqrt(2) gamma_(2n+1) rho || |Q| |B| ||_F
+                                      + u sqrt(m)
+
+and every computed entry is at most ``kappa (a eta + e eta' + b
+au_rounding + c qb_rounding + g T)`` with
+
+    entry                    a        e          b       c       T
+    e_times_einv             1        2N         0       0       N^2 + N
+    f_times_finv             N + 1    N^2 + N    N + 1   N + 1   N^2 + N
+    corner pins (five)       0        0          0       0       0
+    finv_form                0        0          0       1       N^2 + 5N
+    extension_equation       4N + 2   5N^2 + 3N  2N      0       2N^3 + 2N
+    identity_i               1        N          1       0       N^2 + 2N
+    identity_ii              2N       3N^2       N       0       N^3 + N^2 + N
+    identity_iii             2N       2N^2       N       0       N^3 + N^2
+    identity_iv, _vi         1        2N         0       0       2N^2
+    identity_v, _viii, _x    1        N          0       0       2N^2 + N
+    identity_vii             0        0          1       0       N^2 + N
+    identity_ix, _xi         1        0          0       0       2N^2
+
+Since ``N >= 1``, every row is at most the report's ``anchored_bound``,
+``kappa ((4N + 2) eta + (5N^2 + 3N) eta' + 2N au_rounding + (N + 1)
+qb_rounding + g (2N^3 + N^2 + 5N))``.  It takes no SVD.  As a worst case
+it lies far above the entries it bounds: at 200 x 220 it reads 2.3e-8,
+and the largest entry 1.2e-14.  ``finv_form`` and ``identity_vii`` repeat
+the builder's own products, so they read 0 as well.  The bounds are
+evidence only: pass and fail stay on the exact residuals.
 """
 
 from __future__ import annotations
@@ -72,7 +147,9 @@ import numpy as np
 from .blockops import Block2x2
 from .errors import ConversionError, ShapeError
 from .numkernel import (
+    EPS,
     SvdResult,
+    _gamma,
     _norm_and_condition,
     _svd_vals,
     adjoint,
@@ -177,6 +254,18 @@ class MCWitness:
             raise ShapeError(f"coupling matrices must be {d}x{d}")
         if self.U.shape != (self.n, self.n) or self.V.shape != (self.m, self.m):
             raise ShapeError("U, V shapes do not match the declared split")
+
+    @cached_property
+    def residual_table(self) -> Mapping[str, float]:
+        """Exact residuals of the four pairs :func:`verify_mc` checks, in its
+        order; read-only, so every report holds a copy."""
+        n, d = self.n, self.n + self.m
+        return MappingProxyType({
+            "uhat_inverse": rel_residual(self.Uhat @ self.UhatInv, eye(d)),
+            "uhat_inverse_left": rel_residual(self.UhatInv @ self.Uhat, eye(d)),
+            "corner_u": rel_residual(self.Uhat[:n, :n], self.U),
+            "corner_v": rel_residual(self.UhatInv[n:, n:], self.V),
+        })
 
 
 @dataclass(frozen=True)
@@ -291,11 +380,22 @@ class EAESpecialWitness:
         return svd(self.E11)
 
     @cached_property
+    def f_times_finv(self) -> float:
+        """Exact residual of ``F F^-1 = I``, the entry of :attr:`residual_table`
+        that also verifies a witness built from a coupling (see
+        :func:`mc_to_eae_special`)."""
+        return rel_residual(self.F @ self.Finv, eye(self.n + self.m))
+
+    @cached_property
     def residual_table(self) -> Mapping[str, float]:
-        """Exact residuals of the twenty pairs of :func:`_special_pairs`, in
-        their order; read-only, so every report holds a copy."""
-        return MappingProxyType({label: rel_residual(lhs, rhs)
-                                 for label, (lhs, rhs) in _special_pairs(self)})
+        """Exact residuals of the twenty anchored entries: the two inverses,
+        then the pairs of :func:`_special_pairs` in their order; read-only, so
+        every report holds a copy."""
+        table = {"e_times_einv": rel_residual(self.E @ self.Einv, eye(self.n + self.m)),
+                 "f_times_finv": self.f_times_finv}
+        table.update((label, rel_residual(lhs, rhs))
+                     for label, (lhs, rhs) in _special_pairs(self))
+        return MappingProxyType(table)
 
 
 @dataclass(frozen=True)
@@ -368,14 +468,7 @@ def verify_sc(w: SCWitness, tol: float = DEFAULT_TOL) -> VerifierReport:
 
 def verify_mc(w: MCWitness, tol: float = DEFAULT_TOL) -> VerifierReport:
     """Check invertibility and the two corner identities of an MC witness."""
-    d = w.n + w.m
-    residuals = {
-        "uhat_inverse": rel_residual(w.Uhat @ w.UhatInv, eye(d)),
-        "uhat_inverse_left": rel_residual(w.UhatInv @ w.Uhat, eye(d)),
-        "corner_u": rel_residual(w.Uhat[: w.n, : w.n], w.U),
-        "corner_v": rel_residual(w.UhatInv[w.n:, w.n:], w.V),
-    }
-    return VerifierReport("mc", residuals, tol)
+    return VerifierReport("mc", dict(w.residual_table), tol)
 
 
 def verify_eae(w: EAEWitness, tol: float = DEFAULT_TOL) -> VerifierReport:
@@ -389,12 +482,13 @@ def verify_eae(w: EAEWitness, tol: float = DEFAULT_TOL) -> VerifierReport:
 
 
 def _special_pairs(w: EAESpecialWitness):
-    """Yield the twenty ``(label, (lhs, rhs))`` pairs of an anchored witness.
+    """Yield the eighteen ``(label, (lhs, rhs))`` pairs of an anchored
+    witness after its two inverses.
 
-    They cover the stored inverses, the anchored corners of E, F and their
-    inverses, the closed form of F^-1, the extension equation and the eleven
-    block identities, in the order the residual tables list them.  Pairs are
-    built one at a time, so a consumer holds one pair of products at once.
+    They cover the anchored corners of E, F and their inverses, the closed
+    form of F^-1, the extension equation and the eleven block identities, in
+    the order the residual tables list them.  Pairs are built one at a time,
+    so a consumer holds one pair of products at once.
     """
     n, m = w.n, w.m
     d = n + m
@@ -409,8 +503,6 @@ def _special_pairs(w: EAESpecialWitness):
     finv_form[n:, :m] = eye(m) + f11 @ f22
     finv_form[n:, m:] = -f11
 
-    yield "e_times_einv", (w.E @ w.Einv, eye(d))
-    yield "f_times_finv", (w.F @ w.Finv, eye(d))
     yield "corner_e12_u", (w.E12, u)
     yield "corner_f12_id", (w.F12, eye(m))
     yield "corner_e22_f11", (w.E22, -f11)
@@ -526,9 +618,13 @@ def mc_to_eae_special(w: MCWitness, tol: float = DEFAULT_TOL) -> EAESpecialWitne
         E^-1 = [[C, V], [A, B]]       F^-1 = [[-B, I], [I - Q B, Q]]
 
     and ``E (V (+) I_X) F = U (+) I_Y``.  All four matrices come from corner
-    blocks, so no numerical inversion is involved; the output is validated by
-    the witness's cached residual table, which the pipeline records as its
-    ``mc_to_special`` stage without recomputing it.
+    blocks, so no numerical inversion is involved.  E and E^-1 copy the
+    blocks of ``Uhat`` and its inverse, and only ``A U`` and ``I - Q B`` are
+    new products, so the output is verified by the coupling's cached table
+    and the one entry ``f_times_finv``, which measures both products; every
+    other anchored entry is bounded from these (see the module docstring),
+    and the bound is the report's ``anchored_bound`` extra.  The pipeline
+    records that report as its ``mc_to_special`` stage.
     """
     n, m = w.n, w.m
     r = w.Uhat[:n, n:]
@@ -544,9 +640,37 @@ def mc_to_eae_special(w: MCWitness, tol: float = DEFAULT_TOL) -> EAESpecialWitne
     finv = Block2x2(-b, eye(n), eye(m) - q @ b, q).assemble()
 
     witness = EAESpecialWitness(U=w.U, V=w.V, E=e, F=f, Einv=einv, Finv=finv)
-    # the residual table alone: nothing downstream reads the sigma_min extras
-    _checked(_special_report(witness, tol), "mc_to_eae_special")
+    _checked(_built_report(w, witness, tol), "mc_to_eae_special")
     return witness
+
+
+def _built_report(mc: MCWitness, w: EAESpecialWitness, tol: float) -> VerifierReport:
+    """The report by which :func:`mc_to_eae_special` verifies the witness
+    ``w`` it built from ``mc``: the coupling's cached table, then ``w``'s
+    cached ``f_times_finv``, with the a priori bounds of the module docstring
+    as extras, which take no SVD."""
+    n, m = w.n, w.m
+    d = n + m
+    fro = np.linalg.norm
+    rho = 1.0 / (1.0 - _gamma(2 * d * d + 2 * d + 8))
+    s = 16 * d * EPS
+    kappa = ((1.0 + s) / (1.0 - s)) ** 2
+    g = _gamma(6 * d + 8)
+    big_n = rho * max(1.0, d ** 0.5, *(fro(x) for x in (w.E, w.Einv, w.F, w.Finv)))
+    table = mc.residual_table
+    eta = (kappa * max(table["uhat_inverse"], table["uhat_inverse_left"])
+           + g * (rho * rho * fro(mc.Uhat) * fro(mc.UhatInv) + big_n))
+    eta_corner = kappa * max(table["corner_u"], table["corner_v"]) * big_n
+    au = 2 ** 0.5 * _gamma(2 * n) * rho * fro(np.abs(w.Ehat21) @ np.abs(w.U))
+    qb = (2 ** 0.5 * _gamma(2 * n + 1) * rho * fro(np.abs(w.F11) @ np.abs(w.F22))
+          + EPS / 2 * m ** 0.5)
+    bound = kappa * ((4 * big_n + 2) * eta + (5 * big_n + 3) * big_n * eta_corner
+                     + 2 * big_n * au + (big_n + 1) * qb
+                     + g * (2 * big_n * big_n + big_n + 5) * big_n)
+    extras = {"au_rounding": float(au), "qb_rounding": float(qb),
+              "anchored_bound": float(bound)}
+    return VerifierReport("eae_special", {**table, "f_times_finv": w.f_times_finv}, tol,
+                          extras)
 
 
 def sc_from_eaoe(w: EAOEWitness,

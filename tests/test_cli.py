@@ -12,7 +12,7 @@ import weakref
 import numpy as np
 import pytest
 
-from opcoupling import cli
+from opcoupling import __version__, cli
 from opcoupling.cli import dispatch
 from opcoupling.errors import NumericalError
 from opcoupling.hankel import SymbolFC
@@ -557,6 +557,22 @@ def test_dispatch_keeps_no_stdout_sink_alive():
     with contextlib.redirect_stdout(sink):
         assert dispatch(["hankel", "--symbol", "2,1", "--N", "10"]) == 0
     assert sink.getvalue().startswith("N=10: ")
+    del sink
+    gc.collect()
+    assert ref() is None
+
+
+@pytest.mark.parametrize("argv, head", [
+    (["--version"], f"opcoupling, version {__version__}\n"),
+    (["--help"], "Usage: opcoupling [OPTIONS] COMMAND [ARGS]...\n"),
+    (["hankel", "--help"], "Usage: opcoupling hankel [OPTIONS]\n"),
+], ids=["version", "help", "command_help"])
+def test_version_and_help_keep_no_stdout_sink_alive(argv, head):
+    sink = io.StringIO()
+    ref = weakref.ref(sink)
+    with contextlib.redirect_stdout(sink):
+        assert dispatch(argv) == 0
+    assert sink.getvalue().startswith(head)
     del sink
     gc.collect()
     assert ref() is None

@@ -552,12 +552,13 @@ class TestRunPipeline:
             "the corner blocks of a genuine witness have equal rank")
 
     def test_failed_stage_carries_its_report(self):
-        # synthesize_mc passes at 3.3e-15; the anchored witness's
-        # extension equation reads 4.7e-15
+        # synthesize_mc passes at 3.3e-15 and mc_to_special, whose
+        # f_times_finv reads 3.2e-15, too; the small witness's extension
+        # equation reads 5.2e-15
         u, v = random_instance(InstanceSpec(12, 14, 2, seed=1))
         with pytest.raises(PipelineStageError) as info:
             run_pipeline(u, v, tol=4e-15)
-        assert info.value.stage == "mc_to_special"
+        assert info.value.stage == "small_eae"
         label, value = info.value.report.worst()
         assert label == "extension_equation" and value > 4e-15
 
@@ -608,6 +609,10 @@ def test_stage_data_is_the_verifiers_extras(r):
     assert stages["small_eae"].extras == verify_eae(report.small_eae).extras
     assert stages["build_eaoe"].extras == verify_eaoe(report.eaoe).extras
     assert stages["schur_coupling"].extras == verify_sc(report.final_sc).extras
+    if r is None:
+        # the report mc_to_eae_special checked its witness by
+        assert stages["mc_to_special"] == relations._built_report(report.mc, report.witness,
+                                                                  1e-8)
     data = {s["name"]: s["data"] for s in pipeline_report_to_dict(report)["stages"]}
     assert data == {name: s.extras for name, s in stages.items()}
 
@@ -687,7 +692,7 @@ def test_pipeline_verifies_each_artifact_once(work_counts):
     assert sum(work_counts[k] for k in _VERIFIER_KINDS) == 3
     assert work_counts["eaoe"] == 0
     assert work_counts["eae_special"] == 0
-    assert work_counts["svd"] == 39
+    assert work_counts["svd"] == 24
     # one each of U, V, F22 and E11
     assert work_counts["full_svd"] == 4
 
@@ -696,7 +701,7 @@ def test_supplied_witness_pipeline_counts(work_counts):
     """The supplied-witness path records residuals only, so it takes no
     sigma_min SVDs of E and F and calls no public verifier for them.  A
     witness read from a file takes its anchored table in verify_special;
-    the object mc_to_eae_special returned holds it already."""
+    the object mc_to_eae_special returned holds its f_times_finv already."""
     u, v = random_instance(InstanceSpec(12, 14, 2, seed=1))
     mc, _ = synth_mc(u, v, 1e-8)
     w = mc_to_eae_special(mc, 1e-8)
@@ -709,7 +714,7 @@ def test_supplied_witness_pipeline_counts(work_counts):
     assert work_counts["full_svd"] == 2
     work_counts.clear()
     assert run_pipeline(u, v, w=w, tol=1e-8).success
-    assert work_counts["svd"] == 33 - 16
+    assert work_counts["svd"] == 33 - 1
 
 
 # the stages both paths share, with the dense SVDs each takes at 12x14
@@ -742,9 +747,9 @@ def test_dense_svds_per_stage(work_counts, supplied):
         # denominators of 1 are certified
         head = {"verify_special": 16}
     else:
-        # the full SVDs of U and V and the MC table; the anchored table,
-        # taken and recorded in mc_to_special
-        head = {"synthesize_mc": 6, "mc_to_special": 16}
+        # the full SVDs of U and V and the MC table; f_times_finv, whose
+        # denominator of 1 is certified, recorded after the cached MC table
+        head = {"synthesize_mc": 6, "mc_to_special": 1}
     assert per_stage == {**head, **_SHARED_STAGE_SVDS}
 
 
@@ -783,6 +788,36 @@ def test_synthesized_extension_is_one_sided_and_minimal(data, n, m, log_cond, se
         assert r.eaoe.ext_dim == abs(n - m)
     if n != m:
         assert {report.eaoe.extended_side, swapped.eaoe.extended_side} == {"U", "V"}
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(data=st.data(), order=st.sampled_from(["n<m", "n=m", "n>m"]),
+       source=st.sampled_from(["synth_mc", "coupled_mc", "sc_to_mc"]),
+       log_cond=st.floats(0.0, 6.0), seed=st.integers(0, 2**32 - 1))
+def test_built_witness_is_within_its_anchored_bound(data, order, source, log_cond, seed):
+    """Every entry of the full anchored table of a witness built from a
+    coupling is at most the ``anchored_bound`` of the report it was verified
+    by, and that report's f_times_finv is the full table's, bit for bit."""
+    small = data.draw(st.integers(0, 32 if order == "n=m" else 31), label="small")
+    large = small if order == "n=m" else data.draw(st.integers(small + 1, 32), label="large")
+    n, m = (large, small) if order == "n>m" else (small, large)
+    k = data.draw(st.integers(0, min(n, m)), label="k")
+    cond = 10.0 ** log_cond
+    u, v = random_instance(InstanceSpec(n, m, k, seed=seed, cond_bound=cond))
+    if source == "synth_mc":
+        mc = synth_mc(u, v)[0]
+    elif source == "coupled_mc":
+        mc = coupled_mc(u, v, data.draw(st.integers(k, min(n, m)), label="r"))
+    else:
+        mc = relations.sc_to_mc(instances.random_sc_witness(n, m, cond, seed), 1.0)
+    # tol 1: the bound holds whether or not the entries pass a tolerance
+    w = mc_to_eae_special(mc, 1.0)
+    built = relations._built_report(mc, w, 1.0)
+    table = read_back(w).residual_table
+    assert built.residuals["f_times_finv"] == table["f_times_finv"]
+    assert list(built.residuals) == ["uhat_inverse", "uhat_inverse_left", "corner_u",
+                                     "corner_v", "f_times_finv"]
+    assert max(table.values()) <= built.extras["anchored_bound"]
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

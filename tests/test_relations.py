@@ -78,6 +78,18 @@ class TestVerifyMC:
         w = MCWitness(Uhat=swap, UhatInv=swap, n=1, m=1, U=[[0.0]], V=[[0.0]])
         assert verify_mc(w, 1e-12).passed
 
+    def test_reports_hold_copies_of_the_cached_table(self):
+        # synth_mc verified the witness, so its table is cached already
+        mc, report = synth_mc(*random_instance(InstanceSpec(3, 4, 1, seed=7)))
+        table = vars(mc)["residual_table"]
+        assert list(table.items()) == list(report.residuals.items()) and len(table) == 4
+        rep = verify_mc(mc)
+        assert rep.residuals == dict(table) and rep.residuals is not report.residuals
+        rep.residuals["corner_u"] = 1.0
+        assert mc.residual_table is table and table["corner_u"] < 1e-12
+        with pytest.raises(TypeError):
+            table["corner_u"] = 1.0
+
 
 class TestVerifyEAESpecial:
     def test_worked_instance_all_identities_exact(self):
