@@ -33,6 +33,7 @@ from .hankel import (
 from .instances import InstanceSpec, random_instance
 from .reduction import run_pipeline
 from .relations import (
+    DEFAULT_TOL,
     verify_eae,
     verify_eae_special,
     verify_eaoe,
@@ -262,7 +263,7 @@ def _run_one_pipeline(in_path: str, tol: float, out_path, report_path):
 @click.option("--in", "in_paths", multiple=True, required=True,
               type=click.Path(exists=True, dir_okay=False),
               help="Instance file(s); repeat for batch mode.")
-@click.option("--tol", type=float, default=1e-8, show_default=True, callback=_check_tol)
+@click.option("--tol", type=float, default=DEFAULT_TOL, show_default=True, callback=_check_tol)
 @click.option("--out", "out_path", type=click.Path(dir_okay=False),
               help="Witness file for the final Schur coupling (single input).")
 @click.option("--report", "report_path", type=click.Path(dir_okay=False),
@@ -324,7 +325,7 @@ def pipeline(ctx, in_paths, tol, out_path, report_path, out_dir, jobs):
 @click.option("--witness", "witness_path", required=True,
               type=click.Path(exists=True, dir_okay=False))
 @click.option("--kind", type=click.Choice(WITNESS_KINDS), required=True)
-@click.option("--tol", type=float, default=1e-8, show_default=True, callback=_check_tol)
+@click.option("--tol", type=float, default=DEFAULT_TOL, show_default=True, callback=_check_tol)
 @click.option("--report", "report_path", type=click.Path(dir_okay=False),
               help="Optional JSON report of the residual table.")
 @click.pass_context

@@ -38,11 +38,11 @@ its report against ``tol`` through :func:`~opcoupling.relations._checked`,
 so a failed step raises :class:`~opcoupling.errors.ConversionError` naming
 the worst entry, with the report attached; the runner passes that report on
 as the stage error's ``report``.  The anchored witness of a synthesized
-coupling is returned alone by :func:`~opcoupling.relations.mc_to_eae_special`,
-so its stage records the report that function checked, rebuilt from the
-caches the check filled: the coupling's table and the witness's
-``f_times_finv``, with the bound they give on the other anchored entries
-(see :mod:`~opcoupling.relations`).  The twenty-entry anchored table is
+coupling comes from :func:`~opcoupling.relations._anchored`, the builder
+behind :func:`~opcoupling.relations.mc_to_eae_special`, with the report it
+checked: the coupling's table and the witness's ``f_times_finv``, with the
+bound they give on the other anchored entries (see
+:mod:`~opcoupling.relations`).  The twenty-entry anchored table is
 computed only for a supplied witness, where it is the only evidence.  A
 value several stages read is cached by the object whose inputs fix it, and
 each step hands the next one object whose parts come from one witness, so
@@ -91,12 +91,10 @@ from .relations import (
     MCWitness,
     SCWitness,
     VerifierReport,
-    _built_report,
+    _anchored,
     _checked,
     _direct_sum,
-    _inverse_residuals,
-    _special_report,
-    mc_to_eae_special,
+    _eaoe_report,
     sc_from_eaoe,
     verify_eae,
     verify_eaoe,
@@ -382,7 +380,8 @@ def build_eaoe(rb: ReducedBlocks, small: tuple[EAEWitness, VerifierReport],
     its extension report, to which the residuals of the inverses the small
     witness lacks are added; the report then reads as
     :func:`~opcoupling.relations.verify_eaoe`'s, which checks the embedded E
-    and F otherwise.
+    and F otherwise.  Both come from
+    :func:`~opcoupling.relations._eaoe_report`, at this function's ``tol``.
     """
     x0, y0 = rb.x0, rb.y0
     w_dom_u, w_cod_u, w_dom_v, w_cod_v = rb.f22.left, rb.e11.left, rb.f22.right, rb.e11.right
@@ -404,10 +403,7 @@ def build_eaoe(rb: ReducedBlocks, small: tuple[EAEWitness, VerifierReport],
         e, f = small[0].E, small[0].F
     witness = EAOEWitness(extended_side=side, ext_dim=ext_dim, E=e, F=f,
                           U=rb.U, V=rb.V, Einv=e_inv, Finv=f_inv)
-    extension = small[1]
-    report = verify_eaoe(witness, tol) if x0 * y0 else VerifierReport(
-        "eaoe", {**extension.residuals, **_inverse_residuals(witness)}, tol,
-        dict(extension.extras))
+    report = verify_eaoe(witness, tol) if x0 * y0 else _eaoe_report(witness, small[1], tol)
     return witness, _checked(report, "build_eaoe")
 
 
@@ -449,20 +445,15 @@ def run_pipeline(U, V, w: EAESpecialWitness | None = None,
         stages[name] = out[1]
         return out
 
-    def built(witness):
-        # the report mc_to_eae_special checked, from the coupling's cached
-        # table and the witness's cached f_times_finv
-        return witness, _built_report(mc, witness, tol)
-
     def supplied():
-        report = _special_report(w, tol, witness_u=rel_residual(w.U, U),
-                                 witness_v=rel_residual(w.V, V))
-        return w, _checked(report, "anchored witness")
+        residuals = {"witness_u": rel_residual(w.U, U), "witness_v": rel_residual(w.V, V),
+                     **w.residual_table}
+        return w, _checked(VerifierReport("eae_special", residuals, tol), "anchored witness")
 
     mc = None
     if w is None:
         mc, _ = stage("synthesize_mc", lambda: instances.synth_mc(U, V, tol))
-        w, _ = stage("mc_to_special", lambda: built(mc_to_eae_special(mc, tol)))
+        w, _ = stage("mc_to_special", lambda: _anchored(mc, tol))
     else:
         stage("verify_special", supplied)
 

@@ -55,17 +55,16 @@ report as the converter's stage instead of verifying the witness again: a
 builder returns its witness with the report, and a value that is read
 twice is cached by the witness that fixes it.  An MC witness caches its
 table (``residual_table``), which :func:`verify_mc` reports and
-:func:`mc_to_eae_special` reads.  An anchored witness caches its
-twenty-entry table (``residual_table``), which :func:`_special_report`
-turns into the one report that a supplied witness's stage and
-:func:`verify_eae_special` read, and its entry ``f_times_finv``, which that
-table and :func:`_built_report` read.  :func:`verify_eaoe` is
-:func:`verify_eae` with the other extension trivial, plus the residuals of
-the inverses.
+:func:`_anchored` reads.  An anchored witness caches its twenty-entry
+table (``residual_table``), which :func:`verify_eae_special` reports and a
+supplied witness's stage reads, and its entry ``f_times_finv``, which that
+table and :func:`_anchored` read.  :func:`verify_eaoe` is :func:`verify_eae`
+with the other extension trivial, plus the residuals of the inverses
+(:func:`_eaoe_report`).
 
 **A witness built from a coupling.**  :func:`mc_to_eae_special` verifies
 its witness by the coupling's table and ``f_times_finv`` alone
-(:func:`_built_report`): every other anchored entry is bounded from these,
+(:func:`_anchored`): every other anchored entry is bounded from these,
 as follows.  Write ``Uhat = [[U', R], [Q, S]]`` and ``UhatInv = [[A, B],
 [C, V']]``, with ``eU = U - U'`` and ``eV = V - V'`` the errors of the
 corners, ``D = Uhat UhatInv - I`` and ``D' = UhatInv Uhat - I``, and ``d1 =
@@ -138,7 +137,7 @@ evidence only: pass and fail stay on the exact residuals.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
 
@@ -151,7 +150,6 @@ from .numkernel import (
     SvdResult,
     _gamma,
     _norm_and_condition,
-    _svd_vals,
     adjoint,
     as_matrix,
     condition_number,
@@ -528,18 +526,9 @@ def verify_eae_special(w: EAESpecialWitness, tol: float = DEFAULT_TOL) -> Verifi
 
     Checks the stored inverses, the anchored corners of E, F and their
     inverses, the closed form of F^-1, the extension equation and the eleven
-    block identities.  The extras are the smallest singular values of E, F.
+    block identities: the witness's cached table, with no extras.
     """
-    d = w.n + w.m
-    return replace(_special_report(w, tol),
-                   extras={"sigma_min_e": float(_svd_vals(w.E)[-1]) if d else 1.0,
-                           "sigma_min_f": float(_svd_vals(w.F)[-1]) if d else 1.0})
-
-
-def _special_report(w: EAESpecialWitness, tol: float, **first: float) -> VerifierReport:
-    """The cached anchored table of ``w`` as a report, after the entries
-    ``first``, without extras."""
-    return VerifierReport("eae_special", {**first, **w.residual_table}, tol)
+    return VerifierReport("eae_special", dict(w.residual_table), tol)
 
 
 def verify_eaoe(w: EAOEWitness, tol: float = DEFAULT_TOL) -> VerifierReport:
@@ -548,18 +537,19 @@ def verify_eaoe(w: EAOEWitness, tol: float = DEFAULT_TOL) -> VerifierReport:
     of the inverses the witness carries."""
     x0, y0 = (w.ext_dim, 0) if w.extended_side == "U" else (0, w.ext_dim)
     eae = verify_eae(EAEWitness(U=w.U, V=w.V, E=w.E, F=w.F, x0_dim=x0, y0_dim=y0), tol)
-    return VerifierReport("eaoe", {**eae.residuals, **_inverse_residuals(w)}, tol,
-                          eae.extras)
+    return _eaoe_report(w, eae, tol)
 
 
-def _inverse_residuals(w: EAOEWitness) -> dict[str, float]:
-    """Residuals of the inverses of E and F that an EAOE witness carries."""
-    residuals = {}
+def _eaoe_report(w: EAOEWitness, extension: VerifierReport, tol: float) -> VerifierReport:
+    """The report of ``w`` at ``tol``: the table and extras of
+    ``extension``, the report of ``w``'s extension equation, then the
+    residuals of the inverses of E and F that ``w`` carries."""
+    residuals = dict(extension.residuals)
     if w.Einv is not None:
         residuals["e_times_einv"] = rel_residual(w.E @ w.Einv, eye(w.E.shape[0]))
     if w.Finv is not None:
         residuals["f_times_finv"] = rel_residual(w.F @ w.Finv, eye(w.F.shape[0]))
-    return residuals
+    return VerifierReport("eaoe", residuals, tol, dict(extension.extras))
 
 
 # ---------------------------------------------------------------------------
@@ -624,37 +614,35 @@ def mc_to_eae_special(w: MCWitness, tol: float = DEFAULT_TOL) -> EAESpecialWitne
     and the one entry ``f_times_finv``, which measures both products; every
     other anchored entry is bounded from these (see the module docstring),
     and the bound is the report's ``anchored_bound`` extra.  The pipeline
-    records that report as its ``mc_to_special`` stage.
+    records that report as its ``mc_to_special`` stage (see :func:`_anchored`).
     """
-    n, m = w.n, w.m
-    r = w.Uhat[:n, n:]
-    q = w.Uhat[n:, :n]
-    s = w.Uhat[n:, n:]
-    a = w.UhatInv[:n, :n]
-    b = w.UhatInv[:n, n:]
-    c = w.UhatInv[n:, :n]
+    return _anchored(w, tol)[0]
 
-    e = Block2x2(r, w.U, s, q).assemble()
-    f = Block2x2(-q, eye(m), a @ w.U, b).assemble()
-    einv = Block2x2(c, w.V, a, b).assemble()
+
+def _anchored(mc: MCWitness, tol: float) -> tuple[EAESpecialWitness, VerifierReport]:
+    """The witness :func:`mc_to_eae_special` builds from ``mc``, with the
+    report it was verified by: the coupling's cached table, then the
+    witness's cached ``f_times_finv``, with the a priori bounds of the module
+    docstring as extras, which take no SVD."""
+    n, m = mc.n, mc.m
+    r = mc.Uhat[:n, n:]
+    q = mc.Uhat[n:, :n]
+    s = mc.Uhat[n:, n:]
+    a = mc.UhatInv[:n, :n]
+    b = mc.UhatInv[:n, n:]
+    c = mc.UhatInv[n:, :n]
+
+    e = Block2x2(r, mc.U, s, q).assemble()
+    f = Block2x2(-q, eye(m), a @ mc.U, b).assemble()
+    einv = Block2x2(c, mc.V, a, b).assemble()
     finv = Block2x2(-b, eye(n), eye(m) - q @ b, q).assemble()
+    w = EAESpecialWitness(U=mc.U, V=mc.V, E=e, F=f, Einv=einv, Finv=finv)
 
-    witness = EAESpecialWitness(U=w.U, V=w.V, E=e, F=f, Einv=einv, Finv=finv)
-    _checked(_built_report(w, witness, tol), "mc_to_eae_special")
-    return witness
-
-
-def _built_report(mc: MCWitness, w: EAESpecialWitness, tol: float) -> VerifierReport:
-    """The report by which :func:`mc_to_eae_special` verifies the witness
-    ``w`` it built from ``mc``: the coupling's cached table, then ``w``'s
-    cached ``f_times_finv``, with the a priori bounds of the module docstring
-    as extras, which take no SVD."""
-    n, m = w.n, w.m
     d = n + m
     fro = np.linalg.norm
     rho = 1.0 / (1.0 - _gamma(2 * d * d + 2 * d + 8))
-    s = 16 * d * EPS
-    kappa = ((1.0 + s) / (1.0 - s)) ** 2
+    slack = 16 * d * EPS
+    kappa = ((1.0 + slack) / (1.0 - slack)) ** 2
     g = _gamma(6 * d + 8)
     big_n = rho * max(1.0, d ** 0.5, *(fro(x) for x in (w.E, w.Einv, w.F, w.Finv)))
     table = mc.residual_table
@@ -669,8 +657,9 @@ def _built_report(mc: MCWitness, w: EAESpecialWitness, tol: float) -> VerifierRe
                      + g * (2 * big_n * big_n + big_n + 5) * big_n)
     extras = {"au_rounding": float(au), "qb_rounding": float(qb),
               "anchored_bound": float(bound)}
-    return VerifierReport("eae_special", {**table, "f_times_finv": w.f_times_finv}, tol,
-                          extras)
+    report = VerifierReport("eae_special", {**table, "f_times_finv": w.f_times_finv}, tol,
+                            extras)
+    return w, _checked(report, "mc_to_eae_special")
 
 
 def sc_from_eaoe(w: EAOEWitness,

@@ -14,7 +14,6 @@ import json
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 from math import isfinite
-from typing import Any
 
 import numpy as np
 
@@ -210,23 +209,6 @@ def decode_instance(obj: dict) -> tuple[np.ndarray, np.ndarray]:
 # reports
 
 
-def _plain(value: Any):
-    """Recursively convert numpy scalars/arrays to JSON-safe Python values."""
-    if isinstance(value, dict):
-        return {str(k): _plain(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return [_plain(v) for v in value.tolist()]
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, complex):
-        return [value.real, value.imag]
-    return value
-
-
 def pipeline_report_to_dict(report) -> dict:
     out = _file_header("pipeline_report")
     out["tol"] = report.tol
@@ -244,7 +226,7 @@ def pipeline_report_to_dict(report) -> dict:
                    "ext_dim": report.eaoe.ext_dim}
     out["max_residual"] = report.max_residual
     out["stages"] = [
-        {"name": name, "residuals": _plain(s.residuals), "data": _plain(s.extras)}
+        {"name": name, "residuals": dict(s.residuals), "data": dict(s.extras)}
         for name, s in report.stages.items()
     ]
     return out
@@ -256,11 +238,11 @@ def verifier_report_to_dict(report) -> dict:
     out["tol"] = report.tol
     out["passed"] = report.passed
     out["max_residual"] = report.max_residual
-    out["residuals"] = _plain(report.residuals)
+    out["residuals"] = dict(report.residuals)
     out["failures"] = sorted(
         label for label, value in report.residuals.items() if value > report.tol
     )
-    out["extras"] = _plain(report.extras)
+    out["extras"] = dict(report.extras)
     return out
 
 

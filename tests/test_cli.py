@@ -19,7 +19,6 @@ from opcoupling.hankel import SymbolFC
 from opcoupling.instances import InstanceSpec, random_instance, random_sc_witness
 from opcoupling.reduction import run_pipeline
 from opcoupling.relations import (
-    EAESpecialWitness,
     EAEWitness,
     EAOEWitness,
     mc_to_eae_special,
@@ -597,8 +596,7 @@ def test_svd_failure_in_eae_special_verification_exits_1(tmp_path, monkeypatch, 
     def failing(*args, **kwargs):
         raise np.linalg.LinAlgError("SVD did not converge")
 
-    # an empty anchored table, so the first SVD is the sigma_min one of E
-    monkeypatch.setattr(EAESpecialWitness, "residual_table", {})
+    # the first SVD is that of the anchored table's first entry, e_times_einv
     monkeypatch.setattr(np.linalg, "svd", failing)
     assert dispatch(["verify", "--witness", str(path), "--kind", "eae_special"]) == 1
     assert ("verification error: SVD of shape (5, 5) failed: SVD did not converge"

@@ -611,8 +611,7 @@ def test_stage_data_is_the_verifiers_extras(r):
     assert stages["schur_coupling"].extras == verify_sc(report.final_sc).extras
     if r is None:
         # the report mc_to_eae_special checked its witness by
-        assert stages["mc_to_special"] == relations._built_report(report.mc, report.witness,
-                                                                  1e-8)
+        assert stages["mc_to_special"] == relations._anchored(report.mc, 1e-8)[1]
     data = {s["name"]: s["data"] for s in pipeline_report_to_dict(report)["stages"]}
     assert data == {name: s.extras for name, s in stages.items()}
 
@@ -646,11 +645,11 @@ def _count_calls(monkeypatch, counts, functions):
     _hook_calls(monkeypatch, functions, count)
 
 
-# the public step each pipeline stage calls, by stage name; a supplied
-# witness's stage, verify_special, calls none
+# the step each pipeline stage calls, by stage name; a supplied witness's
+# stage, verify_special, calls none
 _STAGE_STEPS = {
     "synthesize_mc": instances.synth_mc,
-    "mc_to_special": relations.mc_to_eae_special,
+    "mc_to_special": relations._anchored,
     "decompose_corners": reduction.decompose_corners,
     "small_eae": reduction.build_small_eae,
     "build_eaoe": reduction.build_eaoe,
@@ -662,7 +661,7 @@ _STAGE_STEPS = {
 def work_counts(monkeypatch):
     """Counter of dense SVDs, of those among them that compute singular
     vectors, and of calls to each public verifier; ``counts.stages`` lists
-    each stage whose public step was called, with the dense SVDs taken
+    each stage whose step was called, with the dense SVDs taken
     before the call."""
     counts = Counter()
     counts.stages = []
@@ -698,10 +697,10 @@ def test_pipeline_verifies_each_artifact_once(work_counts):
 
 
 def test_supplied_witness_pipeline_counts(work_counts):
-    """The supplied-witness path records residuals only, so it takes no
-    sigma_min SVDs of E and F and calls no public verifier for them.  A
-    witness read from a file takes its anchored table in verify_special;
-    the object mc_to_eae_special returned holds its f_times_finv already."""
+    """The supplied-witness path records the witness's anchored table and
+    calls no public verifier for it.  A witness read from a file takes its
+    anchored table in verify_special; the object mc_to_eae_special returned
+    holds its f_times_finv already."""
     u, v = random_instance(InstanceSpec(12, 14, 2, seed=1))
     mc, _ = synth_mc(u, v, 1e-8)
     w = mc_to_eae_special(mc, 1e-8)
@@ -754,23 +753,76 @@ def test_dense_svds_per_stage(work_counts, supplied):
 
 
 def test_pipeline_calls_the_public_builders(monkeypatch):
-    """run_pipeline reaches the synthesis, the anchored witness and the
-    builders of its last three stages by their public names, once each, so a
-    wrapper on those names sees every call."""
+    """run_pipeline reaches the synthesis, the anchored witness's builder and
+    the builders of its last three stages by their module names, once each,
+    so a wrapper on those names sees every call."""
     u, v = random_instance(InstanceSpec(12, 14, 2, seed=1))
     expected = dumps_canonical(pipeline_report_to_dict(run_pipeline(u, v, tol=1e-8)))
     counts = Counter()
     _count_calls(monkeypatch, counts, {
         "synth_mc": instances.synth_mc,
-        "mc_to_eae_special": relations.mc_to_eae_special,
+        "_anchored": relations._anchored,
         "build_small_eae": reduction.build_small_eae,
         "build_eaoe": reduction.build_eaoe,
         "sc_from_eaoe": reduction.sc_from_eaoe,
     })
     report = run_pipeline(u, v, tol=1e-8)
-    assert counts == {"synth_mc": 1, "mc_to_eae_special": 1, "build_small_eae": 1,
+    assert counts == {"synth_mc": 1, "_anchored": 1, "build_small_eae": 1,
                       "build_eaoe": 1, "sc_from_eaoe": 1}
     assert dumps_canonical(pipeline_report_to_dict(report)) == expected
+
+
+def test_anchored_stage_is_the_report_its_builder_returned(monkeypatch):
+    """A synthesized pipeline builds its anchored witness once, and records
+    as its mc_to_special stage the very report that build checked."""
+    u, v = random_instance(InstanceSpec(12, 14, 2, seed=1))
+    returned = []
+    real = relations._anchored
+
+    def recording(*args, **kwargs):
+        returned.append(real(*args, **kwargs))
+        return returned[-1]
+
+    for ns in (relations, reduction):
+        monkeypatch.setattr(ns, "_anchored", recording)
+    report = run_pipeline(u, v, tol=1e-8)
+    ((witness, built),) = returned
+    assert report.witness is witness
+    assert report.stages["mc_to_special"] is built
+
+
+def test_verify_eae_special_reads_the_anchored_table(work_counts):
+    """verify_eae_special on a witness read from a file takes the dense SVDs
+    of its twenty-entry table and no more: 16 at 12x14, nullity 2."""
+    u, v = random_instance(InstanceSpec(12, 14, 2, seed=1))
+    w = read_back(mc_to_eae_special(synth_mc(u, v, 1e-8)[0], 1e-8))
+    work_counts.clear()
+    report = verify_eae_special(w)
+    assert work_counts["svd"] == 16
+    assert report.residuals == dict(w.residual_table) and report.extras == {}
+
+
+@pytest.mark.parametrize("path", ["synthesized", "supplied", "two_sided", "empty_u"])
+def test_report_values_are_python_numbers(path):
+    """Every residual and extra of every stage, and of each verifier on the
+    run's artifacts, is a Python float or int, which the report writers
+    hand to dumps_canonical as it is."""
+    n, m, k = (0, 3, 0) if path == "empty_u" else (12, 14, 2)
+    u, v = random_instance(InstanceSpec(n, m, k, seed=1))
+    w = None
+    if path == "supplied":
+        w = read_back(mc_to_eae_special(synth_mc(u, v)[0]))
+    elif path == "two_sided":
+        w = mc_to_eae_special(coupled_mc(u, v, 7))
+    report = run_pipeline(u, v, w=w, tol=1e-8)
+    reports = [*report.stages.values(), verify_eae_special(report.witness),
+               verify_eae(report.small_eae), verify_eaoe(report.eaoe),
+               verify_sc(report.final_sc)]
+    if report.mc is not None:
+        reports.append(relations.verify_mc(report.mc))
+    for rep in reports:
+        for value in (*rep.residuals.values(), *rep.extras.values()):
+            assert type(value) in (float, int), (rep.kind, value)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -811,8 +863,7 @@ def test_built_witness_is_within_its_anchored_bound(data, order, source, log_con
     else:
         mc = relations.sc_to_mc(instances.random_sc_witness(n, m, cond, seed), 1.0)
     # tol 1: the bound holds whether or not the entries pass a tolerance
-    w = mc_to_eae_special(mc, 1.0)
-    built = relations._built_report(mc, w, 1.0)
+    w, built = relations._anchored(mc, 1.0)
     table = read_back(w).residual_table
     assert built.residuals["f_times_finv"] == table["f_times_finv"]
     assert list(built.residuals) == ["uhat_inverse", "uhat_inverse_left", "corner_u",
