@@ -287,7 +287,10 @@ def pipeline(ctx, in_paths, tol, out_path, report_path, out_dir, jobs):
                 raise click.UsageError(
                     f"--in {in_paths[stems.index(stem)]} and --in {in_paths[i]} would "
                     f"write the same files {stem}.*.json in --out-dir")
-        Path(out_dir).mkdir(parents=True, exist_ok=True)
+        try:
+            Path(out_dir).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise click.UsageError(f"cannot create --out-dir {out_dir}: {exc}")
 
         def job(path: str):
             stem = Path(path).stem

@@ -13,15 +13,16 @@ Every such basis is orthonormal.
 
 Every dense SVD and Cholesky factorization of the package is taken here.
 The rule: an exact SVD is taken only for a value that is recorded, or for a
-check that nothing else settles.  A denominator ``max(1, ||rhs||)`` that a
-certificate proves to be 1 (:func:`_at_most_unit_norm`), the norm and
-condition of an exact identity, and a pass/fail check settled by a
-certified bound (:func:`_certainly_within`) take none, and each gives the
-float the SVD would have given.
+check that nothing else settles.  One certificate, :func:`_norm_at_most`,
+decides ``||a||_2 <= c`` without an SVD.  A denominator ``max(1, ||rhs||)``
+that it proves to be 1, a pass/fail check whose residual it proves within
+tol, and the norm and condition of an exact identity take none, and each
+gives the float the SVD would have given.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,9 @@ import numpy as np
 from .errors import NumericalError, PreconditionError, ShapeError, SingularMatrixError
 
 EPS = float(np.finfo(np.float64).eps)
+# an SVD's singular values are taken to be within a relative p * SVD_SLACK,
+# for p the larger dimension of the matrix
+SVD_SLACK = 16 * EPS
 _TINY = float(np.finfo(np.float64).tiny)
 
 
@@ -90,42 +94,46 @@ def _gamma(k: int) -> float:
     return ku / (1.0 - ku)
 
 
-def _at_most_unit_norm(a: np.ndarray) -> bool:
-    """Whether ``spectral_norm(a) <= 1`` is certain, settled without an SVD.
+def _norm_at_most(a: np.ndarray, c: float) -> bool:
+    """Whether ``spectral_norm(a) <= c`` is certain, settled without an SVD.
 
-    True means ``||a||_2 <= 1 - slack`` is proven; the slack leaves room for
-    the rounding of the SVD, so the SVD could not have returned more than 1.
-    The identity, whose SVD returns exactly 1.0, is the one case on the
-    boundary that is also taken as settled.  The cheap upper bound
-    ``min(||a||_F, sqrt(||a||_1 ||a||_inf))`` is tried first.  When it fails
-    and no row or column already has 2-norm above ``1 - slack``, the smaller
-    Gram matrix ``G`` of ``a`` is formed and the certificate is a
-    floating-point Cholesky factorization of ``(1 - slack)^2 I - G - tau I``
-    that runs to completion (S. M. Rump, *Verification of positive
-    definiteness*, BIT 46, 2006; Higham, *Accuracy and Stability of Numerical
-    Algorithms*, 2002, ch. 10).  ``tau`` covers the rounding of ``G``, at most
-    ``sqrt(2) gamma_{p+1} ||a||_F^2`` for complex dot products of length
-    ``p``, and of the Cholesky itself, at most ``gamma / (1 - gamma)`` times
-    the trace of the factored matrix, with complex-arithmetic constants.
-    False means only that neither settled the question.
+    True means ``||a||_2 <= edge = c (1 - slack)`` is proven; the slack
+    covers the SVD's error (:data:`SVD_SLACK`) and the rounding of the bound
+    that decides, so the SVD could not return more than ``c``.  For ``c >=
+    1`` the identity, whose SVD returns exactly 1.0, is also settled.  ``a``
+    is first scaled, exactly, by the power of two that puts ``c`` in (1/2,
+    1].  The cheap bound ``min(||a||_F, sqrt(||a||_1 ||a||_inf))`` is tried
+    first.  When it fails and no row or column has 2-norm above the edge,
+    the certificate is a floating-point Cholesky factorization of ``edge^2 I
+    - G - tau I``, ``G`` the smaller Gram matrix of ``a``, that runs to
+    completion (S. M. Rump, *Verification of positive definiteness*, BIT 46,
+    2006; Higham, *Accuracy and Stability of Numerical Algorithms*, 2002, ch.
+    10).  ``tau`` covers the rounding of ``G``, at most ``sqrt(2)
+    gamma_{p+1} ||a||_F^2`` for complex dot products of length ``p``, and of
+    the Cholesky, at most ``gamma / (1 - gamma)`` times the trace of the
+    factored matrix, with complex-arithmetic constants.  False means only
+    that neither settled it, or that ``c`` is no normal positive float.
     """
-    if a.size == 0:
+    if a.size == 0 or (c >= 1 and _is_identity(a)):
         return True
-    if _is_identity(a):
-        return True
+    if not _TINY <= c < np.inf:
+        return False
+    shift = math.frexp(math.nextafter(c, 0.0))[1]   # c / 2**shift is in (1/2, 1]
     rows, cols = a.shape
     p, k = max(rows, cols), min(rows, cols)
-    edge = 1.0 - 16 * p * EPS
-    # entries above about 1e154 overflow the squares to inf, which certifies
-    # nothing and leaves the question to the SVD
+    # (size + 4) eps covers the rounding of either cheap bound and of the edge
+    edge = c * 2.0 ** -shift * (1.0 - p * SVD_SLACK - (a.size + 4) * EPS)
+    # squares that overflow give inf, which certifies nothing
     with np.errstate(over="ignore", invalid="ignore"):
+        a = a * 2.0 ** -shift if shift else a
         mag = np.abs(a)
         sq = mag * mag
         col2, row2 = sq.sum(axis=0), sq.sum(axis=1)
         fro2 = float(col2.sum())
         bound = min(float(np.sqrt(fro2)),
                     float(np.sqrt(mag.sum(axis=0).max() * mag.sum(axis=1).max())))
-    if bound <= edge:
+    # sqrt(size * tiny) covers the squares that underflow
+    if bound + float(np.sqrt(a.size * _TINY)) <= edge:
         return True
     # ||a|| is at least each row's and column's 2-norm; the negated test
     # also turns away non-finite entries
@@ -149,8 +157,8 @@ def _at_most_unit_norm(a: np.ndarray) -> bool:
 
 def _norm_at_least_one(a: np.ndarray) -> float:
     """``max(1, spectral_norm(a))``, the denominator of a relative residual,
-    with the SVD skipped where :func:`_at_most_unit_norm` settles it at 1."""
-    return 1.0 if _at_most_unit_norm(a) else max(1.0, spectral_norm(a))
+    with the SVD skipped where ``_norm_at_most(a, 1.0)`` settles it at 1."""
+    return 1.0 if _norm_at_most(a, 1.0) else max(1.0, spectral_norm(a))
 
 
 def rel_residual(lhs, rhs) -> float:
@@ -159,8 +167,8 @@ def rel_residual(lhs, rhs) -> float:
     The value is the float the formula gives with both norms taken by SVD.
     An SVD is skipped only where its outcome is already known: an exactly
     zero difference gives 0.0, and the denominator is exactly 1 whenever
-    :func:`_at_most_unit_norm` settles it.  The numerator, when nonzero, is
-    always an exact spectral norm.
+    :func:`_norm_at_most` settles ``||rhs|| <= 1``.  The numerator, when
+    nonzero, is always an exact spectral norm.
     """
     lhs = np.asarray(lhs, dtype=np.complex128)
     rhs = np.asarray(rhs, dtype=np.complex128)
@@ -170,33 +178,6 @@ def rel_residual(lhs, rhs) -> float:
     if not diff.any():
         return 0.0
     return spectral_norm(diff) / _norm_at_least_one(rhs)
-
-
-def _certainly_within(pairs, tol: float) -> bool:
-    """Whether ``rel_residual(lhs, rhs) <= tol`` is certain for every
-    ``(lhs, rhs)`` pair without an SVD.
-
-    ``||lhs - rhs||_F`` bounds the spectral-norm numerator from above and the
-    denominator ``max(1, ||rhs||)`` is at least 1.  The slack covers the
-    rounding of the Frobenius sum and of the SVD :func:`rel_residual` would
-    take, and the ``sqrt(size * tiny)`` term the squares that underflow, so
-    True is never the wrong answer.  False means only that the bound could
-    not settle a pair; the caller then computes the exact residuals.
-    """
-    for lhs, rhs in pairs:
-        lhs = np.asarray(lhs, dtype=np.complex128)
-        rhs = np.asarray(rhs, dtype=np.complex128)
-        if lhs.shape != rhs.shape:
-            return False
-        diff = lhs - rhs
-        slack = (diff.size + 16 * max(diff.shape, default=0)) * EPS
-        # an overflowing sum of squares gives an inf bound, which settles
-        # nothing; the negated test also turns away nan
-        with np.errstate(over="ignore", invalid="ignore"):
-            bound = float(np.linalg.norm(diff)) + float(np.sqrt(diff.size * _TINY))
-        if not bound <= tol * (1.0 - slack):
-            return False
-    return True
 
 
 def eye(n: int) -> np.ndarray:
@@ -262,7 +243,8 @@ def rank_of(a) -> int:
 def condition_number(a) -> float:
     """Condition number ``sigma_max / sigma_min`` of a square matrix.
 
-    Takes one values-only SVD; a 0x0 matrix has condition 1.
+    Takes one values-only SVD; a 0x0 matrix and an exact identity, which
+    have condition 1, take none.
 
     Raises
     ------

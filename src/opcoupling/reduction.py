@@ -73,8 +73,8 @@ from .errors import (
 )
 from .numkernel import (
     SvdResult,
-    _certainly_within,
     _norm_at_least_one,
+    _norm_at_most,
     adjoint,
     as_matrix,
     eye,
@@ -252,9 +252,9 @@ def decompose_corners(w: EAESpecialWitness,
     blocks of the corners' compressions to those bases, and their inverses
     are computed once here for the builders.  The block forms are checked
     first: nothing outside the leading block, relative to ``max(1,
-    ||prime||)``.  No table records them, so the certified bound
-    (:func:`~opcoupling.numkernel._certainly_within`) settles the check when
-    it can; otherwise the exact table of the same two pairs is checked, and
+    ||prime||)``.  No table records them, so each pair is settled where
+    :func:`~opcoupling.numkernel._norm_at_most` proves ``||lhs - rhs|| <=
+    tol``; otherwise the exact table of the same two pairs is checked, and
     the decision and any error message are those of the exact check.
 
     In the splits
@@ -298,7 +298,7 @@ def decompose_corners(w: EAESpecialWitness,
     f22_prime, e11_prime = (np.ascontiguousarray(t[:r, :r]) for _, t in pairs.values())
     f22_prime_inv, cond_f = inverse(f22_prime)
     e11_prime_inv, cond_e = inverse(e11_prime)
-    if not _certainly_within(pairs.values(), tol):
+    if not all(_norm_at_most(lhs - rhs, tol) for lhs, rhs in pairs.values()):
         residuals = {label: rel_residual(*pair) for label, pair in pairs.items()}
         _checked(VerifierReport("corner_forms", residuals, tol), "decompose_corners")
 

@@ -94,7 +94,7 @@ a row and two additions then err by at most ``g = gamma_(6d+8)`` times the
 sum, over the terms of lhs and rhs, of the products of the factors' moduli;
 ``T`` below is that sum with each modulus replaced by its factor's
 Frobenius norm.  The SVD of a residual is taken to be within a relative
-``s = 16 d eps``, as :mod:`~opcoupling.numkernel` takes it, and a computed
+``s = d SVD_SLACK = 16 d eps`` (:mod:`~opcoupling.numkernel`), and a computed
 Frobenius norm of a matrix or of a product of moduli within ``1 / rho``,
 ``rho = 1 / (1 - gamma_(2d^2+2d+8))``.  With ``kappa = ((1 + s) / (1 -
 s))^2`` and ``N = rho max(1, sqrt(d), ||E||_F, ||E^-1||_F, ||F||_F,
@@ -147,6 +147,7 @@ from .blockops import Block2x2
 from .errors import ConversionError, ShapeError
 from .numkernel import (
     EPS,
+    SVD_SLACK,
     SvdResult,
     _gamma,
     _norm_and_condition,
@@ -641,8 +642,7 @@ def _anchored(mc: MCWitness, tol: float) -> tuple[EAESpecialWitness, VerifierRep
     d = n + m
     fro = np.linalg.norm
     rho = 1.0 / (1.0 - _gamma(2 * d * d + 2 * d + 8))
-    slack = 16 * d * EPS
-    kappa = ((1.0 + slack) / (1.0 - slack)) ** 2
+    kappa = ((1.0 + d * SVD_SLACK) / (1.0 - d * SVD_SLACK)) ** 2
     g = _gamma(6 * d + 8)
     big_n = rho * max(1.0, d ** 0.5, *(fro(x) for x in (w.E, w.Einv, w.F, w.Finv)))
     table = mc.residual_table

@@ -322,6 +322,17 @@ class TestBatchOutputNames:
         assert f"--in {first} and --in {second}" in captured.err
         assert captured.out == "" and not out.exists()
 
+    def test_out_dir_that_cannot_be_created_is_invalid_input(self, tmp_path,
+                                                             batch_inputs, capsys):
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        assert _batch(batch_inputs[:2], afile / "sub", 2) == 2
+        captured = capsys.readouterr()
+        assert f"cannot create --out-dir {afile / 'sub'}" in captured.err
+        assert "Traceback" not in captured.err
+        # no job ran
+        assert captured.out == "" and afile.read_text() == ""
+
     def test_rerun_into_one_out_dir_is_identical(self, tmp_path, batch_inputs):
         outs = []
         for _ in range(2):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from opcoupling.errors import (
@@ -12,8 +12,8 @@ from opcoupling.errors import (
 from opcoupling.instances import random_unitary
 from opcoupling.numkernel import (
     EPS,
-    _at_most_unit_norm,
-    _certainly_within,
+    SVD_SLACK,
+    _norm_at_most,
     adjoint,
     as_matrix,
     condition_number,
@@ -110,7 +110,9 @@ def test_certainly_within_never_certifies_a_failing_pair(rows, cols, rank_one, r
     if diff.size:
         diff *= ratio * tol * max(1.0, spectral_norm(rhs)) / spectral_norm(diff)
     lhs = rhs + diff
-    if _certainly_within([(lhs, rhs)], tol):
+    # the denominator of rel_residual is at least 1, so a certified numerator
+    # settles the pair
+    if _norm_at_most(lhs - rhs, tol):
         assert rel_residual(lhs, rhs) <= tol
 
 
@@ -127,7 +129,7 @@ def test_certainly_within_leaves_room_for_rounding():
         tol = float(np.linalg.norm(diff))
         zero = np.zeros_like(diff)
         svd_above += rel_residual(diff, zero) > tol
-        assert not _certainly_within([(diff, zero)], tol)
+        assert not _norm_at_most(diff - zero, tol)
     assert svd_above  # the case the slack is for does occur
 
 
@@ -135,16 +137,23 @@ def test_certainly_within_settles_only_clear_cases():
     rng = np.random.default_rng(3)
     a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
     small = 1e-10 * a / np.linalg.norm(a)       # Frobenius norm 1e-10
-    assert _certainly_within([(a + small, a), (np.eye(5), np.eye(5))], 1e-8)
-    assert _certainly_within([(np.zeros((0, 3)), np.zeros((0, 3)))], 0.0)
-    # one pair beyond the bound decides the whole list
-    assert not _certainly_within([(a + small, a), (a + 1e4 * small, a)], 1e-8)
-    # the Frobenius norm is not a spectral norm: sqrt(5) > 1
-    assert not _certainly_within([(np.eye(5) * (1 + 1e-8), np.eye(5))], 2e-8)
+    assert _norm_at_most((a + small) - a, 1e-8)
+    assert _norm_at_most(np.eye(5) - np.eye(5), 1e-8)
+    assert _norm_at_most(np.zeros((0, 3)) - np.zeros((0, 3)), 0.0)
+    # a pair beyond the bound is left to the exact check
+    assert not _norm_at_most((a + 1e4 * small) - a, 1e-8)
+    # the Frobenius norm sqrt(5) 1e-8 is not the spectral norm 1e-8, but the
+    # 1/inf bound is, and it settles the pair
+    assert np.linalg.norm(np.eye(5) * (1 + 1e-8) - np.eye(5)) > 2e-8
+    assert _norm_at_most(np.eye(5) * (1 + 1e-8) - np.eye(5), 2e-8)
     assert rel_residual(np.eye(5) * (1 + 1e-8), np.eye(5)) <= 2e-8
-    # left to the exact check: mismatched shapes, non-finite values
-    assert not _certainly_within([(np.zeros((2, 3)), np.zeros((3, 2)))], 1.0)
-    assert not _certainly_within([(np.full((2, 2), np.nan), np.zeros((2, 2)))], 1.0)
+    # left to the exact check: mismatched shapes, which have no difference
+    # to certify, non-finite values, and a tol that is no normal positive float
+    with pytest.raises(ShapeError):
+        rel_residual(np.zeros((2, 3)), np.zeros((3, 2)))
+    assert not _norm_at_most(np.full((2, 2), np.nan), 1.0)
+    assert not _norm_at_most(np.full((2, 2), 1e-320), 1e-310)
+    assert not _norm_at_most(np.zeros((2, 2)), 0.0)
 
 
 @pytest.mark.parametrize("scale", [2e200, -3e200j, 1e300])
@@ -154,11 +163,30 @@ def test_huge_entries_are_left_to_the_svd_without_a_warning(scale):
     # warnings as errors an overflow warning would fail the test
     a = scale * np.eye(2)
     near = a * (1 + 1e-12)
-    assert not _at_most_unit_norm(a)
-    assert not _certainly_within([(near, a)], 1e-8)
-    assert _certainly_within([(a, a)], 1e-8)
+    assert not _norm_at_most(a, 1.0)
+    assert not _norm_at_most(near - a, 1e-8)
+    assert _norm_at_most(a - a, 1e-8)
     assert rel_residual(near, a) == spectral_norm(near - a) / spectral_norm(a) <= 1e-8
     assert rel_residual(a, 1.5 * a) == spectral_norm(a - 1.5 * a) / spectral_norm(1.5 * a)
+
+
+def _matrix_of_norm(rows, cols, kind, norm, rng):
+    """A complex ``rows x cols`` matrix of spectral norm ``norm``, up to
+    rounding; ``flat_spectrum`` puts every singular value within 1e-3 of the
+    largest, where the Cholesky certificate decides."""
+    if kind == "rank_one":
+        a = np.outer(rng.standard_normal(rows) + 1j * rng.standard_normal(rows),
+                     rng.standard_normal(cols) + 1j * rng.standard_normal(cols))
+    elif kind == "flat_spectrum":
+        k = min(rows, cols)
+        a = ((random_unitary(rows, rng)[:, :k] * (1 - 1e-3 * rng.random(k)))
+             @ random_unitary(cols, rng)[:k])
+    else:
+        a = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+    a = np.asarray(a, dtype=complex)
+    if a.size:
+        a *= norm / spectral_norm(a)
+    return a
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -172,23 +200,11 @@ def test_unit_norm_certificate_never_certifies_a_norm_above_one(rows, cols, kind
     # never be given where the SVD returns more than 1
     rng = np.random.default_rng(seed)
     if kind == "identity_plus_tiny":
-        a = np.eye(rows, cols) + 1e-15 * rng.standard_normal((rows, cols))
+        a = np.asarray(np.eye(rows, cols) + 1e-15 * rng.standard_normal((rows, cols)),
+                       dtype=complex)
     else:
-        if kind == "rank_one":
-            a = np.outer(rng.standard_normal(rows) + 1j * rng.standard_normal(rows),
-                         rng.standard_normal(cols) + 1j * rng.standard_normal(cols))
-        elif kind == "flat_spectrum":
-            # every singular value within 1e-3 of the largest: many rows and
-            # columns near the norm, where the Cholesky certificate decides
-            k = min(rows, cols)
-            a = ((random_unitary(rows, rng)[:, :k] * (1 - 1e-3 * rng.random(k)))
-                 @ random_unitary(cols, rng)[:k])
-        else:
-            a = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
-        if a.size:
-            a *= norm / spectral_norm(a)
-    a = np.asarray(a, dtype=complex)
-    if _at_most_unit_norm(a):
+        a = _matrix_of_norm(rows, cols, kind, norm, rng)
+    if _norm_at_most(a, 1.0):
         assert spectral_norm(a) <= 1.0
 
 
@@ -202,26 +218,57 @@ def test_unit_norm_certificate_settles_clear_cases():
         a = (random_unitary(rows, rng)[:, :k] * sigma) @ random_unitary(cols, rng)[:k]
         # neither cheap bound settles it: ||a||_F is about 10
         assert np.linalg.norm(a) > 1
-        assert _at_most_unit_norm(a)
-        assert not _at_most_unit_norm(a * (1.01 / 0.99))
+        assert _norm_at_most(a, 1.0)
+        assert not _norm_at_most(a * (1.01 / 0.99), 1.0)
     q = random_unitary(200, rng)
-    assert _at_most_unit_norm(0.99 * q)
-    assert not _at_most_unit_norm(q)
-    assert _at_most_unit_norm(np.eye(3, dtype=complex))
-    assert _at_most_unit_norm(np.zeros((0, 4), dtype=complex))
-    assert _at_most_unit_norm(np.zeros((4, 0), dtype=complex))
-    assert not _at_most_unit_norm(np.full((2, 2), np.nan, dtype=complex))
+    assert _norm_at_most(0.99 * q, 1.0)
+    assert not _norm_at_most(q, 1.0)
+    assert _norm_at_most(np.eye(3, dtype=complex), 1.0)
+    assert _norm_at_most(np.zeros((0, 4), dtype=complex), 1.0)
+    assert _norm_at_most(np.zeros((4, 0), dtype=complex), 1.0)
+    assert not _norm_at_most(np.full((2, 2), np.nan, dtype=complex), 1.0)
 
 
 def test_unit_norm_certificate_leaves_room_for_rounding():
-    # Every singular value lies 1e-13 below the certificate's edge
-    # 1 - 16 * 200 * eps, so ||a|| <= 1 holds with room to spare; but the gap
-    # is below what the rounding of the Gram matrix and of the Cholesky may
-    # hide at 200x200, so the certificate must leave the question to the SVD.
-    edge = 1 - 16 * 200 * EPS
+    # Every singular value lies 1e-13 below the certificate's edge for c = 1
+    # at 200x200, which takes off the SVD's slack and the rounding of the
+    # cheap bounds, so ||a|| <= 1 holds with room to spare; but the gap is
+    # below what the rounding of the Gram matrix and of the Cholesky may
+    # hide, so the certificate must leave the question to the SVD.
+    edge = 1 - 200 * SVD_SLACK - (200 * 200 + 4) * EPS
     q = random_unitary(200, np.random.default_rng(6))
-    assert not _at_most_unit_norm(edge * (1 - 1e-13) * q)
-    assert _at_most_unit_norm(edge * (1 - 1e-6) * q)
+    assert not _norm_at_most(edge * (1 - 1e-13) * q, 1.0)
+    assert _norm_at_most(edge * (1 - 1e-6) * q, 1.0)
+
+
+_BOUNDS = [1e-15, 3e-13, 1e-8, 0.3, 1.0, 1.7, 250.0, 2.0**-20, 2.0**40]
+_RATIOS = st.one_of(st.sampled_from([1 - 1e-9, 1 + 1e-9]),
+                    st.floats(1 - 1e-14, 1 + 1e-14), st.floats(0.5, 2.0))
+_KINDS = st.sampled_from(["gaussian", "rank_one", "flat_spectrum"])
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(rows=st.integers(0, 9), cols=st.integers(0, 9), kind=_KINDS,
+       c=st.sampled_from(_BOUNDS), ratio=_RATIOS, seed=st.integers(0, 2**32 - 1))
+def test_norm_certificate_never_certifies_a_norm_above_its_bound(rows, cols, kind, c,
+                                                                  ratio, seed):
+    a = _matrix_of_norm(rows, cols, kind, ratio * c, np.random.default_rng(seed))
+    if _norm_at_most(a, c):
+        assert spectral_norm(a) <= c
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(rows=st.integers(1, 9), cols=st.integers(1, 9), kind=_KINDS,
+       c=st.sampled_from(_BOUNDS), ratio=_RATIOS, j=st.integers(-60, 60),
+       seed=st.integers(0, 2**32 - 1))
+def test_norm_certificate_is_covariant_under_powers_of_two(rows, cols, kind, c, ratio,
+                                                           j, seed):
+    # scaling a and c by one power of two is exact, so it cannot change the
+    # decision; only the identity shortcut, taken for c >= 1, tells a
+    # multiple of the identity apart
+    assume(rows * cols > 1)
+    a = _matrix_of_norm(rows, cols, kind, ratio * c, np.random.default_rng(seed))
+    assert _norm_at_most(a, c) == _norm_at_most(2.0**j * a, 2.0**j * c)
 
 
 class TestSvd:
