@@ -65,7 +65,8 @@ def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError covers bytes that are not UTF-8 as well as bad JSON
         raise click.UsageError(f"cannot read {path}: {exc}")
     if not isinstance(obj, dict):
         raise click.UsageError(f"cannot read {path}: not a JSON object")
@@ -341,7 +342,7 @@ def verify(ctx, witness_path, kind, tol, report_path):
         )
     try:
         w = decode_witness(obj)
-    except (KeyError, ToolkitError) as exc:
+    except ToolkitError as exc:
         raise click.UsageError(f"malformed witness file {witness_path}: {exc}")
     try:
         rep = _VERIFIERS[kind](w, tol)

@@ -150,8 +150,13 @@ def invert_symbol(f: SymbolFC, grid: int, tol: float) -> SymbolFC:
         If ``min |f|`` on the grid is not larger than ``tol``; the message
         quotes that minimum and the grid size.
     """
-    g = _fft_grid(grid, 4 * f.coeffs.size)
-    values = evaluate_on_grid(f, g)
+    return _invert_values(evaluate_on_grid(f, _fft_grid(grid, 4 * f.coeffs.size)), tol)
+
+
+def _invert_values(values: np.ndarray, tol: float) -> SymbolFC:
+    """Coefficients of ``1/f`` from the values of f on a power-of-two grid,
+    as :func:`invert_symbol` describes."""
+    g = values.size
     min_abs = float(np.min(np.abs(values)))
     if min_abs <= tol:
         raise SymbolInversionError(
@@ -183,15 +188,15 @@ def convolution_residual(f: SymbolFC, g: SymbolFC) -> float:
     return float(np.sum(np.abs(_defect_symbol(f, g).coeffs)))
 
 
-def _sup_bound(r: SymbolFC, lo: int, hi: int) -> float:
-    """Upper bound on ``max |r|`` on the circle, r cut to the window [lo, hi].
+def _sup_bound(part: SymbolFC) -> float:
+    """Upper bound on ``max |r|`` on the circle for a trimmed symbol r.
 
-    It bounds the spectral norm of every Toeplitz block ``r(p - q)`` whose
-    offsets lie in the window.  The max over an L-point grid, L >= 64 times
-    the support width w, is divided by ``1 - pi w / L``: by Bernstein's
-    inequality no point of the circle exceeds that.
+    Cut to a window of offsets, it bounds the spectral norm of every Toeplitz
+    block ``r(p - q)`` whose offsets lie in the window.  The max over an
+    L-point grid, L >= 64 times the support width w, is divided by
+    ``1 - pi w / L``: by Bernstein's inequality no point of the circle
+    exceeds that.
     """
-    part = r.restricted(lo, hi).trimmed(0.0)
     if not np.any(part.coeffs):
         return 0.0
     width = part.coeffs.size - 1
@@ -281,8 +286,11 @@ def mc_residual_hankel(f: SymbolFC, N: int, tol: float = 1e-8,
     residual bounds the spectral norm of (product - identity) restricted to
     the rows and columns whose convolution support lies fully inside the
     section (a bound on the full-block residual is reported alongside).
-    Neither the sections nor their product is formed: the cost is a few
-    FFTs plus an SVD of the edge strip, at most ``|a1| + |a2|`` rows.
+    Neither the sections nor their product is formed: the cost is three
+    FFTs (f on the grid, 1/f from those values, and the sup bound), plus an
+    SVD of the edge strip, at most ``|a1| + |a2|`` rows.  A fourth FFT is
+    taken only when the interior rows keep coefficients of ``f * g - 1``
+    that the interior block does not.
     """
     a1, a2 = f.support
     if a2 - a1 > 2 * N:
@@ -291,7 +299,7 @@ def mc_residual_hankel(f: SymbolFC, N: int, tol: float = 1e-8,
         )
     g_grid = _fft_grid(grid, max(8 * (N + 1), 4 * f.coeffs.size))
     values = evaluate_on_grid(f, g_grid)
-    inv_full = invert_symbol(f, g_grid, tol)
+    inv_full = _invert_values(values, tol)
     inv = inv_full.restricted(-N, N).trimmed(0.0)
     b1, b2 = inv.support
 
@@ -302,14 +310,20 @@ def mc_residual_hankel(f: SymbolFC, N: int, tol: float = 1e-8,
             "no interior rows/columns at this section size; increase N"
         )
     r = _defect_symbol(f, inv)
+    interior = r.restricted(row_lo - col_hi, row_hi - col_lo).trimmed(0.0)
+    band = r.restricted(row_lo - N, row_hi + N).trimmed(0.0)
+    interior_sup = _sup_bound(interior)
+    # the interior rows' window holds the interior block's; most often both
+    # keep the same coefficients of r, and then one sup bound serves both
+    same = band.offset == interior.offset and np.array_equal(band.coeffs, interior.coeffs)
     edge = [*range(-N, row_lo), *range(row_hi + 1, N + 1)]
     full = np.hypot(spectral_norm(_edge_rows(f, inv, N, edge)),
-                    _sup_bound(r, row_lo - N, row_hi + N))
+                    interior_sup if same else _sup_bound(band))
 
     return HankelCouplingReport(
         N=N, grid=g_grid,
         interior_rows=(row_lo, row_hi), interior_cols=(col_lo, col_hi),
-        interior_residual=_sup_bound(r, row_lo - col_hi, row_hi - col_lo),
+        interior_residual=interior_sup,
         full_residual=float(full),
         inversion_l1=convolution_residual(f, inv),
         min_abs_on_grid=float(np.min(np.abs(values))),
@@ -458,9 +472,12 @@ def spectral_summability(sv, p: float,
         int_{-pi}^{pi} |t|^(-1-alpha*p) ||D_t^n g||_p^p dt
 
     on 128 uniform midpoints of (0, pi], doubled since the integrand is
-    even, with each ``D_t^n g`` on an FFT grid of at least 512 points; the
-    report's ``besov`` records both sizes.  A sum or integral that overflows
-    raises :class:`PreconditionError`.
+    even, with the mean of ``|D_t^n g|^p`` over an FFT grid of at least 512
+    points; the report's ``besov`` records both sizes.  At p = 2 that mean
+    is, by Parseval, the sum of the squared moduli of the coefficients of
+    ``D_t^n g``, and it is computed so, without the FFT; ``s_points`` is
+    still the grid whose mean the sum equals.  A sum or integral that
+    overflows raises :class:`PreconditionError`.
     """
     if p < 1:
         raise PreconditionError("Schatten exponent p must be >= 1")
@@ -482,6 +499,15 @@ def spectral_summability(sv, p: float,
 
 
 def _besov_estimate(f: SymbolFC, p: float) -> BesovEstimate:
+    """The quadrature of :func:`spectral_summability` for the analytic part
+    of ``f``.
+
+    Row k holds the coefficients of ``D_t^n g`` at the k-th midpoint t.  The
+    grid has at least four times as many points as g has coefficients, so
+    their indices are distinct modulo the grid: at p = 2 the grid mean of
+    ``|D_t^n g|^2`` is exactly the row's sum of squared moduli (Parseval),
+    and only other p take the batched FFT.
+    """
     t_points, s_points = 128, 512
     alpha = 1.0 / p
     order = int(np.floor(alpha)) + 1
@@ -494,12 +520,16 @@ def _besov_estimate(f: SymbolFC, p: float) -> BesovEstimate:
     grid = _fft_grid(s_points, 4 * g.coeffs.size)
     js = np.arange(g.coeffs.size) + g.offset
 
-    # one row per t: the coefficients of D_t^n g, evaluated by a batched FFT
+    # one row per t: the coefficients of D_t^n g
     dt = np.pi / t_points
     ts = (np.arange(t_points) + 0.5) * dt
-    buf = np.zeros((t_points, grid), dtype=np.complex128)
-    buf[:, js % grid] = g.coeffs * (np.exp(1j * np.outer(ts, js)) - 1.0) ** order
-    norm_p_pow = np.mean(np.abs(np.fft.ifft(buf, axis=1) * grid) ** p, axis=1)
+    rows = g.coeffs * (np.exp(1j * np.outer(ts, js)) - 1.0) ** order
+    if p == 2:
+        norm_p_pow = np.sum(np.abs(rows) ** 2, axis=1)
+    else:
+        buf = np.zeros((t_points, grid), dtype=np.complex128)
+        buf[:, js % grid] = rows
+        norm_p_pow = np.mean(np.abs(np.fft.ifft(buf, axis=1) * grid) ** p, axis=1)
     # even integrand: double the (0, pi] half
     integral = 2.0 * float(np.sum(ts ** (-1.0 - alpha * p) * norm_p_pow * dt))
     return BesovEstimate(alpha=alpha, order=order, t_points=t_points,

@@ -156,12 +156,29 @@ def _dim(obj: dict, key: str) -> int:
     return value
 
 
+# the matrices each witness kind needs; eaoe may also carry Einv and Finv
+_WITNESS_MATRICES = {
+    "sc": ("A", "B", "C", "D", "U", "V"),
+    "mc": ("Uhat", "UhatInv", "U", "V"),
+    "eae_special": ("U", "V", "E", "F", "Einv", "Finv"),
+    "eae": ("U", "V", "E", "F"),
+    "eaoe": ("E", "F", "U", "V"),
+}
+
+
 def decode_witness(obj: dict):
     kind = obj.get("kind")
+    if not isinstance(kind, str) or kind not in _WITNESS_MATRICES:
+        raise ShapeError(f"unknown witness kind {kind!r}")
     encoded = obj.get("matrices")
     if not isinstance(encoded, dict):
         raise ShapeError(f"witness matrices is {type(encoded).__name__}, "
                          "not a JSON object")
+    for name in _WITNESS_MATRICES[kind]:
+        if name not in encoded:
+            raise ShapeError(f"{kind} witness file lacks the matrix {name!r}")
+    if kind == "eaoe" and "extended_side" not in obj:
+        raise ShapeError("eaoe witness file lacks the entry 'extended_side'")
     mats = {name: decode_matrix(enc) for name, enc in encoded.items()}
     if kind == "sc":
         return SCWitness(M=Block2x2(mats["A"], mats["B"], mats["C"], mats["D"]),
@@ -177,12 +194,11 @@ def decode_witness(obj: dict):
         return EAEWitness(U=mats["U"], V=mats["V"], E=mats["E"], F=mats["F"],
                           x0_dim=_dim(obj, "x0_dim"),
                           y0_dim=_dim(obj, "y0_dim"))
-    if kind == "eaoe":
-        return EAOEWitness(extended_side=obj["extended_side"],
-                           ext_dim=_dim(obj, "ext_dim"),
-                           E=mats["E"], F=mats["F"], U=mats["U"], V=mats["V"],
-                           Einv=mats.get("Einv"), Finv=mats.get("Finv"))
-    raise ShapeError(f"unknown witness kind {kind!r}")
+    # the one kind left: eaoe
+    return EAOEWitness(extended_side=obj["extended_side"],
+                       ext_dim=_dim(obj, "ext_dim"),
+                       E=mats["E"], F=mats["F"], U=mats["U"], V=mats["V"],
+                       Einv=mats.get("Einv"), Finv=mats.get("Finv"))
 
 
 def encode_instance(U: np.ndarray, V: np.ndarray, meta: dict | None = None) -> dict:

@@ -453,6 +453,53 @@ class TestCliMalformedMatrices:
         assert str(path) in err and "matrices" in err
 
 
+# bytes that json cannot read: each once escaped the CLI as a bare
+# UnicodeDecodeError or RecursionError
+UNREADABLE = {"not_utf8": b'\xff\xfe{"kind": "instance"}', "deep_nesting": b"[" * 100000}
+
+
+class TestCliUnreadableBytes:
+    def _bad(self, tmp_path, case):
+        path = tmp_path / "bad.json"
+        path.write_bytes(UNREADABLE[case])
+        return path
+
+    @pytest.mark.parametrize("case", sorted(UNREADABLE))
+    @pytest.mark.parametrize("command", ["pipeline", "verify"])
+    def test_single_input_exits_2(self, tmp_path, case, command, capsys):
+        bad = self._bad(tmp_path, case)
+        args = (["pipeline", "--in", str(bad)] if command == "pipeline"
+                else ["verify", "--witness", str(bad), "--kind", "sc"])
+        assert dispatch(args) == 2
+        err = capsys.readouterr().err
+        assert f"cannot read {bad}: " in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("case", sorted(UNREADABLE))
+    def test_batch_reports_a_fail_line(self, tmp_path, instance_file, case, capsys):
+        bad = self._bad(tmp_path, case)
+        assert dispatch(["pipeline", "--in", str(instance_file), "--in", str(bad),
+                         "--out-dir", str(tmp_path / "out"), "--jobs", "2"]) == 1
+        err = capsys.readouterr().err
+        assert f"{bad}: FAIL cannot read {bad}: " in err
+        assert f"{instance_file}: FAIL" not in err
+        assert (tmp_path / "out" / "inst.witness.json").exists()
+
+
+@pytest.mark.parametrize("kind,drop", [("sc", "A"), ("mc", "UhatInv"), ("eae", "F"),
+                                       ("eae_special", "Finv"), ("eaoe", "extended_side")])
+def test_verify_names_what_a_witness_lacks(tmp_path, kind, drop, capsys):
+    # once "malformed witness file X: 'A'", the text of a KeyError
+    obj = encode_witness(_pipeline_witnesses()[kind])
+    holder = obj if drop == "extended_side" else obj["matrices"]
+    del holder[drop]
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps(obj))
+    assert dispatch(["verify", "--witness", str(path), "--kind", kind]) == 2
+    err = capsys.readouterr().err
+    assert f"malformed witness file {path}: {kind} witness file lacks the " in err
+    assert f"'{drop}'" in err
+
+
 @pytest.mark.parametrize("name", ["Einv", "Finv"])
 def test_eaoe_inverse_of_wrong_shape_is_invalid_input(tmp_path, name, capsys):
     # once a bare ValueError from the product E @ Einv in verify_eaoe

@@ -1,9 +1,13 @@
 import re
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from opcoupling.cli import dispatch
 from opcoupling.errors import PreconditionError, SymbolInversionError
 from opcoupling.hankel import (
     SymbolFC,
@@ -376,17 +380,87 @@ class TestSpectralSummability:
     def test_besov_matches_per_t_loop(self, p):
         f = SymbolFC(-1, [0.25, 3.0, 0.5, -0.2j, 0.1])
         besov = spectral_summability([1.0], p, besov_symbol=f).besov
-        # reference: one grid evaluation per midpoint t of (0, pi]
-        g = f.restricted(0, f.support[1])
-        js = np.arange(g.coeffs.size)
-        dt = np.pi / besov.t_points
-        integral = 0.0
-        for k in range(besov.t_points):
-            t = (k + 0.5) * dt
-            diff = SymbolFC(0, g.coeffs * (np.exp(1j * js * t) - 1.0) ** besov.order)
-            vals = evaluate_on_grid(diff, besov.s_points)
-            integral += t ** (-1.0 - p * besov.alpha) * np.mean(np.abs(vals) ** p) * dt
-        assert besov.integral == pytest.approx(2.0 * integral, rel=1e-12)
+        assert besov.integral == pytest.approx(besov_by_per_t_loop(f, p, besov), rel=1e-12)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(offset=st.integers(-250, 60),
+           exponents=st.lists(st.floats(-8.0, 3.0), min_size=1, max_size=200),
+           seed=st.integers(0, 2**32 - 1))
+    @example(offset=0, exponents=[0.0] * 200, seed=0)      # 200 analytic: a 1024 grid
+    @example(offset=-5, exponents=[1.0] * 5, seed=1)       # no analytic part
+    @example(offset=3, exponents=[-8.0, 3.0, -4.0], seed=2)
+    def test_besov_at_p2_is_the_grid_mean(self, offset, exponents, seed):
+        """The p = 2 coefficient sum equals the grid quadrature it replaced."""
+        phases = np.random.default_rng(seed).random(len(exponents))
+        f = SymbolFC(offset, 10.0 ** np.array(exponents) * np.exp(2j * np.pi * phases))
+        besov = spectral_summability([1.0], 2.0, besov_symbol=f).besov
+        assert besov.s_points >= max(512, 4 * (offset + len(exponents) - max(offset, 0)))
+        assert besov.integral == pytest.approx(besov_by_per_t_loop(f, 2.0, besov), rel=1e-13)
+
+
+def besov_by_per_t_loop(f, p, besov):
+    """Reference: one grid evaluation per midpoint t of (0, pi], on the
+    reported grid, of the analytic part of f."""
+    lo = max(f.offset, 0)
+    g = f.restricted(lo, max(f.offset + f.coeffs.size - 1, lo))
+    js = np.arange(g.coeffs.size) + g.offset
+    dt = np.pi / besov.t_points
+    integral = 0.0
+    for k in range(besov.t_points):
+        t = (k + 0.5) * dt
+        diff = SymbolFC(g.offset, g.coeffs * (np.exp(1j * js * t) - 1.0) ** besov.order)
+        vals = evaluate_on_grid(diff, besov.s_points)
+        integral += t ** (-1.0 - p * besov.alpha) * np.mean(np.abs(vals) ** p) * dt
+    return 2.0 * integral
+
+
+@pytest.fixture
+def fft_calls(monkeypatch):
+    """Counter of the calls into ``numpy.fft``, by function name."""
+    counts = Counter()
+    for name in np.fft.__all__:
+        real = getattr(np.fft, name)
+        if callable(real):
+
+            def counting(*args, _real=real, _name=name, **kwargs):
+                counts[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, counting)
+    return counts
+
+
+class TestFFTCounts:
+    """Deterministic FFT counts of the Hankel harness."""
+
+    def test_hankel_command(self, fft_calls, tmp_path, capsys):
+        # f on the grid, 1/f from those values, and one sup bound: the
+        # interior block and the interior rows keep the same coefficients of
+        # f * g - 1, and the p = 2 Besov quadrature is a coefficient sum
+        assert dispatch(["hankel", "--symbol", "3,0.3+0.2j,-0.25j,0.4,0.1-0.3j",
+                         "--N", "600", "--report", str(tmp_path / "h.json")]) == 0
+        assert fft_calls == {"ifft": 2, "fft": 1}
+
+    def test_besov_at_p2_takes_none(self, fft_calls):
+        rep = spectral_summability([1.0], 2.0, besov_symbol=ORACLE_SYMBOLS["banded"])
+        assert rep.besov.integral > 0
+        assert sum(fft_calls.values()) == 0
+
+    @pytest.mark.parametrize("p", [1.0, 3.0])
+    def test_besov_at_other_p_takes_one(self, fft_calls, p):
+        spectral_summability([1.0], p, besov_symbol=ORACLE_SYMBOLS["banded"])
+        assert fft_calls == {"ifft": 1}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_SYMBOLS))
+def test_coupling_inverse_is_invert_symbol(name):
+    # the coupling inverts the grid values it evaluated; invert_symbol
+    # evaluates f on the same grid, so the two agree bit for bit
+    f = ORACLE_SYMBOLS[name]
+    rep = mc_residual_hankel(f, 40)
+    inv = invert_symbol(f, rep.grid, 1e-8)
+    assert rep.inverse.offset == inv.offset
+    assert np.array_equal(rep.inverse.coeffs, inv.coeffs)
 
 
 class TestConvolutionIdentity:

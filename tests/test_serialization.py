@@ -151,3 +151,51 @@ def test_decode_matrix_accepts_integers():
     a = decode_matrix({"rows": 1, "cols": 2, "data": [[1, -2], [0, 3.5]]})
     assert a.dtype == np.complex128
     assert np.array_equal(a, [[1 - 2j, 3.5j]])
+
+
+def _encoded_witnesses(rep):
+    """The five witnesses of a pipeline run, encoded, by kind."""
+    objs = [encode_witness(w) for w in (rep.mc, rep.witness, rep.small_eae, rep.eaoe,
+                                        rep.final_sc)]
+    return {obj["kind"]: obj for obj in objs}
+
+
+# kind -> the matrices its decoder needs
+NEEDED_MATRICES = {
+    "sc": ("A", "B", "C", "D", "U", "V"),
+    "mc": ("Uhat", "UhatInv", "U", "V"),
+    "eae_special": ("U", "V", "E", "F", "Einv", "Finv"),
+    "eae": ("U", "V", "E", "F"),
+    "eaoe": ("E", "F", "U", "V"),
+}
+
+
+@pytest.mark.parametrize("kind,name", [(kind, name) for kind, names in NEEDED_MATRICES.items()
+                                       for name in names])
+def test_decode_witness_names_a_missing_matrix(pipeline_report, kind, name):
+    # once a bare KeyError whose text was only the matrix name
+    obj = _encoded_witnesses(pipeline_report)[kind]
+    del obj["matrices"][name]
+    with pytest.raises(ShapeError, match=f"^{kind} witness file lacks the matrix '{name}'$"):
+        decode_witness(obj)
+
+
+def test_decode_witness_names_a_missing_extended_side(pipeline_report):
+    obj = _encoded_witnesses(pipeline_report)["eaoe"]
+    del obj["extended_side"]
+    with pytest.raises(ShapeError, match="eaoe witness file lacks the entry 'extended_side'"):
+        decode_witness(obj)
+
+
+@pytest.mark.parametrize("kind", [None, "instance", ["sc"], {"kind": "sc"}])
+def test_decode_witness_rejects_an_unknown_kind(kind):
+    with pytest.raises(ShapeError, match="unknown witness kind"):
+        decode_witness({"kind": kind, "matrices": {}})
+
+
+def test_decode_witness_accepts_eaoe_without_inverses(pipeline_report):
+    obj = _encoded_witnesses(pipeline_report)["eaoe"]
+    obj["matrices"].pop("Einv", None)
+    obj["matrices"].pop("Finv", None)
+    w = decode_witness(obj)
+    assert w.Einv is None and w.Finv is None
