@@ -141,8 +141,7 @@ def invert_symbol(f: SymbolFC, grid: int, tol: float) -> SymbolFC:
     The grid is enlarged to at least four times the coefficient support (and
     to a power of two); the returned window is centered, so inverses with
     negative-index support (e.g. ``1/z``) come out correctly.  Coefficients
-    below ``_TAIL_REL`` times the largest one are trimmed.  Use
-    :func:`convolution_residual` to bound the quality of the truncation.
+    below ``_TAIL_REL`` times the largest one are trimmed.
 
     Raises
     ------
@@ -181,11 +180,6 @@ def _defect_symbol(f: SymbolFC, g: SymbolFC) -> SymbolFC:
     c = prod.coeff(np.arange(lo, hi + 1))
     c[-lo] -= 1.0
     return SymbolFC(offset=lo, coeffs=c)
-
-
-def convolution_residual(f: SymbolFC, g: SymbolFC) -> float:
-    """l1 distance of the coefficients of ``f * g`` from the delta at 0."""
-    return float(np.sum(np.abs(_defect_symbol(f, g).coeffs)))
 
 
 def _sup_bound(part: SymbolFC) -> float:
@@ -325,7 +319,7 @@ def mc_residual_hankel(f: SymbolFC, N: int, tol: float = 1e-8,
         interior_rows=(row_lo, row_hi), interior_cols=(col_lo, col_hi),
         interior_residual=interior_sup,
         full_residual=float(full),
-        inversion_l1=convolution_residual(f, inv),
+        inversion_l1=float(np.sum(np.abs(r.coeffs))),
         min_abs_on_grid=float(np.min(np.abs(values))),
         winding=winding_number(values),
         inverse=inv_full,

@@ -3,14 +3,15 @@
 Matrices are encoded as ``{"rows": r, "cols": c, "data": [[re, im], ...]}``
 with the data row-major and each complex entry a two-element array.  Python
 floats round-trip through ``json`` exactly (shortest-repr encoding), so
-serialization is lossless bit for bit.  Witness files carry a ``kind`` tag
-(``sc | mc | eae | eae_special | eaoe``), their matrices by role name,
-dimension metadata and the tool version.
+serialization is lossless bit for bit.  Witness files carry a ``kind`` tag,
+their matrices by role name, dimension metadata and the tool version; the
+table ``_KINDS`` describes each kind's schema, and both directions read it.
 """
 
 from __future__ import annotations
 
 import json
+from collections import namedtuple
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 from math import isfinite
@@ -28,8 +29,6 @@ from .relations import (
     MCWitness,
     SCWitness,
 )
-
-WITNESS_KINDS = ("sc", "mc", "eae", "eae_special", "eaoe")
 
 
 def _pairs(z) -> list:
@@ -89,56 +88,38 @@ def _file_header(kind: str) -> dict:
     return {"kind": kind, "tool": "opcoupling", "version": __version__}
 
 
+# The one description of the witness file kinds: for each, its class, the
+# matrices a file needs and those it may hold, the dims entries written and
+# those read back (other sizes come from the matrices).  A name is the
+# witness attribute of that name, except SC's A-D, which are the blocks of M.
+_Kind = namedtuple("_Kind", "cls needs may writes reads")
+_KINDS = {
+    "sc": _Kind(SCWitness, ("A", "B", "C", "D", "U", "V"), (), ("n", "m"), ()),
+    "mc": _Kind(MCWitness, ("Uhat", "UhatInv", "U", "V"), (), ("n", "m"), ("n", "m")),
+    "eae": _Kind(EAEWitness, ("U", "V", "E", "F"), (),
+                 ("x0_dim", "y0_dim"), ("x0_dim", "y0_dim")),
+    "eae_special": _Kind(EAESpecialWitness, ("U", "V", "E", "F", "Einv", "Finv"), (),
+                         ("n", "m"), ()),
+    "eaoe": _Kind(EAOEWitness, ("E", "F", "U", "V"), ("Einv", "Finv"),
+                  ("ext_dim",), ("ext_dim",)),
+}
+WITNESS_KINDS = tuple(_KINDS)
+_SC_BLOCKS = {"A": "a11", "B": "a12", "C": "a21", "D": "a22"}
+
+
 def encode_witness(w) -> dict:
-    """Encode any witness type; the kind tag selects the schema."""
-    if isinstance(w, SCWitness):
-        out = _file_header("sc")
-        out["matrices"] = {
-            "A": encode_matrix(w.M.a11), "B": encode_matrix(w.M.a12),
-            "C": encode_matrix(w.M.a21), "D": encode_matrix(w.M.a22),
-            "U": encode_matrix(w.U), "V": encode_matrix(w.V),
-        }
-        out["dims"] = {"n": w.n, "m": w.m}
-        return out
-    if isinstance(w, MCWitness):
-        out = _file_header("mc")
-        out["matrices"] = {
-            "Uhat": encode_matrix(w.Uhat), "UhatInv": encode_matrix(w.UhatInv),
-            "U": encode_matrix(w.U), "V": encode_matrix(w.V),
-        }
-        out["dims"] = {"n": w.n, "m": w.m}
-        return out
-    if isinstance(w, EAESpecialWitness):
-        out = _file_header("eae_special")
-        out["matrices"] = {
-            "U": encode_matrix(w.U), "V": encode_matrix(w.V),
-            "E": encode_matrix(w.E), "F": encode_matrix(w.F),
-            "Einv": encode_matrix(w.Einv), "Finv": encode_matrix(w.Finv),
-        }
-        out["dims"] = {"n": w.n, "m": w.m}
-        return out
-    if isinstance(w, EAEWitness):
-        out = _file_header("eae")
-        out["matrices"] = {
-            "U": encode_matrix(w.U), "V": encode_matrix(w.V),
-            "E": encode_matrix(w.E), "F": encode_matrix(w.F),
-        }
-        out["dims"] = {"x0_dim": w.x0_dim, "y0_dim": w.y0_dim}
-        return out
-    if isinstance(w, EAOEWitness):
-        out = _file_header("eaoe")
-        out["matrices"] = {
-            "U": encode_matrix(w.U), "V": encode_matrix(w.V),
-            "E": encode_matrix(w.E), "F": encode_matrix(w.F),
-        }
-        if w.Einv is not None:
-            out["matrices"]["Einv"] = encode_matrix(w.Einv)
-        if w.Finv is not None:
-            out["matrices"]["Finv"] = encode_matrix(w.Finv)
-        out["dims"] = {"ext_dim": w.ext_dim}
+    """Encode any witness type by the schema of its kind in ``_KINDS``."""
+    kind = next((k for k, spec in _KINDS.items() if isinstance(w, spec.cls)), None)
+    if kind is None:
+        raise ShapeError(f"cannot encode object of type {type(w).__name__}")
+    spec, out = _KINDS[kind], _file_header(kind)
+    held = {name: getattr(w.M, _SC_BLOCKS[name]) if name in _SC_BLOCKS else getattr(w, name)
+            for name in spec.needs + spec.may}
+    out["matrices"] = {name: encode_matrix(a) for name, a in held.items() if a is not None}
+    out["dims"] = {key: getattr(w, key) for key in spec.writes}
+    if kind == "eaoe":
         out["extended_side"] = w.extended_side
-        return out
-    raise ShapeError(f"cannot encode object of type {type(w).__name__}")
+    return out
 
 
 def _dim(obj: dict, key: str) -> int:
@@ -156,49 +137,33 @@ def _dim(obj: dict, key: str) -> int:
     return value
 
 
-# the matrices each witness kind needs; eaoe may also carry Einv and Finv
-_WITNESS_MATRICES = {
-    "sc": ("A", "B", "C", "D", "U", "V"),
-    "mc": ("Uhat", "UhatInv", "U", "V"),
-    "eae_special": ("U", "V", "E", "F", "Einv", "Finv"),
-    "eae": ("U", "V", "E", "F"),
-    "eaoe": ("E", "F", "U", "V"),
-}
-
-
 def decode_witness(obj: dict):
+    """Inverse of :func:`encode_witness`; entries outside the kind's schema
+    in ``_KINDS`` are ignored."""
     kind = obj.get("kind")
-    if not isinstance(kind, str) or kind not in _WITNESS_MATRICES:
+    if not isinstance(kind, str) or kind not in _KINDS:
         raise ShapeError(f"unknown witness kind {kind!r}")
-    encoded = obj.get("matrices")
+    spec, encoded = _KINDS[kind], obj.get("matrices")
     if not isinstance(encoded, dict):
         raise ShapeError(f"witness matrices is {type(encoded).__name__}, "
                          "not a JSON object")
-    for name in _WITNESS_MATRICES[kind]:
+    for name in spec.needs:
         if name not in encoded:
             raise ShapeError(f"{kind} witness file lacks the matrix {name!r}")
     if kind == "eaoe" and "extended_side" not in obj:
         raise ShapeError("eaoe witness file lacks the entry 'extended_side'")
-    mats = {name: decode_matrix(enc) for name, enc in encoded.items()}
+    args = {}
+    for name in [name for name in spec.needs + spec.may if name in encoded]:
+        try:
+            args[name] = decode_matrix(encoded[name])
+        except ShapeError as exc:
+            raise ShapeError(f"{kind} witness file, matrix {name!r}: {exc}") from None
+    args.update((key, _dim(obj, key)) for key in spec.reads)
     if kind == "sc":
-        return SCWitness(M=Block2x2(mats["A"], mats["B"], mats["C"], mats["D"]),
-                         U=mats["U"], V=mats["V"])
-    if kind == "mc":
-        return MCWitness(Uhat=mats["Uhat"], UhatInv=mats["UhatInv"],
-                         n=_dim(obj, "n"), m=_dim(obj, "m"),
-                         U=mats["U"], V=mats["V"])
-    if kind == "eae_special":
-        return EAESpecialWitness(U=mats["U"], V=mats["V"], E=mats["E"], F=mats["F"],
-                                 Einv=mats["Einv"], Finv=mats["Finv"])
-    if kind == "eae":
-        return EAEWitness(U=mats["U"], V=mats["V"], E=mats["E"], F=mats["F"],
-                          x0_dim=_dim(obj, "x0_dim"),
-                          y0_dim=_dim(obj, "y0_dim"))
-    # the one kind left: eaoe
-    return EAOEWitness(extended_side=obj["extended_side"],
-                       ext_dim=_dim(obj, "ext_dim"),
-                       E=mats["E"], F=mats["F"], U=mats["U"], V=mats["V"],
-                       Einv=mats.get("Einv"), Finv=mats.get("Finv"))
+        args["M"] = Block2x2(*(args.pop(name) for name in _SC_BLOCKS))
+    if kind == "eaoe":
+        args["extended_side"] = obj["extended_side"]
+    return spec.cls(**args)
 
 
 def encode_instance(U: np.ndarray, V: np.ndarray, meta: dict | None = None) -> dict:

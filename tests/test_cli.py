@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import gc
 import io
 import json
@@ -58,18 +59,19 @@ class TestMatrixCodec:
 
 class TestWitnessCodec:
     def test_all_kinds_roundtrip(self):
-        rng = np.random.default_rng(3)
-        sc = random_sc_witness(2, 3, 100, rng)
-        mc = sc_to_mc(sc)
-        special = mc_to_eae_special(mc)
-        eaoe = EAOEWitness(extended_side="V", ext_dim=1, E=np.eye(2), F=np.eye(2),
-                           U=np.eye(2), V=[[1.0]])
-        for w in (sc, mc, special, eaoe):
-            enc = encode_witness(w)
-            back = decode_witness(json.loads(json.dumps(enc)))
+        # every kind, read back from its file text and written again, gives
+        # the same bytes: the five witnesses of a pipeline run, an eaoe
+        # without inverses, and the five of a 0x0 run
+        rep = run_pipeline(*random_instance(InstanceSpec(4, 6, 2, seed=7)))
+        empty = run_pipeline(*random_instance(InstanceSpec(0, 0, 0, seed=1)))
+        witnesses = [w for r in (rep, empty) for w in
+                     (r.final_sc, r.mc, r.small_eae, r.witness, r.eaoe)]
+        witnesses.append(dataclasses.replace(rep.eaoe, Einv=None, Finv=None))
+        for w in witnesses:
+            text = dumps_canonical(encode_witness(w))
+            back = decode_witness(json.loads(text))
             assert type(back) is type(w)
-            assert np.array_equal(back.U, w.U)
-            assert np.array_equal(back.V, w.V)
+            assert dumps_canonical(encode_witness(back)) == text, type(w).__name__
 
     def test_sc_blocks_roundtrip(self):
         sc = random_sc_witness(2, 2, 10, np.random.default_rng(0))
@@ -498,6 +500,26 @@ def test_verify_names_what_a_witness_lacks(tmp_path, kind, drop, capsys):
     err = capsys.readouterr().err
     assert f"malformed witness file {path}: {kind} witness file lacks the " in err
     assert f"'{drop}'" in err
+
+
+def test_verify_names_a_malformed_matrix(tmp_path, capsys):
+    # once "matrix data length 4 != rows*cols 14", without the matrix
+    obj = encode_witness(_pipeline_witnesses()["sc"])
+    obj["matrices"]["A"]["rows"] = 7
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps(obj))
+    assert dispatch(["verify", "--witness", str(path), "--kind", "sc"]) == 2
+    err = capsys.readouterr().err
+    assert f"malformed witness file {path}: sc witness file, matrix 'A': " in err
+
+
+def test_verify_ignores_entries_outside_the_schema(tmp_path):
+    # a malformed entry no kind reads was once decoded, and rejected
+    obj = encode_witness(_pipeline_witnesses()["sc"])
+    obj["matrices"]["junk"] = 5
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps(obj))
+    assert dispatch(["verify", "--witness", str(path), "--kind", "sc"]) == 0
 
 
 @pytest.mark.parametrize("name", ["Einv", "Finv"])

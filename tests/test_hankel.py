@@ -12,7 +12,6 @@ from opcoupling.errors import PreconditionError, SymbolInversionError
 from opcoupling.hankel import (
     SymbolFC,
     build_sections,
-    convolution_residual,
     evaluate_on_grid,
     hankel_singular_values,
     invert_symbol,
@@ -99,7 +98,10 @@ class TestInvertSymbol:
         g = invert_symbol(symbol_2_plus_z(), 256, 1e-8)
         js = np.arange(0, 30)
         np.testing.assert_allclose(g.coeff(js), 0.5 * (-0.5) ** js, atol=1e-15)
-        assert convolution_residual(symbol_2_plus_z(), g) <= 1e-13
+        # l1 distance of the coefficients of f * g from the delta at 0
+        prod = np.convolve(symbol_2_plus_z().coeffs, g.coeffs)
+        prod[-g.offset] -= 1.0
+        assert np.sum(np.abs(prod)) <= 1e-13
 
     def test_pure_shift(self):
         # |z| = 1 everywhere but the inverse lives at index -1
@@ -465,11 +467,11 @@ def test_coupling_inverse_is_invert_symbol(name):
 
 class TestConvolutionIdentity:
     def test_residual_tracks_truncation(self):
-        # truncating the inverse raises the reported defect monotonically
-        f = symbol_2_plus_z()
-        g = invert_symbol(f, 512, 1e-8)
-        res = [convolution_residual(f, g.restricted(0, length))
-               for length in (10, 20, 40)]
+        # the section keeps 1/f on [-N, N], and a smaller N raises the
+        # reported defect monotonically
+        sizes = (10, 20, 40)
+        res = [mc_residual_hankel(symbol_2_plus_z(), N).inversion_l1 for N in sizes]
         assert res[0] > res[1] > res[2]
-        # the only surviving convolution term is fc(1) * g(10) = (1/2)^11
-        np.testing.assert_allclose(res[0], 0.5 ** 11, rtol=1e-6)
+        # the only surviving convolution term is fc(1) * g(N) = (1/2)^(N+1)
+        np.testing.assert_allclose(res, [0.5 ** (N + 1) for N in sizes],
+                                   rtol=1e-6, atol=1e-15)

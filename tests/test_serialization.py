@@ -180,6 +180,16 @@ def test_decode_witness_names_a_missing_matrix(pipeline_report, kind, name):
         decode_witness(obj)
 
 
+@pytest.mark.parametrize("kind,name", [(kind, name) for kind, names in NEEDED_MATRICES.items()
+                                       for name in names])
+def test_decode_witness_names_a_malformed_matrix(pipeline_report, kind, name):
+    obj = _encoded_witnesses(pipeline_report)[kind]
+    obj["matrices"][name]["rows"] += 1
+    with pytest.raises(ShapeError, match=f"^{kind} witness file, matrix '{name}': "
+                                         "matrix data length "):
+        decode_witness(obj)
+
+
 def test_decode_witness_names_a_missing_extended_side(pipeline_report):
     obj = _encoded_witnesses(pipeline_report)["eaoe"]
     del obj["extended_side"]
