@@ -252,7 +252,13 @@ def _run_one_pipeline(in_path: str, tol: float, out_path, report_path):
         u, v = decode_instance(_load_json(in_path))
     except ToolkitError as exc:
         raise click.UsageError(f"malformed instance file {in_path}: {exc}")
-    report = run_pipeline(u, v, tol=tol)
+    try:
+        report = run_pipeline(u, v, tol=tol)
+    except ToolkitError as exc:
+        # a failed run still reports the stages it finished
+        if report_path and exc.pipeline is not None:
+            emit_report(pipeline_report_to_dict(exc.pipeline), report_path)
+        raise
     if out_path:
         _write_text(out_path, dumps_canonical(encode_witness(report.final_sc)))
     if report_path:

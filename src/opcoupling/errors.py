@@ -2,7 +2,15 @@
 
 
 class ToolkitError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
+
+    ``pipeline`` is the failed run's
+    :class:`~opcoupling.reduction.PipelineReport` when
+    :func:`~opcoupling.reduction.run_pipeline` raised the error, and None
+    otherwise.
+    """
+
+    pipeline = None
 
 
 class ShapeError(ToolkitError):

@@ -37,8 +37,10 @@ runner records whole as the stage, residuals and extras; it turns any
 its report against ``tol`` through :func:`~opcoupling.relations._checked`,
 so a failed step raises :class:`~opcoupling.errors.ConversionError` naming
 the worst entry, with the report attached; the runner passes that report on
-as the stage error's ``report``.  The anchored witness of a synthesized
-coupling comes from :func:`~opcoupling.relations._anchored`, the builder
+as the stage error's ``report``.  Either error carries, as ``pipeline``, a
+:class:`PipelineReport` with ``success`` False: the stages that finished,
+and the failing stage's name, message and table.  The anchored witness of a
+synthesized coupling comes from :func:`~opcoupling.relations._anchored`, the builder
 behind :func:`~opcoupling.relations.mc_to_eae_special`, with the report it
 checked: the coupling's table and the witness's ``f_times_finv``, with the
 bound they give on the other anchored entries (see
@@ -51,7 +53,8 @@ witness's ``U`` and ``V``.  In this
 finite-dimensional setting two square matrices admit such a chain exactly
 when their nullities agree; without a supplied witness
 :func:`~opcoupling.instances.synth_mc` decides that, and the runner passes
-its :class:`~opcoupling.errors.FeasibilityError` on unwrapped.
+its :class:`~opcoupling.errors.FeasibilityError` on unwrapped, with the
+failed run's ``pipeline`` attached.
 """
 
 from __future__ import annotations
@@ -73,14 +76,13 @@ from .errors import (
 )
 from .numkernel import (
     SvdResult,
-    _norm_at_least_one,
     _norm_at_most,
+    _norm_ratio,
     adjoint,
     as_matrix,
     eye,
     inverse,
     rel_residual,
-    spectral_norm,
     zeros,
 )
 from .relations import (
@@ -193,21 +195,32 @@ class FredholmReport:
 
 @dataclass(frozen=True)
 class PipelineReport:
-    """Stage-by-stage record of one full reduction run: ``stages`` maps each
-    stage's name, in run order, to the report that verified its artifact."""
+    """Stage-by-stage record of one reduction run: ``stages`` maps each
+    stage that finished, in run order, to the report that verified its
+    artifact.
+
+    A run that passed has ``success`` True and every artifact.  A run that
+    failed has ``success`` False and no artifacts; ``failed_stage`` names
+    the stage that raised, ``error`` is the message of the error raised,
+    and ``failure`` the residual table the stage failed, empty if it had
+    none.
+    """
 
     U: np.ndarray
     V: np.ndarray
     tol: float
     stages: Mapping[str, VerifierReport]
-    witness: EAESpecialWitness
-    mc: MCWitness | None
-    x0_dim: int
-    y0_dim: int
-    small_eae: EAEWitness
-    eaoe: EAOEWitness
-    final_sc: SCWitness
     success: bool
+    witness: EAESpecialWitness | None = None
+    mc: MCWitness | None = None
+    x0_dim: int | None = None
+    y0_dim: int | None = None
+    small_eae: EAEWitness | None = None
+    eaoe: EAOEWitness | None = None
+    final_sc: SCWitness | None = None
+    failed_stage: str | None = None
+    error: str | None = None
+    failure: VerifierReport | None = None
 
     @property
     def max_residual(self) -> float:
@@ -254,8 +267,8 @@ def decompose_corners(w: EAESpecialWitness,
     first: nothing outside the leading block, relative to ``max(1,
     ||prime||)``.  No table records them, so each pair is settled where
     :func:`~opcoupling.numkernel._norm_at_most` proves ``||lhs - rhs|| <=
-    tol``; otherwise the exact table of the same two pairs is checked, and
-    the decision and any error message are those of the exact check.
+    tol``; otherwise the table of the same two pairs is checked, and the
+    decision and any error message are those of that table.
 
     In the splits
 
@@ -267,11 +280,13 @@ def decompose_corners(w: EAESpecialWitness,
     ``right_inv_u22 = Pi_h2 @ Ehat21 @ J_g1`` of u22 are read from the
     blocks of ``w``, not computed by inverting anything.  They are those of
     the paper's normalized witness (see the module docstring), so they are
-    two-sided, which is what the builders need.  The residual table (the
-    suppressed blocks ``u21`` and ``v12``, the coupled equivalence, then the
-    inverses on both sides) fails when the witness is not a genuine
-    anchored one; the report's extras are ``rank`` and the condition numbers
-    of ``f22_prime`` and ``e11_prime``.
+    two-sided, which is what the builders need.  The residual table fails
+    when the witness is not a genuine anchored one: the suppressed blocks
+    ``u21`` and ``v12``, relative to ``max(1, ||U||)`` and ``max(1,
+    ||V||)``, the coupled equivalence, then the inverses on both sides, each
+    certified at ``tol`` where it can be (see
+    :func:`~opcoupling.numkernel.rel_residual`).  The report's extras are
+    ``rank`` and the condition numbers of ``f22_prime`` and ``e11_prime``.
 
     Raises
     ------
@@ -299,7 +314,7 @@ def decompose_corners(w: EAESpecialWitness,
     f22_prime_inv, cond_f = inverse(f22_prime)
     e11_prime_inv, cond_e = inverse(e11_prime)
     if not all(_norm_at_most(lhs - rhs, tol) for lhs, rhs in pairs.values()):
-        residuals = {label: rel_residual(*pair) for label, pair in pairs.items()}
+        residuals = {label: rel_residual(*pair, tol) for label, pair in pairs.items()}
         _checked(VerifierReport("corner_forms", residuals, tol), "decompose_corners")
 
     U, V = w.U, w.V
@@ -308,14 +323,14 @@ def decompose_corners(w: EAESpecialWitness,
     right_inv_u22 = _coords(h2, w.Ehat21, g1)
     x0, y0 = V.shape[0] - r, U.shape[0] - r
     residuals = {
-        "zero_block_u21": spectral_norm(_coords(g1, U, im_f22)) / _norm_at_least_one(U),
-        "zero_block_v12": spectral_norm(_coords(f1, V, ker_f22)) / _norm_at_least_one(V),
+        "zero_block_u21": _norm_ratio(_coords(g1, U, im_f22), U, tol),
+        "zero_block_v12": _norm_ratio(_coords(f1, V, ker_f22), V, tol),
         "equivalence_u11_v11": rel_residual(e11_prime @ _coords(f1, V, k2),
-                                            -_coords(im_e11, U, im_f22) @ f22_prime),
-        "left_inverse_v22": rel_residual(left_inv_v22 @ v22, eye(x0)),
-        "right_inverse_u22": rel_residual(u22 @ right_inv_u22, eye(y0)),
-        "v22_right_inverse": rel_residual(v22 @ left_inv_v22, eye(x0)),
-        "u22_left_inverse": rel_residual(right_inv_u22 @ u22, eye(y0)),
+                                            -_coords(im_e11, U, im_f22) @ f22_prime, tol),
+        "left_inverse_v22": rel_residual(left_inv_v22 @ v22, eye(x0), tol),
+        "right_inverse_u22": rel_residual(u22 @ right_inv_u22, eye(y0), tol),
+        "v22_right_inverse": rel_residual(v22 @ left_inv_v22, eye(x0), tol),
+        "u22_left_inverse": rel_residual(right_inv_u22 @ u22, eye(y0), tol),
     }
     extras = {"cond_f22_prime": cond_f, "cond_e11_prime": cond_e, "rank": r}
     report = _checked(VerifierReport("reduced_blocks", residuals, tol, extras),
@@ -421,7 +436,8 @@ def run_pipeline(U, V, w: EAESpecialWitness | None = None,
     Every step runs through one stage runner: a stage that raises any other
     :class:`~opcoupling.errors.ToolkitError` becomes a
     :class:`~opcoupling.errors.PipelineStageError` that names it and carries
-    the cause's report; one that passes is recorded as the report its step
+    the cause's report; either error carries the failed run as its
+    ``pipeline``.  A stage that passes is recorded as the report its step
     verified its artifact with, so no artifact is verified twice.  A
     supplied witness is one stage, ``verify_special``: its anchored table,
     after the residuals ``witness_u`` and ``witness_v`` of its ``U`` and
@@ -438,16 +454,23 @@ def run_pipeline(U, V, w: EAESpecialWitness | None = None,
     def stage(name, fn):
         try:
             out = fn()
-        except FeasibilityError:
-            raise
         except ToolkitError as exc:
-            raise PipelineStageError(name, str(exc), getattr(exc, "report", None)) from exc
+            table = getattr(exc, "report", None)
+            failed = (exc if isinstance(exc, FeasibilityError)
+                      else PipelineStageError(name, str(exc), table))
+            failed.pipeline = PipelineReport(
+                U=U, V=V, tol=tol, stages=MappingProxyType(dict(stages)), success=False,
+                failed_stage=name, error=str(failed),
+                failure=table if table is not None else VerifierReport(name, {}, tol))
+            if failed is exc:
+                raise
+            raise failed from exc
         stages[name] = out[1]
         return out
 
     def supplied():
-        residuals = {"witness_u": rel_residual(w.U, U), "witness_v": rel_residual(w.V, V),
-                     **w.residual_table}
+        residuals = {"witness_u": rel_residual(w.U, U, tol),
+                     "witness_v": rel_residual(w.V, V, tol), **w.residual_table(tol)}
         return w, _checked(VerifierReport("eae_special", residuals, tol), "anchored witness")
 
     mc = None
@@ -463,9 +486,8 @@ def run_pipeline(U, V, w: EAESpecialWitness | None = None,
     sc, _ = stage("schur_coupling", lambda: sc_from_eaoe(eaoe, tol))
 
     return PipelineReport(
-        U=U, V=V, tol=tol, stages=MappingProxyType(stages),
+        U=U, V=V, tol=tol, stages=MappingProxyType(stages), success=True,
         witness=w, mc=mc,
         x0_dim=small[0].x0_dim, y0_dim=small[0].y0_dim,
         small_eae=small[0], eaoe=eaoe, final_sc=sc,
-        success=True,
     )

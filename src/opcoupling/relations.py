@@ -32,13 +32,15 @@ all, labelled ``identity_i`` .. ``identity_xi``:
     (xi)   Ehat21 E11 = -F22 E21
 
 Every verifier reports relative residuals ``||lhs - rhs|| / max(1, ||rhs||)``
-in the spectral norm, and every *reported* residual is that exact value.
-An exact SVD is taken only for a recorded value or a check nothing else
-settles.  Numerators are always exact spectral norms; a denominator is
-computed by SVD only when it may exceed 1, since a certified bound settles
-``max(1, ||rhs||) = 1`` otherwise (see
-:func:`~opcoupling.numkernel.rel_residual`), and an exact identity block
-has norm and condition 1 without one.  Special-form witnesses carry
+in the spectral norm at its acceptance ``tol``, through
+:func:`~opcoupling.numkernel.rel_residual`.  An entry is the value the SVD
+gives, or, where a certificate puts it at most ``tol``, a certified upper
+bound of the residual of the stored floats; the report names those entries
+in ``certified``.  A bound passes ``tol`` exactly when the SVD value does,
+so every decision, failing entry and message is the SVD's.  A denominator
+is computed by SVD only when it may exceed 1, since a certified bound
+settles ``max(1, ||rhs||) = 1`` otherwise, and an exact identity block has
+norm and condition 1 without one.  Special-form witnesses carry
 their inverses so that verification cost and accuracy do not depend on
 re-inverting ``E`` and ``F``, and cache the one full SVD of each corner
 ``F22`` and ``E11`` (``f22_svd``, ``e11_svd``) from which the reduction reads
@@ -53,14 +55,14 @@ values nobody records, are settled first by a certified bound (see
 Each converter verifies its output once, and the pipeline records that
 report as the converter's stage instead of verifying the witness again: a
 builder returns its witness with the report, and a value that is read
-twice is cached by the witness that fixes it.  An MC witness caches its
-table (``residual_table``), which :func:`verify_mc` reports and
-:func:`_anchored` reads.  An anchored witness caches its twenty-entry
-table (``residual_table``), which :func:`verify_eae_special` reports and a
-supplied witness's stage reads, and its entry ``f_times_finv``, which that
-table and :func:`_anchored` read.  :func:`verify_eaoe` is :func:`verify_eae`
-with the other extension trivial, plus the residuals of the inverses
-(:func:`_eaoe_report`).
+twice is cached by the witness that fixes it, once for each ``tol`` it is
+read at.  An MC witness caches its table (``residual_table``), which
+:func:`verify_mc` reports and :func:`_anchored` reads.  An anchored
+witness caches its twenty-entry table (``residual_table``), which
+:func:`verify_eae_special` reports and a supplied witness's stage reads,
+and its entry ``f_times_finv``, which that table and :func:`_anchored`
+read.  :func:`verify_eaoe` is :func:`verify_eae` with the other extension
+trivial, plus the residuals of the inverses (:func:`_eaoe_report`).
 
 **A witness built from a coupling.**  :func:`mc_to_eae_special` verifies
 its witness by the coupling's table and ``f_times_finv`` alone
@@ -93,9 +95,11 @@ m`` sums ``2k`` real products, so in any order it errs by at most
 a row and two additions then err by at most ``g = gamma_(6d+8)`` times the
 sum, over the terms of lhs and rhs, of the products of the factors' moduli;
 ``T`` below is that sum with each modulus replaced by its factor's
-Frobenius norm.  The SVD of a residual is taken to be within a relative
-``s = d SVD_SLACK = 16 d eps`` (:mod:`~opcoupling.numkernel`), and a computed
-Frobenius norm of a matrix or of a product of moduli within ``1 / rho``,
+Frobenius norm.  A residual of the table is taken to be at least ``1 - s``
+times the true one, ``s = d SVD_SLACK = 16 d eps``: the SVD's relative
+error (:mod:`~opcoupling.numkernel`), or none for a certified bound, which
+lies above it.  A computed Frobenius norm of a matrix or of a product of
+moduli is taken to be within ``1 / rho``,
 ``rho = 1 / (1 - gamma_(2d^2+2d+8))``.  With ``kappa = ((1 + s) / (1 -
 s))^2`` and ``N = rho max(1, sqrt(d), ||E||_F, ||E^-1||_F, ||F||_F,
 ||F^-1||_F)``, which bounds the norm of every block above and of every
@@ -131,24 +135,25 @@ qb_rounding + g (2N^3 + N^2 + 5N))``.  It takes no SVD.  As a worst case
 it lies far above the entries it bounds: at 200 x 220 it reads 2.3e-8,
 and the largest entry 1.2e-14.  ``finv_form`` and ``identity_vii`` repeat
 the builder's own products, so they read 0 as well.  The bounds are
-evidence only: pass and fail stay on the exact residuals.
+evidence only: pass and fail stay on the table's residuals.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, wraps
 from types import MappingProxyType
 
 import numpy as np
 
 from .blockops import Block2x2
-from .errors import ConversionError, ShapeError
+from .errors import ConversionError, NumericalError, ShapeError
 from .numkernel import (
     EPS,
     SVD_SLACK,
     SvdResult,
+    _Bound,
     _gamma,
     _norm_and_condition,
     adjoint,
@@ -164,18 +169,49 @@ from .numkernel import (
 DEFAULT_TOL = 1e-8
 
 
+def _cached_by_tol(method):
+    """Cache ``method(self, tol)`` on the witness, one value per ``tol``: a
+    residual is a certified bound only where that is within the ``tol`` it
+    is read at (see :func:`~opcoupling.numkernel.rel_residual`)."""
+    attr = f"_{method.__name__}_by_tol"
+
+    @wraps(method)
+    def cached(self, tol):
+        by_tol = self.__dict__.setdefault(attr, {})
+        if tol not in by_tol:
+            by_tol[tol] = method(self, tol)
+        return by_tol[tol]
+
+    return cached
+
+
 # ---------------------------------------------------------------------------
 # report
 
 
 @dataclass(frozen=True)
 class VerifierReport:
-    """Residual table produced by a witness verifier."""
+    """Residual table produced by a witness verifier.
+
+    ``certified`` names, in table order, the entries that are certified
+    upper bounds rather than SVD values (see
+    :func:`~opcoupling.numkernel.rel_residual`).  An entry given as such a
+    bound is named there and stored as a plain float.
+    """
 
     kind: str
     residuals: dict[str, float]
     tol: float
     extras: dict[str, float] = field(default_factory=dict)
+    certified: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        bounds = {*self.certified, *(label for label, value in self.residuals.items()
+                                     if isinstance(value, _Bound))}
+        object.__setattr__(self, "certified",
+                           tuple(label for label in self.residuals if label in bounds))
+        object.__setattr__(self, "residuals",
+                           {label: float(value) for label, value in self.residuals.items()})
 
     @property
     def max_residual(self) -> float:
@@ -254,16 +290,16 @@ class MCWitness:
         if self.U.shape != (self.n, self.n) or self.V.shape != (self.m, self.m):
             raise ShapeError("U, V shapes do not match the declared split")
 
-    @cached_property
-    def residual_table(self) -> Mapping[str, float]:
-        """Exact residuals of the four pairs :func:`verify_mc` checks, in its
-        order; read-only, so every report holds a copy."""
+    @_cached_by_tol
+    def residual_table(self, tol: float) -> Mapping[str, float]:
+        """Residuals at ``tol`` of the four pairs :func:`verify_mc` checks, in
+        its order; read-only, so every report holds a copy."""
         n, d = self.n, self.n + self.m
         return MappingProxyType({
-            "uhat_inverse": rel_residual(self.Uhat @ self.UhatInv, eye(d)),
-            "uhat_inverse_left": rel_residual(self.UhatInv @ self.Uhat, eye(d)),
-            "corner_u": rel_residual(self.Uhat[:n, :n], self.U),
-            "corner_v": rel_residual(self.UhatInv[n:, n:], self.V),
+            "uhat_inverse": rel_residual(self.Uhat @ self.UhatInv, eye(d), tol),
+            "uhat_inverse_left": rel_residual(self.UhatInv @ self.Uhat, eye(d), tol),
+            "corner_u": rel_residual(self.Uhat[:n, :n], self.U, tol),
+            "corner_v": rel_residual(self.UhatInv[n:, n:], self.V, tol),
         })
 
 
@@ -378,21 +414,21 @@ class EAESpecialWitness:
     def e11_svd(self) -> SvdResult:
         return svd(self.E11)
 
-    @cached_property
-    def f_times_finv(self) -> float:
-        """Exact residual of ``F F^-1 = I``, the entry of :attr:`residual_table`
-        that also verifies a witness built from a coupling (see
-        :func:`mc_to_eae_special`)."""
-        return rel_residual(self.F @ self.Finv, eye(self.n + self.m))
+    @_cached_by_tol
+    def f_times_finv(self, tol: float) -> float:
+        """Residual at ``tol`` of ``F F^-1 = I``, the entry of
+        :meth:`residual_table` that also verifies a witness built from a
+        coupling (see :func:`mc_to_eae_special`)."""
+        return rel_residual(self.F @ self.Finv, eye(self.n + self.m), tol)
 
-    @cached_property
-    def residual_table(self) -> Mapping[str, float]:
-        """Exact residuals of the twenty anchored entries: the two inverses,
-        then the pairs of :func:`_special_pairs` in their order; read-only, so
-        every report holds a copy."""
-        table = {"e_times_einv": rel_residual(self.E @ self.Einv, eye(self.n + self.m)),
-                 "f_times_finv": self.f_times_finv}
-        table.update((label, rel_residual(lhs, rhs))
+    @_cached_by_tol
+    def residual_table(self, tol: float) -> Mapping[str, float]:
+        """Residuals at ``tol`` of the twenty anchored entries: the two
+        inverses, then the pairs of :func:`_special_pairs` in their order;
+        read-only, so every report holds a copy."""
+        table = {"e_times_einv": rel_residual(self.E @ self.Einv, eye(self.n + self.m), tol),
+                 "f_times_finv": self.f_times_finv(tol)}
+        table.update((label, rel_residual(lhs, rhs, tol))
                      for label, (lhs, rhs) in _special_pairs(self))
         return MappingProxyType(table)
 
@@ -452,10 +488,15 @@ def verify_sc(w: SCWitness, tol: float = DEFAULT_TOL) -> VerifierReport:
     norm_a, cond_a = _norm_and_condition(a)
     norm_d, cond_d = _norm_and_condition(d)
     a_inv, d_inv = np.linalg.inv(a), np.linalg.inv(d)
-    residuals = {
-        "schur_u": rel_residual(w.U, a - b @ d_inv @ c),
-        "schur_v": rel_residual(w.V, d - c @ a_inv @ b),
-    }
+    # an overflowing product would read as a nan residual and blame the witness
+    with np.errstate(over="ignore", invalid="ignore"):
+        complements = {"schur_u": (w.U, a - b @ d_inv @ c),
+                       "schur_v": (w.V, d - c @ a_inv @ b)}
+    for label, (_, rhs) in complements.items():
+        if not np.isfinite(rhs).all():
+            raise NumericalError(f"verify_sc: forming {label} overflows: its Schur "
+                                 "complement has entries that are not finite")
+    residuals = {label: rel_residual(lhs, rhs, tol) for label, (lhs, rhs) in complements.items()}
     extras = {
         "sigma_min_a": norm_a / cond_a if w.n else 1.0,
         "sigma_min_d": norm_d / cond_d if w.m else 1.0,
@@ -467,7 +508,7 @@ def verify_sc(w: SCWitness, tol: float = DEFAULT_TOL) -> VerifierReport:
 
 def verify_mc(w: MCWitness, tol: float = DEFAULT_TOL) -> VerifierReport:
     """Check invertibility and the two corner identities of an MC witness."""
-    return VerifierReport("mc", dict(w.residual_table), tol)
+    return VerifierReport("mc", dict(w.residual_table(tol)), tol)
 
 
 def verify_eae(w: EAEWitness, tol: float = DEFAULT_TOL) -> VerifierReport:
@@ -476,7 +517,7 @@ def verify_eae(w: EAEWitness, tol: float = DEFAULT_TOL) -> VerifierReport:
     cond_f = condition_number(w.F)
     lhs = _direct_sum(w.U, w.x0_dim)
     rhs = w.E @ _direct_sum(w.V, w.y0_dim) @ w.F
-    residuals = {"extension_equation": rel_residual(lhs, rhs)}
+    residuals = {"extension_equation": rel_residual(lhs, rhs, tol)}
     return VerifierReport("eae", residuals, tol, {"cond_e": cond_e, "cond_f": cond_f})
 
 
@@ -529,7 +570,7 @@ def verify_eae_special(w: EAESpecialWitness, tol: float = DEFAULT_TOL) -> Verifi
     inverses, the closed form of F^-1, the extension equation and the eleven
     block identities: the witness's cached table, with no extras.
     """
-    return VerifierReport("eae_special", dict(w.residual_table), tol)
+    return VerifierReport("eae_special", dict(w.residual_table(tol)), tol)
 
 
 def verify_eaoe(w: EAOEWitness, tol: float = DEFAULT_TOL) -> VerifierReport:
@@ -547,10 +588,10 @@ def _eaoe_report(w: EAOEWitness, extension: VerifierReport, tol: float) -> Verif
     residuals of the inverses of E and F that ``w`` carries."""
     residuals = dict(extension.residuals)
     if w.Einv is not None:
-        residuals["e_times_einv"] = rel_residual(w.E @ w.Einv, eye(w.E.shape[0]))
+        residuals["e_times_einv"] = rel_residual(w.E @ w.Einv, eye(w.E.shape[0]), tol)
     if w.Finv is not None:
-        residuals["f_times_finv"] = rel_residual(w.F @ w.Finv, eye(w.F.shape[0]))
-    return VerifierReport("eaoe", residuals, tol, dict(extension.extras))
+        residuals["f_times_finv"] = rel_residual(w.F @ w.Finv, eye(w.F.shape[0]), tol)
+    return VerifierReport("eaoe", residuals, tol, dict(extension.extras), extension.certified)
 
 
 # ---------------------------------------------------------------------------
@@ -595,8 +636,8 @@ def sc_to_mc(w: SCWitness, tol: float = DEFAULT_TOL) -> MCWitness:
     mc = MCWitness(Uhat=uhat, UhatInv=uhat_inv, n=n, m=m, U=w.U, V=w.V)
     report = verify_mc(mc, tol)
     residuals = dict(report.residuals)
-    residuals["factorization"] = rel_residual(uhat, factored)
-    _checked(VerifierReport("mc", residuals, tol), "sc_to_mc")
+    residuals["factorization"] = rel_residual(uhat, factored, tol)
+    _checked(VerifierReport("mc", residuals, tol, certified=report.certified), "sc_to_mc")
     return mc
 
 
@@ -645,7 +686,7 @@ def _anchored(mc: MCWitness, tol: float) -> tuple[EAESpecialWitness, VerifierRep
     kappa = ((1.0 + d * SVD_SLACK) / (1.0 - d * SVD_SLACK)) ** 2
     g = _gamma(6 * d + 8)
     big_n = rho * max(1.0, d ** 0.5, *(fro(x) for x in (w.E, w.Einv, w.F, w.Finv)))
-    table = mc.residual_table
+    table = mc.residual_table(tol)
     eta = (kappa * max(table["uhat_inverse"], table["uhat_inverse_left"])
            + g * (rho * rho * fro(mc.Uhat) * fro(mc.UhatInv) + big_n))
     eta_corner = kappa * max(table["corner_u"], table["corner_v"]) * big_n
@@ -657,8 +698,8 @@ def _anchored(mc: MCWitness, tol: float) -> tuple[EAESpecialWitness, VerifierRep
                      + g * (2 * big_n * big_n + big_n + 5) * big_n)
     extras = {"au_rounding": float(au), "qb_rounding": float(qb),
               "anchored_bound": float(bound)}
-    report = VerifierReport("eae_special", {**table, "f_times_finv": w.f_times_finv}, tol,
-                            extras)
+    report = VerifierReport("eae_special", {**table, "f_times_finv": w.f_times_finv(tol)},
+                            tol, extras)
     return w, _checked(report, "mc_to_eae_special")
 
 

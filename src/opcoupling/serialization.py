@@ -190,11 +190,26 @@ def decode_instance(obj: dict) -> tuple[np.ndarray, np.ndarray]:
 # reports
 
 
+def _stage_to_dict(name: str, report) -> dict:
+    """One stage of a pipeline report: its table, the entries of it that are
+    certified bounds, and its extras."""
+    return {"name": name, "residuals": dict(report.residuals),
+            "certified": list(report.certified), "data": dict(report.extras)}
+
+
 def pipeline_report_to_dict(report) -> dict:
+    """The report of a run that passed, or of one that failed: the stages
+    that finished and the one that failed, with its table if it had one."""
     out = _file_header("pipeline_report")
     out["tol"] = report.tol
     out["success"] = report.success
     out["dims"] = {"n": int(report.U.shape[0]), "m": int(report.V.shape[0])}
+    out["max_residual"] = report.max_residual
+    out["stages"] = [_stage_to_dict(name, s) for name, s in report.stages.items()]
+    if not report.success:
+        out["failed_stage"] = {**_stage_to_dict(report.failed_stage, report.failure),
+                               "error": report.error}
+        return out
     out["extension_dims"] = {"x0_dim": report.x0_dim, "y0_dim": report.y0_dim}
     fred = report.fredholm
     out["indices"] = {
@@ -205,11 +220,6 @@ def pipeline_report_to_dict(report) -> dict:
     }
     out["eaoe"] = {"extended_side": report.eaoe.extended_side,
                    "ext_dim": report.eaoe.ext_dim}
-    out["max_residual"] = report.max_residual
-    out["stages"] = [
-        {"name": name, "residuals": dict(s.residuals), "data": dict(s.extras)}
-        for name, s in report.stages.items()
-    ]
     return out
 
 
@@ -220,6 +230,7 @@ def verifier_report_to_dict(report) -> dict:
     out["passed"] = report.passed
     out["max_residual"] = report.max_residual
     out["residuals"] = dict(report.residuals)
+    out["certified"] = list(report.certified)
     out["failures"] = sorted(
         label for label, value in report.residuals.items() if value > report.tol
     )

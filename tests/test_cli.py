@@ -14,14 +14,16 @@ import numpy as np
 import pytest
 
 from opcoupling import __version__, cli
+from opcoupling.blockops import Block2x2
 from opcoupling.cli import dispatch
 from opcoupling.errors import NumericalError
 from opcoupling.hankel import SymbolFC
-from opcoupling.instances import InstanceSpec, random_instance, random_sc_witness
+from opcoupling.instances import InstanceSpec, random_instance, random_sc_witness, synth_mc
 from opcoupling.reduction import run_pipeline
 from opcoupling.relations import (
     EAEWitness,
     EAOEWitness,
+    SCWitness,
     mc_to_eae_special,
     sc_to_mc,
 )
@@ -831,3 +833,94 @@ def test_synth_size_past_the_cap_exits_2(tmp_path, capsys, option, value):
                      "--out", str(out)]) == 2
     assert f"Invalid value for '{option}'" in capsys.readouterr().err
     assert not out.exists()
+
+
+class TestFailureReports:
+    """A failed pipeline still writes its report: ``success`` false, the
+    stages that finished, and the failing stage with its table."""
+
+    @pytest.fixture()
+    def instance_12x14(self, tmp_path):
+        path = tmp_path / "i.json"
+        assert dispatch(["synth", "--n", "12", "--m", "14", "--nullity", "2",
+                         "--seed", "1", "--out", str(path)]) == 0
+        return path
+
+    @pytest.mark.parametrize("tol, finished, failing, label", [
+        ("1e-15", [], "synthesize_mc", "corner_u"),
+        ("4e-15", ["synthesize_mc", "mc_to_special", "decompose_corners"], "small_eae",
+         "extension_equation"),
+    ])
+    def test_failed_run_writes_its_report(self, tmp_path, instance_12x14, capsys,
+                                          tol, finished, failing, label):
+        rep, wit = tmp_path / "r.json", tmp_path / "w.json"
+        assert dispatch(["pipeline", "--in", str(instance_12x14), "--tol", tol,
+                         "--out", str(wit), "--report", str(rep)]) == 1
+        message = capsys.readouterr().err.removeprefix("pipeline failed: ").rstrip("\n")
+        report = json.loads(rep.read_text())
+        assert not wit.exists()
+        assert report["success"] is False and report["tol"] == float(tol)
+        assert [s["name"] for s in report["stages"]] == finished
+        failed = report["failed_stage"]
+        assert failed["name"] == failing and failed["error"] == message
+        assert max(failed["residuals"], key=failed["residuals"].get) == label
+        assert failed["residuals"][label] > float(tol) and label not in failed["certified"]
+        assert report["max_residual"] <= float(tol)
+        assert "extension_dims" not in report and "eaoe" not in report
+
+    def test_infeasible_run_names_the_synthesis(self, tmp_path):
+        u, _ = random_instance(InstanceSpec(3, 3, 0, seed=1, cond_bound=10))
+        _, v = random_instance(InstanceSpec(4, 4, 2, seed=2, cond_bound=10))
+        path, rep = tmp_path / "bad_inst.json", tmp_path / "r.json"
+        path.write_text(dumps_canonical(encode_instance(u, v)))
+        assert dispatch(["pipeline", "--in", str(path), "--report", str(rep)]) == 1
+        report = json.loads(rep.read_text())
+        assert report["success"] is False and report["stages"] == []
+        failed = report["failed_stage"]
+        assert failed["name"] == "synthesize_mc" and failed["residuals"] == {}
+        assert failed["error"].startswith("no coupling exists: dim Ker U = 0")
+
+    def test_batch_writes_the_failed_file_report(self, tmp_path, instance_12x14, capsys):
+        other = tmp_path / "j.json"
+        assert dispatch(["synth", "--n", "3", "--m", "4", "--nullity", "1",
+                         "--seed", "2", "--out", str(other)]) == 0
+        out = tmp_path / "out"
+        assert dispatch(["pipeline", "--in", str(instance_12x14), "--in", str(other),
+                         "--tol", "4e-15", "--out-dir", str(out)]) == 1
+        failed = json.loads((out / "i.report.json").read_text())
+        assert failed["success"] is False and failed["failed_stage"]["name"] == "small_eae"
+        assert not (out / "i.witness.json").exists()
+        assert json.loads((out / "j.report.json").read_text())["success"] is True
+
+
+def test_overflowing_schur_complement_is_a_verification_error(tmp_path, capsys):
+    """An sc witness whose product B D^-1 C overflows ends in an error that
+    names the overflow, not in a nan table that blames the witness."""
+    big = np.full((2, 2), 1e300)
+    sc = SCWitness(M=Block2x2(1e300 * np.eye(2), big, big, np.eye(2)),
+                   U=np.eye(2), V=np.eye(2))
+    path = tmp_path / "sc.json"
+    path.write_text(dumps_canonical(encode_witness(sc)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = dispatch(["verify", "--witness", str(path), "--kind", "sc",
+                         "--report", str(tmp_path / "r.json")])
+    out = capsys.readouterr()
+    assert code == 1 and out.out == ""
+    assert re.fullmatch(r"verification error: .*overflow.*\n", out.err)
+    assert "nan" not in out.err and not (tmp_path / "r.json").exists()
+
+
+def test_verify_report_lists_its_certified_entries(tmp_path):
+    """Above the certificate's crossover a passing report names its bound
+    entries under ``certified``; below it the list is empty."""
+    for (n, m), certified in (((3, 4), []), ((30, 34), ["uhat_inverse", "uhat_inverse_left",
+                                                         "corner_u", "corner_v"])):
+        mc, _ = synth_mc(*random_instance(InstanceSpec(n, m, 2, seed=3)))
+        wit, rep = tmp_path / f"mc{n}.json", tmp_path / f"r{n}.json"
+        wit.write_text(dumps_canonical(encode_witness(mc)))
+        assert dispatch(["verify", "--witness", str(wit), "--kind", "mc",
+                         "--report", str(rep)]) == 0
+        report = json.loads(rep.read_text())
+        assert report["certified"] == certified and report["passed"] is True
+        assert all(report["residuals"][label] <= 1e-8 for label in certified)

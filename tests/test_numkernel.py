@@ -1,3 +1,6 @@
+import contextlib
+
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -9,10 +12,13 @@ from opcoupling.errors import (
     ShapeError,
     SingularMatrixError,
 )
+from opcoupling import numkernel
 from opcoupling.instances import random_unitary
 from opcoupling.numkernel import (
+    _CERT_MIN_SIDE,
     EPS,
     SVD_SLACK,
+    _Bound,
     _norm_at_most,
     adjoint,
     as_matrix,
@@ -402,3 +408,98 @@ class TestInverse:
         a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
         inv, cond = inverse(a)
         assert spectral_norm(inv - np.linalg.pinv(a)) <= 1e-13 * cond
+
+
+@pytest.mark.parametrize("lhs, rhs", [
+    (np.full((2, 2), np.inf), np.zeros((2, 2))),
+    (np.zeros((3, 1)), np.full((3, 1), np.nan)),
+    (np.full((2, 2), 1e308), np.full((2, 2), -1e308)),
+])
+def test_non_finite_residual_is_a_numerical_error(lhs, rhs):
+    # an infinite operand, a NaN, or a difference that overflows; with
+    # warnings as errors an overflow warning would fail the test
+    for tol in (None, 1e-8):
+        with pytest.raises(NumericalError, match="not finite"):
+            rel_residual(lhs, rhs, tol)
+
+
+def test_certificate_crossover():
+    # with a tol, a residual whose smaller side reaches the crossover is a
+    # certified bound, between the SVD value and tol; a smaller one is the
+    # SVD value itself, and so is any residual without a tol
+    rng = np.random.default_rng(8)
+    for k in (_CERT_MIN_SIDE - 1, _CERT_MIN_SIDE):
+        for shape in ((k, k), (k, 3 * k), (3 * k, k)):
+            rhs = np.eye(*shape)
+            lhs = rhs + 1e-14 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+            exact, value = rel_residual(lhs, rhs), rel_residual(lhs, rhs, 1e-8)
+            assert isinstance(value, _Bound) == (k >= _CERT_MIN_SIDE)
+            assert exact <= value <= 1e-8 and type(exact) is float
+            assert rel_residual(lhs, rhs, exact / 2) == exact
+
+
+@contextlib.contextmanager
+def _crossover_lowered():
+    """Certify residuals of every size for the length of the block."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(numkernel, "_CERT_MIN_SIDE", 1)
+        yield
+
+
+def _mp_norm(a: np.ndarray):
+    """The spectral norm of the stored floats of ``a`` in 40-digit mpmath."""
+    if not a.size:
+        return mpmath.mpf(0)
+    with mpmath.workdps(40):
+        m = mpmath.matrix([[mpmath.mpc(complex(z)) for z in row] for row in a])
+        return max(mpmath.svd_c(m, compute_uv=False))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(rows=st.integers(1, 6), cols=st.integers(1, 6), kind=_KINDS,
+       rhs_norm=st.sampled_from([0.0, 0.3, 1.0, 1.7, 250.0]),
+       level=st.sampled_from([1e-15, 1e-12, 1e-6, 0.3]), seed=st.integers(0, 2**32 - 1))
+def test_certified_residual_bounds_the_stored_floats(rows, cols, kind, rhs_norm, level,
+                                                     seed):
+    # with the crossover lowered, every certified value lies above the true
+    # relative residual of the stored lhs and rhs, computed in 40 digits
+    rng = np.random.default_rng(seed)
+    rhs = _matrix_of_norm(rows, cols, kind, rhs_norm, rng) if rhs_norm else np.zeros(
+        (rows, cols), dtype=complex)
+    lhs = rhs + _matrix_of_norm(rows, cols, "gaussian", level * max(1.0, rhs_norm), rng)
+    with _crossover_lowered():
+        value = rel_residual(lhs, rhs, 1.0)
+    if isinstance(value, _Bound):
+        with mpmath.workdps(40):
+            diff = np.array([[mpmath.mpc(complex(x)) - mpmath.mpc(complex(y))
+                              for x, y in zip(*pair)] for pair in zip(lhs, rhs)])
+            true = (max(mpmath.svd_c(mpmath.matrix(diff.tolist()), compute_uv=False))
+                    / max(mpmath.mpf(1), _mp_norm(rhs)))
+            assert mpmath.mpf(float(value)) >= true
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(rows=st.integers(1, 7), cols=st.integers(1, 7), rank_one=st.booleans(),
+       rhs_norm=st.sampled_from([0.0, 0.3, 1.0, 1.7, 250.0]),
+       ratio=st.one_of(st.sampled_from([1 - 1e-9, 1.0, 1 + 1e-9]), st.floats(0.5, 2.0)),
+       tol=st.sampled_from([1e-14, 1e-10, 1e-8, 1e-3]),
+       seed=st.integers(0, 2**32 - 1))
+def test_certified_residual_decides_as_the_svd(rows, cols, rank_one, rhs_norm, ratio, tol,
+                                               seed):
+    # exact residuals at ratio * tol: with the crossover lowered, the value
+    # at tol passes tol exactly when the SVD value does
+    rng = np.random.default_rng(seed)
+
+    def cplx(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    rhs = cplx(rows, cols)
+    rhs *= rhs_norm / spectral_norm(rhs)
+    diff = np.outer(cplx(rows), cplx(cols)) if rank_one else cplx(rows, cols)
+    diff *= ratio * tol * max(1.0, spectral_norm(rhs)) / spectral_norm(diff)
+    lhs = rhs + diff
+    exact = rel_residual(lhs, rhs)
+    with _crossover_lowered():
+        value = rel_residual(lhs, rhs, tol)
+    assert (value <= tol) == (exact <= tol)
+    assert value == exact or (isinstance(value, _Bound) and exact <= value <= tol)

@@ -264,7 +264,8 @@ def _residual_checks(c):
     """Each residual check by name: ``(what the message names, its exact
     residual table, a call that runs it at a given tol)``."""
     u_off = c.u + 1e-6
-    table = verify_eae_special(c.w).residuals
+    # at tol 0 no entry is a certified bound
+    table = verify_eae_special(c.w, 0.0).residuals
     built_small = build_small_eae(c.rb)
     small = built_small[0]
     eaoe, _ = build_eaoe(c.rb, built_small)
@@ -294,8 +295,10 @@ _PIPELINE_CHECKS = ("witness_u", "verify_special")
                                   "build_small_eae", "build_eaoe", *_PIPELINE_CHECKS])
 def test_failed_check_raises_one_way(chain, name):
     """Every residual check fails alike: a ConversionError (a NumericalError)
-    carrying the exact table and naming its worst entry; a pipeline stage
-    wraps it in a PipelineStageError that carries the same table."""
+    carrying the table and naming its worst entry; a pipeline stage wraps it
+    in a PipelineStageError that carries the same table.  The table's
+    entries are the exact ones, except those it names as certified bounds,
+    which lie between the exact entry and tol."""
     what, exact, run = _residual_checks(chain)[name]
     label = max(exact, key=exact.get)
     tol = exact[label] / 2
@@ -308,7 +311,12 @@ def test_failed_check_raises_one_way(chain, name):
         assert err.stage == "verify_special" and err.report is err.__cause__.report
         err = err.__cause__
     assert isinstance(err, ConversionError) and isinstance(err, NumericalError)
-    assert err.report.residuals == exact
+    assert list(err.report.residuals) == list(exact)
+    for key, value in err.report.residuals.items():
+        if key in err.report.certified:
+            assert exact[key] <= value <= tol
+        else:
+            assert value == exact[key]
     assert str(err) == (f"{what} failed verification: {label} residual "
                         f"{exact[label]:.3e} exceeds {tol:g}")
 
@@ -593,7 +601,7 @@ class TestRunPipeline:
         # its residuals against the inputs, then its anchored table
         report = run_pipeline([[1.0]], [[0.5]], w=worked_special(), tol=1e-10)
         assert list(report.stages["verify_special"].residuals) == [
-            "witness_u", "witness_v", *worked_special().residual_table]
+            "witness_u", "witness_v", *worked_special().residual_table(1e-10)]
 
 
 @pytest.mark.parametrize("r", [None, 7], ids=["one_sided", "two_sided"])
@@ -691,7 +699,8 @@ def test_pipeline_verifies_each_artifact_once(work_counts):
     assert sum(work_counts[k] for k in _VERIFIER_KINDS) == 3
     assert work_counts["eaoe"] == 0
     assert work_counts["eae_special"] == 0
-    assert work_counts["svd"] == 24
+    # the 26x26 entries of the MC table and f_times_finv are certified
+    assert work_counts["svd"] == 21
     # one each of U, V, F22 and E11
     assert work_counts["full_svd"] == 4
 
@@ -700,7 +709,7 @@ def test_supplied_witness_pipeline_counts(work_counts):
     """The supplied-witness path records the witness's anchored table and
     calls no public verifier for it.  A witness read from a file takes its
     anchored table in verify_special; the object mc_to_eae_special returned
-    holds its f_times_finv already."""
+    holds its f_times_finv already, a certified bound that took no SVD."""
     u, v = random_instance(InstanceSpec(12, 14, 2, seed=1))
     mc, _ = synth_mc(u, v, 1e-8)
     w = mc_to_eae_special(mc, 1e-8)
@@ -708,12 +717,13 @@ def test_supplied_witness_pipeline_counts(work_counts):
     assert run_pipeline(u, v, w=read_back(w), tol=1e-8).success
     assert sum(work_counts[k] for k in _VERIFIER_KINDS) == 2
     assert work_counts["eae_special"] == 0
-    assert work_counts["svd"] == 33
+    # the anchored table's four 26x26 entries are certified
+    assert work_counts["svd"] == 29
     # one each of F22 and E11
     assert work_counts["full_svd"] == 2
     work_counts.clear()
     assert run_pipeline(u, v, w=w, tol=1e-8).success
-    assert work_counts["svd"] == 33 - 1
+    assert work_counts["svd"] == 29
 
 
 # the stages both paths share, with the dense SVDs each takes at 12x14
@@ -727,29 +737,51 @@ _SHARED_STAGE_SVDS = {
 }
 
 
+def _svds_per_stage(work_counts, u, v, w=None) -> dict[str, int]:
+    """The dense SVDs each stage of ``run_pipeline(u, v, w=w)`` takes."""
+    work_counts.clear()
+    work_counts.stages.clear()
+    run_pipeline(u, v, w=w, tol=1e-8)
+    # a stage runs from its step's call to the next one's, or to the end;
+    # the supplied witness's stage, which calls no step, from the start
+    marks = ([("verify_special", 0)] if w is not None else []) + work_counts.stages
+    ends = [start for _, start in marks[1:]] + [work_counts["svd"]]
+    return {name: end - start for (name, start), end in zip(marks, ends)}
+
+
 @pytest.mark.parametrize("supplied", [False, True], ids=["synthesized", "supplied"])
 def test_dense_svds_per_stage(work_counts, supplied):
     """Each stage's dense SVDs at 12x14, nullity 2, so that a change in the
     count names the stage it comes from."""
     u, v = random_instance(InstanceSpec(12, 14, 2, seed=1))
     w = read_back(mc_to_eae_special(synth_mc(u, v, 1e-8)[0], 1e-8)) if supplied else None
-    work_counts.clear()
-    work_counts.stages.clear()
-    run_pipeline(u, v, w=w, tol=1e-8)
-    # a stage runs from its step's call to the next one's, or to the end;
-    # the supplied witness's stage, which calls no step, from the start
-    marks = ([("verify_special", 0)] if supplied else []) + work_counts.stages
-    ends = [start for _, start in marks[1:]] + [work_counts["svd"]]
-    per_stage = {name: end - start for (name, start), end in zip(marks, ends)}
+    per_stage = _svds_per_stage(work_counts, u, v, w)
     if supplied:
-        # witness_u, witness_v and the anchored table's exact residuals;
-        # denominators of 1 are certified
-        head = {"verify_special": 16}
+        # witness_u, witness_v and the anchored table's residuals below the
+        # certificate's crossover; denominators of 1 are certified
+        head = {"verify_special": 12}
     else:
-        # the full SVDs of U and V and the MC table; f_times_finv, whose
-        # denominator of 1 is certified, recorded after the cached MC table
-        head = {"synthesize_mc": 6, "mc_to_special": 1}
+        # the full SVDs of U and V and the MC table's two corners; its two
+        # 26x26 entries, and f_times_finv, recorded after the cached MC
+        # table, are certified
+        head = {"synthesize_mc": 4, "mc_to_special": 0}
     assert per_stage == {**head, **_SHARED_STAGE_SVDS}
+
+
+def test_dense_svds_per_stage_above_the_crossover(work_counts):
+    """Each stage's dense SVDs at 64x70, nullity 6, where every residual
+    whose smaller side reaches the certificate's crossover is a certified
+    bound: what is left are the full SVDs of U, V, F22 and E11, the
+    condition numbers, and the residuals of the 64x6 and 6x6 blocks."""
+    u, v = random_instance(InstanceSpec(64, 70, 6, seed=1))
+    assert _svds_per_stage(work_counts, u, v) == {
+        "synthesize_mc": 2,        # the full SVDs of U and V
+        "mc_to_special": 0,
+        "decompose_corners": 7,    # F22, E11, two conds, v12 and v22's inverses
+        "small_eae": 2,            # cond of E and F
+        "build_eaoe": 0,
+        "schur_coupling": 1,       # cond of A
+    }
 
 
 def test_pipeline_calls_the_public_builders(monkeypatch):
@@ -793,13 +825,14 @@ def test_anchored_stage_is_the_report_its_builder_returned(monkeypatch):
 
 def test_verify_eae_special_reads_the_anchored_table(work_counts):
     """verify_eae_special on a witness read from a file takes the dense SVDs
-    of its twenty-entry table and no more: 16 at 12x14, nullity 2."""
+    of its twenty-entry table and no more: 12 at 12x14, nullity 2, where its
+    four 26x26 entries are certified bounds."""
     u, v = random_instance(InstanceSpec(12, 14, 2, seed=1))
     w = read_back(mc_to_eae_special(synth_mc(u, v, 1e-8)[0], 1e-8))
     work_counts.clear()
     report = verify_eae_special(w)
-    assert work_counts["svd"] == 16
-    assert report.residuals == dict(w.residual_table) and report.extras == {}
+    assert work_counts["svd"] == 12
+    assert report.residuals == dict(w.residual_table(1e-8)) and report.extras == {}
 
 
 @pytest.mark.parametrize("path", ["synthesized", "supplied", "two_sided", "empty_u"])
@@ -864,7 +897,7 @@ def test_built_witness_is_within_its_anchored_bound(data, order, source, log_con
         mc = relations.sc_to_mc(instances.random_sc_witness(n, m, cond, seed), 1.0)
     # tol 1: the bound holds whether or not the entries pass a tolerance
     w, built = relations._anchored(mc, 1.0)
-    table = read_back(w).residual_table
+    table = read_back(w).residual_table(1.0)
     assert built.residuals["f_times_finv"] == table["f_times_finv"]
     assert list(built.residuals) == ["uhat_inverse", "uhat_inverse_left", "corner_u",
                                      "corner_v", "f_times_finv"]

@@ -81,12 +81,12 @@ class TestVerifyMC:
     def test_reports_hold_copies_of_the_cached_table(self):
         # synth_mc verified the witness, so its table is cached already
         mc, report = synth_mc(*random_instance(InstanceSpec(3, 4, 1, seed=7)))
-        table = vars(mc)["residual_table"]
+        table = vars(mc)["_residual_table_by_tol"][1e-8]
         assert list(table.items()) == list(report.residuals.items()) and len(table) == 4
         rep = verify_mc(mc)
         assert rep.residuals == dict(table) and rep.residuals is not report.residuals
         rep.residuals["corner_u"] = 1.0
-        assert mc.residual_table is table and table["corner_u"] < 1e-12
+        assert mc.residual_table(1e-8) is table and table["corner_u"] < 1e-12
         with pytest.raises(TypeError):
             table["corner_u"] = 1.0
 
@@ -179,11 +179,11 @@ class TestMcToEaeSpecial:
     def test_reports_hold_copies_of_the_cached_table(self):
         u, v = random_instance(InstanceSpec(3, 3, 1, seed=7, cond_bound=50))
         w = mc_to_eae_special(synth_mc(u, v)[0])
-        table = w.residual_table
+        table = w.residual_table(1e-8)
         rep = verify_eae_special(w)
         assert list(rep.residuals.items()) == list(table.items()) and len(table) == 20
         rep.residuals["extension_equation"] = 1.0
-        assert w.residual_table is table and table["extension_equation"] < 1e-12
+        assert w.residual_table(1e-8) is table and table["extension_equation"] < 1e-12
         with pytest.raises(TypeError):
             table["extension_equation"] = 1.0
 

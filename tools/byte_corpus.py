@@ -19,15 +19,26 @@ byte-identity contract, is masked.  The corpus holds:
   passed, and the stage, message and hex residual table of one that failed.
 
 ``--quick`` writes a small subset of ``cli/`` that takes about a second.
+
+``--compare OLD NEW`` reads two corpora written by this tool, for example
+from a change and its parent.  It prints, for each command and library
+case, whether the exit code and the failing stage agree, and then lists the
+files whose bytes moved, grouped by kind (a JSON file's ``kind``, a
+command's captured output, a library failure, a CSV), and those in one
+corpus only.  It exits 1 when a case disagrees::
+
+    PYTHONPATH=src python tools/byte_corpus.py --compare OLD_DIR NEW_DIR
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import json
 import os
 import re
 import sys
+from collections import defaultdict
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +52,7 @@ from opcoupling.serialization import dumps_canonical, encode_witness, pipeline_r
 
 _TESTS = Path(__file__).resolve().parents[1] / "tests"
 _TIMESTAMP = re.compile(r'"timestamp": "[^"]*"')
+_FAILED_STAGE = re.compile(r"stage '([^']+)'")
 _WITNESSES = ("mc", "witness", "small_eae", "eaoe", "final_sc")
 # the witness of each verifier kind among a pipeline report's witnesses
 _VERIFY_KINDS = {"mc": "mc", "eae_special": "witness", "eae": "small_eae",
@@ -176,8 +188,70 @@ def write_corpus(out_dir, quick: bool = False) -> None:
         os.chdir(cwd)
 
 
+def _outcomes(root: Path) -> dict[str, str]:
+    """Each case of a corpus with its exit code and failing stage: a command
+    by its captured output, a library case by its failure, or its pass."""
+    out = {}
+    for path in root.rglob("*.status.txt"):
+        head, _, rest = path.read_text(encoding="utf-8").partition("\n")
+        stage = _FAILED_STAGE.search(rest.partition("--- stderr\n")[2])
+        name = str(path.relative_to(root)).removesuffix(".status.txt")
+        out[name] = f"{head}, stage {stage[1] if stage else '-'}"
+    for case in (root / "lib").glob("*") if (root / "lib").is_dir() else ():
+        failure = case / "failure.txt"
+        if failure.is_file():
+            stage = failure.read_text(encoding="utf-8").splitlines()[1].removeprefix("stage ")
+            out[str(case.relative_to(root))] = f"exit 1, stage {stage}"
+        else:
+            out[str(case.relative_to(root))] = "exit 0, stage -"
+    return out
+
+
+def _kind(root: Path, name: str) -> str:
+    """The kind of a corpus file: its tree, then its JSON ``kind`` or what
+    the file holds."""
+    tree, path = name.partition("/")[0], root / name
+    if name.endswith(".status.txt"):
+        return f"{tree} command output"
+    if name.endswith("failure.txt"):
+        return f"{tree} failure"
+    if name.endswith(".json"):
+        return f"{tree} {json.loads(path.read_text(encoding='utf-8')).get('kind')}"
+    return f"{tree} {path.suffix.lstrip('.')}"
+
+
+def compare(old_dir, new_dir) -> int:
+    """Print how the corpus ``new_dir`` differs from ``old_dir``; 1 when a
+    case's exit code or failing stage differs."""
+    old, new = Path(old_dir), Path(new_dir)
+    before, after = _outcomes(old), _outcomes(new)
+    disagree = 0
+    for name in sorted(before.keys() | after.keys()):
+        was, now = before.get(name, "absent"), after.get(name, "absent")
+        disagree += was != now
+        print(f"{'same' if was == now else 'DIFFERS'}  {name}: {was}"
+              + ("" if was == now else f" -> {now}"))
+    files = [{str(p.relative_to(root)) for p in root.rglob("*") if p.is_file()}
+             for root in (old, new)]
+    moved = defaultdict(list)
+    for name in sorted(files[0] | files[1]):
+        if name not in files[0] or name not in files[1]:
+            moved["only in " + ("NEW" if name in files[1] else "OLD")].append(name)
+        elif (old / name).read_bytes() != (new / name).read_bytes():
+            moved[_kind(new, name)].append(name)
+    print(f"{len(before.keys() | after.keys()) - disagree} cases agree, {disagree} differ")
+    print(f"files whose bytes moved, or that one corpus lacks: "
+          f"{sum(map(len, moved.values()))} of {len(files[0] | files[1])}")
+    for kind in sorted(moved):
+        print(f"  {kind}: {len(moved[kind])}")
+        print("".join(f"    {name}\n" for name in moved[kind]), end="")
+    return 1 if disagree else 0
+
+
 if __name__ == "__main__":
     args = sys.argv[1:]
+    if len(args) == 3 and args[0] == "--compare":
+        sys.exit(compare(args[1], args[2]))
     if len(args) not in (1, 2) or args[1:] not in ([], ["--quick"]):
-        sys.exit("usage: byte_corpus.py OUT_DIR [--quick]")
+        sys.exit("usage: byte_corpus.py OUT_DIR [--quick] | --compare OLD NEW")
     write_corpus(args[0], quick=bool(args[1:]))
