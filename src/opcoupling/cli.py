@@ -92,6 +92,22 @@ def _write_text(path, text: str) -> None:
         raise click.UsageError(f"cannot write {path}: {exc}")
 
 
+def _remove_stale(path) -> None:
+    """Remove the regular file at ``path``, if there is one, so that no
+    earlier run's output is left there; an OSError is a usage error.
+
+    A symlink to a regular file is removed itself, not its target.  Like
+    :func:`_write_text`, FIFOs and devices are left alone.
+    """
+    try:
+        if stat.S_ISREG(os.stat(path).st_mode):
+            os.remove(path)
+    except FileNotFoundError:
+        pass
+    except OSError as exc:
+        raise click.UsageError(f"cannot remove {path}: {exc}")
+
+
 def _echo(message: str, err: bool = False) -> None:
     """``click.echo`` to stdout or stderr, resolved afresh on each call.
 
@@ -255,7 +271,10 @@ def _run_one_pipeline(in_path: str, tol: float, out_path, report_path):
     try:
         report = run_pipeline(u, v, tol=tol)
     except ToolkitError as exc:
-        # a failed run still reports the stages it finished
+        # a failed run still reports the stages it finished, and leaves no
+        # earlier run's witness beside that report
+        if out_path:
+            _remove_stale(out_path)
         if report_path and exc.pipeline is not None:
             emit_report(pipeline_report_to_dict(exc.pipeline), report_path)
         raise

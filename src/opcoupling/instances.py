@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .blockops import Block2x2
-from .errors import FeasibilityError, PreconditionError
+from .errors import FeasibilityError, NumericalError, PreconditionError
 from .numkernel import SvdResult, adjoint, as_matrix, svd, zeros
 from .relations import (
     DEFAULT_TOL,
@@ -63,10 +63,24 @@ def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def _diag(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Block diagonal ``diag(a, b)``."""
-    return Block2x2(a, zeros(a.shape[0], b.shape[1]), zeros(b.shape[0], a.shape[1]),
-                    b).assemble()
+def _dressed(left_u: np.ndarray, left_v: np.ndarray, core: np.ndarray,
+             right_u: np.ndarray, right_v: np.ndarray) -> np.ndarray:
+    """``diag(left_u, left_v) @ core @ diag(right_u, right_v)`` for a real
+    core with at most one nonzero per column in each of its two block rows.
+
+    The first product gathers and scales columns of ``left_u`` and
+    ``left_v``; the second is two half-size products, one per block column
+    of the result, written into one output.
+    """
+    n = left_u.shape[1]
+    inner = zeros(*core.shape)
+    for rows, basis in ((slice(None, n), left_u), (slice(n, None), left_v)):
+        src, cols = np.nonzero(core[rows])
+        inner[rows, cols] = basis[:, src] * core[rows][src, cols]
+    out = np.empty(core.shape, dtype=np.complex128)
+    np.matmul(inner[:, :n], right_u, out=out[:, :n])
+    np.matmul(inner[:, n:], right_v, out=out[:, n:])
+    return out
 
 
 def _rank_evidence(label: str, res: SvdResult) -> str:
@@ -95,7 +109,14 @@ def synth_mc(U, V, tol: float = DEFAULT_TOL) -> tuple[MCWitness, VerifierReport]
     ``t = sqrt(s / r)`` (inverse ``[[0, 1/t], [-1/t, r]]``), and an unpaired
     leading value becomes ``[s]`` or ``[1/r]``.  ``C^-1`` is written down too,
     and ``cond(Uhat) = cond(C)``, taken from the blocks in closed form, is the
-    report's ``cond_uhat`` extra.  The nullities are read from the two SVDs;
+    report's ``cond_uhat`` extra.  Both cores have at most one nonzero per
+    column in each block row, so no block-diagonal factor is formed: the
+    inner product gathers and scales columns of the singular vectors, and
+    the outer one is two half-size products (:func:`_dressed`).  A core
+    entry ``1/s``, ``1/r``, ``t`` or ``1/t`` that overflows, or a ``t``
+    that underflows to 0, raises :class:`~opcoupling.errors.NumericalError`
+    before any product, naming the entry and the singular values it comes
+    from.  The nullities are read from the two SVDs;
     the common one is the ``nullity`` extra, and unequal ones raise
     :class:`~opcoupling.errors.FeasibilityError`, which decides feasibility
     for the whole pipeline and quotes, for U and for V, the rank cutoff, the
@@ -119,13 +140,33 @@ def synth_mc(U, V, tol: float = DEFAULT_TOL) -> tuple[MCWitness, VerifierReport]
     null_u, null_v = np.arange(n - k, n), n + np.arange(m - k, m)
     s_lead, r_lead = res_u.singulars[: n - p], res_v.singulars[: m - p]
     s, r = res_u.singulars[n - p: n - k], res_v.singulars[m - p: m - k]
-    t = np.sqrt(s / r)
 
-    core, core_inv = zeros(n + m, n + m), zeros(n + m, n + m)
-    core[lead_u, lead_u], core_inv[lead_u, lead_u] = s_lead, 1.0 / s_lead
-    core[lead_v, lead_v], core_inv[lead_v, lead_v] = 1.0 / r_lead, r_lead
+    # an entry that overflows, or a t that underflows, would leave a core
+    # that is not finite or not invertible: it is named with its source
+    with np.errstate(over="ignore", under="ignore", divide="ignore"):
+        t = np.sqrt(s / r)
+        inv_s, inv_r, inv_t = 1.0 / s_lead, 1.0 / r_lead, 1.0 / t
+
+    def pair(i):
+        return f"the paired singular values s = {s[i]:.3e} of U and r = {r[i]:.3e} of V"
+
+    for name, values, source in (
+            ("1/s", inv_s, lambda i: f"the leading singular value s = {s_lead[i]:.3e} of U"),
+            ("1/r", inv_r, lambda i: f"the leading singular value r = {r_lead[i]:.3e} of V"),
+            ("t = sqrt(s/r)", t, pair), ("1/t", inv_t, pair)):
+        bad = ~(np.isfinite(values) & (values != 0))
+        if bad.any():
+            i = int(np.argmax(bad))
+            what = "underflows to 0" if values[i] == 0 else "overflows"
+            raise NumericalError(
+                f"synth_mc: the core entry {name} {what}, from {source(i)}; the "
+                "scale of U and V is beyond what the core can represent")
+
+    core, core_inv = np.zeros((n + m, n + m)), np.zeros((n + m, n + m))
+    core[lead_u, lead_u], core_inv[lead_u, lead_u] = s_lead, inv_s
+    core[lead_v, lead_v], core_inv[lead_v, lead_v] = inv_r, r_lead
     core[pair_u, pair_u], core[pair_u, pair_v], core[pair_v, pair_u] = s, -t, t
-    core_inv[pair_u, pair_v], core_inv[pair_v, pair_u] = 1.0 / t, -1.0 / t
+    core_inv[pair_u, pair_v], core_inv[pair_v, pair_u] = inv_t, -inv_t
     core_inv[pair_v, pair_v] = r
     for c in (core, core_inv):
         c[null_u, null_v] = c[null_v, null_u] = 1.0
@@ -133,13 +174,13 @@ def synth_mc(U, V, tol: float = DEFAULT_TOL) -> tuple[MCWitness, VerifierReport]
     # singular values of C, blockwise: sigma+ - sigma- = s and
     # sigma+ sigma- = t^2 for each nonzero pair, 1 twice for each null pair
     sigma_plus = (np.hypot(s, 2.0 * t) + s) / 2.0
-    sigmas = np.concatenate([s_lead, 1.0 / r_lead, sigma_plus, t * t / sigma_plus,
+    sigmas = np.concatenate([s_lead, inv_r, sigma_plus, t * t / sigma_plus,
                              np.ones(k)])
     cond = float(sigmas.max() / sigmas.min()) if sigmas.size else 1.0
 
     w_u, x_u, w_v, x_v = res_u.left, res_u.right, res_v.left, res_v.right
-    uhat = _diag(w_u, x_v) @ core @ _diag(adjoint(x_u), adjoint(w_v))
-    uhat_inv = _diag(x_u, w_v) @ core_inv @ _diag(adjoint(w_u), adjoint(x_v))
+    uhat = _dressed(w_u, x_v, core, adjoint(x_u), adjoint(w_v))
+    uhat_inv = _dressed(x_u, w_v, core_inv, adjoint(w_u), adjoint(x_v))
     mc = MCWitness(Uhat=uhat, UhatInv=uhat_inv, n=n, m=m, U=U, V=V)
     report = verify_mc(mc, tol)
     return mc, _checked(replace(report, extras={"nullity": k, "cond_uhat": cond}),

@@ -382,6 +382,14 @@ class SvdResult:
     def rank(self) -> int:
         return int(np.count_nonzero(self.singulars > self.rank_tol))
 
+    def range_condition(self) -> float:
+        """``sigma_1 / sigma_r`` for ``r = rank()``: the condition number of
+        the matrix compressed to the leading ``r`` columns of ``left`` and of
+        ``right``, whose singular values are these up to rounding; 1.0 at
+        rank 0."""
+        r = self.rank()
+        return float(self.singulars[0] / self.singulars[r - 1]) if r else 1.0
+
 
 def svd(a) -> SvdResult:
     """Full SVD with unitary factors and the default rank cutoff attached.
@@ -464,4 +472,23 @@ def inverse(a):
     """
     a = as_matrix(a)
     condition = condition_number(a)
-    return np.linalg.inv(a), condition
+    return lu_inverse(a), condition
+
+
+def lu_inverse(a: np.ndarray) -> np.ndarray:
+    """Inverse of a square matrix by one LU factorization, without the
+    condition number; an exact identity is returned as its own inverse.
+
+    Raises
+    ------
+    SingularMatrixError
+        If the factorization meets an exactly zero pivot.
+    """
+    if _is_identity(a):
+        return a
+    try:
+        return np.linalg.inv(a)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrixError(
+            f"matrix of shape {a.shape} is singular: its LU factorization "
+            f"failed ({exc})") from exc

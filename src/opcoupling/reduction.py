@@ -81,7 +81,7 @@ from .numkernel import (
     adjoint,
     as_matrix,
     eye,
-    inverse,
+    lu_inverse,
     rel_residual,
     zeros,
 )
@@ -262,8 +262,10 @@ def decompose_corners(w: EAESpecialWitness,
 
     The splits come from the witness's cached SVDs of both corners and their
     common rank.  The invertible ``f22_prime`` and ``e11_prime``, the leading
-    blocks of the corners' compressions to those bases, and their inverses
-    are computed once here for the builders.  The block forms are checked
+    blocks of the corners' compressions to those bases, and their inverses,
+    by one LU each, are computed once here for the builders; the rank
+    counts only singular values above each corner's cutoff, so it has
+    settled that both are invertible.  The block forms are checked
     first: nothing outside the leading block, relative to ``max(1,
     ||prime||)``.  No table records them, so each pair is settled where
     :func:`~opcoupling.numkernel._norm_at_most` proves ``||lhs - rhs|| <=
@@ -286,12 +288,17 @@ def decompose_corners(w: EAESpecialWitness,
     ||V||)``, the coupled equivalence, then the inverses on both sides, each
     certified at ``tol`` where it can be (see
     :func:`~opcoupling.numkernel.rel_residual`).  The report's extras are
-    ``rank`` and the condition numbers of ``f22_prime`` and ``e11_prime``.
+    ``rank``, and ``cond_f22_prime`` and ``cond_e11_prime``, ``sigma_1 /
+    sigma_r`` of each corner's cached SVD: the singular values of a prime are
+    those of its corner up to rounding (Golub and Van Loan, *Matrix
+    Computations*, 4th ed., section 2.4), so no SVD is taken for them.
 
     Raises
     ------
     NumericalError
         If the two corners differ in rank, which a genuine witness rules out.
+    SingularMatrixError
+        If the LU of a prime meets an exactly zero pivot.
     """
     f22, e11 = w.f22_svd, w.e11_svd
     r = f22.rank()
@@ -311,8 +318,7 @@ def decompose_corners(w: EAESpecialWitness,
         target[:r, :r] = in_coords[:r, :r]
         pairs[label] = (in_coords, target)
     f22_prime, e11_prime = (np.ascontiguousarray(t[:r, :r]) for _, t in pairs.values())
-    f22_prime_inv, cond_f = inverse(f22_prime)
-    e11_prime_inv, cond_e = inverse(e11_prime)
+    f22_prime_inv, e11_prime_inv = lu_inverse(f22_prime), lu_inverse(e11_prime)
     if not all(_norm_at_most(lhs - rhs, tol) for lhs, rhs in pairs.values()):
         residuals = {label: rel_residual(*pair, tol) for label, pair in pairs.items()}
         _checked(VerifierReport("corner_forms", residuals, tol), "decompose_corners")
@@ -332,7 +338,8 @@ def decompose_corners(w: EAESpecialWitness,
         "v22_right_inverse": rel_residual(v22 @ left_inv_v22, eye(x0), tol),
         "u22_left_inverse": rel_residual(right_inv_u22 @ u22, eye(y0), tol),
     }
-    extras = {"cond_f22_prime": cond_f, "cond_e11_prime": cond_e, "rank": r}
+    extras = {"cond_f22_prime": f22.range_condition(),
+              "cond_e11_prime": e11.range_condition(), "rank": r}
     report = _checked(VerifierReport("reduced_blocks", residuals, tol, extras),
                       "decompose_corners")
     return ReducedBlocks(

@@ -156,11 +156,11 @@ from .numkernel import (
     _Bound,
     _gamma,
     _norm_and_condition,
-    adjoint,
     as_matrix,
     condition_number,
     eye,
     inverse,
+    lu_inverse,
     rel_residual,
     svd,
     zeros,
@@ -482,12 +482,15 @@ def verify_sc(w: SCWitness, tol: float = DEFAULT_TOL) -> VerifierReport:
     """Check both Schur-complement identities of an SC witness.
 
     The report carries the two relative residuals plus the invertibility
-    margins (smallest singular values) of the diagonal blocks.
+    margins (smallest singular values) and condition numbers of the
+    diagonal blocks.  Each block is inverted by one LU, which a block that
+    is exactly an identity, as ``D`` of :func:`sc_from_eaoe`'s witness is,
+    skips: it is its own inverse and its condition takes no SVD.
     """
     a, b, c, d = w.M.a11, w.M.a12, w.M.a21, w.M.a22
     norm_a, cond_a = _norm_and_condition(a)
     norm_d, cond_d = _norm_and_condition(d)
-    a_inv, d_inv = np.linalg.inv(a), np.linalg.inv(d)
+    a_inv, d_inv = lu_inverse(a), lu_inverse(d)
     # an overflowing product would read as a nan residual and blame the witness
     with np.errstate(over="ignore", invalid="ignore"):
         complements = {"schur_u": (w.U, a - b @ d_inv @ c),
@@ -715,8 +718,10 @@ def sc_from_eaoe(w: EAOEWitness,
         M0 = [[E' F', E' J_S], [(I - S) Pi_S F', I]]
 
     has Schur complements ``(T, S)``; J_S and Pi_S embed and project the
-    S-summand of the extended space.  When the orientation was flipped the
-    block rows/columns of M0 are swapped so the result couples ``(U, V)``.
+    S-summand of the extended space, so ``E' J_S`` is the leading columns
+    of ``E'`` and ``Pi_S F'`` the leading rows of ``F'``, taken as slices.
+    When the orientation was flipped the block rows/columns of M0 are
+    swapped so the result couples ``(U, V)``.
     """
     if w.extended_side == "V":
         e_p, f_p = w.E, w.F
@@ -727,14 +732,9 @@ def sc_from_eaoe(w: EAOEWitness,
         s_op, swap = w.U, True
 
     k = s_op.shape[0]
-    ext = w.ext_dim
-    j_s = zeros(k + ext, k)
-    j_s[:k, :k] = np.eye(k)
-    pi_s = adjoint(j_s)
-
     a = e_p @ f_p
-    b = e_p @ j_s
-    c = (eye(k) - s_op) @ pi_s @ f_p
+    b = e_p[:, :k]
+    c = (eye(k) - s_op) @ f_p[:k]
     d = eye(k)
     if swap:
         m = Block2x2(d, c, b, a)

@@ -58,7 +58,7 @@ def test_tracer_counts_a_pipeline_and_a_batch_and_restores_every_name(tmp_path):
 
     with tracer.active():
         run_pipeline(u, v)
-        assert tracer.calls["lapack.svd"] == 21
+        assert tracer.calls["lapack.svd"] == 19
         tracer.reset()
         assert dispatch(["pipeline", *inputs, "--out-dir", str(tmp_path / "out"),
                          "--jobs", "2"]) == 0

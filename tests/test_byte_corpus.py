@@ -4,6 +4,7 @@ masked ``timestamp``; its ``--compare`` names the cases and files of two
 corpora that differ."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "byte_corpus.py"
@@ -62,3 +63,46 @@ def test_compare_names_each_case_and_the_moved_files(tmp_path, capsys):
     out = capsys.readouterr().out
     assert ("DIFFERS  cli/run: exit 1, stage small_eae -> exit 1, stage build_eaoe\n"
             in out)
+
+
+def _report(root: Path, name: str, residual: float, cond: float, certified: list) -> None:
+    """A pipeline report and a verifier report, each with one residual, one
+    extra and the flags --compare reads."""
+    (root / "cli").mkdir(parents=True, exist_ok=True)
+    stage = {"name": "s", "residuals": {"a": residual}, "data": {"cond": cond},
+             "certified": certified}
+    (root / "cli" / f"{name}.report.json").write_text(json.dumps(
+        {"kind": "pipeline_report", "success": True, "stages": [stage]}))
+    (root / "cli" / f"{name}.verify.json").write_text(json.dumps(
+        {"kind": "verifier_report", "passed": True, "residuals": {"b": residual},
+         "extras": {"cond": 2 * cond}, "certified": []}))
+
+
+def test_compare_says_how_far_values_moved(tmp_path, capsys):
+    tool = _tool()
+    _report(tmp_path / "old", "run", 1e-15, 4.0, ["a"])
+    _report(tmp_path / "old", "other", 3e-15, 8.0, [])
+    _report(tmp_path / "new", "run", 1.25e-15, 4.0, ["a"])
+    _report(tmp_path / "new", "other", 3e-15, 6.0, ["a"])
+    assert tool.compare(tmp_path / "old", tmp_path / "new") == 0
+    out = capsys.readouterr().out
+    # |new - old| / max(|old|, |new|): 0.25 / 1.25 and 2 / 8
+    assert ("  cli pipeline_report: 2; largest relative change: residuals 2.00e-01, "
+            "extras 2.50e-01; flags CHANGED\n") in out
+    assert ("    cli/other.report.json  largest relative change: residuals 0.00e+00, "
+            "extras 2.50e-01; flags CHANGED\n") in out
+    assert ("    cli/run.report.json  largest relative change: residuals 2.00e-01, "
+            "extras 0.00e+00; flags same\n") in out
+    assert ("  cli verifier_report: 2; largest relative change: residuals 2.00e-01, "
+            "extras 2.50e-01; flags same\n") in out
+
+
+def test_compare_reads_a_changed_success(tmp_path, capsys):
+    tool = _tool()
+    for root, success in ((tmp_path / "old", True), (tmp_path / "new", False)):
+        (root / "cli").mkdir(parents=True)
+        (root / "cli" / "run.report.json").write_text(json.dumps(
+            {"kind": "pipeline_report", "success": success, "stages": []}))
+    tool.compare(tmp_path / "old", tmp_path / "new")
+    assert ("    cli/run.report.json  largest relative change: residuals -, extras -; "
+            "flags CHANGED\n") in capsys.readouterr().out

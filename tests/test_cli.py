@@ -868,6 +868,35 @@ class TestFailureReports:
         assert report["max_residual"] <= float(tol)
         assert "extension_dims" not in report and "eaoe" not in report
 
+    def test_failed_run_removes_an_earlier_witness(self, tmp_path, instance_12x14):
+        rep, wit = tmp_path / "r.json", tmp_path / "w.json"
+        argv = ["pipeline", "--in", str(instance_12x14), "--out", str(wit),
+                "--report", str(rep)]
+        assert dispatch([*argv, "--tol", "1e-8"]) == 0 and wit.is_file()
+        assert dispatch([*argv, "--tol", "1e-15"]) == 1
+        assert not wit.exists()
+        assert json.loads(rep.read_text())["success"] is False
+
+    def test_failed_batch_run_removes_an_earlier_witness(self, tmp_path, instance_12x14):
+        other = tmp_path / "j.json"
+        assert dispatch(["synth", "--n", "3", "--m", "4", "--nullity", "1",
+                         "--seed", "2", "--out", str(other)]) == 0
+        out = tmp_path / "out"
+        argv = ["pipeline", "--in", str(instance_12x14), "--in", str(other),
+                "--out-dir", str(out)]
+        assert dispatch([*argv, "--tol", "1e-8"]) == 0
+        assert (out / "i.witness.json").is_file()
+        assert dispatch([*argv, "--tol", "1e-15"]) == 1
+        assert not (out / "i.witness.json").exists()
+        assert json.loads((out / "i.report.json").read_text())["success"] is False
+
+    def test_failed_run_leaves_a_fifo_alone(self, tmp_path, instance_12x14):
+        wit = tmp_path / "w.fifo"
+        os.mkfifo(wit)
+        assert dispatch(["pipeline", "--in", str(instance_12x14), "--tol", "1e-15",
+                         "--out", str(wit)]) == 1
+        assert stat.S_ISFIFO(os.stat(wit).st_mode)
+
     def test_infeasible_run_names_the_synthesis(self, tmp_path):
         u, _ = random_instance(InstanceSpec(3, 3, 0, seed=1, cond_bound=10))
         _, v = random_instance(InstanceSpec(4, 4, 2, seed=2, cond_bound=10))

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from opcoupling import instances, reduction, relations
@@ -17,7 +17,7 @@ from opcoupling.errors import (
     PipelineStageError,
 )
 from opcoupling.instances import InstanceSpec, random_instance, synth_mc
-from opcoupling.numkernel import rel_residual, svd
+from opcoupling.numkernel import condition_number, rel_residual, svd
 from opcoupling.reduction import (
     build_eaoe,
     build_small_eae,
@@ -199,6 +199,26 @@ class TestDecomposeCorners:
                                   (rb.e11, w.E11, rb.e11_prime)):
             full = res.left.conj().T @ block @ res.right
             np.testing.assert_array_equal(prime, full[: rb.rank, : rb.rank])
+
+    @pytest.mark.parametrize("r", [None, 7, 2], ids=["synthesized", "two_sided",
+                                                     "rank_of_nullity"])
+    @pytest.mark.parametrize("from_file", [False, True], ids=["built", "read_back"])
+    def test_prime_conds_are_read_from_the_corner_svds(self, r, from_file):
+        # sigma_1 / sigma_r of each corner's cached SVD, bit for bit; the
+        # primes' own singular values agree with them up to rounding
+        u, v = random_instance(InstanceSpec(12, 14, 2, seed=1))
+        w = mc_to_eae_special(synth_mc(u, v)[0] if r is None else coupled_mc(u, v, r))
+        w = read_back(w) if from_file else w
+        rb, report = decompose_corners(w)
+        for label, res, prime in (("cond_f22_prime", w.f22_svd, rb.f22_prime),
+                                  ("cond_e11_prime", w.e11_svd, rb.e11_prime)):
+            s = res.singulars
+            assert report.extras[label] == s[0] / s[rb.rank - 1]
+            assert report.extras[label] == pytest.approx(condition_number(prime), rel=1e-12)
+
+    def test_rank_zero_conds_are_one(self):
+        _, report = decompose_corners(swap_special(2))
+        assert report.extras == {"cond_f22_prime": 1.0, "cond_e11_prime": 1.0, "rank": 0}
 
     def test_unequal_corner_ranks_raise(self):
         # E11 = [[1]] has rank 1, F22 = [[0]] rank 0; the shapes are all
@@ -700,7 +720,7 @@ def test_pipeline_verifies_each_artifact_once(work_counts):
     assert work_counts["eaoe"] == 0
     assert work_counts["eae_special"] == 0
     # the 26x26 entries of the MC table and f_times_finv are certified
-    assert work_counts["svd"] == 21
+    assert work_counts["svd"] == 19
     # one each of U, V, F22 and E11
     assert work_counts["full_svd"] == 4
 
@@ -718,19 +738,20 @@ def test_supplied_witness_pipeline_counts(work_counts):
     assert sum(work_counts[k] for k in _VERIFIER_KINDS) == 2
     assert work_counts["eae_special"] == 0
     # the anchored table's four 26x26 entries are certified
-    assert work_counts["svd"] == 29
+    assert work_counts["svd"] == 27
     # one each of F22 and E11
     assert work_counts["full_svd"] == 2
     work_counts.clear()
     assert run_pipeline(u, v, w=w, tol=1e-8).success
-    assert work_counts["svd"] == 29
+    assert work_counts["svd"] == 27
 
 
 # the stages both paths share, with the dense SVDs each takes at 12x14
 _SHARED_STAGE_SVDS = {
-    # the cached full SVDs of F22 and E11; cond of f22', e11'; v12's norm,
-    # the equivalence and v22's inverses (u21 and u22 are empty)
-    "decompose_corners": 8,
+    # the cached full SVDs of F22 and E11, which give the conds of f22' and
+    # e11'; v12's norm, the equivalence and v22's inverses (u21 and u22 are
+    # empty)
+    "decompose_corners": 6,
     "small_eae": 4,            # cond of E and F, the extension equation and its norm
     "build_eaoe": 2,           # the two inverses the small witness lacks
     "schur_coupling": 3,       # cond of A (D is the identity), the two complements
@@ -777,7 +798,7 @@ def test_dense_svds_per_stage_above_the_crossover(work_counts):
     assert _svds_per_stage(work_counts, u, v) == {
         "synthesize_mc": 2,        # the full SVDs of U and V
         "mc_to_special": 0,
-        "decompose_corners": 7,    # F22, E11, two conds, v12 and v22's inverses
+        "decompose_corners": 5,    # F22, E11, v12 and v22's inverses
         "small_eae": 2,            # cond of E and F
         "build_eaoe": 0,
         "schur_coupling": 1,       # cond of A
@@ -856,6 +877,53 @@ def test_report_values_are_python_numbers(path):
     for rep in reports:
         for value in (*rep.residuals.values(), *rep.extras.values()):
             assert type(value) in (float, int), (rep.kind, value)
+
+
+@st.composite
+def _sizes_and_nullity(draw, top):
+    n, m = draw(st.integers(0, top)), draw(st.integers(0, top))
+    return n, m, draw(st.integers(0, min(n, m)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(sizes=_sizes_and_nullity(12), log_cond=st.floats(0.0, 4.0),
+       seed=st.integers(0, 2**32 - 1))
+@example(sizes=(0, 0, 0), log_cond=0.0, seed=0)
+@example(sizes=(3, 9, 0), log_cond=2.0, seed=1)
+@example(sizes=(12, 5, 5), log_cond=3.0, seed=2)
+@example(sizes=(7, 7, 3), log_cond=4.0, seed=3)
+def test_synth_mc_matches_the_dense_triple_product(sizes, log_cond, seed):
+    """synth_mc's gathered columns and half-size products give the coupling
+    the dense ``diag(.) @ C @ diag(.)`` of coupled_mc gives, with every
+    nullity from 0 to all, and the same nullity and cond_uhat."""
+    n, m, k = sizes
+    u, v = random_instance(InstanceSpec(n, m, k, seed=seed, cond_bound=10.0 ** log_cond))
+    mc, report = synth_mc(u, v)
+    dense = coupled_mc(u, v, min(n, m))
+    assert rel_residual(mc.Uhat, dense.Uhat) <= 1e-14
+    assert rel_residual(mc.UhatInv, dense.UhatInv) <= 1e-14
+    assert report.extras["nullity"] == k
+    # cond(Uhat) = cond(C), the factors around C being unitary
+    sigma = np.linalg.svd(dense.Uhat, compute_uv=False) if n + m else np.ones(1)
+    assert report.extras["cond_uhat"] == pytest.approx(sigma[0] / sigma[-1], rel=1e-9)
+
+
+@pytest.mark.parametrize("scale", [1e-310, 1e-315])
+def test_overflowing_core_entry_fails_the_synthesis(scale):
+    """A pair scaled so far down that ``1/r`` of V's leading singular value
+    overflows fails at synthesize_mc, naming the entry and the value, and
+    makes no product: no RuntimeWarning (an error in tier-1) is raised."""
+    u, v = random_instance(InstanceSpec(12, 14, 2, seed=1))
+    with pytest.raises(PipelineStageError) as info:
+        run_pipeline(u * scale, v * scale, tol=1e-8)
+    assert info.value.stage == "synthesize_mc"
+    message = str(info.value)
+    assert message.startswith("stage 'synthesize_mc': synth_mc: the core entry 1/r "
+                              "overflows, from the leading singular value r = ")
+    assert message.endswith(" of V; the scale of U and V is beyond what the core "
+                            "can represent")
+    r_lead = np.linalg.svd(v * scale, compute_uv=False)[0]
+    assert f"r = {r_lead:.3e} of V" in message
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

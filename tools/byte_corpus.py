@@ -25,7 +25,12 @@ from a change and its parent.  It prints, for each command and library
 case, whether the exit code and the failing stage agree, and then lists the
 files whose bytes moved, grouped by kind (a JSON file's ``kind``, a
 command's captured output, a library failure, a CSV), and those in one
-corpus only.  It exits 1 when a case disagrees::
+corpus only.  For a moved JSON file it prints how far its values moved:
+the largest relative change ``|new - old| / max(|old|, |new|)`` of any
+entry of a ``residuals`` map and of any entry of an ``extras`` (or a
+pipeline stage's ``data``) map, and whether any ``success``, ``passed`` or
+``certified`` value changed; each kind's line gives the largest of its
+files.  It exits 1 when a case disagrees::
 
     PYTHONPATH=src python tools/byte_corpus.py --compare OLD_DIR NEW_DIR
 """
@@ -220,6 +225,68 @@ def _kind(root: Path, name: str) -> str:
     return f"{tree} {path.suffix.lstrip('.')}"
 
 
+# the maps whose entries --compare measures, by the key that holds them
+_MEASURED = {"residuals": "residuals", "extras": "extras", "data": "extras"}
+_FLAGS = ("success", "passed", "certified")
+
+
+def _values(obj, path: str = "") -> dict[str, object]:
+    """The entries of a JSON document that ``--compare`` reads, by path:
+    ``residuals/...`` and ``extras/...`` for each number in a measured map,
+    and ``flags/...`` for each value of a flag key."""
+    out = {}
+    for key, value in obj.items() if isinstance(obj, dict) else enumerate(obj):
+        here = f"{path}/{key}"
+        if key in _MEASURED and isinstance(value, dict):
+            out.update({f"{_MEASURED[key]}{here}/{name}": v for name, v in value.items()
+                        if isinstance(v, (int, float)) and not isinstance(v, bool)})
+        elif key in _FLAGS:
+            out[f"flags{here}"] = value
+        # a list of stages is read, a matrix's list of number pairs is not
+        elif isinstance(value, dict) or (isinstance(value, list) and value
+                                         and isinstance(value[0], dict)):
+            out.update(_values(value, here))
+    return out
+
+
+def _relative(old: float, new: float) -> float:
+    top = max(abs(old), abs(new))
+    return abs(new - old) / top if top else 0.0
+
+
+def _movement(old_path: Path, new_path: Path) -> dict | None:
+    """How far the values of one JSON file moved: the largest relative
+    change of a residual and of an extra (None where the two files share
+    none), and whether a flag changed; None for a file that holds none of
+    them, such as a witness."""
+    before, after = (_values(json.loads(p.read_text(encoding="utf-8")))
+                     for p in (old_path, new_path))
+    if not before and not after:
+        return None
+    out = {}
+    for group in ("residuals", "extras"):
+        changes = [_relative(before[k], after[k]) for k in before.keys() & after.keys()
+                   if k.startswith(group + "/")]
+        out[group] = max(changes, default=None)
+    flags = {k for k in before.keys() | after.keys() if k.startswith("flags/")}
+    out["flags"] = any(before.get(k) != after.get(k) for k in flags)
+    return out
+
+
+def _describe(movement: dict) -> str:
+    sizes = (f"{group} {'-' if movement[group] is None else f'{movement[group]:.2e}'}"
+             for group in ("residuals", "extras"))
+    return (f"largest relative change: {', '.join(sizes)}; flags "
+            f"{'CHANGED' if movement['flags'] else 'same'}")
+
+
+def _largest(movements: list[dict]) -> dict:
+    out = {group: max((m[group] for m in movements if m[group] is not None), default=None)
+           for group in ("residuals", "extras")}
+    out["flags"] = any(m["flags"] for m in movements)
+    return out
+
+
 def compare(old_dir, new_dir) -> int:
     """Print how the corpus ``new_dir`` differs from ``old_dir``; 1 when a
     case's exit code or failing stage differs."""
@@ -243,8 +310,14 @@ def compare(old_dir, new_dir) -> int:
     print(f"files whose bytes moved, or that one corpus lacks: "
           f"{sum(map(len, moved.values()))} of {len(files[0] | files[1])}")
     for kind in sorted(moved):
-        print(f"  {kind}: {len(moved[kind])}")
-        print("".join(f"    {name}\n" for name in moved[kind]), end="")
+        names = moved[kind]
+        movements = {name: found for name in names
+                     if name.endswith(".json") and not kind.startswith("only in ")
+                     if (found := _movement(old / name, new / name)) is not None}
+        total = f"; {_describe(_largest(list(movements.values())))}" if movements else ""
+        print(f"  {kind}: {len(names)}{total}")
+        for name in names:
+            print(f"    {name}" + (f"  {_describe(movements[name])}" if name in movements else ""))
     return 1 if disagree else 0
 
 
