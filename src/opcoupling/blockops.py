@@ -1,9 +1,8 @@
 """2x2 block-operator assembly.
 
 A :class:`Block2x2` holds the four blocks of an operator between two split
-spaces.  Larger block displays (the 3x3 factor matrices used by the
-reduction) are built by nesting: the lower-right 2x2 corner of a
-:class:`Block2x2` may itself be an assembled :class:`Block2x2`.
+spaces: the coupling matrices, the anchored witnesses and the factors of the
+reduction's extension witnesses are each assembled from one.
 """
 
 from __future__ import annotations

@@ -291,21 +291,21 @@ def _run_one_pipeline(in_path: str, tol: float, out_path, report_path):
               help="Instance file(s); repeat for batch mode.")
 @click.option("--tol", type=float, default=DEFAULT_TOL, show_default=True, callback=_check_tol)
 @click.option("--out", "out_path", type=click.Path(dir_okay=False),
-              help="Witness file for the final Schur coupling (single input).")
+              help="Witness file for the final Schur coupling (single run).")
 @click.option("--report", "report_path", type=click.Path(dir_okay=False),
-              help="JSON report path (single input).")
+              help="JSON report path (single run).")
 @click.option("--out-dir", type=click.Path(file_okay=False),
-              help="Output directory for batch mode.")
+              help="Output directory; selects batch mode, for any number of inputs.")
 @click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True,
               help="Parallel workers for batch mode.")
 @click.pass_context
 def pipeline(ctx, in_paths, tol, out_path, report_path, out_dir, jobs):
     """Run the full reduction pipeline on synthesized instances."""
-    if len(in_paths) > 1:
-        if out_path or report_path:
-            raise click.UsageError("use --out-dir with multiple inputs")
-        if not out_dir:
-            raise click.UsageError("--out-dir is required with multiple inputs")
+    if out_dir and (out_path or report_path):
+        raise click.UsageError("--out and --report cannot go with --out-dir")
+    if len(in_paths) > 1 and not out_dir:
+        raise click.UsageError("--out-dir is required with multiple inputs")
+    if out_dir:
         # outputs are named by the input's stem, so no two inputs may share one
         stems = [Path(path).stem for path in in_paths]
         for i, stem in enumerate(stems):

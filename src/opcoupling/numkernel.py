@@ -456,34 +456,19 @@ def _norm_and_condition(a) -> tuple[float, float]:
     return float(s[0]), float(s[0]) / sigma_min
 
 
-def inverse(a):
-    """Inverse of a square matrix together with its condition number.
-
-    Returns
-    -------
-    (inv, condition) : (ndarray, float)
-        ``condition`` is :func:`condition_number`; a 0x0 matrix has
-        condition 1.
-
-    Raises
-    ------
-    SingularMatrixError
-        If the smallest singular value falls below the rank cutoff.
-    """
-    a = as_matrix(a)
-    condition = condition_number(a)
-    return lu_inverse(a), condition
-
-
 def lu_inverse(a: np.ndarray) -> np.ndarray:
     """Inverse of a square matrix by one LU factorization, without the
     condition number; an exact identity is returned as its own inverse.
 
     Raises
     ------
+    ShapeError
+        If ``a`` is not square.
     SingularMatrixError
         If the factorization meets an exactly zero pivot.
     """
+    if a.shape[0] != a.shape[1]:
+        raise ShapeError(f"expected a square matrix, got shape {a.shape}")
     if _is_identity(a):
         return a
     try:

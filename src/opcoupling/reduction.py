@@ -24,9 +24,9 @@ Starting from an :class:`~opcoupling.relations.EAESpecialWitness` for
 4. assembles an EAE witness whose extensions are only ``Ker E11`` and the
    cokernel of ``F22`` (:func:`build_small_eae`), collapses it to a single
    one-sided extension of size ``|dim Ker E11 - dim coker F22|``
-   (:func:`build_eaoe`), both from that :class:`ReducedBlocks` alone, and
-   closes the loop with a Schur coupling
-   (:func:`~opcoupling.relations.sc_from_eaoe`).
+   (:func:`build_eaoe`), both by one block formula from that
+   :class:`ReducedBlocks` alone (:func:`_paired`), and closes the loop with
+   a Schur coupling (:func:`~opcoupling.relations.sc_from_eaoe`).
 
 :func:`run_pipeline` chains all steps as named stages of one runner.  Each
 step returns its artifact with the
@@ -61,7 +61,6 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import cached_property
 from types import MappingProxyType
 
 import numpy as np
@@ -95,7 +94,6 @@ from .relations import (
     VerifierReport,
     _anchored,
     _checked,
-    _direct_sum,
     _eaoe_report,
     sc_from_eaoe,
     verify_eae,
@@ -124,9 +122,9 @@ class ReducedBlocks:
     ``V`` on (k2 (+) ker_f22) -> (f1 (+) ker_e11) lower block triangular; of
     their blocks the builders read ``u12, u22, v21, v22``.  ``left_inv_v22``
     and ``right_inv_u22`` are two-sided inverses of ``v22`` and ``u22``.
-    The invertible triangular factors ``Phi_U = [[I, u12], [0, u22]]`` and
-    ``Psi_V = [[I, 0], [v21, v22]]`` of U and V, and their inverses, are
-    built on first use and kept.
+    The builders read the triangular factors ``Phi_U = [[I, u12], [0,
+    u22]]`` of U and ``Psi_V = [[I, 0], [v21, v22]]`` of V, and their
+    inverses, block by block (see :func:`_paired`); none is assembled.
     """
 
     U: np.ndarray
@@ -147,28 +145,6 @@ class ReducedBlocks:
 
     x0 = property(lambda self: self.V.shape[0] - self.rank)
     y0 = property(lambda self: self.U.shape[0] - self.rank)
-
-    @cached_property
-    def phi_u(self) -> np.ndarray:
-        return Block2x2(eye(self.rank), self.u12, zeros(self.y0, self.rank),
-                        self.u22).assemble()
-
-    @cached_property
-    def phi_u_inv(self) -> np.ndarray:
-        u22_inv = self.right_inv_u22
-        return Block2x2(eye(self.rank), -self.u12 @ u22_inv, zeros(self.y0, self.rank),
-                        u22_inv).assemble()
-
-    @cached_property
-    def psi_v(self) -> np.ndarray:
-        return Block2x2(eye(self.rank), zeros(self.rank, self.x0), self.v21,
-                        self.v22).assemble()
-
-    @cached_property
-    def psi_v_inv(self) -> np.ndarray:
-        v22_inv = self.left_inv_v22
-        return Block2x2(eye(self.rank), zeros(self.rank, self.x0), -v22_inv @ self.v21,
-                        v22_inv).assemble()
 
 
 @dataclass(frozen=True)
@@ -245,6 +221,12 @@ class PipelineReport:
 # helpers
 
 
+def _split(res: SvdResult, r: int) -> tuple[np.ndarray, ...]:
+    """The bases of a corner's SVD split at its rank ``r``: range and
+    cokernel (``left``), then coimage and kernel (``right``)."""
+    return res.left[:, :r], res.left[:, r:], res.right[:, :r], res.right[:, r:]
+
+
 def _coords(left_basis: np.ndarray, op: np.ndarray, right_basis: np.ndarray) -> np.ndarray:
     """Compression ``left* @ op @ right`` of an operator to subspace bases."""
     return adjoint(left_basis) @ op @ right_basis
@@ -307,8 +289,8 @@ def decompose_corners(w: EAESpecialWitness,
             f"rank(E11)={e11.rank()} differs from rank(F22)={r}; "
             "the corner blocks of a genuine witness have equal rank"
         )
-    im_f22, h2, k2, ker_f22 = f22.left[:, :r], f22.left[:, r:], f22.right[:, :r], f22.right[:, r:]
-    im_e11, g1, f1, ker_e11 = e11.left[:, :r], e11.left[:, r:], e11.right[:, :r], e11.right[:, r:]
+    im_f22, h2, k2, ker_f22 = _split(f22, r)
+    im_e11, g1, f1, ker_e11 = _split(e11, r)
 
     # f22' and e11' are the leading blocks of the corners' compressions
     pairs = {}
@@ -351,81 +333,84 @@ def decompose_corners(w: EAESpecialWitness,
     ), report
 
 
+def _paired(base: np.ndarray, cols: np.ndarray, rows: np.ndarray, c: int) -> np.ndarray:
+    """``[[base + cols[:, :c] @ rows[:c], cols[:, c:]], [rows[c:], 0]]``: a
+    factor of the extension witness of a :class:`ReducedBlocks` that pairs
+    the first ``c`` coordinates of Ker E11 and h2.
+
+    Its splits factor ``U = [im_e11 | g1] Phi_U (u11 (+) I) [im_f22 | h2]*``
+    and ``V = [f1 | ker_e11] (v11 (+) I) Psi_V [k2 | ker_f22]*``, with
+    ``e11' v11 = -u11 f22'``.  With ``[A_r | A_y] = [im_e11 | g1] Phi_U``,
+    ``[B_r | B_x] = [k2 | ker_f22] Psi_V^-1``, ``[C_r; C_y] = Phi_U^-1
+    [im_e11 | g1]*`` and ``[D_r; D_x] = Psi_V [k2 | ker_f22]*``, the
+    ``(base, cols, rows)`` of the four factors are
+
+        E      (im_e11 e11' f1*,        A_y,      ker_e11*)
+        F      (-B_r f22'^-1 im_f22*,   B_x,      h2*)
+        E^-1   (f1 e11'^-1 C_r,         ker_e11,  C_y)
+        F^-1   (-im_f22 f22' k2*,       h2,       D_x)
+    """
+    return Block2x2(base + cols[:, :c] @ rows[:c], cols[:, c:], rows[c:],
+                    zeros(rows.shape[0] - c, cols.shape[1] - c)).assemble()
+
+
+def _extension_factors(rb: ReducedBlocks, c: int) -> tuple[np.ndarray, np.ndarray]:
+    """E and F of the witness of ``rb`` that pairs ``c`` coordinates (:func:`_paired`)."""
+    r = rb.rank
+    im_e11, g1, f1, ker_e11 = _split(rb.e11, r)
+    im_f22, h2, k2, ker_f22 = _split(rb.f22, r)
+    a_y = im_e11 @ rb.u12 + g1 @ rb.u22
+    b_x = ker_f22 @ rb.left_inv_v22
+    b_r = k2 - b_x @ rb.v21
+    return (_paired(im_e11 @ rb.e11_prime @ adjoint(f1), a_y, adjoint(ker_e11), c),
+            _paired(-b_r @ rb.f22_prime_inv @ adjoint(im_f22), b_x, adjoint(h2), c))
+
+
+def _inverse_factors(rb: ReducedBlocks, c: int) -> tuple[np.ndarray, np.ndarray]:
+    """E^-1 and F^-1 of the witness of ``rb`` that pairs ``c`` coordinates."""
+    r = rb.rank
+    im_e11, g1, f1, ker_e11 = _split(rb.e11, r)
+    im_f22, h2, k2, ker_f22 = _split(rb.f22, r)
+    c_y = rb.right_inv_u22 @ adjoint(g1)
+    c_r = adjoint(im_e11) - rb.u12 @ c_y
+    d_x = rb.v21 @ adjoint(k2) + rb.v22 @ adjoint(ker_f22)
+    return (_paired(f1 @ rb.e11_prime_inv @ c_r, ker_e11, c_y, c),
+            _paired(-im_f22 @ rb.f22_prime @ adjoint(k2), h2, d_x, c))
+
+
 def build_small_eae(rb: ReducedBlocks,
                     tol: float = DEFAULT_TOL) -> tuple[EAEWitness, VerifierReport]:
-    """EAE witness with extensions Ker E11 (on the U side) and h2 (on V's),
-    with the report it was verified by.
-
-    Factor ``U = Phi_U @ (u11 (+) I)`` and ``V = (v11 (+) I) @ Psi_V`` with
-    the invertible triangular factors of ``rb``; the three-fold block
-    identity
-
-        u11 (+) I_h2 (+) I_ker_e11
-          = [e11' (+) swap] @ (v11 (+) I) @ [-(f22')^-1 (+) swap]
-
-    then glues everything into ``U (+) I_x0 = E (V (+) I_y0) F`` with
-    ``x0 = dim Ker E11`` and ``y0 = dim h2``; U, V, the bases and both
-    dimensions come from the split ``rb``, which certified its corner blocks
-    invertible.
+    """EAE witness ``U (+) I_x0 = E (V (+) I_y0) F``, with extensions Ker E11
+    and h2 of dimensions ``x0`` and ``y0``, and the report it was verified
+    by: :func:`_paired` with no coordinates paired.
     """
-    r, x0, y0 = rb.rank, rb.x0, rb.y0
-    w_dom_u, w_cod_u, w_dom_v, w_cod_v = rb.f22.left, rb.e11.left, rb.f22.right, rb.e11.right
-
-    swap_l = Block2x2(zeros(y0, x0), eye(y0), eye(x0), zeros(x0, y0)).assemble()
-    l3 = Block2x2(rb.e11_prime, zeros(r, x0 + y0), zeros(y0 + x0, r), swap_l).assemble()
-    swap_r = Block2x2(zeros(x0, y0), eye(x0), eye(y0), zeros(y0, x0)).assemble()
-    r3 = Block2x2(-rb.f22_prime_inv, zeros(r, y0 + x0), zeros(x0 + y0, r), swap_r).assemble()
-
-    e = (_direct_sum(w_cod_u, x0) @ _direct_sum(rb.phi_u, x0)
-         @ l3 @ _direct_sum(adjoint(w_cod_v), y0))
-    f = (_direct_sum(w_dom_v, y0) @ _direct_sum(rb.psi_v_inv, y0)
-         @ r3 @ _direct_sum(adjoint(w_dom_u), x0))
-
-    witness = EAEWitness(U=rb.U, V=rb.V, E=e, F=f, x0_dim=x0, y0_dim=y0)
+    e, f = _extension_factors(rb, 0)
+    witness = EAEWitness(U=rb.U, V=rb.V, E=e, F=f, x0_dim=rb.x0, y0_dim=rb.y0)
     return witness, _checked(verify_eae(witness, tol), "build_small_eae")
 
 
 def build_eaoe(rb: ReducedBlocks, small: tuple[EAEWitness, VerifierReport],
                tol: float = DEFAULT_TOL) -> tuple[EAOEWitness, VerifierReport]:
-    """Collapse the two small extensions into one one-sided extension, and
-    return it with the report it was verified by.
+    """One-sided extension witness of dimension ``|x0 - y0|``, with the
+    report it was verified by: :func:`_paired` at ``c = min(x0, y0)``, which
+    embeds the smaller extension of the small EAE into the larger one by its
+    first coordinates.  The extension lands on ``U`` exactly when ``x0 >=
+    y0``, i.e. when ``index(F22) >= 0``.
 
-    ``small`` is the witness :func:`build_small_eae` built from ``rb``, with
-    its report.  The smaller extension space is embedded into the larger one
-    by the first-coordinates isometry (in the decomposition bases the
-    embedding, its left inverse, and the complement bookkeeping all become
-    identity blocks), which turns the two-sided extension into a one-sided
-    extension of dimension ``|x0 - y0|``.  The extension lands on ``U`` when
-    ``dim Ker E11 >= dim h2``, i.e. exactly when ``index(F22) >= 0``.  When
-    one extension is already trivial (``x0 * y0 == 0``) the embedding gives
-    the small witness's E and F bit for bit, so they are taken from it with
-    its extension report, to which the residuals of the inverses the small
-    witness lacks are added; the report then reads as
-    :func:`~opcoupling.relations.verify_eaoe`'s, which checks the embedded E
-    and F otherwise.  Both come from
-    :func:`~opcoupling.relations._eaoe_report`, at this function's ``tol``.
+    ``small`` is the witness and report :func:`build_small_eae` built from
+    ``rb``.  At ``c == 0`` its E and F are this witness's, bit for bit, so
+    they are taken with its report, to which
+    :func:`~opcoupling.relations._eaoe_report` adds the residuals of the
+    inverses; otherwise :func:`~opcoupling.relations.verify_eaoe` checks the
+    witness, and its report reads the same.
     """
     x0, y0 = rb.x0, rb.y0
-    w_dom_u, w_cod_u, w_dom_v, w_cod_v = rb.f22.left, rb.e11.left, rb.f22.right, rb.e11.right
-
-    # the larger extension meets e11' and f22'; the smaller side's factors
-    # are padded by the difference, a padding of 0 leaving them as they are
-    ext_dim, big = abs(x0 - y0), max(x0, y0)
-    side, pad_u, pad_v = ("U", ext_dim, 0) if y0 <= x0 else ("V", 0, ext_dim)
-    e_inv = (_direct_sum(w_cod_v, pad_v) @ _direct_sum(rb.e11_prime_inv, big)
-             @ _direct_sum(rb.phi_u_inv, pad_u) @ _direct_sum(adjoint(w_cod_u), pad_u))
-    f_inv = (_direct_sum(w_dom_u, pad_u) @ _direct_sum(-rb.f22_prime, big)
-             @ _direct_sum(rb.psi_v, pad_v) @ _direct_sum(adjoint(w_dom_v), pad_v))
-    if x0 * y0:
-        e = (_direct_sum(w_cod_u, pad_u) @ _direct_sum(rb.phi_u, pad_u)
-             @ _direct_sum(rb.e11_prime, big) @ _direct_sum(adjoint(w_cod_v), pad_v))
-        f = (_direct_sum(w_dom_v, pad_v) @ _direct_sum(rb.psi_v_inv, pad_v)
-             @ _direct_sum(-rb.f22_prime_inv, big) @ _direct_sum(adjoint(w_dom_u), pad_u))
-    else:
-        e, f = small[0].E, small[0].F
-    witness = EAOEWitness(extended_side=side, ext_dim=ext_dim, E=e, F=f,
-                          U=rb.U, V=rb.V, Einv=e_inv, Finv=f_inv)
-    report = verify_eaoe(witness, tol) if x0 * y0 else _eaoe_report(witness, small[1], tol)
+    c = min(x0, y0)
+    e, f = _extension_factors(rb, c) if c else (small[0].E, small[0].F)
+    e_inv, f_inv = _inverse_factors(rb, c)
+    witness = EAOEWitness(extended_side="U" if y0 <= x0 else "V", ext_dim=abs(x0 - y0),
+                          E=e, F=f, U=rb.U, V=rb.V, Einv=e_inv, Finv=f_inv)
+    report = verify_eaoe(witness, tol) if c else _eaoe_report(witness, small[1], tol)
     return witness, _checked(report, "build_eaoe")
 
 

@@ -159,7 +159,6 @@ from .numkernel import (
     as_matrix,
     condition_number,
     eye,
-    inverse,
     lu_inverse,
     rel_residual,
     svd,
@@ -485,7 +484,8 @@ def verify_sc(w: SCWitness, tol: float = DEFAULT_TOL) -> VerifierReport:
     margins (smallest singular values) and condition numbers of the
     diagonal blocks.  Each block is inverted by one LU, which a block that
     is exactly an identity, as ``D`` of :func:`sc_from_eaoe`'s witness is,
-    skips: it is its own inverse and its condition takes no SVD.
+    skips: it is its own inverse, its condition takes no SVD, and the Schur
+    complement through it leaves it out of the product.
     """
     a, b, c, d = w.M.a11, w.M.a12, w.M.a21, w.M.a22
     norm_a, cond_a = _norm_and_condition(a)
@@ -493,8 +493,9 @@ def verify_sc(w: SCWitness, tol: float = DEFAULT_TOL) -> VerifierReport:
     a_inv, d_inv = lu_inverse(a), lu_inverse(d)
     # an overflowing product would read as a nan residual and blame the witness
     with np.errstate(over="ignore", invalid="ignore"):
-        complements = {"schur_u": (w.U, a - b @ d_inv @ c),
-                       "schur_v": (w.V, d - c @ a_inv @ b)}
+        b_d = b if d_inv is d else b @ d_inv
+        c_a = c if a_inv is a else c @ a_inv
+        complements = {"schur_u": (w.U, a - b_d @ c), "schur_v": (w.V, d - c_a @ b)}
     for label, (_, rhs) in complements.items():
         if not np.isfinite(rhs).all():
             raise NumericalError(f"verify_sc: forming {label} overflows: its Schur "
@@ -627,8 +628,7 @@ def sc_to_mc(w: SCWitness, tol: float = DEFAULT_TOL) -> MCWitness:
     """
     a, b, c, d = w.M.a11, w.M.a12, w.M.a21, w.M.a22
     n, m = w.n, w.m
-    a_inv, _ = inverse(a)
-    d_inv, _ = inverse(d)
+    a_inv, d_inv = lu_inverse(a), lu_inverse(d)
     uhat = Block2x2(w.U, b @ d_inv, -d_inv @ c, d_inv).assemble()
     uhat_inv = Block2x2(a_inv, -a_inv @ b, c @ a_inv, w.V).assemble()
 
@@ -727,8 +727,8 @@ def sc_from_eaoe(w: EAOEWitness,
         e_p, f_p = w.E, w.F
         s_op, swap = w.V, False
     else:
-        e_p = w.Einv if w.Einv is not None else inverse(w.E)[0]
-        f_p = w.Finv if w.Finv is not None else inverse(w.F)[0]
+        e_p = w.Einv if w.Einv is not None else lu_inverse(w.E)
+        f_p = w.Finv if w.Finv is not None else lu_inverse(w.F)
         s_op, swap = w.U, True
 
     k = s_op.shape[0]

@@ -106,3 +106,32 @@ def test_compare_reads_a_changed_success(tmp_path, capsys):
     tool.compare(tmp_path / "old", tmp_path / "new")
     assert ("    cli/run.report.json  largest relative change: residuals -, extras -; "
             "flags CHANGED\n") in capsys.readouterr().out
+
+
+def _witness(root: Path, name: str, kind: str, matrices: dict) -> None:
+    """A witness file of ``kind`` with the given real matrices."""
+    (root / "lib").mkdir(parents=True, exist_ok=True)
+    encoded = {label: {"rows": len(rows), "cols": len(rows[0]) if rows else 0,
+                       "data": [[x, 0.0] for row in rows for x in row]}
+               for label, rows in matrices.items()}
+    (root / "lib" / f"{name}.json").write_text(json.dumps(
+        {"kind": kind, "matrices": encoded}))
+
+
+def test_compare_says_how_far_witness_matrices_moved(tmp_path, capsys):
+    tool = _tool()
+    old, new = tmp_path / "old", tmp_path / "new"
+    _witness(old, "a", "eaoe", {"E": [[4.0, -2.0]], "F": [[1.0]], "Z": [[0.0]]})
+    _witness(new, "a", "eaoe", {"E": [[4.0, -2.5]], "F": [[1.0]], "Z": [[0.0]]})
+    _witness(old, "b", "eaoe", {"E": [[8.0]], "F": [[2.0, 0.0]]})
+    _witness(new, "b", "eaoe", {"E": [[8.0]], "F": [[2.0, 0.5]]})
+    _witness(old, "c", "sc", {"A": [[1.0]], "E": [[0.0, 0.0]]})
+    _witness(new, "c", "sc", {"A": [[1.0]], "E": [[0.0, 1e-300]]})
+    assert tool.compare(old, new) == 0
+    out = capsys.readouterr().out
+    # max|new - old| / max|old| per matrix: 0.5 / 4 for a's E, 0.5 / 2 for
+    # b's F; a matrix that was zero and moved is infinitely far
+    assert "  lib eaoe: 2; largest relative change: matrices 2.50e-01\n" in out
+    assert "    lib/a.json  largest relative change: matrices 1.25e-01\n" in out
+    assert "    lib/b.json  largest relative change: matrices 2.50e-01\n" in out
+    assert "  lib sc: 1; largest relative change: matrices inf\n" in out

@@ -164,6 +164,26 @@ class TestCliPipeline:
             wit = tmp_path / "batch" / f"inst{i}.witness.json"
             assert dispatch(["verify", "--witness", str(wit), "--kind", "sc"]) == 0
 
+    def test_out_dir_with_one_input_is_a_batch(self, instance_file, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert dispatch(["pipeline", "--in", str(instance_file), "--out-dir", str(out)]) == 0
+        assert capsys.readouterr().out.startswith(f"{instance_file}: ok (max residual ")
+        assert sorted(p.name for p in out.iterdir()) == ["inst.report.json",
+                                                         "inst.witness.json"]
+        assert dispatch(["verify", "--witness", str(out / "inst.witness.json"),
+                         "--kind", "sc"]) == 0
+
+    @pytest.mark.parametrize("flag", ["--out", "--report"])
+    def test_single_run_outputs_do_not_go_with_out_dir(self, instance_file, tmp_path,
+                                                       capsys, flag):
+        out = tmp_path / "out"
+        assert dispatch(["pipeline", "--in", str(instance_file), "--out-dir", str(out),
+                         flag, str(tmp_path / "x.json")]) == 2
+        captured = capsys.readouterr()
+        assert "--out and --report cannot go with --out-dir" in captured.err
+        assert captured.out == "" and not out.exists()
+        assert not (tmp_path / "x.json").exists()
+
 
 def _mask_timestamp(text: str) -> str:
     return re.sub(r'"timestamp": "[^"]*"', '"timestamp": "X"', text)

@@ -462,6 +462,110 @@ def test_normalization_keeps_the_one_sided_inverses(data, coupled, n, log_cond, 
     assert rel_residual(right_inv, rb.right_inv_u22) <= 1e-13
 
 
+def chain_factors(rb):
+    """The factors of both extension witnesses as products of padded block
+    diagonals, the way the builders once formed them: the reference for
+    their block formula.  Returns the small witness's ``(E, F)`` and the
+    one-sided witness's ``(E, F, Einv, Finv)``."""
+    r, x0, y0 = rb.rank, rb.x0, rb.y0
+    dom_u, cod_u, dom_v, cod_v = rb.f22.left, rb.e11.left, rb.f22.right, rb.e11.right
+    ds, adj = relations._direct_sum, lambda a: a.conj().T
+    eye, zeros = np.eye, np.zeros
+    phi_u = np.block([[eye(r), rb.u12], [zeros((y0, r)), rb.u22]])
+    phi_u_inv = np.block([[eye(r), -rb.u12 @ rb.right_inv_u22],
+                          [zeros((y0, r)), rb.right_inv_u22]])
+    psi_v = np.block([[eye(r), zeros((r, x0))], [rb.v21, rb.v22]])
+    psi_v_inv = np.block([[eye(r), zeros((r, x0))],
+                          [-rb.left_inv_v22 @ rb.v21, rb.left_inv_v22]])
+
+    swap_l = np.block([[zeros((y0, x0)), eye(y0)], [eye(x0), zeros((x0, y0))]])
+    swap_r = np.block([[zeros((x0, y0)), eye(x0)], [eye(y0), zeros((y0, x0))]])
+    l3 = np.block([[rb.e11_prime, zeros((r, x0 + y0))], [zeros((y0 + x0, r)), swap_l]])
+    r3 = np.block([[-rb.f22_prime_inv, zeros((r, y0 + x0))],
+                   [zeros((x0 + y0, r)), swap_r]])
+    small = (ds(cod_u, x0) @ ds(phi_u, x0) @ l3 @ ds(adj(cod_v), y0),
+             ds(dom_v, y0) @ ds(psi_v_inv, y0) @ r3 @ ds(adj(dom_u), x0))
+
+    big = max(x0, y0)
+    pad_u, pad_v = (abs(x0 - y0), 0) if y0 <= x0 else (0, abs(x0 - y0))
+    eaoe = (
+        ds(cod_u, pad_u) @ ds(phi_u, pad_u) @ ds(rb.e11_prime, big) @ ds(adj(cod_v), pad_v),
+        ds(dom_v, pad_v) @ ds(psi_v_inv, pad_v) @ ds(-rb.f22_prime_inv, big)
+        @ ds(adj(dom_u), pad_u),
+        ds(cod_v, pad_v) @ ds(rb.e11_prime_inv, big) @ ds(phi_u_inv, pad_u)
+        @ ds(adj(cod_u), pad_u),
+        ds(dom_u, pad_u) @ ds(-rb.f22_prime, big) @ ds(psi_v, pad_v) @ ds(adj(dom_v), pad_v),
+    )
+    return small, eaoe
+
+
+def _scaled_gap(a, b):
+    """``max|a - b|`` over the largest entry of ``b`` (0 for an empty pair)."""
+    assert a.shape == b.shape
+    top = np.abs(b).max(initial=0.0)
+    return np.abs(a - b).max(initial=0.0) / top if top else np.abs(a).max(initial=0.0)
+
+
+def dense_mc(n, m, r, seed):
+    """MC witness of a random ``Uhat`` whose upper-right corner has rank
+    ``r``: a witness in general position, whose ``u12`` and ``v21`` are
+    nonzero, unlike those of ``synth_mc`` and ``coupled_mc``."""
+    rng = np.random.default_rng(seed)
+
+    def gauss(rows, cols):
+        return (rng.standard_normal((rows, cols))
+                + 1j * rng.standard_normal((rows, cols))) / np.sqrt(2 * (n + m))
+
+    uhat = 3 * np.eye(n + m) + gauss(n + m, n + m)  # well conditioned
+    uhat[:n, n:] = gauss(n, r) @ gauss(r, m)
+    inv = np.linalg.inv(uhat)
+    if r == 0:
+        inv[:n, n:] = 0.0  # the inverse of a block triangular matrix is one
+    return MCWitness(Uhat=uhat, UhatInv=inv, n=n, m=m, U=uhat[:n, :n], V=inv[n:, n:])
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(data=st.data(), n=st.integers(0, 12), m=st.integers(0, 12),
+       source=st.sampled_from(["synth_mc", "coupled_mc", "dense"]),
+       log_cond=st.floats(0.0, 3.0), seed=st.integers(0, 2**32 - 1))
+def test_block_formula_matches_the_factor_chains(data, n, m, source, log_cond, seed):
+    """Both builders' factors are the padded factor chains multiplied out:
+    on synthesized witnesses (one extension trivial, either index sign), on
+    supplied two-sided ones, and on witnesses in general position."""
+    k = data.draw(st.integers(0, min(n, m)), label="k")
+    u, v = random_instance(InstanceSpec(n, m, k, seed=seed, cond_bound=10.0 ** log_cond))
+    if source == "synth_mc":
+        mc, _ = synth_mc(u, v, 1e-8)
+    elif source == "coupled_mc":
+        mc = coupled_mc(u, v, data.draw(st.integers(k, min(n, m)), label="r"))
+    else:
+        mc = dense_mc(n, m, data.draw(st.integers(0, min(n, m)), label="r"), seed)
+    rb, _ = decompose_corners(mc_to_eae_special(mc, 1e-8), 1e-8)
+    small = build_small_eae(rb, 1e-8)
+    eaoe, _ = build_eaoe(rb, small, 1e-8)
+    (e, f), chain_eaoe = chain_factors(rb)
+    built = (small[0].E, small[0].F, eaoe.E, eaoe.F, eaoe.Einv, eaoe.Finv)
+    for label, ours, ref in zip(("E", "F", "eaoe E", "eaoe F", "Einv", "Finv"),
+                                built, (e, f, *chain_eaoe)):
+        assert _scaled_gap(ours, ref) <= 1e-14, label
+
+
+@pytest.mark.parametrize("n, m, k", [(4, 6, 2), (6, 4, 2), (5, 5, 1), (0, 3, 0)])
+def test_one_sided_small_witness_is_the_eaoe_bit_for_bit(n, m, k):
+    """With ``min(x0, y0) = 0`` the one formula gives the small witness's E
+    and F exactly, which is what lets ``build_eaoe`` reuse its report."""
+    u, v = random_instance(InstanceSpec(n, m, k, seed=3))
+    rb, _ = decompose_corners(mc_to_eae_special(synth_mc(u, v)[0]))
+    assert min(rb.x0, rb.y0) == 0
+    small = build_small_eae(rb)
+    eaoe, _ = build_eaoe(rb, small)
+    again = reduction._extension_factors(rb, min(rb.x0, rb.y0))
+    for ours, theirs in zip((eaoe.E, eaoe.F), (small[0].E, small[0].F)):
+        assert ours is theirs
+    for fresh, theirs in zip(again, (small[0].E, small[0].F)):
+        assert np.array_equal(fresh, theirs)
+
+
 class TestBuildSmallEae:
     def test_worked_instance_no_extension(self):
         w = worked_special()

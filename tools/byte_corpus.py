@@ -29,8 +29,10 @@ corpus only.  For a moved JSON file it prints how far its values moved:
 the largest relative change ``|new - old| / max(|old|, |new|)`` of any
 entry of a ``residuals`` map and of any entry of an ``extras`` (or a
 pipeline stage's ``data``) map, and whether any ``success``, ``passed`` or
-``certified`` value changed; each kind's line gives the largest of its
-files.  It exits 1 when a case disagrees::
+``certified`` value changed; for a moved witness file, the largest
+``max|new - old| / max|old|`` over its matrices (0 for a matrix that is
+zero in both).  Each kind's line gives the largest of its files.  It exits
+1 when a case disagrees::
 
     PYTHONPATH=src python tools/byte_corpus.py --compare OLD_DIR NEW_DIR
 """
@@ -53,7 +55,13 @@ from opcoupling.errors import ToolkitError
 from opcoupling.instances import InstanceSpec, random_instance
 from opcoupling.reduction import run_pipeline
 from opcoupling.relations import mc_to_eae_special
-from opcoupling.serialization import dumps_canonical, encode_witness, pipeline_report_to_dict
+from opcoupling.serialization import (
+    WITNESS_KINDS,
+    decode_matrix,
+    dumps_canonical,
+    encode_witness,
+    pipeline_report_to_dict,
+)
 
 _TESTS = Path(__file__).resolve().parents[1] / "tests"
 _TIMESTAMP = re.compile(r'"timestamp": "[^"]*"')
@@ -254,13 +262,31 @@ def _relative(old: float, new: float) -> float:
     return abs(new - old) / top if top else 0.0
 
 
+def _matrix_change(old: dict, new: dict) -> float:
+    """The largest ``max|new - old| / max|old|`` over the matrices of two
+    witness files: 0 for a matrix that is zero in both, infinite for one
+    that was zero, changed its shape or is in one file only."""
+    worst = 0.0
+    for name in old.keys() | new.keys():
+        if name not in old or name not in new:
+            return np.inf
+        a, b = decode_matrix(old[name]), decode_matrix(new[name])
+        if a.shape != b.shape:
+            return np.inf
+        gap, top = np.abs(b - a).max(initial=0.0), np.abs(a).max(initial=0.0)
+        worst = max(worst, gap / top if top else (np.inf if gap else 0.0))
+    return worst
+
+
 def _movement(old_path: Path, new_path: Path) -> dict | None:
-    """How far the values of one JSON file moved: the largest relative
-    change of a residual and of an extra (None where the two files share
-    none), and whether a flag changed; None for a file that holds none of
-    them, such as a witness."""
-    before, after = (_values(json.loads(p.read_text(encoding="utf-8")))
-                     for p in (old_path, new_path))
+    """How far the values of one JSON file moved: for a witness, the
+    largest change of its matrices; otherwise the largest relative change
+    of a residual and of an extra (None where the two files share none),
+    and whether a flag changed; None for a file that holds none of them."""
+    before, after = (json.loads(p.read_text(encoding="utf-8")) for p in (old_path, new_path))
+    if isinstance(before, dict) and before.get("kind") in WITNESS_KINDS:
+        return {"matrices": _matrix_change(before["matrices"], after["matrices"])}
+    before, after = _values(before), _values(after)
     if not before and not after:
         return None
     out = {}
@@ -274,6 +300,8 @@ def _movement(old_path: Path, new_path: Path) -> dict | None:
 
 
 def _describe(movement: dict) -> str:
+    if "matrices" in movement:
+        return f"largest relative change: matrices {movement['matrices']:.2e}"
     sizes = (f"{group} {'-' if movement[group] is None else f'{movement[group]:.2e}'}"
              for group in ("residuals", "extras"))
     return (f"largest relative change: {', '.join(sizes)}; flags "
@@ -281,6 +309,10 @@ def _describe(movement: dict) -> str:
 
 
 def _largest(movements: list[dict]) -> dict:
+    """The largest movement of the files of one kind, which all hold
+    matrices or all hold residual maps."""
+    if "matrices" in movements[0]:
+        return {"matrices": max(m["matrices"] for m in movements)}
     out = {group: max((m[group] for m in movements if m[group] is not None), default=None)
            for group in ("residuals", "extras")}
     out["flags"] = any(m["flags"] for m in movements)
