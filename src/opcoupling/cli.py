@@ -190,6 +190,13 @@ def _check_tol(ctx, param, value: float) -> float:
     return value
 
 
+def _check_path(ctx, param, value):
+    """Reject an empty output path, which would otherwise skip its file."""
+    if value == "":
+        raise click.BadParameter("the path is empty")
+    return value
+
+
 def _check_p(ctx, param, value: float) -> float:
     """Reject a Schatten exponent ``--p`` outside ``[1, inf)``."""
     if not 1 <= value < np.inf:
@@ -248,7 +255,7 @@ def main():
 @click.option("--cond-bound", type=float, default=100.0, show_default=True,
               help="Bound on the conditioning of the nonzero singular values.")
 @click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False),
-              help="Instance file to write.")
+              callback=_check_path, help="Instance file to write.")
 def synth(n, m, nullity, seed, cond_bound, out_path):
     """Synthesize a random pair (U, V) with a common nullity."""
     try:
@@ -290,11 +297,11 @@ def _run_one_pipeline(in_path: str, tol: float, out_path, report_path):
               type=click.Path(exists=True, dir_okay=False),
               help="Instance file(s); repeat for batch mode.")
 @click.option("--tol", type=float, default=DEFAULT_TOL, show_default=True, callback=_check_tol)
-@click.option("--out", "out_path", type=click.Path(dir_okay=False),
+@click.option("--out", "out_path", type=click.Path(dir_okay=False), callback=_check_path,
               help="Witness file for the final Schur coupling (single run).")
 @click.option("--report", "report_path", type=click.Path(dir_okay=False),
-              help="JSON report path (single run).")
-@click.option("--out-dir", type=click.Path(file_okay=False),
+              callback=_check_path, help="JSON report path (single run).")
+@click.option("--out-dir", type=click.Path(file_okay=False), callback=_check_path,
               help="Output directory; selects batch mode, for any number of inputs.")
 @click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True,
               help="Parallel workers for batch mode.")
@@ -356,7 +363,7 @@ def pipeline(ctx, in_paths, tol, out_path, report_path, out_dir, jobs):
 @click.option("--kind", type=click.Choice(WITNESS_KINDS), required=True)
 @click.option("--tol", type=float, default=DEFAULT_TOL, show_default=True, callback=_check_tol)
 @click.option("--report", "report_path", type=click.Path(dir_okay=False),
-              help="Optional JSON report of the residual table.")
+              callback=_check_path, help="Optional JSON report of the residual table.")
 @click.pass_context
 def verify(ctx, witness_path, kind, tol, report_path):
     """Re-check a stored witness; exit 0 when it passes, 1 otherwise."""
@@ -409,6 +416,7 @@ def _parse_symbol(text: str, offset: int) -> SymbolFC:
 @click.option("--tol", type=float, default=1e-8, show_default=True, callback=_check_tol,
               help="Zero-threshold for |f| on the inversion grid.")
 @click.option("--report", "report_path", type=click.Path(dir_okay=False),
+              callback=_check_path,
               help="JSON report path; CSV side-files are derived from it.")
 @click.pass_context
 def hankel(ctx, symbol_text, symbol_offset, section_size, schatten_p, kmax,

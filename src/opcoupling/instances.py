@@ -19,7 +19,7 @@ import numpy as np
 
 from .blockops import Block2x2
 from .errors import FeasibilityError, NumericalError, PreconditionError
-from .numkernel import SvdResult, adjoint, as_matrix, svd, zeros
+from .numkernel import adjoint, as_matrix, svd, zeros
 from .relations import (
     DEFAULT_TOL,
     MCWitness,
@@ -83,17 +83,6 @@ def _dressed(left_u: np.ndarray, left_v: np.ndarray, core: np.ndarray,
     return out
 
 
-def _rank_evidence(label: str, res: SvdResult) -> str:
-    """The rank decision of one SVD: its cutoff, the singular values on
-    either side of it, and their gap."""
-    s, r = res.singulars, res.rank()
-    above = f"{s[r - 1]:.3e}" if r else "none"
-    below = f"{s[r]:.3e}" if r < s.size else "none"
-    gap = f"{s[r - 1] - s[r]:.3e}" if 0 < r < s.size else "none"
-    return (f"{label}: cutoff {res.rank_tol:.3e}, sigma above {above}, "
-            f"below {below}, gap {gap}")
-
-
 def synth_mc(U, V, tol: float = DEFAULT_TOL) -> tuple[MCWitness, VerifierReport]:
     """Matricial coupling of two square matrices with equal nullity, with the
     report it was verified by.
@@ -132,7 +121,7 @@ def synth_mc(U, V, tol: float = DEFAULT_TOL) -> tuple[MCWitness, VerifierReport]
     if k != kv:
         raise FeasibilityError(
             f"no coupling exists: dim Ker U = {k} but dim Ker V = {kv}; "
-            f"{_rank_evidence('U', res_u)}; {_rank_evidence('V', res_v)}; square "
+            f"{res_u.rank_evidence('U')}; {res_v.rank_evidence('V')}; square "
             "matrices admit the extension chain exactly when their nullities agree")
     p = min(n, m)
     lead_u, lead_v = np.arange(n - p), n + np.arange(m - p)

@@ -390,6 +390,16 @@ class SvdResult:
         r = self.rank()
         return float(self.singulars[0] / self.singulars[r - 1]) if r else 1.0
 
+    def rank_evidence(self, label: str) -> str:
+        """The rank decision, for the matrix named ``label``: its cutoff, the
+        singular values on either side of it, and their gap."""
+        s, r = self.singulars, self.rank()
+        above = f"{s[r - 1]:.3e}" if r else "none"
+        below = f"{s[r]:.3e}" if r < s.size else "none"
+        gap = f"{s[r - 1] - s[r]:.3e}" if 0 < r < s.size else "none"
+        return (f"{label}: cutoff {self.rank_tol:.3e}, sigma above {above}, "
+                f"below {below}, gap {gap}")
+
 
 def svd(a) -> SvdResult:
     """Full SVD with unitary factors and the default rank cutoff attached.

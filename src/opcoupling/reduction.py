@@ -5,9 +5,9 @@ Starting from an :class:`~opcoupling.relations.EAESpecialWitness` for
 
 1. splits the corners ``F22, E11 : Y -> X`` along orthonormal bases of their
    kernels/ranges and complements, so each becomes ``[[prime, 0], [0, 0]]``
-   with an invertible leading block, from the one full SVD of each that the
-   witness caches (``f22_svd``, ``e11_svd``), and checks both block forms at
-   once, by a certified bound when it can (:func:`decompose_corners`);
+   with an invertible leading block, from one full SVD of each, and checks
+   both block forms at once, by a certified bound when it can
+   (:func:`decompose_corners`);
 2. in the same call expresses ``U`` and ``V`` in those bases, where they are
    block triangular with ``E11' V11 = -U11 F22'``, and reads from the
    witness one-sided inverses of the corner blocks ``U22, V22``; it
@@ -42,14 +42,14 @@ as the stage error's ``report``.  Either error carries, as ``pipeline``, a
 and the failing stage's name, message and table.  The anchored witness of a
 synthesized coupling comes from :func:`~opcoupling.relations._anchored`, the builder
 behind :func:`~opcoupling.relations.mc_to_eae_special`, with the report it
-checked: the coupling's table and the witness's ``f_times_finv``, with the
-bound they give on the other anchored entries (see
-:mod:`~opcoupling.relations`).  The twenty-entry anchored table is
-computed only for a supplied witness, where it is the only evidence.  A
-value several stages read is cached by the object whose inputs fix it, and
-each step hands the next one object whose parts come from one witness, so
-the runner passes objects and checks nothing of its own but a supplied
-witness's ``U`` and ``V``.  In this
+checked: the coupling's table, which the runner hands it from
+``synthesize_mc``, and the witness's ``f_times_finv``, with the bound they
+give on the other anchored entries (see :mod:`~opcoupling.relations`).  The
+twenty-entry anchored table is computed only for a supplied witness, where
+it is the only evidence.  Each builder returns its report, and the next
+step reads it; each step hands the next one object whose parts come from
+one witness, so the runner passes objects and reports and checks nothing
+of its own but a supplied witness's ``U`` and ``V``.  In this
 finite-dimensional setting two square matrices admit such a chain exactly
 when their nullities agree; without a supplied witness
 :func:`~opcoupling.instances.synth_mc` decides that, and the runner passes
@@ -82,6 +82,7 @@ from .numkernel import (
     eye,
     lu_inverse,
     rel_residual,
+    svd,
     zeros,
 )
 from .relations import (
@@ -93,6 +94,7 @@ from .relations import (
     SCWitness,
     VerifierReport,
     _anchored,
+    _anchored_table,
     _checked,
     _eaoe_report,
     sc_from_eaoe,
@@ -111,7 +113,7 @@ class ReducedBlocks:
     """The corners F22 and E11 (both Y -> X) split along orthonormal bases,
     with U and V in those bases and inverses of their corner blocks.
 
-    ``f22`` and ``e11`` are the full SVDs the witness caches and ``rank``
+    ``f22`` and ``e11`` are the full SVDs of the two corners and ``rank``
     their common rank.  Their factors split at ``rank`` into X = im_f22 (+) h2
     = im_e11 (+) g1 (``left``) and Y = k2 (+) ker_f22 = f1 (+) ker_e11
     (``right``).  In these bases the corners are ``[[f22_prime, 0], [0, 0]]``
@@ -157,7 +159,8 @@ class CornerIndex:
 @dataclass(frozen=True)
 class FredholmReport:
     """Indices of the four corner blocks, and the dimensions of the
-    cokernels and kernels of the two whose SVDs the witness caches."""
+    cokernels and kernels of the two whose SVDs :func:`decompose_corners`
+    takes."""
 
     f11: CornerIndex
     f22: CornerIndex
@@ -242,7 +245,8 @@ def decompose_corners(w: EAESpecialWitness,
     and V, with inverses of their corner blocks, in those bases; return the
     split with the report that certified it.
 
-    The splits come from the witness's cached SVDs of both corners and their
+    The splits come from one full SVD of each corner, taken here and
+    handed to the builders in the :class:`ReducedBlocks`, and from their
     common rank.  The invertible ``f22_prime`` and ``e11_prime``, the leading
     blocks of the corners' compressions to those bases, and their inverses,
     by one LU each, are computed once here for the builders; the rank
@@ -271,22 +275,25 @@ def decompose_corners(w: EAESpecialWitness,
     certified at ``tol`` where it can be (see
     :func:`~opcoupling.numkernel.rel_residual`).  The report's extras are
     ``rank``, and ``cond_f22_prime`` and ``cond_e11_prime``, ``sigma_1 /
-    sigma_r`` of each corner's cached SVD: the singular values of a prime are
+    sigma_r`` of each corner's SVD: the singular values of a prime are
     those of its corner up to rounding (Golub and Van Loan, *Matrix
     Computations*, 4th ed., section 2.4), so no SVD is taken for them.
 
     Raises
     ------
     NumericalError
-        If the two corners differ in rank, which a genuine witness rules out.
+        If the two corners differ in rank, which a genuine witness rules out;
+        the message quotes, for each corner, its rank cutoff, the singular
+        values on either side of it and their gap.
     SingularMatrixError
         If the LU of a prime meets an exactly zero pivot.
     """
-    f22, e11 = w.f22_svd, w.e11_svd
+    f22, e11 = svd(w.F22), svd(w.E11)
     r = f22.rank()
     if e11.rank() != r:
         raise NumericalError(
             f"rank(E11)={e11.rank()} differs from rank(F22)={r}; "
+            f"{e11.rank_evidence('E11')}; {f22.rank_evidence('F22')}; "
             "the corner blocks of a genuine witness have equal rank"
         )
     im_f22, h2, k2, ker_f22 = _split(f22, r)
@@ -462,13 +469,13 @@ def run_pipeline(U, V, w: EAESpecialWitness | None = None,
 
     def supplied():
         residuals = {"witness_u": rel_residual(w.U, U, tol),
-                     "witness_v": rel_residual(w.V, V, tol), **w.residual_table(tol)}
+                     "witness_v": rel_residual(w.V, V, tol), **_anchored_table(w, tol)}
         return w, _checked(VerifierReport("eae_special", residuals, tol), "anchored witness")
 
     mc = None
     if w is None:
-        mc, _ = stage("synthesize_mc", lambda: instances.synth_mc(U, V, tol))
-        w, _ = stage("mc_to_special", lambda: _anchored(mc, tol))
+        mc, coupling = stage("synthesize_mc", lambda: instances.synth_mc(U, V, tol))
+        w, _ = stage("mc_to_special", lambda: _anchored(mc, coupling))
     else:
         stage("verify_special", supplied)
 

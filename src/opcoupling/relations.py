@@ -42,9 +42,8 @@ is computed by SVD only when it may exceed 1, since a certified bound
 settles ``max(1, ||rhs||) = 1`` otherwise, and an exact identity block has
 norm and condition 1 without one.  Special-form witnesses carry
 their inverses so that verification cost and accuracy do not depend on
-re-inverting ``E`` and ``F``, and cache the one full SVD of each corner
-``F22`` and ``E11`` (``f22_svd``, ``e11_svd``) from which the reduction reads
-their ranks and bases.
+re-inverting ``E`` and ``F``.  A witness holds its matrices and sizes and
+nothing else.
 
 Every residual table, here and in :mod:`~opcoupling.reduction`, is checked
 by :func:`_checked`, which raises :class:`ConversionError` naming the worst
@@ -53,16 +52,17 @@ values nobody records, are settled first by a certified bound (see
 :func:`~opcoupling.reduction.decompose_corners`).
 
 Each converter verifies its output once, and the pipeline records that
-report as the converter's stage instead of verifying the witness again: a
-builder returns its witness with the report, and a value that is read
-twice is cached by the witness that fixes it, once for each ``tol`` it is
-read at.  An MC witness caches its table (``residual_table``), which
-:func:`verify_mc` reports and :func:`_anchored` reads.  An anchored
-witness caches its twenty-entry table (``residual_table``), which
-:func:`verify_eae_special` reports and a supplied witness's stage reads,
-and its entry ``f_times_finv``, which that table and :func:`_anchored`
-read.  :func:`verify_eaoe` is :func:`verify_eae` with the other extension
-trivial, plus the residuals of the inverses (:func:`_eaoe_report`).
+report as the converter's stage instead of verifying the witness again:
+each builder returns its report, and the next step reads it.
+:func:`_anchored` reads the report of the coupling it builds from, as
+:func:`verify_mc` or :func:`~opcoupling.instances.synth_mc` gave it.  The
+twenty-entry anchored table is evaluated by :func:`verify_eae_special`,
+and by a supplied witness's stage through the same private helper
+(:func:`_anchored_table`).  :func:`verify_eaoe` is :func:`verify_eae` with
+the other extension trivial, plus the residuals of the inverses
+(:func:`_eaoe_report`).  Every verifier but :func:`verify_sc` evaluates
+its pairs through :func:`_residuals`, which names the verifier and the
+entry of a product that overflows.
 
 **A witness built from a coupling.**  :func:`mc_to_eae_special` verifies
 its witness by the coupling's table and ``f_times_finv`` alone
@@ -140,10 +140,7 @@ evidence only: pass and fail stay on the table's residuals.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass, field
-from functools import cached_property, wraps
-from types import MappingProxyType
 
 import numpy as np
 
@@ -152,7 +149,6 @@ from .errors import ConversionError, NumericalError, ShapeError
 from .numkernel import (
     EPS,
     SVD_SLACK,
-    SvdResult,
     _Bound,
     _gamma,
     _norm_and_condition,
@@ -161,27 +157,10 @@ from .numkernel import (
     eye,
     lu_inverse,
     rel_residual,
-    svd,
     zeros,
 )
 
 DEFAULT_TOL = 1e-8
-
-
-def _cached_by_tol(method):
-    """Cache ``method(self, tol)`` on the witness, one value per ``tol``: a
-    residual is a certified bound only where that is within the ``tol`` it
-    is read at (see :func:`~opcoupling.numkernel.rel_residual`)."""
-    attr = f"_{method.__name__}_by_tol"
-
-    @wraps(method)
-    def cached(self, tol):
-        by_tol = self.__dict__.setdefault(attr, {})
-        if tol not in by_tol:
-            by_tol[tol] = method(self, tol)
-        return by_tol[tol]
-
-    return cached
 
 
 # ---------------------------------------------------------------------------
@@ -289,18 +268,6 @@ class MCWitness:
         if self.U.shape != (self.n, self.n) or self.V.shape != (self.m, self.m):
             raise ShapeError("U, V shapes do not match the declared split")
 
-    @_cached_by_tol
-    def residual_table(self, tol: float) -> Mapping[str, float]:
-        """Residuals at ``tol`` of the four pairs :func:`verify_mc` checks, in
-        its order; read-only, so every report holds a copy."""
-        n, d = self.n, self.n + self.m
-        return MappingProxyType({
-            "uhat_inverse": rel_residual(self.Uhat @ self.UhatInv, eye(d), tol),
-            "uhat_inverse_left": rel_residual(self.UhatInv @ self.Uhat, eye(d), tol),
-            "corner_u": rel_residual(self.Uhat[:n, :n], self.U, tol),
-            "corner_v": rel_residual(self.UhatInv[n:, n:], self.V, tol),
-        })
-
 
 @dataclass(frozen=True)
 class EAEWitness:
@@ -404,33 +371,6 @@ class EAESpecialWitness:
     def Ehat21(self) -> np.ndarray:
         return self.Einv[self.m:, : self.n]
 
-    # one full SVD per corner, shared by every step of the reduction
-    @cached_property
-    def f22_svd(self) -> SvdResult:
-        return svd(self.F22)
-
-    @cached_property
-    def e11_svd(self) -> SvdResult:
-        return svd(self.E11)
-
-    @_cached_by_tol
-    def f_times_finv(self, tol: float) -> float:
-        """Residual at ``tol`` of ``F F^-1 = I``, the entry of
-        :meth:`residual_table` that also verifies a witness built from a
-        coupling (see :func:`mc_to_eae_special`)."""
-        return rel_residual(self.F @ self.Finv, eye(self.n + self.m), tol)
-
-    @_cached_by_tol
-    def residual_table(self, tol: float) -> Mapping[str, float]:
-        """Residuals at ``tol`` of the twenty anchored entries: the two
-        inverses, then the pairs of :func:`_special_pairs` in their order;
-        read-only, so every report holds a copy."""
-        table = {"e_times_einv": rel_residual(self.E @ self.Einv, eye(self.n + self.m), tol),
-                 "f_times_finv": self.f_times_finv(tol)}
-        table.update((label, rel_residual(lhs, rhs, tol))
-                     for label, (lhs, rhs) in _special_pairs(self))
-        return MappingProxyType(table)
-
 
 @dataclass(frozen=True)
 class EAOEWitness:
@@ -477,6 +417,21 @@ class EAOEWitness:
 # verifiers
 
 
+def _residuals(verifier: str, pairs, tol: float) -> dict[str, float]:
+    """The residual at ``tol`` of each ``(label, (lhs, rhs))`` the generator
+    ``pairs`` yields, formed with numpy's overflow warnings off: a
+    :class:`NumericalError`, such as that of a product that overflowed, is
+    raised again naming ``verifier`` and the label."""
+    table = {}
+    with np.errstate(over="ignore", invalid="ignore"):
+        for label, (lhs, rhs) in pairs:
+            try:
+                table[label] = rel_residual(lhs, rhs, tol)
+            except NumericalError as exc:
+                raise NumericalError(f"{verifier}: {label}: {exc}") from exc
+    return table
+
+
 def verify_sc(w: SCWitness, tol: float = DEFAULT_TOL) -> VerifierReport:
     """Check both Schur-complement identities of an SC witness.
 
@@ -510,29 +465,43 @@ def verify_sc(w: SCWitness, tol: float = DEFAULT_TOL) -> VerifierReport:
     return VerifierReport("sc", residuals, tol, extras)
 
 
+def _mc_pairs(w: MCWitness):
+    """Yield the four ``(label, (lhs, rhs))`` pairs of an MC witness: both
+    products of ``Uhat`` with its inverse, then the two corners."""
+    n, d = w.n, w.n + w.m
+    yield "uhat_inverse", (w.Uhat @ w.UhatInv, eye(d))
+    yield "uhat_inverse_left", (w.UhatInv @ w.Uhat, eye(d))
+    yield "corner_u", (w.Uhat[:n, :n], w.U)
+    yield "corner_v", (w.UhatInv[n:, n:], w.V)
+
+
 def verify_mc(w: MCWitness, tol: float = DEFAULT_TOL) -> VerifierReport:
     """Check invertibility and the two corner identities of an MC witness."""
-    return VerifierReport("mc", dict(w.residual_table(tol)), tol)
+    return VerifierReport("mc", _residuals("verify_mc", _mc_pairs(w), tol), tol)
+
+
+def _eae_pairs(w: EAEWitness):
+    """Yield the one ``(label, (lhs, rhs))`` pair of a general EAE witness."""
+    yield "extension_equation", (_direct_sum(w.U, w.x0_dim),
+                                 w.E @ _direct_sum(w.V, w.y0_dim) @ w.F)
 
 
 def verify_eae(w: EAEWitness, tol: float = DEFAULT_TOL) -> VerifierReport:
     """Check the extension equation and invertibility of a general EAE witness."""
     cond_e = condition_number(w.E)
     cond_f = condition_number(w.F)
-    lhs = _direct_sum(w.U, w.x0_dim)
-    rhs = w.E @ _direct_sum(w.V, w.y0_dim) @ w.F
-    residuals = {"extension_equation": rel_residual(lhs, rhs, tol)}
+    residuals = _residuals("verify_eae", _eae_pairs(w), tol)
     return VerifierReport("eae", residuals, tol, {"cond_e": cond_e, "cond_f": cond_f})
 
 
 def _special_pairs(w: EAESpecialWitness):
-    """Yield the eighteen ``(label, (lhs, rhs))`` pairs of an anchored
-    witness after its two inverses.
+    """Yield the twenty ``(label, (lhs, rhs))`` pairs of an anchored witness.
 
-    They cover the anchored corners of E, F and their inverses, the closed
-    form of F^-1, the extension equation and the eleven block identities, in
-    the order the residual tables list them.  Pairs are built one at a time,
-    so a consumer holds one pair of products at once.
+    They cover the two inverses, the anchored corners of E, F and their
+    inverses, the closed form of F^-1, the extension equation and the
+    eleven block identities, in the order the residual tables list them.
+    Pairs are built one at a time, so a consumer holds one pair of products
+    at once.
     """
     n, m = w.n, w.m
     d = n + m
@@ -540,6 +509,9 @@ def _special_pairs(w: EAESpecialWitness):
     e11, e21 = w.E11, w.E21
     f11, f21, f22 = w.F11, w.F21, w.F22
     eh11, eh21 = w.Ehat11, w.Ehat21
+
+    yield "e_times_einv", (w.E @ w.Einv, eye(d))
+    yield "f_times_finv", (w.F @ w.Finv, eye(d))
 
     finv_form = np.zeros((d, d), dtype=np.complex128)
     finv_form[:n, :m] = -f22
@@ -567,14 +539,19 @@ def _special_pairs(w: EAESpecialWitness):
     yield "identity_xi", (eh21 @ e11, -f22 @ e21)
 
 
+def _anchored_table(w: EAESpecialWitness, tol: float) -> dict[str, float]:
+    """The residuals at ``tol`` of the twenty pairs of :func:`_special_pairs`."""
+    return _residuals("verify_eae_special", _special_pairs(w), tol)
+
+
 def verify_eae_special(w: EAESpecialWitness, tol: float = DEFAULT_TOL) -> VerifierReport:
     """Full residual table for an anchored witness.
 
     Checks the stored inverses, the anchored corners of E, F and their
     inverses, the closed form of F^-1, the extension equation and the eleven
-    block identities: the witness's cached table, with no extras.
+    block identities (:func:`_anchored_table`), with no extras.
     """
-    return VerifierReport("eae_special", dict(w.residual_table(tol)), tol)
+    return VerifierReport("eae_special", _anchored_table(w, tol), tol)
 
 
 def verify_eaoe(w: EAOEWitness, tol: float = DEFAULT_TOL) -> VerifierReport:
@@ -590,12 +567,16 @@ def _eaoe_report(w: EAOEWitness, extension: VerifierReport, tol: float) -> Verif
     """The report of ``w`` at ``tol``: the table and extras of
     ``extension``, the report of ``w``'s extension equation, then the
     residuals of the inverses of E and F that ``w`` carries."""
-    residuals = dict(extension.residuals)
-    if w.Einv is not None:
-        residuals["e_times_einv"] = rel_residual(w.E @ w.Einv, eye(w.E.shape[0]), tol)
-    if w.Finv is not None:
-        residuals["f_times_finv"] = rel_residual(w.F @ w.Finv, eye(w.F.shape[0]), tol)
+    residuals = {**extension.residuals, **_residuals("verify_eaoe", _inverse_pairs(w), tol)}
     return VerifierReport("eaoe", residuals, tol, dict(extension.extras), extension.certified)
+
+
+def _inverse_pairs(w: EAOEWitness):
+    """Yield the ``(label, (lhs, rhs))`` pair of each inverse ``w`` carries."""
+    if w.Einv is not None:
+        yield "e_times_einv", (w.E @ w.Einv, eye(w.E.shape[0]))
+    if w.Finv is not None:
+        yield "f_times_finv", (w.F @ w.Finv, eye(w.F.shape[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -655,20 +636,23 @@ def mc_to_eae_special(w: MCWitness, tol: float = DEFAULT_TOL) -> EAESpecialWitne
     and ``E (V (+) I_X) F = U (+) I_Y``.  All four matrices come from corner
     blocks, so no numerical inversion is involved.  E and E^-1 copy the
     blocks of ``Uhat`` and its inverse, and only ``A U`` and ``I - Q B`` are
-    new products, so the output is verified by the coupling's cached table
-    and the one entry ``f_times_finv``, which measures both products; every
-    other anchored entry is bounded from these (see the module docstring),
-    and the bound is the report's ``anchored_bound`` extra.  The pipeline
-    records that report as its ``mc_to_special`` stage (see :func:`_anchored`).
+    new products, so the output is verified by the coupling's table
+    (:func:`verify_mc`) and the one entry ``f_times_finv``, which measures
+    both products; every other anchored entry is bounded from these (see
+    the module docstring), and the bound is the report's ``anchored_bound``
+    extra.  The pipeline records that report as its ``mc_to_special`` stage
+    (see :func:`_anchored`).
     """
-    return _anchored(w, tol)[0]
+    return _anchored(w, verify_mc(w, tol))[0]
 
 
-def _anchored(mc: MCWitness, tol: float) -> tuple[EAESpecialWitness, VerifierReport]:
+def _anchored(mc: MCWitness,
+              coupling: VerifierReport) -> tuple[EAESpecialWitness, VerifierReport]:
     """The witness :func:`mc_to_eae_special` builds from ``mc``, with the
-    report it was verified by: the coupling's cached table, then the
-    witness's cached ``f_times_finv``, with the a priori bounds of the module
-    docstring as extras, which take no SVD."""
+    report it was verified by at the ``tol`` of ``coupling``, the report
+    ``mc`` was verified by: that table, then the witness's ``f_times_finv``,
+    with the a priori bounds of the module docstring as extras, which take
+    no SVD."""
     n, m = mc.n, mc.m
     r = mc.Uhat[:n, n:]
     q = mc.Uhat[n:, :n]
@@ -689,7 +673,7 @@ def _anchored(mc: MCWitness, tol: float) -> tuple[EAESpecialWitness, VerifierRep
     kappa = ((1.0 + d * SVD_SLACK) / (1.0 - d * SVD_SLACK)) ** 2
     g = _gamma(6 * d + 8)
     big_n = rho * max(1.0, d ** 0.5, *(fro(x) for x in (w.E, w.Einv, w.F, w.Finv)))
-    table = mc.residual_table(tol)
+    table = coupling.residuals
     eta = (kappa * max(table["uhat_inverse"], table["uhat_inverse_left"])
            + g * (rho * rho * fro(mc.Uhat) * fro(mc.UhatInv) + big_n))
     eta_corner = kappa * max(table["corner_u"], table["corner_v"]) * big_n
@@ -701,8 +685,8 @@ def _anchored(mc: MCWitness, tol: float) -> tuple[EAESpecialWitness, VerifierRep
                      + g * (2 * big_n * big_n + big_n + 5) * big_n)
     extras = {"au_rounding": float(au), "qb_rounding": float(qb),
               "anchored_bound": float(bound)}
-    report = VerifierReport("eae_special", {**table, "f_times_finv": w.f_times_finv(tol)},
-                            tol, extras)
+    residuals = {**table, "f_times_finv": rel_residual(w.F @ w.Finv, eye(d), coupling.tol)}
+    report = VerifierReport("eae_special", residuals, coupling.tol, extras, coupling.certified)
     return w, _checked(report, "mc_to_eae_special")
 
 

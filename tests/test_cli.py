@@ -21,8 +21,10 @@ from opcoupling.hankel import SymbolFC
 from opcoupling.instances import InstanceSpec, random_instance, random_sc_witness, synth_mc
 from opcoupling.reduction import run_pipeline
 from opcoupling.relations import (
+    EAESpecialWitness,
     EAEWitness,
     EAOEWitness,
+    MCWitness,
     SCWitness,
     mc_to_eae_special,
     sc_to_mc,
@@ -619,6 +621,19 @@ def test_unwritable_output_is_invalid_input(tol_commands, tmp_path, capsys, comm
     assert not missing.exists()
 
 
+@pytest.mark.parametrize("command,option", [
+    ("synth", "--out"), ("pipeline", "--out"), ("pipeline", "--report"),
+    ("pipeline", "--out-dir"), ("verify", "--report"), ("hankel", "--report"),
+])
+def test_empty_output_path_is_invalid_input(tol_commands, capsys, command, option):
+    # pipeline, verify and hankel once exited 0 and skipped the file
+    args = tol_commands.get(command, ["synth", "--n", "2", "--m", "2"])
+    assert dispatch([*args, option, ""]) == 2
+    captured = capsys.readouterr()
+    assert f"Invalid value for '{option}': the path is empty" in captured.err
+    assert captured.out == ""
+
+
 class TestWriteText:
     def test_shorter_text_leaves_only_the_new_bytes(self, tmp_path):
         path = tmp_path / "out.txt"
@@ -701,8 +716,8 @@ def test_svd_failure_in_eae_special_verification_exits_1(tmp_path, monkeypatch, 
     # the first SVD is that of the anchored table's first entry, e_times_einv
     monkeypatch.setattr(np.linalg, "svd", failing)
     assert dispatch(["verify", "--witness", str(path), "--kind", "eae_special"]) == 1
-    assert ("verification error: SVD of shape (5, 5) failed: SVD did not converge"
-            in capsys.readouterr().err)
+    assert ("verification error: verify_eae_special: e_times_einv: SVD of shape (5, 5) "
+            "failed: SVD did not converge" in capsys.readouterr().err)
 
 
 class TestCliDeterminism:
@@ -958,6 +973,38 @@ def test_overflowing_schur_complement_is_a_verification_error(tmp_path, capsys):
     assert code == 1 and out.out == ""
     assert re.fullmatch(r"verification error: .*overflow.*\n", out.err)
     assert "nan" not in out.err and not (tmp_path / "r.json").exists()
+
+
+_BIG2 = np.full((2, 2), 1e300)
+_BIG4 = np.full((4, 4), 1e300)
+
+
+# each witness's first product overflows; the error names the entry
+@pytest.mark.parametrize("w,entry", [
+    (MCWitness(Uhat=_BIG4, UhatInv=_BIG4, n=2, m=2, U=_BIG2, V=_BIG2),
+     "verify_mc: uhat_inverse"),
+    (EAEWitness(U=np.eye(2), V=np.eye(2), E=1e300 * np.eye(2), F=1e300 * np.eye(2),
+                x0_dim=0, y0_dim=0), "verify_eae: extension_equation"),
+    (EAESpecialWitness(U=_BIG2, V=_BIG2, E=_BIG4, F=_BIG4, Einv=_BIG4, Finv=_BIG4),
+     "verify_eae_special: e_times_einv"),
+    # U = V = 0 keeps the extension equation finite
+    (EAOEWitness(extended_side="U", ext_dim=0, E=1e300 * np.eye(2), F=np.eye(2),
+                 U=np.zeros((2, 2)), V=np.zeros((2, 2)), Einv=1e300 * np.eye(2)),
+     "verify_eaoe: e_times_einv"),
+], ids=["mc", "eae", "eae_special", "eaoe"])
+def test_overflowing_product_is_a_verification_error(tmp_path, capsys, w, entry):
+    """A witness whose verification product overflows ends in an error that
+    names the verifier and the entry, with no numpy warning on the way."""
+    path = tmp_path / "w.json"
+    obj = encode_witness(w)
+    path.write_text(dumps_canonical(obj))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = dispatch(["verify", "--witness", str(path), "--kind", obj["kind"]])
+    out = capsys.readouterr()
+    assert code == 1 and out.out == ""
+    assert out.err.startswith(f"verification error: {entry}: residual of shape ")
+    assert "not finite" in out.err and "RuntimeWarning" not in out.err
 
 
 def test_verify_report_lists_its_certified_entries(tmp_path):

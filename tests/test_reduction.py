@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from opcoupling import instances, reduction, relations
+from opcoupling import instances, numkernel, reduction, relations
 from opcoupling.errors import (
     ConversionError,
     FeasibilityError,
@@ -106,7 +106,7 @@ def synthesized(n, m, k, seed=5, cond=100.0):
 
 def read_back(w):
     """``w`` as a witness file gives it back to ``verify`` or ``--witness``:
-    a fresh object, with nothing cached."""
+    a fresh object, decoded from the file's text."""
     return decode_witness(encode_witness(w))
 
 
@@ -139,13 +139,13 @@ class TestFredholmReport:
                          ids=["synthesized_n<m", "synthesized_n>m", "two_sided"])
 def test_indices_block_is_the_corner_ranks(n, m, r):
     """The report's ``indices`` block, built from the shapes and the
-    extensions, equals what the ranks of the cached corner SVDs give; the
+    extensions, equals what the ranks of the corners' SVDs give; the
     two-sided witness has both x0 and y0 nonzero."""
     u, v = random_instance(InstanceSpec(n, m, 2, seed=9, cond_bound=100.0))
     mc = synth_mc(u, v)[0] if r is None else coupled_mc(u, v, r)
     w = mc_to_eae_special(mc)
     report = run_pipeline(u, v, w=read_back(w), tol=1e-8)
-    rank_f22, rank_e11 = w.f22_svd.rank(), w.e11_svd.rank()
+    rank_f22, rank_e11 = svd(w.F22).rank(), svd(w.E11).rank()
     assert pipeline_report_to_dict(report)["indices"] == {
         "f11": n - m, "f22": m - n, "e11": m - n, "ehat11": n - m,
         "dim_h2": n - rank_f22, "dim_g1": n - rank_e11,
@@ -182,11 +182,14 @@ class TestDecomposeCorners:
         assert ker_e11 == ker_f22
         assert h2 == g1
 
-    def test_reads_the_cached_corner_svds(self):
+    def test_hands_on_one_svd_of_each_corner(self):
         w = synthesized(3, 4, 2, seed=21)
         d, _ = decompose_corners(w)
-        assert d.f22 is w.f22_svd and d.e11 is w.e11_svd
-        assert d.rank == w.f22_svd.rank() == w.e11_svd.rank()
+        for res, block in ((d.f22, w.F22), (d.e11, w.E11)):
+            own = svd(block)
+            assert all(np.array_equal(getattr(res, f), getattr(own, f))
+                       for f in ("left", "singulars", "right", "rank_tol"))
+        assert d.rank == d.f22.rank() == d.e11.rank()
 
     @pytest.mark.parametrize("r", [None, 7], ids=["synthesized", "two_sided"])
     def test_primes_are_the_leading_blocks_of_the_compressions(self, r):
@@ -204,14 +207,14 @@ class TestDecomposeCorners:
                                                      "rank_of_nullity"])
     @pytest.mark.parametrize("from_file", [False, True], ids=["built", "read_back"])
     def test_prime_conds_are_read_from_the_corner_svds(self, r, from_file):
-        # sigma_1 / sigma_r of each corner's cached SVD, bit for bit; the
+        # sigma_1 / sigma_r of each corner's SVD, bit for bit; the
         # primes' own singular values agree with them up to rounding
         u, v = random_instance(InstanceSpec(12, 14, 2, seed=1))
         w = mc_to_eae_special(synth_mc(u, v)[0] if r is None else coupled_mc(u, v, r))
         w = read_back(w) if from_file else w
         rb, report = decompose_corners(w)
-        for label, res, prime in (("cond_f22_prime", w.f22_svd, rb.f22_prime),
-                                  ("cond_e11_prime", w.e11_svd, rb.e11_prime)):
+        for label, res, prime in (("cond_f22_prime", svd(w.F22), rb.f22_prime),
+                                  ("cond_e11_prime", svd(w.E11), rb.e11_prime)):
             s = res.singulars
             assert report.extras[label] == s[0] / s[rb.rank - 1]
             assert report.extras[label] == pytest.approx(condition_number(prime), rel=1e-12)
@@ -227,8 +230,11 @@ class TestDecomposeCorners:
         w = special_from_ef(U=[[1.0]], V=[[1.0]], E=np.eye(2), F=swap)
         with pytest.raises(NumericalError) as info:
             decompose_corners(w)
-        assert str(info.value) == ("rank(E11)=1 differs from rank(F22)=0; the corner "
-                                   "blocks of a genuine witness have equal rank")
+        assert str(info.value) == (
+            "rank(E11)=1 differs from rank(F22)=0; E11: cutoff 2.220e-16, sigma "
+            "above 1.000e+00, below none, gap none; F22: cutoff 0.000e+00, sigma "
+            "above none, below 0.000e+00, gap none; the corner blocks of a "
+            "genuine witness have equal rank")
 
 
 def _block_form_residuals(w, d):
@@ -453,7 +459,7 @@ def test_normalization_keeps_the_one_sided_inverses(data, coupled, n, log_cond, 
     w = sheared(mc_to_eae_special(mc, 1e-8), y)
     rb, _ = decompose_corners(w, 1e-8)
     r = rb.rank
-    f22, e11 = w.f22_svd, w.e11_svd
+    f22, e11 = svd(w.F22), svd(w.E11)
     x = (f22.right[:, :r] / f22.singulars[:r]) @ f22.left[:, :r].conj().T @ w.Ehat21
     e21, ehat21 = w.E21 + x @ w.E11, w.Ehat21 - w.F22 @ x
     left_inv = f22.right[:, r:].conj().T @ e21 @ e11.right[:, r:]
@@ -671,16 +677,33 @@ class TestRunPipeline:
 
     def test_unequal_corner_ranks_fail_their_stage(self):
         # F22 and E11 are both n x m, so their kernel and cokernel dimensions
-        # disagree exactly when their ranks do
-        u, v = random_instance(InstanceSpec(12, 14, 2, seed=1))
-        w = read_back(mc_to_eae_special(synth_mc(u, v)[0]))
-        e11 = w.e11_svd
-        vars(w)["e11_svd"] = dataclasses.replace(e11, rank_tol=e11.singulars[11])
+        # disagree exactly when their ranks do.  Uhat's corner R = E11 has
+        # exact rank 1, and so, in exact arithmetic, has UhatInv's B = F22;
+        # formed by inv(), B keeps a rounding singular value above its cutoff
+        # (9.1e-16 against 3.1e-16), so the witness, of cond 10, passes its
+        # table and fails here (seeds 155 and 359 fail the same way)
+        rng = np.random.default_rng(311)
+
+        def gauss(r, c):
+            return (rng.standard_normal((r, c)) + 1j * rng.standard_normal((r, c))) / np.sqrt(26)
+
+        uhat = np.eye(13) + gauss(13, 13)
+        uhat[:11, 11:] = gauss(11, 1) @ gauss(1, 2)
+        uhat_inv = np.linalg.inv(uhat)
+        mc = MCWitness(Uhat=uhat, UhatInv=uhat_inv, n=11, m=2,
+                       U=uhat[:11, :11], V=uhat_inv[11:, 11:])
+        w = mc_to_eae_special(mc)
         with pytest.raises(PipelineStageError) as info:
-            run_pipeline(u, v, w=w, tol=1e-8)
+            run_pipeline(mc.U, mc.V, w=w, tol=1e-8)
         assert info.value.stage == "decompose_corners"
+        e11, f22 = svd(w.E11), svd(w.F22)
+        assert (e11.rank(), f22.rank()) == (1, 2)
         assert str(info.value) == (
-            "stage 'decompose_corners': rank(E11)=11 differs from rank(F22)=12; "
+            "stage 'decompose_corners': rank(E11)=1 differs from rank(F22)=2; "
+            f"E11: cutoff {e11.rank_tol:.3e}, sigma above {e11.singulars[0]:.3e}, "
+            f"below {e11.singulars[1]:.3e}, gap {e11.singulars[0] - e11.singulars[1]:.3e}; "
+            f"F22: cutoff {f22.rank_tol:.3e}, sigma above {f22.singulars[1]:.3e}, "
+            "below none, gap none; "
             "the corner blocks of a genuine witness have equal rank")
 
     def test_failed_stage_carries_its_report(self):
@@ -709,8 +732,8 @@ class TestRunPipeline:
         report = run_pipeline(u, v, tol=1e-8)
         assert report.success
         assert verify_sc(report.final_sc, 1e-8).passed
-        assert report.x0_dim == m - report.witness.e11_svd.rank()
-        assert report.y0_dim == n - report.witness.f22_svd.rank()
+        assert report.x0_dim == m - svd(report.witness.E11).rank()
+        assert report.y0_dim == n - svd(report.witness.F22).rank()
 
     def test_stage_names_cover_the_chain(self):
         shared = ["decompose_corners", "small_eae", "build_eaoe", "schur_coupling"]
@@ -725,7 +748,7 @@ class TestRunPipeline:
         # its residuals against the inputs, then its anchored table
         report = run_pipeline([[1.0]], [[0.5]], w=worked_special(), tol=1e-10)
         assert list(report.stages["verify_special"].residuals) == [
-            "witness_u", "witness_v", *worked_special().residual_table(1e-10)]
+            "witness_u", "witness_v", *verify_eae_special(worked_special(), 1e-10).residuals]
 
 
 @pytest.mark.parametrize("r", [None, 7], ids=["one_sided", "two_sided"])
@@ -743,7 +766,8 @@ def test_stage_data_is_the_verifiers_extras(r):
     assert stages["schur_coupling"].extras == verify_sc(report.final_sc).extras
     if r is None:
         # the report mc_to_eae_special checked its witness by
-        assert stages["mc_to_special"] == relations._anchored(report.mc, 1e-8)[1]
+        coupling = relations.verify_mc(report.mc, 1e-8)
+        assert stages["mc_to_special"] == relations._anchored(report.mc, coupling)[1]
     data = {s["name"]: s["data"] for s in pipeline_report_to_dict(report)["stages"]}
     assert data == {name: s.extras for name, s in stages.items()}
 
@@ -792,13 +816,14 @@ _STAGE_STEPS = {
 @pytest.fixture
 def work_counts(monkeypatch):
     """Counter of dense SVDs, of those among them that compute singular
-    vectors, and of calls to each public verifier; ``counts.stages`` lists
-    each stage whose step was called, with the dense SVDs taken
+    vectors, of residual evaluations (``numkernel._norm_ratio`` calls, as
+    ``norm_ratio``) and of calls to each public verifier; ``counts.stages``
+    lists each stage whose step was called, with a copy of the counts
     before the call."""
     counts = Counter()
     counts.stages = []
     _hook_calls(monkeypatch, _STAGE_STEPS,
-                lambda name: counts.stages.append((name, counts["svd"])))
+                lambda name: counts.stages.append((name, counts.copy())))
     real_svd = np.linalg.svd
 
     def counting_svd(*args, **kwargs):
@@ -811,6 +836,7 @@ def work_counts(monkeypatch):
     monkeypatch.setitem(inspect.unwrap(np.linalg.norm).__globals__, "svd", counting_svd)
     _count_calls(monkeypatch, counts,
                  {kind: getattr(relations, f"verify_{kind}") for kind in _VERIFIER_KINDS})
+    _count_calls(monkeypatch, counts, {"norm_ratio": numkernel._norm_ratio})
     return counts
 
 
@@ -831,9 +857,9 @@ def test_pipeline_verifies_each_artifact_once(work_counts):
 
 def test_supplied_witness_pipeline_counts(work_counts):
     """The supplied-witness path records the witness's anchored table and
-    calls no public verifier for it.  A witness read from a file takes its
-    anchored table in verify_special; the object mc_to_eae_special returned
-    holds its f_times_finv already, a certified bound that took no SVD."""
+    calls no public verifier for it.  A witness takes its anchored table in
+    verify_special, whether read from a file or as mc_to_eae_special
+    returned it: a witness holds no values but its matrices."""
     u, v = random_instance(InstanceSpec(12, 14, 2, seed=1))
     mc, _ = synth_mc(u, v, 1e-8)
     w = mc_to_eae_special(mc, 1e-8)
@@ -852,7 +878,7 @@ def test_supplied_witness_pipeline_counts(work_counts):
 
 # the stages both paths share, with the dense SVDs each takes at 12x14
 _SHARED_STAGE_SVDS = {
-    # the cached full SVDs of F22 and E11, which give the conds of f22' and
+    # the full SVDs of F22 and E11, which give the conds of f22' and
     # e11'; v12's norm, the equivalence and v22's inverses (u21 and u22 are
     # empty)
     "decompose_corners": 6,
@@ -862,16 +888,17 @@ _SHARED_STAGE_SVDS = {
 }
 
 
-def _svds_per_stage(work_counts, u, v, w=None) -> dict[str, int]:
-    """The dense SVDs each stage of ``run_pipeline(u, v, w=w)`` takes."""
+def _work_per_stage(work_counts, u, v, w=None, key="svd") -> dict[str, int]:
+    """The work of kind ``key`` (by default dense SVDs) each stage of
+    ``run_pipeline(u, v, w=w)`` takes."""
     work_counts.clear()
     work_counts.stages.clear()
     run_pipeline(u, v, w=w, tol=1e-8)
     # a stage runs from its step's call to the next one's, or to the end;
     # the supplied witness's stage, which calls no step, from the start
-    marks = ([("verify_special", 0)] if w is not None else []) + work_counts.stages
-    ends = [start for _, start in marks[1:]] + [work_counts["svd"]]
-    return {name: end - start for (name, start), end in zip(marks, ends)}
+    marks = ([("verify_special", Counter())] if w is not None else []) + work_counts.stages
+    ends = [start[key] for _, start in marks[1:]] + [work_counts[key]]
+    return {name: end - start[key] for (name, start), end in zip(marks, ends)}
 
 
 @pytest.mark.parametrize("supplied", [False, True], ids=["synthesized", "supplied"])
@@ -880,15 +907,15 @@ def test_dense_svds_per_stage(work_counts, supplied):
     count names the stage it comes from."""
     u, v = random_instance(InstanceSpec(12, 14, 2, seed=1))
     w = read_back(mc_to_eae_special(synth_mc(u, v, 1e-8)[0], 1e-8)) if supplied else None
-    per_stage = _svds_per_stage(work_counts, u, v, w)
+    per_stage = _work_per_stage(work_counts, u, v, w)
     if supplied:
         # witness_u, witness_v and the anchored table's residuals below the
         # certificate's crossover; denominators of 1 are certified
         head = {"verify_special": 12}
     else:
         # the full SVDs of U and V and the MC table's two corners; its two
-        # 26x26 entries, and f_times_finv, recorded after the cached MC
-        # table, are certified
+        # 26x26 entries, and f_times_finv, recorded after the MC table that
+        # synthesize_mc hands on, are certified
         head = {"synthesize_mc": 4, "mc_to_special": 0}
     assert per_stage == {**head, **_SHARED_STAGE_SVDS}
 
@@ -899,7 +926,7 @@ def test_dense_svds_per_stage_above_the_crossover(work_counts):
     bound: what is left are the full SVDs of U, V, F22 and E11, the
     condition numbers, and the residuals of the 64x6 and 6x6 blocks."""
     u, v = random_instance(InstanceSpec(64, 70, 6, seed=1))
-    assert _svds_per_stage(work_counts, u, v) == {
+    assert _work_per_stage(work_counts, u, v) == {
         "synthesize_mc": 2,        # the full SVDs of U and V
         "mc_to_special": 0,
         "decompose_corners": 5,    # F22, E11, v12 and v22's inverses
@@ -907,6 +934,52 @@ def test_dense_svds_per_stage_above_the_crossover(work_counts):
         "build_eaoe": 0,
         "schur_coupling": 1,       # cond of A
     }
+
+
+# the residuals each stage evaluates, from a synthesized coupling at any size
+_STAGE_RESIDUALS = {
+    "synthesize_mc": 4,        # the MC table
+    "mc_to_special": 1,        # f_times_finv; the MC table is synthesize_mc's
+    "decompose_corners": 7,    # the reduced blocks' table
+    "small_eae": 1,            # the extension equation
+    "build_eaoe": 2,           # the two inverses
+    "schur_coupling": 2,       # the two complements
+}
+
+
+@pytest.mark.parametrize("n, m, k", [(12, 14, 2), (64, 70, 6)])
+def test_residual_evaluations_per_stage(work_counts, n, m, k):
+    """Each stage evaluates each residual of its table once, 17 in all,
+    whether or not a certificate settles it without an SVD: no value is
+    evaluated twice, though no witness holds one."""
+    u, v = random_instance(InstanceSpec(n, m, k, seed=1))
+    per_stage = _work_per_stage(work_counts, u, v, key="norm_ratio")
+    assert per_stage == _STAGE_RESIDUALS and sum(per_stage.values()) == 17
+
+
+def test_supplied_witness_residual_evaluations_per_stage(work_counts):
+    """A supplied witness's stage evaluates witness_u, witness_v and its
+    twenty-entry table, 22, then the shared stages as a synthesized run
+    does, 34 in all."""
+    u, v = random_instance(InstanceSpec(12, 14, 2, seed=1))
+    w = read_back(mc_to_eae_special(synth_mc(u, v, 1e-8)[0], 1e-8))
+    per_stage = _work_per_stage(work_counts, u, v, w, key="norm_ratio")
+    shared = {name: count for name, count in _STAGE_RESIDUALS.items()
+              if name not in ("synthesize_mc", "mc_to_special")}
+    assert per_stage == {"verify_special": 22, **shared}
+    assert sum(per_stage.values()) == 34
+
+
+@pytest.mark.parametrize("supplied", [False, True], ids=["synthesized", "supplied"])
+def test_witnesses_hold_only_their_fields(supplied):
+    """After a passing run, every witness of the report holds its dataclass
+    fields and nothing else: no step stores a value on a witness."""
+    u, v = random_instance(InstanceSpec(12, 14, 2, seed=1))
+    w = mc_to_eae_special(synth_mc(u, v)[0]) if supplied else None
+    report = run_pipeline(u, v, w=w, tol=1e-8)
+    witnesses = [report.witness, report.mc, report.small_eae, report.eaoe, report.final_sc]
+    for artifact in filter(None, witnesses):
+        assert list(vars(artifact)) == [f.name for f in dataclasses.fields(artifact)]
 
 
 def test_pipeline_calls_the_public_builders(monkeypatch):
@@ -951,13 +1024,17 @@ def test_anchored_stage_is_the_report_its_builder_returned(monkeypatch):
 def test_verify_eae_special_reads_the_anchored_table(work_counts):
     """verify_eae_special on a witness read from a file takes the dense SVDs
     of its twenty-entry table and no more: 12 at 12x14, nullity 2, where its
-    four 26x26 entries are certified bounds."""
+    four 26x26 entries are certified bounds.  Its table is, entry for entry,
+    the one a supplied witness's stage records after witness_u and
+    witness_v."""
     u, v = random_instance(InstanceSpec(12, 14, 2, seed=1))
     w = read_back(mc_to_eae_special(synth_mc(u, v, 1e-8)[0], 1e-8))
     work_counts.clear()
     report = verify_eae_special(w)
     assert work_counts["svd"] == 12
-    assert report.residuals == dict(w.residual_table(1e-8)) and report.extras == {}
+    stage = run_pipeline(u, v, w=w, tol=1e-8).stages["verify_special"]
+    assert list(report.residuals.items()) == list(stage.residuals.items())[2:]
+    assert report.certified == stage.certified and report.extras == {}
 
 
 @pytest.mark.parametrize("path", ["synthesized", "supplied", "two_sided", "empty_u"])
@@ -1068,8 +1145,8 @@ def test_built_witness_is_within_its_anchored_bound(data, order, source, log_con
     else:
         mc = relations.sc_to_mc(instances.random_sc_witness(n, m, cond, seed), 1.0)
     # tol 1: the bound holds whether or not the entries pass a tolerance
-    w, built = relations._anchored(mc, 1.0)
-    table = read_back(w).residual_table(1.0)
+    w, built = relations._anchored(mc, relations.verify_mc(mc, 1.0))
+    table = verify_eae_special(read_back(w), 1.0).residuals
     assert built.residuals["f_times_finv"] == table["f_times_finv"]
     assert list(built.residuals) == ["uhat_inverse", "uhat_inverse_left", "corner_u",
                                      "corner_v", "f_times_finv"]

@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from opcoupling import relations
 from opcoupling.blockops import Block2x2
 from opcoupling.errors import ConversionError, FeasibilityError
 from opcoupling.instances import InstanceSpec, random_instance, random_sc_witness, synth_mc
@@ -78,17 +81,17 @@ class TestVerifyMC:
         w = MCWitness(Uhat=swap, UhatInv=swap, n=1, m=1, U=[[0.0]], V=[[0.0]])
         assert verify_mc(w, 1e-12).passed
 
-    def test_reports_hold_copies_of_the_cached_table(self):
-        # synth_mc verified the witness, so its table is cached already
+    def test_reports_hold_their_own_tables(self):
+        # the verifier's table is the builder's, entry for entry, and no two
+        # reports share a dict; the witness holds only its fields
         mc, report = synth_mc(*random_instance(InstanceSpec(3, 4, 1, seed=7)))
-        table = vars(mc)["_residual_table_by_tol"][1e-8]
-        assert list(table.items()) == list(report.residuals.items()) and len(table) == 4
         rep = verify_mc(mc)
-        assert rep.residuals == dict(table) and rep.residuals is not report.residuals
+        assert list(rep.residuals.items()) == list(report.residuals.items())
+        assert len(rep.residuals) == 4 and rep.residuals is not report.residuals
         rep.residuals["corner_u"] = 1.0
-        assert mc.residual_table(1e-8) is table and table["corner_u"] < 1e-12
-        with pytest.raises(TypeError):
-            table["corner_u"] = 1.0
+        assert report.residuals["corner_u"] < 1e-12
+        assert verify_mc(mc).residuals["corner_u"] < 1e-12
+        assert list(vars(mc)) == [f.name for f in dataclasses.fields(mc)]
 
 
 class TestVerifyEAESpecial:
@@ -176,16 +179,18 @@ class TestMcToEaeSpecial:
         assert rep.passed
         assert rep.residuals["extension_equation"] <= 1e-10
 
-    def test_reports_hold_copies_of_the_cached_table(self):
+    def test_reports_hold_their_own_tables(self):
+        # the builder's report and the verifier's agree on every entry they
+        # share, bit for bit, and no two reports share a dict
         u, v = random_instance(InstanceSpec(3, 3, 1, seed=7, cond_bound=50))
-        w = mc_to_eae_special(synth_mc(u, v)[0])
-        table = w.residual_table(1e-8)
+        mc = synth_mc(u, v)[0]
+        w, built = relations._anchored(mc, verify_mc(mc))
         rep = verify_eae_special(w)
-        assert list(rep.residuals.items()) == list(table.items()) and len(table) == 20
+        assert len(rep.residuals) == 20 and rep.residuals is not built.residuals
+        assert rep.residuals["f_times_finv"] == built.residuals["f_times_finv"]
         rep.residuals["extension_equation"] = 1.0
-        assert w.residual_table(1e-8) is table and table["extension_equation"] < 1e-12
-        with pytest.raises(TypeError):
-            table["extension_equation"] = 1.0
+        assert verify_eae_special(w).residuals["extension_equation"] < 1e-12
+        assert list(vars(w)) == [f.name for f in dataclasses.fields(w)]
 
     def test_conversion_error_carries_report(self):
         bad = MCWitness(Uhat=np.array([[1.0, 0.0], [0.0, 1.0]]),

@@ -18,6 +18,12 @@ constructing with it by keyword or reading it reflectively does not count.
 Fields are matched by name alone, so a read of another class's field of the
 same name masks a field nothing reads (``ShiftComparabilityReport.alpha``
 was masked by ``BesovEstimate.alpha`` this way).
+
+Values are plain data: no module of the package reads an instance's
+``__dict__`` (as an attribute or through ``vars``) or uses
+``cached_property``, and ``object.__setattr__`` appears only inside a
+``__post_init__``, where a frozen dataclass normalizes its own fields.  A
+module-level ``functools.cache`` is allowed.
 """
 
 import ast
@@ -215,3 +221,43 @@ def test_package_reads_every_dataclass_field():
     sources = [path.read_text(encoding="utf-8") for path in MODULES]
     assert write_only_fields(sources, [path.read_text(encoding="utf-8")
                                        for path in readers]) == []
+
+
+def stored_state(source: str) -> list[str]:
+    """``line: what`` for each place ``source`` stores or reads state on a
+    value beside its fields: an instance ``__dict__``, ``vars(...)``,
+    ``cached_property``, or ``object.__setattr__`` outside ``__post_init__``."""
+    tree = ast.parse(source)
+    in_post_init = {id(node) for fn in ast.walk(tree)
+                    if isinstance(fn, ast.FunctionDef) and fn.name == "__post_init__"
+                    for node in ast.walk(fn)}
+    found = []
+    for node in ast.walk(tree):
+        name = getattr(node, "id", getattr(node, "attr", None))
+        if isinstance(node, ast.Attribute) and name == "__dict__":
+            found.append((node.lineno, "__dict__"))
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "vars":
+            found.append((node.lineno, "vars"))
+        elif isinstance(node, (ast.Name, ast.Attribute)) and name == "cached_property":
+            found.append((node.lineno, "cached_property"))
+        elif (isinstance(node, ast.Attribute) and name == "__setattr__"
+              and getattr(node.value, "id", None) == "object" and id(node) not in in_post_init):
+            found.append((node.lineno, "object.__setattr__"))
+    return [f"{line}: {what}" for line, what in sorted(found)]
+
+
+def test_detects_stored_state():
+    source = ("@dataclass(frozen=True)\nclass A:\n    x: int\n\n"
+              "    def __post_init__(self):\n        object.__setattr__(self, 'x', 1)\n\n"
+              "    @cached_property\n    def y(self):\n        return 2\n\n"
+              "    @functools.cached_property\n    def z(self):\n        return 3\n\n"
+              "    def memo(self):\n        self.__dict__.setdefault('m', 4)\n"
+              "        object.__setattr__(self, 'x', 5)\n        return vars(self)\n\n"
+              "@functools.cache\ndef shared():\n    return 6\n")
+    assert stored_state(source) == ["8: cached_property", "12: cached_property",
+                                    "17: __dict__", "18: object.__setattr__", "19: vars"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_keeps_values_plain(path):
+    assert stored_state(path.read_text(encoding="utf-8")) == []
